@@ -12,7 +12,7 @@
 //	report     personalized evolution digest for a user
 //	summarize  relevance-based schema summary of one version
 //	serve      run the HTTP evolution service over stored datasets
-//	bench      run the scoring-kernel benchmarks (-json for CI artifacts)
+//	exp        regenerate the experiment suite's tables and figures
 //	sim        deterministic workload soak against a live service
 //
 // Run "evorec <subcommand> -h" for flags.
@@ -54,8 +54,8 @@ func main() {
 		err = cmdSummarize(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
+	case "exp":
+		err = cmdExp(os.Args[2:], os.Stdout)
 	case "sim":
 		err = cmdSim(os.Args[2:])
 	case "-h", "--help", "help":
@@ -85,7 +85,7 @@ subcommands:
   report     personalized evolution digest for a user
   summarize  relevance-based schema summary of one version
   serve      run the HTTP evolution service over stored datasets
-  bench      run the scoring-kernel benchmarks (-json for CI artifacts)
+  exp        regenerate the experiment suite's tables and figures
   sim        deterministic workload soak against a live service`)
 }
 

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"evorec"
+	"evorec/internal/exp"
 )
 
 // genTestVersions writes two version files into dir and returns their paths.
@@ -194,10 +199,77 @@ func TestCmdServeFlagValidation(t *testing.T) {
 		{"-feed-workers", "0", "-mem", "kb"}, // invalid worker pool
 		{"-dataset", "noequals", "-mem", "kb"},
 		{"-dataset", "kb=/nonexistent-store-dir"},
+		{"-route-timeout", "/v1/datasets/{name}/recomend=2s", "-mem", "kb"}, // no such route
+		{"-route-timeout", "-1s", "-mem", "kb"},                             // negative deadline
 	}
 	for _, args := range cases {
 		if err := cmdServe(args); err == nil {
 			t.Fatalf("cmdServe(%v) succeeded, want error", args)
+		}
+	}
+}
+
+func TestParseRouteTimeouts(t *testing.T) {
+	def, per, err := parseRouteTimeouts([]string{"3s", "/v1/datasets/{name}/recommend=0", "/v1/datasets=250ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def != 3*time.Second {
+		t.Fatalf("default = %s, want 3s", def)
+	}
+	want := map[string]time.Duration{"/v1/datasets/{name}/recommend": 0, "/v1/datasets": 250 * time.Millisecond}
+	if !reflect.DeepEqual(per, want) {
+		t.Fatalf("per-route = %v, want %v", per, want)
+	}
+	for _, bad := range []string{"soon", "/v1/datasets=soon", "-1s", "/v1/datasets=-5ms"} {
+		if _, _, err := parseRouteTimeouts([]string{bad}); err == nil {
+			t.Fatalf("parseRouteTimeouts(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+func TestCmdExp(t *testing.T) {
+	var list strings.Builder
+	if err := cmdExp([]string{"-list"}, &list); err != nil {
+		t.Fatal(err)
+	}
+	all := exp.All()
+	lines := strings.Split(strings.TrimSuffix(list.String(), "\n"), "\n")
+	if len(lines) != len(all) || len(all) != 16 {
+		t.Fatalf("-list printed %d lines for %d experiments, want 16", len(lines), len(all))
+	}
+	for i, e := range all {
+		if !strings.HasPrefix(lines[i], e.ID+" ") {
+			t.Fatalf("-list line %d = %q, want experiment %s", i, lines[i], e.ID)
+		}
+	}
+
+	var got strings.Builder
+	if err := cmdExp([]string{"-exp", "E1", "-scale", "test", "-seed", "9"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	p := exp.TestScale()
+	p.Seed = 9
+	want, err := exp.E1DeltaStatistics(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want+"\n" {
+		t.Fatalf("-exp E1 printed\n%s\nwant\n%s", got.String(), want)
+	}
+
+	for _, args := range [][]string{{"-exp", "E99", "-scale", "test"}, {"-exp", "E1", "-scale", "huge"}} {
+		if err := cmdExp(args, io.Discard); err == nil {
+			t.Fatalf("cmdExp(%v) succeeded, want error", args)
+		}
+	}
+}
+
+func TestCmdExpHelpListsEveryExperiment(t *testing.T) {
+	help := expFlagHelp()
+	for _, e := range exp.All() {
+		if !strings.Contains(help, e.ID+",") && !strings.Contains(help, e.ID+")") {
+			t.Fatalf("-exp help %q omits %s", help, e.ID)
 		}
 	}
 }

@@ -40,18 +40,24 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 
 // parseRouteTimeouts resolves -route-timeout specs: a bare duration sets
 // the default for every route, route=duration overrides one route label.
+// Zero disables a deadline; negative durations are rejected. Whether a
+// route label exists is checked when the server is built.
 func parseRouteTimeouts(specs []string) (def time.Duration, perRoute map[string]time.Duration, err error) {
 	for _, spec := range specs {
 		route, durSpec, found := strings.Cut(spec, "=")
 		if !found {
-			if def, err = time.ParseDuration(spec); err != nil {
-				return 0, nil, fmt.Errorf("-route-timeout %q is not a duration", spec)
-			}
-			continue
+			durSpec = spec
 		}
 		d, err := time.ParseDuration(durSpec)
 		if err != nil {
 			return 0, nil, fmt.Errorf("-route-timeout %q: %q is not a duration", spec, durSpec)
+		}
+		if d < 0 {
+			return 0, nil, fmt.Errorf("-route-timeout %q: duration must be >= 0 (0 disables the deadline)", spec)
+		}
+		if !found {
+			def = d
+			continue
 		}
 		if perRoute == nil {
 			perRoute = make(map[string]time.Duration)
@@ -114,7 +120,7 @@ func cmdServe(args []string) error {
 	fs.Var(&datasets, "dataset", "name=dir of a binary store to serve (repeatable)")
 	fs.Var(&mems, "mem", "name of an empty in-memory dataset to create (repeatable)")
 	fs.Var(&routeTimeouts, "route-timeout",
-		"per-request deadline as a bare duration for every route, or route=duration for one route label (repeatable; route 0 disables; expired deadlines answer 504)")
+		"per-request deadline as a bare duration for every route, or route=duration for one route label (repeatable; 0 disables a deadline; expired deadlines answer 504)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -178,6 +184,18 @@ func cmdServe(args []string) error {
 		BuildConcurrency: *buildConcurrency,
 		HealBackoff:      *healBackoff, HealBackoffMax: *healBackoffMax,
 	})
+	api, err := evorec.NewHTTPServer(svc, evorec.HTTPServerConfig{
+		RetryAfterSeconds: *retryAfter,
+		Metrics:           reg,
+		Logger:            logger,
+		Tracer:            tracer,
+		LatencyBuckets:    buckets,
+		RouteTimeout:      defRouteTimeout,
+		RouteTimeouts:     perRouteTimeouts,
+	})
+	if err != nil {
+		return err // no dataset is open yet, so there is nothing to close
+	}
 	for _, spec := range datasets {
 		name, dir, found := strings.Cut(spec, "=")
 		if !found || name == "" || dir == "" {
@@ -210,16 +228,8 @@ func cmdServe(args []string) error {
 	// bounded at 128 MiB, well within it on any practical link), and
 	// responses must be consumed. Idle keep-alive connections are recycled.
 	srv := &http.Server{
-		Addr: *addr,
-		Handler: evorec.NewHTTPServerWithConfig(svc, evorec.HTTPServerConfig{
-			RetryAfterSeconds: *retryAfter,
-			Metrics:           reg,
-			Logger:            logger,
-			Tracer:            tracer,
-			LatencyBuckets:    buckets,
-			RouteTimeout:      defRouteTimeout,
-			RouteTimeouts:     perRouteTimeouts,
-		}),
+		Addr:              *addr,
+		Handler:           api,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute,
 		WriteTimeout:      5 * time.Minute,
@@ -236,7 +246,7 @@ func cmdServe(args []string) error {
 	if *opsAddr != "" {
 		opsSrv = &http.Server{
 			Addr: *opsAddr,
-			Handler: evorec.NewOpsMuxWithConfig(evorec.OpsMuxConfig{
+			Handler: evorec.NewOpsMux(evorec.OpsMuxConfig{
 				Registry: reg,
 				Tracer:   tracer,
 				Info:     evorec.ServiceBuildInfo("evorec"),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -243,7 +244,7 @@ func cmdStoreInspect(args []string) error {
 		}
 		fmt.Println()
 		for i, id := range ds.IDs() {
-			g, err := ds.GraphAt(i)
+			g, err := ds.GraphAtCtx(context.Background(), i)
 			if err != nil {
 				return fmt.Errorf("materializing %s: %w", id, err)
 			}

@@ -774,8 +774,11 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // to a listener).
 type HTTPServer = server.Server
 
-// NewHTTPServer builds the HTTP API over the service.
-func NewHTTPServer(svc *Service) *HTTPServer { return server.New(svc) }
+// NewHTTPServer builds the HTTP API over the service. It fails when
+// cfg.RouteTimeouts names a route the API does not serve.
+func NewHTTPServer(svc *Service, cfg HTTPServerConfig) (*HTTPServer, error) {
+	return server.New(svc, cfg)
+}
 
 // ---------------------------------------------------------------------------
 // Subscriptions & feed
@@ -829,19 +832,13 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // HTTPServerConfig parameterizes the HTTP layer (Retry-After hint, metrics
-// registry, structured access logger). The zero value reproduces
-// NewHTTPServer.
+// registry, structured access logger, tracer, route deadlines). The zero
+// value serves uninstrumented with default settings.
 type HTTPServerConfig = server.Config
 
 // DefaultRetryAfterSeconds is the Retry-After hint a zero HTTPServerConfig
 // sends with 503 responses.
 const DefaultRetryAfterSeconds = server.DefaultRetryAfterSeconds
-
-// NewHTTPServerWithConfig builds the HTTP API over the service with
-// explicit observability configuration.
-func NewHTTPServerWithConfig(svc *Service, cfg HTTPServerConfig) *HTTPServer {
-	return server.NewWithConfig(svc, cfg)
-}
 
 // NewLogger returns a text slog.Logger at the named level ("debug", "info",
 // "warn", "error"; anything else means info) writing to w.
@@ -854,21 +851,15 @@ type OpsBuildInfo = obs.BuildInfo
 // VCS revision) under the given service name.
 func ServiceBuildInfo(service string) OpsBuildInfo { return obs.FromBuildInfo(service) }
 
-// NewOpsMux bundles the operator surface — GET /metrics, GET /healthz,
-// /debug/pprof/*, /debug/vars — on one mux, meant for a separate loopback
-// listener (`evorec serve -ops-addr`).
-func NewOpsMux(reg *MetricsRegistry, info OpsBuildInfo, dynamic func() map[string]any) *http.ServeMux {
-	return obs.NewOpsMux(reg, info, dynamic)
-}
-
-// OpsMuxConfig parameterizes the full operator surface, adding the
-// readiness probe (/readyz) and the trace ring (/debug/traces) to what
-// NewOpsMux mounts.
+// OpsMuxConfig parameterizes the operator surface: the metrics registry,
+// build identity, dynamic /healthz fields, the readiness probe (/readyz)
+// and the trace ring (/debug/traces).
 type OpsMuxConfig = obs.OpsConfig
 
-// NewOpsMuxWithConfig builds the operator mux from an explicit
-// configuration.
-func NewOpsMuxWithConfig(cfg OpsMuxConfig) *http.ServeMux { return obs.OpsMux(cfg) }
+// NewOpsMux bundles the operator surface — GET /metrics, /healthz, /readyz,
+// /debug/traces, /debug/pprof/*, /debug/vars — on one mux, meant for a
+// separate loopback listener (`evorec serve -ops-addr`).
+func NewOpsMux(cfg OpsMuxConfig) *http.ServeMux { return obs.NewOpsMux(cfg) }
 
 // Tracer is the request-scoped tracing substrate: W3C traceparent
 // join/mint, head sampling, a fixed ring of completed traces served at
@@ -886,20 +877,6 @@ const DefaultTraceRing = obs.DefaultTraceRing
 // spans per request), ServiceConfig.Tracer (store/feed child spans) and
 // OpsMuxConfig.Tracer (/debug/traces) — the same instance in all three.
 func NewTracer(cfg TracerConfig) *Tracer { return obs.NewTracer(cfg) }
-
-// FeedTelemetry is the feed subsystem's fan-out observation hook.
-type FeedTelemetry = feed.Telemetry
-
-// NewFeedTelemetry returns a telemetry sink recording fan-out series into
-// reg, for standalone feeds (OpenFeed); service datasets wire their feeds
-// automatically through ServiceConfig.Metrics. A nil registry returns a
-// nil hook.
-func NewFeedTelemetry(reg *MetricsRegistry) FeedTelemetry {
-	if reg == nil {
-		return nil
-	}
-	return obs.NewFeedSink(reg)
-}
 
 // ParseLatencyBuckets parses a comma-separated histogram bucket schedule in
 // seconds for HTTPServerConfig.LatencyBuckets: at least one bound, every

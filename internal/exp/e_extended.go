@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -129,7 +130,7 @@ func randomAccessMs(dir string, codec archive.Codec, id string) (float64, error)
 		if err != nil {
 			return 0, err
 		}
-		if _, err := h.Graph(id); err != nil {
+		if _, err := h.GraphCtx(context.TODO(), id); err != nil {
 			return 0, err
 		}
 	} else {

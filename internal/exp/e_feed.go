@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -83,7 +84,7 @@ func E12FeedLocality(p Params) (string, error) {
 	// Fan out through the compiled scoring index — the same shape the
 	// service's commit path uses (index built once per pair, amortized over
 	// every affected subscriber).
-	st, err := f.FanOutIndexed(olderID, newerID, recommend.NewItemIndex(ds.Items))
+	st, err := f.FanOutIndexedCtx(context.TODO(), olderID, newerID, recommend.NewItemIndex(ds.Items))
 	if err != nil {
 		return "", err
 	}

@@ -4,7 +4,7 @@
 // complementary viewpoints, relatedness personalizes, diversity trades
 // against relevance, least-misery aggregation is fairer, anonymity costs
 // utility — and produces the table or series that quantifies it. The same
-// functions back the evobench CLI and the root-level Go benchmarks.
+// functions back `evorec exp` and the root-level Go benchmarks.
 package exp
 
 import (

@@ -29,20 +29,6 @@ type Stats struct {
 	Skipped bool
 }
 
-// FanOut delivers one committed version pair to the standing subscriber
-// population. It is the convenience form of FanOutIndexed for callers
-// holding a bare item slice: the scoring index is compiled here, once,
-// and amortized over every affected subscriber. The service's commit path
-// passes the engine's pair-cached index through FanOutIndexed instead.
-func (f *Feed) FanOut(olderID, newerID string, items []recommend.Item) (Stats, error) {
-	return f.FanOutIndexed(olderID, newerID, recommend.NewItemIndex(items))
-}
-
-// FanOutIndexed is FanOutIndexedCtx without a tracing context.
-func (f *Feed) FanOutIndexed(olderID, newerID string, idx *recommend.ItemIndex) (Stats, error) {
-	return f.FanOutIndexedCtx(context.Background(), olderID, newerID, idx)
-}
-
 // FanOutIndexedCtx delivers one committed version pair to the standing
 // subscriber population: it intersects the indexed items' entity terms with
 // the inverted interest index, scores only the matched subscribers (sharded
@@ -51,7 +37,7 @@ func (f *Feed) FanOutIndexed(olderID, newerID string, idx *recommend.ItemIndex) 
 // affected users' feed logs under fresh cursors.
 //
 // The whole fan-out holds the write lock, so it sees — and delivers to — a
-// consistent registry snapshot: a subscriber present when FanOut starts
+// consistent registry snapshot: a subscriber present when the fan-out starts
 // gets its full batch exactly once, however much churn races the commit.
 // Cost scales with the affected set, not the pool.
 //

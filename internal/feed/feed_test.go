@@ -1,6 +1,7 @@
 package feed_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -19,6 +20,11 @@ import (
 	"evorec/internal/schema"
 	"evorec/internal/synth"
 )
+
+// fanOut delivers the pair through a freshly compiled scoring index.
+func fanOut(f *feed.Feed, olderID, newerID string, items []recommend.Item) (feed.Stats, error) {
+	return f.FanOutIndexedCtx(context.Background(), olderID, newerID, recommend.NewItemIndex(items))
+}
 
 // world builds a deterministic two-version dataset with its engine, items
 // and a profile pool whose interests overlap the scored entities.
@@ -78,7 +84,7 @@ func TestFanOutParityWithNotify(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := fanOut(f, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestFanOutLocality(t *testing.T) {
 	hot.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, hot)
 
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := fanOut(f, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestFanOutLocality(t *testing.T) {
 	if _, created, err := f.Subscribe(cold); err != nil || created {
 		t.Fatalf("resubscribe: created=%v err=%v, want update", created, err)
 	}
-	st2, err := f.FanOut(w.ohID, "v2-again", w.items)
+	st2, err := fanOut(f, w.ohID, "v2-again", w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +195,11 @@ func TestFanOutIdempotent(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	st1, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st1, err := fanOut(f, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st2, err := fanOut(f, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestPollCursors(t *testing.T) {
 	hot.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, hot)
 	for i := 0; i < 3; i++ {
-		if _, err := f.FanOut(w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
+		if _, err := fanOut(f, w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +306,7 @@ func TestLogTrim(t *testing.T) {
 	u.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, u)
 	for i := 0; i < 4; i++ {
-		if _, err := f.FanOut(w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
+		if _, err := fanOut(f, w.ohID, fmt.Sprintf("n%d", i), w.items); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +334,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	for _, u := range w.pool {
 		mustSubscribe(t, f, u)
 	}
-	if _, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil {
+	if _, err := fanOut(f, w.ohID, w.nwID, w.items); err != nil {
 		t.Fatal(err)
 	}
 	wantSubs := f.Subscribers()
@@ -357,7 +363,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 	}
 	// The reopened ledger remembers the pair: no re-delivery.
-	st, err := g.FanOut(w.ohID, w.nwID, w.items)
+	st, err := fanOut(g, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +371,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal("reopened feed re-fanned a delivered pair")
 	}
 	// The index reopened too: a fresh pair still reaches subscribers.
-	st2, err := g.FanOut(w.ohID, "v2b", w.items)
+	st2, err := fanOut(g, w.ohID, "v2b", w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +394,14 @@ func TestCrashWindowReopen(t *testing.T) {
 	u := profile.New("u")
 	u.SetInterest(hottestTerm(t, w.items), 1)
 	mustSubscribe(t, f, u)
-	if _, err := f.FanOut(w.ohID, w.nwID, w.items); err != nil {
+	if _, err := fanOut(f, w.ohID, w.nwID, w.items); err != nil {
 		t.Fatal(err)
 	}
 	manifestAfterFirst, err := os.ReadFile(filepath.Join(dir, "feed.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.FanOut(w.ohID, "v3", w.items); err != nil {
+	if _, err := fanOut(f, w.ohID, "v3", w.items); err != nil {
 		t.Fatal(err)
 	}
 	want, _, err := f.Poll("u", 0, 0)
@@ -469,7 +475,7 @@ func TestRaceSubscribeFanOut(t *testing.T) {
 		}(c)
 	}
 	for i := 0; i < pairs; i++ {
-		if _, err := f.FanOut("v1", fmt.Sprintf("r%03d", i), w.items); err != nil {
+		if _, err := fanOut(f, "v1", fmt.Sprintf("r%03d", i), w.items); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -577,7 +583,7 @@ func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	cold := profile.New("cold")
 	cold.SetInterest(w.coldTm, 1)
 	mustSubscribe(t, f, cold)
-	st, err := f.FanOut(w.ohID, w.nwID, w.items)
+	st, err := fanOut(f, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +597,7 @@ func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	if g.Pairs() != 1 {
 		t.Fatalf("reopened Pairs() = %d, want 1 (empty fan-out lost from the ledger)", g.Pairs())
 	}
-	st2, err := g.FanOut(w.ohID, w.nwID, w.items)
+	st2, err := fanOut(g, w.ohID, w.nwID, w.items)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,7 @@ func (r *Registry) WriteExposition(w io.Writer, exemplars bool) error {
 }
 
 // Snapshot returns every series as a flat name{labels} -> value map: the
-// expvar mirror's payload and what `evorec bench -json` embeds so a
-// throughput number can be read next to the internal counters that
-// produced it.
+// expvar mirror's payload, and a direct view of the counters for tests.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	if r == nil {

@@ -115,13 +115,7 @@ type OpsConfig struct {
 	Ready func() (bool, map[string]any)
 }
 
-// NewOpsMux bundles the operator surface with the given registry, build
-// identity and dynamic health fields; OpsMux is the full-config variant.
-func NewOpsMux(reg *Registry, info BuildInfo, dynamic func() map[string]any) *http.ServeMux {
-	return OpsMux(OpsConfig{Registry: reg, Info: info, Dynamic: dynamic})
-}
-
-// OpsMux bundles the operator surface on one mux, meant for a separate
+// NewOpsMux bundles the operator surface on one mux, meant for a separate
 // loopback listener (`evorec serve -ops-addr`), so profiling and metrics
 // never share a port — or an exposure decision — with the public API:
 //
@@ -131,7 +125,7 @@ func NewOpsMux(reg *Registry, info BuildInfo, dynamic func() map[string]any) *ht
 //	GET /debug/traces   completed-trace ring as JSON
 //	GET /debug/pprof/*  net/http/pprof profiles
 //	GET /debug/vars     expvar (includes the registry mirror)
-func OpsMux(cfg OpsConfig) *http.ServeMux {
+func NewOpsMux(cfg OpsConfig) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", cfg.Registry.Handler())
 	mux.Handle("GET /healthz", HealthHandler(cfg.Info, cfg.Dynamic))

@@ -49,7 +49,7 @@ func TestReadyHandler(t *testing.T) {
 // configured check and /debug/traces appears exactly when a tracer is set.
 func TestOpsMuxReadyAndTraces(t *testing.T) {
 	tracer := NewTracer(TracerConfig{SampleRate: 1})
-	mux := OpsMux(OpsConfig{
+	mux := NewOpsMux(OpsConfig{
 		Tracer: tracer,
 		Ready:  func() (bool, map[string]any) { return false, nil },
 	})
@@ -63,7 +63,7 @@ func TestOpsMuxReadyAndTraces(t *testing.T) {
 		t.Fatalf("/debug/traces = %d with a tracer configured", rec.Code)
 	}
 
-	bare := OpsMux(OpsConfig{})
+	bare := NewOpsMux(OpsConfig{})
 	rec = httptest.NewRecorder()
 	bare.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if rec.Code != http.StatusNotFound {

@@ -14,7 +14,7 @@ import (
 func TestWrapPanicContainment(t *testing.T) {
 	reg := NewRegistry()
 	var buf strings.Builder
-	m := NewHTTPMetrics(reg, NewLogger(&buf, "error"), nil)
+	m := NewHTTPMetrics(reg, NewLogger(&buf, "error"), nil, nil)
 	mux := http.NewServeMux()
 	mux.Handle("/boom", m.Wrap("/boom", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
@@ -56,7 +56,7 @@ func TestWrapPanicContainment(t *testing.T) {
 // the standard abort-the-response signal) and never counted as a panic.
 func TestWrapPanicAbortHandler(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil)
+	m := NewHTTPMetrics(reg, nil, nil, nil)
 	h := m.Wrap("/abort", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}))

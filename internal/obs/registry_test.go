@@ -154,7 +154,7 @@ func TestNilSafety(t *testing.T) {
 	reg.HistogramVec("e", "", nil, "l").With("v").Observe(1)
 	NewStoreSink(reg).ObserveWALFsync(time.Second)
 	NewFeedSink(reg).FanOutSkipped()
-	NewHTTPMetrics(reg, nil, nil)
+	NewHTTPMetrics(reg, nil, nil, nil)
 	if err := reg.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if _, err := svc.Add("gallery", galleryVersions(t)); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWithConfig(svc, server.Config{Metrics: reg})
+	srv := newServer(t, svc, server.Config{Metrics: reg})
 
 	if w := do(t, srv, "GET", "/v1/datasets/gallery", ""); w.Code != http.StatusOK {
 		t.Fatalf("inspect = %d", w.Code)
@@ -72,7 +72,7 @@ func TestServerRetryAfterConfigurable(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWithConfig(svc, server.Config{RetryAfterSeconds: 7, Metrics: reg})
+	srv := newServer(t, svc, server.Config{RetryAfterSeconds: 7, Metrics: reg})
 
 	w := do(t, srv, "POST", "/v1/datasets/gallery/versions/v9", "")
 	if w.Code != http.StatusServiceUnavailable {
@@ -96,7 +96,7 @@ func TestServerRetryAfterDefault(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(svc)
+	srv := newServer(t, svc, server.Config{})
 	w := do(t, srv, "POST", "/v1/datasets/gallery/versions/v9", "")
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("commit on closed dataset = %d, want 503", w.Code)

@@ -37,6 +37,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strconv"
 	"time"
 
@@ -53,8 +54,8 @@ import (
 // that clients resume quickly once the burst passes.
 const DefaultRetryAfterSeconds = 1
 
-// Config parameterizes the HTTP layer. The zero value reproduces New's
-// historical behavior: default Retry-After, no metrics, no access log.
+// Config parameterizes the HTTP layer. The zero value means default
+// Retry-After, no metrics, no access log, no tracing and no deadlines.
 type Config struct {
 	// RetryAfterSeconds is the Retry-After hint on 503 responses
 	// (ErrCommitBusy / ErrDatasetClosed); zero or negative keeps
@@ -86,7 +87,8 @@ type Config struct {
 	// RouteTimeouts overrides RouteTimeout per route label (the mux pattern
 	// without the method, e.g. "/v1/datasets/{name}/recommend"). A zero or
 	// negative override disables the deadline for that route — commits
-	// against slow disks often want exactly that.
+	// against slow disks often want exactly that. A label naming no API
+	// route is a configuration error (New rejects it).
 	RouteTimeouts map[string]time.Duration
 }
 
@@ -101,13 +103,13 @@ type Server struct {
 
 	defTimeout    time.Duration
 	routeTimeouts map[string]time.Duration
+	labels        map[string]bool // route labels registered so far
 }
 
-// New builds the HTTP API over the service with default configuration.
-func New(svc *service.Service) *Server { return NewWithConfig(svc, Config{}) }
-
-// NewWithConfig builds the HTTP API over the service.
-func NewWithConfig(svc *service.Service, cfg Config) *Server {
+// New builds the HTTP API over the service. It fails when
+// cfg.RouteTimeouts names a route label the API does not serve — a typo
+// there would otherwise silently leave the route without a deadline.
+func New(svc *service.Service, cfg Config) (*Server, error) {
 	retry := cfg.RetryAfterSeconds
 	if retry <= 0 {
 		retry = DefaultRetryAfterSeconds
@@ -115,10 +117,11 @@ func NewWithConfig(svc *service.Service, cfg Config) *Server {
 	s := &Server{
 		svc:           svc,
 		mux:           http.NewServeMux(),
-		httpm:         obs.NewHTTPMetricsBuckets(cfg.Metrics, cfg.Logger, cfg.Tracer, cfg.LatencyBuckets),
+		httpm:         obs.NewHTTPMetrics(cfg.Metrics, cfg.Logger, cfg.Tracer, cfg.LatencyBuckets),
 		retryAfter:    strconv.Itoa(retry),
 		defTimeout:    cfg.RouteTimeout,
 		routeTimeouts: cfg.RouteTimeouts,
+		labels:        make(map[string]bool),
 	}
 	if cfg.Metrics != nil {
 		s.rejections = cfg.Metrics.Counter("evorec_http_rejections_total",
@@ -143,7 +146,17 @@ func NewWithConfig(svc *service.Service, cfg Config) *Server {
 	s.route("PUT /v1/datasets/{name}/subscribers/{id}", s.handleSubscribe)
 	s.route("DELETE /v1/datasets/{name}/subscribers/{id}", s.handleUnsubscribe)
 	s.route("GET /v1/datasets/{name}/feed/{id}", s.handleFeed)
-	return s
+	var unknown []string
+	for label := range cfg.RouteTimeouts {
+		if !s.labels[label] {
+			unknown = append(unknown, label)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("server: route timeouts name unknown routes %q", unknown)
+	}
+	return s, nil
 }
 
 // route registers a handler under the observability middleware. The route
@@ -154,6 +167,7 @@ func NewWithConfig(svc *service.Service, cfg Config) *Server {
 // containment covers it and the 504 is still counted/logged per route.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	label := obs.RouteLabel(pattern)
+	s.labels[label] = true
 	s.mux.Handle(pattern, s.httpm.Wrap(label, s.withDeadline(label, h)))
 }
 

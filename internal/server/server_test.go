@@ -70,7 +70,18 @@ func newTestServer(t testing.TB) *server.Server {
 	if _, err := svc.Add("gallery", galleryVersions(t)); err != nil {
 		t.Fatal(err)
 	}
-	return server.New(svc)
+	return newServer(t, svc, server.Config{})
+}
+
+// newServer builds the HTTP API over svc, failing the test on a
+// configuration error.
+func newServer(t testing.TB, svc *service.Service, cfg server.Config) *server.Server {
+	t.Helper()
+	srv, err := server.New(svc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // checkGolden compares the body against testdata/<name>.json, rewriting the

@@ -20,7 +20,7 @@ func TestServerRouteTimeout(t *testing.T) {
 	if _, err := svc.Add("gallery", galleryVersions(t)); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWithConfig(svc, server.Config{
+	srv := newServer(t, svc, server.Config{
 		Metrics:      reg,
 		RouteTimeout: time.Nanosecond,
 	})
@@ -44,7 +44,7 @@ func TestServerRouteTimeoutOverride(t *testing.T) {
 	if _, err := svc.Add("gallery", galleryVersions(t)); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWithConfig(svc, server.Config{
+	srv := newServer(t, svc, server.Config{
 		RouteTimeout: time.Nanosecond,
 		RouteTimeouts: map[string]time.Duration{
 			obs.RouteLabel("GET /v1/datasets/{name}/recommend"): 0, // unbounded
@@ -61,5 +61,24 @@ func TestServerRouteTimeoutOverride(t *testing.T) {
 	w = do(t, srv, "GET", "/v1/datasets/gallery/delta?older=v2&newer=v1", "")
 	if w.Code != 504 {
 		t.Fatalf("defaulted route = %d, want 504; body: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestServerRejectsUnknownRouteTimeout pins the startup check: a route
+// timeout keyed on a label no route registers (a typo, say) is an error,
+// not a silently unbounded route.
+func TestServerRejectsUnknownRouteTimeout(t *testing.T) {
+	svc := service.New(service.Config{})
+	_, err := server.New(svc, server.Config{
+		RouteTimeouts: map[string]time.Duration{
+			"/v1/datasets/{name}/recomend":                      2 * time.Second,
+			obs.RouteLabel("GET /v1/datasets/{name}/recommend"): time.Second,
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), `"/v1/datasets/{name}/recomend"`) {
+		t.Fatalf("err = %v, want an error naming the unknown route", err)
+	}
+	if strings.Contains(err.Error(), `"/v1/datasets/{name}/recommend"`) {
+		t.Fatalf("err = %v also names the registered route", err)
 	}
 }

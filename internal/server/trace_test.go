@@ -48,7 +48,7 @@ func newTracedServer(t *testing.T) (*server.Server, *service.Service, *obs.Trace
 			t.Errorf("closing traced service: %v", err)
 		}
 	})
-	srv := server.NewWithConfig(svc, server.Config{Metrics: reg, Tracer: tracer})
+	srv := newServer(t, svc, server.Config{Metrics: reg, Tracer: tracer})
 	return srv, svc, tracer, reg, vs
 }
 
@@ -221,7 +221,7 @@ func TestServerUnsampledRequestUntraced(t *testing.T) {
 	if _, err := svc.Add("kb", vs); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWithConfig(svc, server.Config{Tracer: tracer})
+	srv := newServer(t, svc, server.Config{Tracer: tracer})
 	rec := do(t, srv, "GET", "/v1/datasets/kb", "")
 	if rec.Code != 200 {
 		t.Fatalf("inspect status %d", rec.Code)

@@ -27,7 +27,7 @@ func warmDataset(t *testing.T, cfg service.Config) (*service.Dataset, *profile.P
 	}
 	pool := testProfiles(t, vs, 1)
 	req := core.Request{OlderID: "v1", NewerID: "v2", K: 3}
-	if _, err := d.Recommend(pool[0], req); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], req); err != nil {
 		t.Fatal(err)
 	}
 	return d, pool[0], req
@@ -40,7 +40,7 @@ func warmDataset(t *testing.T, cfg service.Config) (*service.Dataset, *profile.P
 func TestRecommendTracedAllocGuard(t *testing.T) {
 	d, u, req := warmDataset(t, service.Config{})
 	baseline := testing.AllocsPerRun(200, func() {
-		if _, err := d.Recommend(u, req); err != nil {
+		if _, err := d.RecommendCtx(context.Background(), u, req); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -46,7 +46,7 @@ func (req *commitReq) reqCtx() context.Context {
 	return context.Background()
 }
 
-// committer is a dataset's group-commit gate. Concurrent Commit calls
+// committer is a dataset's group-commit gate. Concurrent CommitCtx calls
 // enqueue; the first enqueuer spawns a drain goroutine that takes whatever
 // has accumulated each round and commits it as ONE store batch — one WAL
 // write, one fsync — so N committers colliding on a busy disk pay one disk
@@ -154,7 +154,7 @@ func (d *Dataset) checkpointStore(reason string) {
 		// A checkpoint fsyncs segments, dict and manifest while holding the
 		// write lock; /readyz reports not-ready for the duration.
 		d.health.begin(blockCheckpoint)
-		err := d.sds.CheckpointReason(reason)
+		err := d.sds.CheckpointReasonCtx(context.Background(), reason)
 		d.health.end(blockCheckpoint)
 		if err != nil {
 			d.metrics.incCheckpointFailure(reason)

@@ -11,6 +11,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -60,7 +61,7 @@ func runCrashWorkload(t testing.TB, fsys vfs.FS, storeDir string, bodies map[str
 		return ack // crashed during open: nothing acknowledged
 	}
 	commit := func(id string) {
-		info, err := d.Commit(id, bytes.NewReader(bodies[id]))
+		info, err := d.CommitCtx(context.Background(), id, bytes.NewReader(bodies[id]))
 		if err != nil {
 			return
 		}
@@ -152,7 +153,7 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 				}
 			}
 			for _, id := range got {
-				g, err := back.Graph(id)
+				g, err := back.GraphCtx(context.Background(), id)
 				if err != nil {
 					t.Fatalf("recovered version %q does not materialize: %v", id, err)
 				}
@@ -210,7 +211,7 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 			// An acknowledged fan-out is in the durable ledger: replaying the
 			// pair must be a no-op, never a second delivery.
 			for _, pair := range ack.fanouts {
-				st, err := d.Feed().FanOut(pair[0], pair[1], nil)
+				st, err := d.Feed().FanOutIndexedCtx(context.Background(), pair[0], pair[1], nil)
 				if err != nil {
 					t.Fatalf("re-fanning acked pair %v: %v", pair, err)
 				}
@@ -226,7 +227,7 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 			}
 			for _, id := range ids {
 				if !have[id] {
-					if _, err := d.Commit(id, bytes.NewReader(bodies[id])); err != nil {
+					if _, err := d.CommitCtx(context.Background(), id, bytes.NewReader(bodies[id])); err != nil {
 						t.Fatalf("recovered store refused commit %q: %v", id, err)
 					}
 				}

@@ -42,11 +42,11 @@ type Dataset struct {
 
 	// feed is the dataset's subscription subsystem. It carries its own
 	// lock: Subscribe/Unsubscribe/Poll never touch mu, and the commit path
-	// calls FanOut while holding mu's write lock (the feed lock nests
-	// strictly inside mu, never the reverse, so the order is acyclic).
+	// calls FanOutIndexedCtx while holding mu's write lock (the feed lock
+	// nests strictly inside mu, never the reverse, so the order is acyclic).
 	feed *feed.Feed
 
-	// committer coalesces concurrent Commit calls into store batches (one
+	// committer coalesces concurrent CommitCtx calls into store batches (one
 	// WAL fsync per batch). Its lock nests outside mu: enqueue/drain take
 	// committer.mu only, commitBatch takes mu only.
 	committer committer
@@ -312,11 +312,6 @@ func (d *Dataset) withItems(ctx context.Context, olderID, newerID string, fn fun
 	}
 }
 
-// Recommend is RecommendCtx without a tracing context.
-func (d *Dataset) Recommend(u *profile.Profile, req core.Request) ([]recommend.Recommendation, error) {
-	return d.RecommendCtx(context.Background(), u, req)
-}
-
 // RecommendCtx produces a recommendation list for one user. The profile is
 // caller-owned: concurrent requests must not share one mutable profile when
 // req.MarkSeen is set (the HTTP layer builds request-scoped profiles). When
@@ -333,11 +328,6 @@ func (d *Dataset) RecommendCtx(ctx context.Context, u *profile.Profile, req core
 	return sel, err
 }
 
-// RecommendPrivate is RecommendPrivateCtx without a tracing context.
-func (d *Dataset) RecommendPrivate(pool []*profile.Profile, idx int, req core.Request, pol core.PrivacyPolicy) ([]recommend.Recommendation, error) {
-	return d.RecommendPrivateCtx(context.Background(), pool, idx, req, pol)
-}
-
 // RecommendPrivateCtx recommends for pool member idx through the anonymized
 // view of the pool (k-anonymity and/or differential privacy).
 func (d *Dataset) RecommendPrivateCtx(ctx context.Context, pool []*profile.Profile, idx int, req core.Request, pol core.PrivacyPolicy) ([]recommend.Recommendation, error) {
@@ -350,11 +340,6 @@ func (d *Dataset) RecommendPrivateCtx(ctx context.Context, pool []*profile.Profi
 	return sel, err
 }
 
-// RecommendGroup is RecommendGroupCtx without a tracing context.
-func (d *Dataset) RecommendGroup(g *profile.Group, req core.GroupRequest) ([]recommend.Recommendation, error) {
-	return d.RecommendGroupCtx(context.Background(), g, req)
-}
-
 // RecommendGroupCtx produces a recommendation list for a group.
 func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req core.GroupRequest) ([]recommend.Recommendation, error) {
 	var sel []recommend.Recommendation
@@ -364,11 +349,6 @@ func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req c
 		return err
 	})
 	return sel, err
-}
-
-// Notify is NotifyCtx without a tracing context.
-func (d *Dataset) Notify(pool []*profile.Profile, olderID, newerID string, threshold float64, k int) ([]core.Notification, error) {
-	return d.NotifyCtx(context.Background(), pool, olderID, newerID, threshold, k)
 }
 
 // NotifyCtx scans the pool after a version pair and emits per-user
@@ -388,11 +368,6 @@ type DeltaStats struct {
 	Older, Newer   string
 	Added, Deleted int
 	HighLevel      []string
-}
-
-// Delta is DeltaCtx without a tracing context.
-func (d *Dataset) Delta(olderID, newerID string) (*DeltaStats, error) {
-	return d.DeltaCtx(context.Background(), olderID, newerID)
 }
 
 // DeltaCtx returns the pair's low-level delta sizes and rendered high-level
@@ -428,11 +403,6 @@ type EntityScore struct {
 type MeasureEval struct {
 	ID, Name, Category string
 	Top                []EntityScore
-}
-
-// Measures is MeasuresCtx without a tracing context.
-func (d *Dataset) Measures(olderID, newerID string, k int) ([]MeasureEval, error) {
-	return d.MeasuresCtx(context.Background(), olderID, newerID, k)
 }
 
 // MeasuresCtx returns every registered measure evaluated on the pair, with
@@ -492,7 +462,7 @@ type CommitInfo struct {
 	TraceID   string
 }
 
-// Commit parses an N-Triples body as the dataset's next version, persists
+// CommitCtx parses an N-Triples body as the dataset's next version, persists
 // it through the binary store's append path when the dataset is
 // disk-backed, and registers it with the engine. Because commits are
 // append-only — duplicate IDs are rejected, never replaced — no cached
@@ -508,16 +478,12 @@ type CommitInfo struct {
 // that to 503 + Retry-After. Callers should hand in an in-memory reader
 // (the HTTP layer buffers the network body first) so the batch's write-lock
 // hold never spans a slow upload.
-func (d *Dataset) Commit(id string, r io.Reader) (*CommitInfo, error) {
-	return d.CommitCtx(context.Background(), id, r)
-}
-
-// CommitCtx is Commit with the originating request's context: when ctx
-// carries a sampled trace, the time between enqueue and the drain
+//
+// When ctx carries a sampled trace, the time between enqueue and the drain
 // goroutine picking the commit up is recorded as a "commit.queue_wait"
-// span, and the batch work (parse, store append, WAL fsync, fan-out)
-// nests under the same trace. The request and trace IDs also land in
-// CommitInfo and in the fan-out's log attribution.
+// span, and the batch work (parse, store append, WAL fsync, fan-out) nests
+// under the same trace. The request and trace IDs also land in CommitInfo
+// and in the fan-out's log attribution.
 func (d *Dataset) CommitCtx(ctx context.Context, id string, r io.Reader) (*CommitInfo, error) {
 	if id == "" {
 		return nil, fmt.Errorf("service: version ID must not be empty")

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -32,23 +33,23 @@ func TestDatasetDegradedHealCycle(t *testing.T) {
 	}
 	defer svc.Close() //nolint:errcheck // double close is fine
 	// A healthy commit first, so reads have a pair to serve during the fault.
-	if _, err := d.Commit("v2", strings.NewReader(ntriple("c", "d"))); err != nil {
+	if _, err := d.CommitCtx(context.Background(), "v2", strings.NewReader(ntriple("c", "d"))); err != nil {
 		t.Fatal(err)
 	}
 
 	chaos.Arm()
 	// The in-flight batch hits the WAL fault: mid-commit degradation.
-	if _, err := d.Commit("v3", strings.NewReader(ntriple("e", "f"))); !errors.Is(err, ErrDegraded) {
+	if _, err := d.CommitCtx(context.Background(), "v3", strings.NewReader(ntriple("e", "f"))); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("commit during fault = %v, want ErrDegraded", err)
 	}
 	// Subsequent commits shed at the door, before touching the queue.
-	if _, err := d.Commit("v4", strings.NewReader(ntriple("g", "h"))); !errors.Is(err, ErrDegraded) {
+	if _, err := d.CommitCtx(context.Background(), "v4", strings.NewReader(ntriple("g", "h"))); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("commit while degraded = %v, want ErrDegraded", err)
 	}
 	// Reads are independent of write health: the committed chain still
 	// serves (and the cold build below reads the store through the armed
 	// injector — reads must pass through).
-	if _, err := d.Delta("v1", "v2"); err != nil {
+	if _, err := d.DeltaCtx(context.Background(), "v1", "v2"); err != nil {
 		t.Fatalf("read while degraded: %v", err)
 	}
 	if !d.degraded() {
@@ -69,10 +70,10 @@ func TestDatasetDegradedHealCycle(t *testing.T) {
 	}
 	// Failed commits never burned their IDs: v3's WAL record was rejected
 	// before the manifest swap, so the retry is a fresh commit.
-	if _, err := d.Commit("v3", strings.NewReader(ntriple("e", "f"))); err != nil {
+	if _, err := d.CommitCtx(context.Background(), "v3", strings.NewReader(ntriple("e", "f"))); err != nil {
 		t.Fatalf("retrying the failed ID after heal: %v", err)
 	}
-	if _, err := d.Commit("v5", strings.NewReader(ntriple("i", "j"))); err != nil {
+	if _, err := d.CommitCtx(context.Background(), "v5", strings.NewReader(ntriple("i", "j"))); err != nil {
 		t.Fatalf("fresh commit after heal: %v", err)
 	}
 
@@ -105,21 +106,21 @@ func TestBuildGateShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit("v2", strings.NewReader(ntriple("c", "d"))); err != nil {
+	if _, err := d.CommitCtx(context.Background(), "v2", strings.NewReader(ntriple("c", "d"))); err != nil {
 		t.Fatal(err)
 	}
 	// Occupy the lone slot, standing in for a slow build in flight.
 	d.buildGate <- struct{}{}
-	if _, err := d.Delta("v1", "v2"); !errors.Is(err, ErrBuildBusy) {
+	if _, err := d.DeltaCtx(context.Background(), "v1", "v2"); !errors.Is(err, ErrBuildBusy) {
 		t.Fatalf("cold read with a saturated gate = %v, want ErrBuildBusy", err)
 	}
 	<-d.buildGate
-	if _, err := d.Delta("v1", "v2"); err != nil {
+	if _, err := d.DeltaCtx(context.Background(), "v1", "v2"); err != nil {
 		t.Fatalf("cold read with a free slot: %v", err)
 	}
 	// Warm now: the gate only guards builds, never cached pairs.
 	d.buildGate <- struct{}{}
-	if _, err := d.Delta("v1", "v2"); err != nil {
+	if _, err := d.DeltaCtx(context.Background(), "v1", "v2"); err != nil {
 		t.Fatalf("warm read with a saturated gate: %v", err)
 	}
 	<-d.buildGate
@@ -156,7 +157,7 @@ func TestCloseTimeoutAbandons(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
 		id := fmt.Sprintf("late-%d", i)
-		_, err := d.Commit(id, strings.NewReader(ntriple(id, "x")))
+		_, err := d.CommitCtx(context.Background(), id, strings.NewReader(ntriple(id, "x")))
 		if errors.Is(err, ErrDatasetClosed) {
 			break
 		}

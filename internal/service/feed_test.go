@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 // commitVersion commits one synthetic version through the N-Triples path.
 func commitVersion(t testing.TB, d *service.Dataset, v *rdf.Version) *service.CommitInfo {
 	t.Helper()
-	info, err := d.Commit(v.ID, ntBody(t, v.Graph))
+	info, err := d.CommitCtx(context.Background(), v.ID, ntBody(t, v.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +146,10 @@ func TestInvalidateVersionKeepsFeedLedger(t *testing.T) {
 	}
 	// Rebuild the pair (a recommendation forces it) and fan out again by
 	// hand — the ledger must skip.
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 1}); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: "v1", NewerID: "v2", K: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.Feed().FanOut("v1", "v2", nil)
+	st, err := d.Feed().FanOutIndexedCtx(context.Background(), "v1", "v2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestFeedPersistsAcrossServices(t *testing.T) {
 	if got, want := len(d2.Subscribers()), len(pool); got != want {
 		t.Fatalf("restarted service sees %d subscribers, want %d", got, want)
 	}
-	if st, err := d2.Feed().FanOut("v1", "v2", nil); err != nil || !st.Skipped {
+	if st, err := d2.Feed().FanOutIndexedCtx(context.Background(), "v1", "v2", nil); err != nil || !st.Skipped {
 		t.Fatalf("restarted ledger did not skip the delivered pair: %+v %v", st, err)
 	}
 
@@ -402,7 +403,7 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 	if err := os.WriteFile(fdir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, err := d.Commit("v2", ntBody(t, vs.At(1).Graph))
+	info, err := d.CommitCtx(context.Background(), "v2", ntBody(t, vs.At(1).Graph))
 	if err != nil {
 		t.Fatalf("commit failed on a feed persistence error: %v", err)
 	}

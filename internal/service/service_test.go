@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -110,7 +111,7 @@ func TestServiceParallelMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(key reqKey) {
 				defer wg.Done()
-				sel, err := d.Recommend(pool[key.user], core.Request{
+				sel, err := d.RecommendCtx(context.Background(), pool[key.user], core.Request{
 					OlderID: key.pair.older, NewerID: key.pair.newer, K: 3, Strategy: key.strat,
 				})
 				if err != nil {
@@ -155,7 +156,7 @@ func TestServiceSingleflightOnePair(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.Recommend(pool[0], core.Request{
+			if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{
 				OlderID: ids[0], NewerID: ids[1], K: 2,
 			}); err != nil {
 				t.Error(err)
@@ -195,7 +196,7 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 			g := base.Clone()
 			g.Add(rdf.T(rdf.ResourceIRI(fmt.Sprintf("live-%d", i)), rdf.RDFSLabel,
 				rdf.NewLiteral("committed mid-flight")))
-			if _, err := d.Commit(fmt.Sprintf("v-live-%d", i), ntBody(t, g)); err != nil {
+			if _, err := d.CommitCtx(context.Background(), fmt.Sprintf("v-live-%d", i), ntBody(t, g)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -211,19 +212,19 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 				older, newer := ids[p], ids[p+1]
 				switch i % 4 {
 				case 0:
-					if _, err := d.Recommend(pool[w%len(pool)], core.Request{
+					if _, err := d.RecommendCtx(context.Background(), pool[w%len(pool)], core.Request{
 						OlderID: older, NewerID: newer, K: 3,
 					}); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := d.Notify(pool, older, newer, 0.05, 2); err != nil {
+					if _, err := d.NotifyCtx(context.Background(), pool, older, newer, 0.05, 2); err != nil {
 						t.Error(err)
 						return
 					}
 				case 2:
-					if _, err := d.Delta(older, newer); err != nil {
+					if _, err := d.DeltaCtx(context.Background(), older, newer); err != nil {
 						t.Error(err)
 						return
 					}
@@ -249,7 +250,7 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 	if back.Len() != len(ids)+3 {
 		t.Fatalf("store holds %d versions after live commits, want %d", back.Len(), len(ids)+3)
 	}
-	if _, err := back.Graph("v-live-2"); err != nil {
+	if _, err := back.GraphCtx(context.Background(), "v-live-2"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +266,7 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	vs := testChain(t, 2)
 	for _, id := range vs.IDs() {
 		v, _ := vs.Get(id)
-		info, err := d.Commit(id, ntBody(t, v.Graph))
+		info, err := d.CommitCtx(context.Background(), id, ntBody(t, v.Graph))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +279,7 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	}
 	pool := testProfiles(t, vs, 2)
 	ids := vs.IDs()
-	sel, err := d.Recommend(pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 3})
+	sel, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +288,16 @@ func TestServiceCommitLifecycle(t *testing.T) {
 	}
 
 	// Error paths map to the sentinels the HTTP layer needs.
-	if _, err := d.Commit(ids[0], strings.NewReader("")); !errors.Is(err, service.ErrDuplicateVersion) {
+	if _, err := d.CommitCtx(context.Background(), ids[0], strings.NewReader("")); !errors.Is(err, service.ErrDuplicateVersion) {
 		t.Fatalf("duplicate commit error = %v, want ErrDuplicateVersion", err)
 	}
-	if _, err := d.Commit("bad", strings.NewReader("not n-triples")); err == nil {
+	if _, err := d.CommitCtx(context.Background(), "bad", strings.NewReader("not n-triples")); err == nil {
 		t.Fatal("malformed N-Triples must fail the commit")
 	}
 	if got := d.Versions(); len(got) != vs.Len() {
 		t.Fatalf("failed commits must not register versions; have %v", got)
 	}
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: "nope", NewerID: ids[1], K: 1}); !errors.Is(err, service.ErrUnknownVersion) {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: "nope", NewerID: ids[1], K: 1}); !errors.Is(err, service.ErrUnknownVersion) {
 		t.Fatalf("unknown version error = %v, want ErrUnknownVersion", err)
 	}
 	if _, err := svc.Get("missing"); !errors.Is(err, service.ErrUnknownDataset) {
@@ -332,7 +333,7 @@ func TestServiceBackedInfo(t *testing.T) {
 	}
 	ids := vs.IDs()
 	pool := testProfiles(t, vs, 1)
-	if _, err := d.Recommend(pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 2}); err != nil {
+	if _, err := d.RecommendCtx(context.Background(), pool[0], core.Request{OlderID: ids[0], NewerID: ids[1], K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	info = d.Info()
@@ -376,7 +377,7 @@ func TestServiceGroupAndPrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := d.RecommendGroup(g, core.GroupRequest{
+	sel, err := d.RecommendGroupCtx(context.Background(), g, core.GroupRequest{
 		OlderID: ids[0], NewerID: ids[1], K: 3, FairGreedy: true, FairAlpha: 0.5,
 	})
 	if err != nil {
@@ -385,7 +386,7 @@ func TestServiceGroupAndPrivate(t *testing.T) {
 	if len(sel) == 0 {
 		t.Fatal("group recommendation is empty")
 	}
-	priv, err := d.RecommendPrivate(pool, 0, core.Request{
+	priv, err := d.RecommendPrivateCtx(context.Background(), pool, 0, core.Request{
 		OlderID: ids[0], NewerID: ids[1], K: 3,
 	}, core.PrivacyPolicy{KAnonymity: 2, Epsilon: 0.5, Seed: 1})
 	if err != nil {

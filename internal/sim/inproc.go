@@ -30,9 +30,6 @@ type InProcOptions struct {
 	LogLevel string
 	// TraceRing sizes the /debug/traces ring; zero means 4096.
 	TraceRing int
-	// LatencyBuckets overrides the HTTP latency histogram schedule; nil
-	// keeps the default.
-	LatencyBuckets []float64
 }
 
 // InProcess is a live evorec server stack wired for a simulation: the API
@@ -126,6 +123,10 @@ func StartInProcess(plan *Plan, opt InProcOptions) (*InProcess, error) {
 		}
 	}
 
+	api, err := server.New(p.svc, server.Config{Metrics: reg, Logger: logger, Tracer: tracer})
+	if err != nil {
+		return fail(err)
+	}
 	apiLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail(fmt.Errorf("sim: api listener: %w", err))
@@ -136,17 +137,9 @@ func StartInProcess(plan *Plan, opt InProcOptions) (*InProcess, error) {
 		return fail(fmt.Errorf("sim: ops listener: %w", err))
 	}
 
-	p.api = &http.Server{
-		Handler: server.NewWithConfig(p.svc, server.Config{
-			Metrics:        reg,
-			Logger:         logger,
-			Tracer:         tracer,
-			LatencyBuckets: opt.LatencyBuckets,
-		}),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	p.api = &http.Server{Handler: api, ReadHeaderTimeout: 10 * time.Second}
 	p.ops = &http.Server{
-		Handler: obs.OpsMux(obs.OpsConfig{
+		Handler: obs.NewOpsMux(obs.OpsConfig{
 			Registry: reg,
 			Tracer:   tracer,
 			Info:     obs.FromBuildInfo("evorec-sim"),

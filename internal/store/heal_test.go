@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -34,12 +35,12 @@ func TestStoreHealTransientFault(t *testing.T) {
 		}
 		return &rdf.Version{ID: id, Graph: g}
 	}
-	if _, err := ds.Append(next("x1")); err != nil {
+	if _, err := appendOne(ds, next("x1")); err != nil {
 		t.Fatalf("healthy append: %v", err)
 	}
 
 	chaos.Arm()
-	if _, err := ds.Append(next("x2")); !errors.Is(err, vfs.ErrChaos) {
+	if _, err := appendOne(ds, next("x2")); !errors.Is(err, vfs.ErrChaos) {
 		t.Fatalf("faulted append = %v, want ErrChaos in the chain", err)
 	}
 	if ds.Failed() == nil {
@@ -47,7 +48,7 @@ func TestStoreHealTransientFault(t *testing.T) {
 	}
 	// Poisoned handles fail fast without touching the disk again.
 	before := chaos.Faults()
-	if _, err := ds.Append(next("x3")); err == nil {
+	if _, err := appendOne(ds, next("x3")); err == nil {
 		t.Fatal("append on a poisoned handle succeeded")
 	}
 	if chaos.Faults() != before {
@@ -55,7 +56,7 @@ func TestStoreHealTransientFault(t *testing.T) {
 	}
 	// Heal is powerless while the fault persists: the heal checkpoint
 	// itself faults and the handle stays poisoned.
-	if err := ds.Heal(); err == nil {
+	if err := ds.HealCtx(context.Background()); err == nil {
 		t.Fatal("Heal succeeded while the fault was still armed")
 	}
 	if ds.Failed() == nil {
@@ -63,7 +64,7 @@ func TestStoreHealTransientFault(t *testing.T) {
 	}
 
 	chaos.Disarm()
-	if err := ds.Heal(); err != nil {
+	if err := ds.HealCtx(context.Background()); err != nil {
 		t.Fatalf("heal after the fault cleared: %v", err)
 	}
 	if err := ds.Failed(); err != nil {
@@ -76,7 +77,7 @@ func TestStoreHealTransientFault(t *testing.T) {
 		t.Fatalf("WAL holds %d bytes after heal (heal checkpoints and truncates)", n)
 	}
 	// The failed IDs were never stored, so retries are fresh commits.
-	if _, err := ds.Append(next("x2")); err != nil {
+	if _, err := appendOne(ds, next("x2")); err != nil {
 		t.Fatalf("retrying the faulted ID after heal: %v", err)
 	}
 	if err := ds.Close(); err != nil {
@@ -94,7 +95,7 @@ func TestStoreHealTransientFault(t *testing.T) {
 		if !back.Has(id) {
 			t.Fatalf("version %q missing after heal + reopen", id)
 		}
-		if _, err := back.Graph(id); err != nil {
+		if _, err := back.GraphCtx(context.Background(), id); err != nil {
 			t.Fatalf("materializing %q after heal: %v", id, err)
 		}
 	}

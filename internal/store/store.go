@@ -66,7 +66,7 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy inverts Policy.String; Append uses it to resume a stored
+// ParsePolicy inverts Policy.String; AppendBatchCtx uses it to resume a stored
 // chain's policy from its manifest.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
@@ -244,7 +244,7 @@ func SaveFS(fsys vfs.FS, dir string, vs *rdf.VersionStore, opt Options) (*Manife
 }
 
 // writeManifest serializes the manifest as dir/manifest.json. It is the
-// commit point of both Save and the Append checkpoint: segments are made
+// commit point of both Save and the append-path checkpoint: segments are made
 // durable first, so a failure before the manifest lands leaves the previous
 // manifest (or no store) intact, never a manifest referencing missing
 // segments. With durable set, the write carries the full fsync discipline

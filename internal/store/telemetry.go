@@ -21,7 +21,7 @@ type Telemetry interface {
 	ObserveWALFsync(d time.Duration)
 	// ObserveCheckpoint reports a completed checkpoint and what triggered
 	// it: "replay" (WAL recovery at open), "wal-bound" (size bound hit
-	// inside Append), "close", or a caller-supplied reason such as "idle".
+	// inside AppendBatchCtx), "close", or a caller-supplied reason such as "idle".
 	ObserveCheckpoint(reason string, d time.Duration)
 	// AddSegmentBytes reports segment-file bytes written (snapshots,
 	// deltas, dictionary rewrites).
@@ -77,16 +77,14 @@ func startSpan(s Spanner, ctx context.Context, name string) (context.Context, fu
 const (
 	// CheckpointReplay is WAL recovery at open.
 	CheckpointReplay = "replay"
-	// CheckpointWALBound is the in-Append WAL size bound.
+	// CheckpointWALBound is the in-append WAL size bound.
 	CheckpointWALBound = "wal-bound"
-	// CheckpointExplicit is a direct Checkpoint() call.
-	CheckpointExplicit = "explicit"
 	// CheckpointClose is the final checkpoint inside Close.
 	CheckpointClose = "close"
 	// CheckpointIdle is a background checkpoint taken while the commit
 	// queue is quiet (the service's group committer uses it).
 	CheckpointIdle = "idle"
-	// CheckpointHeal is the recovery checkpoint a Heal of a poisoned
+	// CheckpointHeal is the recovery checkpoint a HealCtx of a poisoned
 	// handle runs to re-establish a durable, WAL-empty state.
 	CheckpointHeal = "heal"
 )
