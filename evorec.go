@@ -874,8 +874,9 @@ type TracerConfig = obs.TracerConfig
 const DefaultTraceRing = obs.DefaultTraceRing
 
 // NewTracer builds a tracer. Wire it into HTTPServerConfig.Tracer (root
-// spans per request), ServiceConfig.Tracer (store/feed child spans) and
-// OpsMuxConfig.Tracer (/debug/traces) — the same instance in all three.
+// spans per request, which service, store and feed child spans follow),
+// ServiceConfig.Tracer (root spans for heal probes) and OpsMuxConfig.Tracer
+// (/debug/traces) — the same instance in all three.
 func NewTracer(cfg TracerConfig) *Tracer { return obs.NewTracer(cfg) }
 
 // ParseLatencyBuckets parses a comma-separated histogram bucket schedule in

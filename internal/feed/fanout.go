@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evorec/internal/core"
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 )
@@ -54,19 +55,18 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 	key := pairKey(olderID, newerID)
 	if _, dup := f.done[key]; dup {
 		st.Skipped = true
-		if f.tel != nil {
-			f.tel.FanOutSkipped()
-		}
+		f.metrics.skipped.Inc()
 		return st, nil
 	}
-	ctx, end := startSpan(f.spans, ctx, "feed.fanout")
-	_, mend := startSpan(f.spans, ctx, "feed.match")
+	ctx, span := obs.StartSpan(ctx, "feed.fanout")
+	_, mspan := obs.StartSpan(ctx, "feed.match")
 	affected := f.affectedLocked(idx)
-	mend("affected", strconv.Itoa(len(affected)),
-		"subscribers", strconv.Itoa(st.Subscribers))
+	mspan.SetAttr("affected", strconv.Itoa(len(affected)))
+	mspan.SetAttr("subscribers", strconv.Itoa(st.Subscribers))
+	mspan.End()
 	st.Affected = len(affected)
 	notes := f.scoreLocked(ctx, affected, idx, olderID, newerID)
-	_, aend := startSpan(f.spans, ctx, "feed.append")
+	_, aspan := obs.StartSpan(ctx, "feed.append")
 	changed := make([]string, 0, len(affected))
 	for i, id := range affected {
 		if len(notes[i]) == 0 {
@@ -85,19 +85,24 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 		lg.trim(f.maxLog)
 		changed = append(changed, id)
 	}
-	aend("notified", strconv.Itoa(st.Notified))
+	aspan.SetAttr("notified", strconv.Itoa(st.Notified))
+	aspan.End()
 	f.done[key] = donePair{older: olderID, newer: newerID}
 	// Delivery is complete in memory here; the observation covers scoring
 	// and log appends and is recorded even when persistence below degrades,
 	// matching what subscribers actually experienced.
-	if f.tel != nil {
-		f.tel.ObserveFanOut(st.Affected, st.Notified, time.Since(start))
-	}
-	_, pend := startSpan(f.spans, ctx, "feed.persist")
+	f.metrics.duration.ObserveSince(start)
+	f.metrics.affected.Observe(float64(st.Affected))
+	f.metrics.notified.Add(float64(st.Notified))
+	_, pspan := obs.StartSpan(ctx, "feed.persist")
 	err := f.persistFanOutLocked(changed)
-	pend("users", strconv.Itoa(len(changed)))
-	end("older", olderID, "newer", newerID,
-		"affected", strconv.Itoa(st.Affected), "notified", strconv.Itoa(st.Notified))
+	pspan.SetAttr("users", strconv.Itoa(len(changed)))
+	pspan.End()
+	span.SetAttr("older", olderID)
+	span.SetAttr("newer", newerID)
+	span.SetAttr("affected", strconv.Itoa(st.Affected))
+	span.SetAttr("notified", strconv.Itoa(st.Notified))
+	span.End()
 	if err != nil {
 		return st, err
 	}
@@ -150,14 +155,16 @@ func (f *Feed) scoreLocked(ctx context.Context, affected []string, idx *recommen
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, send := startSpan(f.spans, ctx, "feed.score")
+			_, span := obs.StartSpan(ctx, "feed.score")
 			n := 0
 			for i := w; i < len(affected); i += workers {
 				u := f.subs[affected[i]]
 				out[i] = core.UserNotificationsIndexed(u, idx, olderID, newerID, f.threshold, f.k)
 				n++
 			}
-			send("worker", strconv.Itoa(w), "scored", strconv.Itoa(n))
+			span.SetAttr("worker", strconv.Itoa(w))
+			span.SetAttr("scored", strconv.Itoa(n))
+			span.End()
 		}(w)
 	}
 	wg.Wait()

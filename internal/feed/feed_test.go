@@ -14,6 +14,7 @@ import (
 
 	"evorec/internal/core"
 	"evorec/internal/feed"
+	"evorec/internal/obs"
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
@@ -219,6 +220,44 @@ func TestFanOutIdempotent(t *testing.T) {
 	}
 	if f.Pairs() != 1 {
 		t.Fatalf("Pairs() = %d, want 1", f.Pairs())
+	}
+}
+
+// TestFanOutMetrics binds a registry through Config.Metrics and checks the
+// fan-out series against the Stats of real operations: one delivered
+// fan-out observed once with its affected count and notifications, then a
+// replay of the same pair counted as a skip and nothing else.
+func TestFanOutMetrics(t *testing.T) {
+	w := buildWorld(t)
+	reg := obs.NewRegistry()
+	f, err := feed.Open(feed.Config{Threshold: 0.01, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range w.pool {
+		mustSubscribe(t, f, u)
+	}
+	st, err := fanOut(f, w.ohID, w.nwID, w.items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Notified == 0 {
+		t.Fatal("fan-out notified nobody; the notified series went untested")
+	}
+	if st2, err := fanOut(f, w.ohID, w.nwID, w.items); err != nil || !st2.Skipped {
+		t.Fatalf("replayed fan-out: skipped=%v err=%v, want a ledger skip", st2.Skipped, err)
+	}
+	snap := reg.Snapshot()
+	for key, want := range map[string]float64{
+		"evorec_fanout_seconds_count":  1,
+		"evorec_fanout_affected_count": 1,
+		"evorec_fanout_affected_sum":   float64(st.Affected),
+		"evorec_fanout_notified_total": float64(st.Notified),
+		"evorec_fanout_skipped_total":  1,
+	} {
+		if got, ok := snap[key]; !ok || got != want {
+			t.Errorf("snapshot[%s] = %v (present=%v), want %v", key, got, ok, want)
+		}
 	}
 }
 

@@ -109,16 +109,16 @@ func addFloat(bits *atomic.Uint64, v float64) {
 // Histogram
 
 // Histogram is a fixed-bucket cumulative histogram (counts per upper
-// bound, plus sum and count). Observations are lock-free; exposition reads
-// may be slightly torn across buckets, which Prometheus scraping
-// tolerates by design. Nil-receiver safe.
+// bound, plus sum). Observations are lock-free; exposition reads may be
+// slightly torn across buckets, which Prometheus scraping tolerates by
+// design. There is no separate count: it is the sum of the buckets, so
+// _count always equals the +Inf bucket of the same read. Nil-receiver safe.
 type Histogram struct {
 	h      string
 	bounds []float64 // upper bounds, increasing; +Inf implicit
 	counts []atomic.Uint64
 	ex     []atomic.Pointer[Exemplar] // latest exemplar per bucket
 	sum    atomic.Uint64              // float64 bits
-	count  atomic.Uint64
 }
 
 // Exemplar links one observed value to the trace that produced it, so a
@@ -148,7 +148,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	addFloat(&h.sum, v)
-	h.count.Add(1)
 }
 
 // ObserveExemplar records one value and, when traceID is non-empty,
@@ -162,7 +161,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	addFloat(&h.sum, v)
-	h.count.Add(1)
 	if traceID != "" {
 		h.ex[i].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
@@ -176,12 +174,16 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the observation count.
+// Count returns the observation count, the sum of the buckets.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	n := uint64(0)
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the observation sum.
@@ -235,7 +237,7 @@ func (h *Histogram) seriesLabeled(keys, values []string, out []sample, withEx bo
 	})
 	base := labelBlock(keys, values)
 	out = append(out, sample{suffix: "_sum", labels: base, value: h.Sum()})
-	out = append(out, sample{suffix: "_count", labels: base, value: float64(h.count.Load())})
+	out = append(out, sample{suffix: "_count", labels: base, value: float64(cum)})
 	return out
 }
 

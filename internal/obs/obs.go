@@ -5,14 +5,14 @@
 // an HTTP middleware that instruments every endpoint, and an ops mux
 // bundling /metrics, /healthz and net/http/pprof.
 //
-// The layering rule is that obs knows nothing about the layers it
-// observes: internal/store and internal/feed declare their own narrow
-// Telemetry interfaces and obs provides sinks (StoreSink, FeedSink) that
-// satisfy them structurally, so the storage layers never import HTTP and
-// the whole substrate can be switched off by passing a nil registry —
-// every instrument and sink in this package is nil-receiver safe and
-// degrades to a no-op, keeping the uninstrumented hot paths at their PR 6
-// cost.
+// The layering rule is that obs is a stdlib-only leaf that imports no
+// evorec package: the layers it observes call it directly. Each of
+// internal/store, internal/feed and internal/service binds its own
+// instruments from one *Registry and opens spans with StartSpan on the
+// request context. The whole substrate switches off by passing a nil
+// registry and carrying no sampled span — every instrument and span in
+// this package is nil-receiver safe and degrades to a no-op, keeping the
+// uninstrumented hot paths at their uninstrumented cost.
 //
 // Naming follows the Prometheus conventions (see DESIGN.md §11): every
 // series is prefixed "evorec_", cumulative counters end in "_total",
@@ -31,8 +31,8 @@ import (
 // Registry is a named collection of instruments. The zero value is not
 // usable; NewRegistry constructs one. All methods are safe for concurrent
 // use, and every Counter/Gauge/... accessor is get-or-create: asking twice
-// for the same name returns the same instrument, so independently
-// constructed sinks share series instead of colliding.
+// for the same name returns the same instrument, so every dataset binding
+// a layer's instruments shares its series instead of colliding.
 type Registry struct {
 	mu    sync.Mutex
 	names []string // registration order; exposition sorts

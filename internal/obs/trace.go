@@ -337,30 +337,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ContextWithSpan(ctx, s), s
 }
 
-// nopSpanEnd is the shared completion callback ChildSpanner hands out on
-// unsampled contexts, so the disabled path allocates nothing.
-var nopSpanEnd = func(...string) {}
-
-// ChildSpanner adapts the context-driven StartSpan to the structural
-// Spanner interfaces internal/store and internal/feed declare (they never
-// import obs, mirroring the Telemetry pattern). The callback takes
-// alternating key/value attribute pairs applied at completion.
-type ChildSpanner struct{}
-
-// StartSpan implements the store/feed Spanner contract.
-func (ChildSpanner) StartSpan(ctx context.Context, name string) (context.Context, func(attrs ...string)) {
-	ctx, s := StartSpan(ctx, name)
-	if s == nil {
-		return ctx, nopSpanEnd
-	}
-	return ctx, func(attrs ...string) {
-		for i := 0; i+1 < len(attrs); i += 2 {
-			s.SetAttr(attrs[i], attrs[i+1])
-		}
-		s.End()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Tracer
 

@@ -51,9 +51,9 @@ type Dataset struct {
 	// committer.mu only, commitBatch takes mu only.
 	committer committer
 
-	// metrics is the dataset's service-level instrument set; nil (no
-	// registry configured) disables all recording.
-	metrics *metrics
+	// metrics is the dataset's service-level instrument set; bound from a
+	// nil registry it records nothing.
+	metrics metrics
 
 	// logger receives fan-out outcome lines attributed to the originating
 	// commit request (nil = silent).
@@ -73,7 +73,8 @@ type Dataset struct {
 	// healMin/healMax parameterize the probe's jittered exponential
 	// backoff.
 	healMin, healMax time.Duration
-	// tracer mints root spans for heal probes (nil = untraced).
+	// tracer mints root spans for heal probes (nil = untraced); request
+	// spans follow the request context instead.
 	tracer *obs.Tracer
 	// buildGate is the service-wide cold-build concurrency gate (nil =
 	// unbounded).
@@ -101,36 +102,22 @@ func newDataset(name, dir string, sds *store.Dataset, vs *rdf.VersionStore, cfg 
 		}
 		feedDir = filepath.Join(cfg.FeedDir, name)
 	}
-	m := newMetrics(cfg.Metrics)
-	// The span source is installed only when a tracer is configured; the
-	// interfaces are assigned a concrete value (obs.ChildSpanner) rather
-	// than a converted nil, so the store/feed nil checks keep working.
-	var feedSpans feed.Spanner
-	if cfg.Tracer != nil {
-		feedSpans = obs.ChildSpanner{}
-	}
 	fd, err := feed.Open(feed.Config{
 		Dir:       feedDir,
 		FS:        cfg.fs(),
 		Workers:   cfg.FeedWorkers,
 		Threshold: cfg.FeedThreshold,
 		K:         cfg.FeedK,
-		Telemetry: m.feedTelemetry(),
-		Spans:     feedSpans,
+		Metrics:   cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if sds != nil {
-		// The sink lands before the dataset serves traffic (open-time WAL
-		// replay already happened inside store.OpenFS and is not counted).
-		sds.SetTelemetry(m.storeTelemetry())
-		if cfg.Tracer != nil {
-			sds.SetSpanner(obs.ChildSpanner{})
-		}
+		sds.SetMetrics(cfg.Metrics)
 	}
 	d := &Dataset{name: name, dir: dir, eng: eng, sds: sds, feed: fd,
-		metrics: m, logger: cfg.Logger, health: health,
+		metrics: newMetrics(cfg.Metrics), logger: cfg.Logger, health: health,
 		tracer: cfg.Tracer, buildGate: gate}
 	d.committer.max = cfg.CommitQueue
 	if d.committer.max <= 0 {
@@ -220,7 +207,7 @@ func (d *Dataset) ensureItems(ctx context.Context, olderID, newerID string) erro
 	cached := d.eng.HasItems(olderID, newerID)
 	d.mu.RUnlock()
 	if cached {
-		d.metrics.incPairHit()
+		d.metrics.pairHits.Inc()
 		return nil
 	}
 	key := pairKey(olderID, newerID)
@@ -237,7 +224,7 @@ func (d *Dataset) ensureItems(ctx context.Context, olderID, newerID string) erro
 				// 503, so the shed counter must move once per shed request,
 				// not once per shed build — clients and metrics reconcile 1:1.
 				if errors.Is(err, ErrBuildBusy) {
-					d.metrics.incBuildShed()
+					d.metrics.buildShed.Inc()
 				}
 				return err
 			}
@@ -289,7 +276,7 @@ func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error
 	}
 	_, err := d.eng.Items(olderID, newerID)
 	if err == nil {
-		d.metrics.incContextBuild()
+		d.metrics.contextBuilds.Inc()
 	}
 	return err
 }
@@ -492,7 +479,7 @@ func (d *Dataset) CommitCtx(ctx context.Context, id string, r io.Reader) (*Commi
 	// broken, so queueing work behind it would only convert fast 503s into
 	// slow ones. Reads never pass through here and keep serving.
 	if d.degraded() {
-		d.metrics.addCommitDegraded(1)
+		d.metrics.commitDegr.Inc()
 		return nil, fmt.Errorf("%w: dataset %q", ErrDegraded, d.name)
 	}
 	_, qs := obs.StartSpan(ctx, "commit.queue_wait")

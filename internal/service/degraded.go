@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"evorec/internal/obs"
 )
 
 // Write-path states of a dataset. Reads never consult these: every
@@ -54,7 +52,7 @@ func (d *Dataset) enterDegradedLocked(cause error) {
 		return
 	}
 	d.health.moveDatasetState(stateHealthy, stateDegraded)
-	d.metrics.incDegraded()
+	d.metrics.degraded.Inc()
 	if d.logger != nil {
 		d.logger.Warn("dataset degraded: write path failing, commits suspended, reads still served",
 			"dataset", d.name, "state", "degraded", "error", cause.Error())
@@ -88,7 +86,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 		case <-time.After(sleep):
 		}
 		if d.tryHeal(attempt) {
-			d.metrics.incHealed()
+			d.metrics.heals.Inc()
 			if d.logger != nil {
 				d.logger.Info("dataset healed: write path restored, commits re-enabled",
 					"dataset", d.name, "state", "healthy",
@@ -108,11 +106,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 func (d *Dataset) tryHeal(attempt int) bool {
 	d.state.Store(stateHealing)
 	d.health.moveDatasetState(stateDegraded, stateHealing)
-	ctx := context.Background()
-	var span *obs.Span
-	if d.tracer != nil {
-		ctx, span = d.tracer.StartRoot(ctx, "service.heal_probe")
-	}
+	ctx, span := d.tracer.StartRoot(context.Background(), "service.heal_probe")
 	span.SetAttr("dataset", d.name)
 	span.SetAttr("attempt", fmt.Sprint(attempt))
 	d.mu.Lock()
@@ -167,7 +161,7 @@ func (d *Dataset) acquireBuildSlot() error {
 	case d.buildGate <- struct{}{}:
 		return nil
 	default:
-		d.metrics.incBuildShed()
+		d.metrics.buildShed.Inc()
 		return fmt.Errorf("%w: dataset %q", ErrBuildBusy, d.name)
 	}
 }

@@ -78,9 +78,6 @@ func (h *readyState) dsCounter(s int32) *atomic.Int64 {
 
 // publishStates mirrors the per-state counts into the state gauge vec.
 func (h *readyState) publishStates() {
-	if h.gState == nil {
-		return
-	}
 	h.gState.With("healthy").Set(float64(h.dsHealthy.Load()))
 	h.gState.With("degraded").Set(float64(h.dsDegraded.Load()))
 	h.gState.With("healing").Set(float64(h.dsHealing.Load()))
@@ -134,10 +131,7 @@ func (h *readyState) begin(b blocker) {
 		return
 	}
 	c, g := h.counter(b)
-	n := c.Add(1)
-	if g != nil {
-		g.Set(float64(n))
-	}
+	g.Set(float64(c.Add(1)))
 	h.refreshReady()
 }
 
@@ -147,10 +141,7 @@ func (h *readyState) end(b blocker) {
 		return
 	}
 	c, g := h.counter(b)
-	n := c.Add(-1)
-	if g != nil {
-		g.Set(float64(n))
-	}
+	g.Set(float64(c.Add(-1)))
 	h.refreshReady()
 }
 
@@ -163,9 +154,6 @@ func (h *readyState) ready() bool {
 // a racing begin/end pair can transiently publish either value — both were
 // true at some instant, which is all a readiness gauge promises.
 func (h *readyState) refreshReady() {
-	if h.gReady == nil {
-		return
-	}
 	v := 0.0
 	if h.ready() {
 		v = 1.0

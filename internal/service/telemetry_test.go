@@ -2,6 +2,9 @@ package service_test
 
 import (
 	"context"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"evorec/internal/core"
@@ -14,8 +17,9 @@ import (
 // TestTelemetryEndToEnd wires one registry through a disk-backed dataset
 // and checks that every layer actually reports into it: the store's WAL
 // and checkpoint series, the group committer's batch distribution, the
-// singleflight build/hit split, and the feed's fan-out series — the full
-// set the ops endpoints expose.
+// singleflight build/hit split, and the feed's fan-out series — and locks
+// the exact set of families the ops endpoints expose, plus that the whole
+// exposition stays line-valid text format.
 func TestTelemetryEndToEnd(t *testing.T) {
 	vs := testChain(t, 3) // v1..v4
 	dir := t.TempDir()
@@ -78,7 +82,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	var checkpoints float64
 	for _, reason := range []string{
 		store.CheckpointIdle, store.CheckpointWALBound,
-		store.CheckpointClose, store.CheckpointReplay,
+		store.CheckpointClose, store.CheckpointReplay, store.CheckpointHeal,
 	} {
 		checkpoints += snap[`evorec_store_checkpoint_seconds_count{reason="`+reason+`"}`]
 	}
@@ -89,7 +93,62 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if got := snap["evorec_wal_size_bytes"]; got != 0 {
 		t.Errorf("wal size after close = %v, want 0", got)
 	}
+
+	// The family inventory is part of the contract: dashboards, the sim
+	// oracle's conservation laws and the CI smoke read these names, so a
+	// family may not appear, vanish or change kind without this list
+	// changing with it.
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(strings.TrimSuffix(expo.String(), "\n"), "\n") {
+		if !expositionLine.MatchString(line) {
+			t.Errorf("invalid exposition line: %q", line)
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	want := []string{
+		"# TYPE evorec_build_shed_total counter",
+		"# TYPE evorec_checkpoint_failures_total counter",
+		"# TYPE evorec_checkpoints_in_flight gauge",
+		"# TYPE evorec_commit_batch_size histogram",
+		"# TYPE evorec_commit_busy_total counter",
+		"# TYPE evorec_commit_degraded_total counter",
+		"# TYPE evorec_commit_queue_depth gauge",
+		"# TYPE evorec_context_builds_total counter",
+		"# TYPE evorec_dataset_degraded_total counter",
+		"# TYPE evorec_dataset_heals_total counter",
+		"# TYPE evorec_dataset_state gauge",
+		"# TYPE evorec_drains_in_flight gauge",
+		"# TYPE evorec_fanout_affected histogram",
+		"# TYPE evorec_fanout_notified_total counter",
+		"# TYPE evorec_fanout_seconds histogram",
+		"# TYPE evorec_fanout_skipped_total counter",
+		"# TYPE evorec_pair_cache_hits_total counter",
+		"# TYPE evorec_ready gauge",
+		"# TYPE evorec_replays_in_flight gauge",
+		"# TYPE evorec_store_cache_hits_total counter",
+		"# TYPE evorec_store_cache_misses_total counter",
+		"# TYPE evorec_store_checkpoint_seconds histogram",
+		"# TYPE evorec_store_segment_bytes_total counter",
+		"# TYPE evorec_wal_append_bytes_total counter",
+		"# TYPE evorec_wal_append_seconds histogram",
+		"# TYPE evorec_wal_fsync_seconds histogram",
+		"# TYPE evorec_wal_size_bytes gauge",
+	}
+	if !slices.Equal(types, want) {
+		t.Errorf("metric family inventory changed:\n got %q\nwant %q", types, want)
+	}
 }
+
+// expositionLine matches one valid text-format sample or comment line.
+var expositionLine = regexp.MustCompile(
+	`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
+		`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? [^ ]+)$`)
 
 // TestTelemetryDisabled locks the off switch at the service layer: with no
 // registry configured the whole path runs uninstrumented and nothing is

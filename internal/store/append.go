@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"evorec/internal/delta"
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 )
 
@@ -51,8 +52,11 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 	if len(vs) == 0 {
 		return nil, fmt.Errorf("store: empty append batch")
 	}
-	ctx, end := startSpan(ds.spans, ctx, "store.append")
-	defer func() { end("versions", strconv.Itoa(len(vs))) }()
+	ctx, span := obs.StartSpan(ctx, "store.append")
+	defer func() {
+		span.SetAttr("versions", strconv.Itoa(len(vs)))
+		span.End()
+	}()
 	pol, err := ParsePolicy(ds.man.Policy)
 	if err != nil {
 		return nil, err
@@ -81,7 +85,7 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 	// Encode the whole batch and build its WAL records. Interning into the
 	// dataset dictionary before the WAL lands is safe: the dict is
 	// append-only, and a crash here just leaves unused tail terms in memory.
-	ectx, encEnd := startSpan(ds.spans, ctx, "store.encode")
+	ectx, encSpan := obs.StartSpan(ctx, "store.encode")
 	base := len(ds.man.Entries)
 	parent := ""
 	if base > 0 {
@@ -116,7 +120,7 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 			if prevIDs == nil {
 				prev, err := ds.GraphAtCtx(ectx, i-1)
 				if err != nil {
-					encEnd()
+					encSpan.End()
 					return nil, fmt.Errorf("store: materializing tail for append: %w", err)
 				}
 				prevIDs = encodeGraph(ds.dict, prev)
@@ -144,7 +148,7 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 			payload:  buf,
 		})
 		if err != nil {
-			encEnd()
+			encSpan.End()
 			return nil, err
 		}
 		e.Bytes = int64(segHeaderLen + len(buf) + segTrailerLen)
@@ -153,7 +157,8 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 		parent = v.ID
 		prevIDs = cur
 	}
-	encEnd("versions", strconv.Itoa(len(vs)))
+	encSpan.SetAttr("versions", strconv.Itoa(len(vs)))
+	encSpan.End()
 
 	// Acknowledgment point: one write, one fsync for the whole batch.
 	if err := ds.wal.append(ctx, framed); err != nil {
@@ -179,9 +184,7 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 			ds.fail(err)
 			return nil, err
 		}
-		if ds.tel != nil {
-			ds.tel.AddSegmentBytes(e.Bytes)
-		}
+		ds.metrics.segBytes.Add(float64(e.Bytes))
 		ds.pending[path] = true
 		ds.idx[v.ID] = base + k
 		out[k] = e

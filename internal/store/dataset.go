@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
 )
@@ -39,12 +40,9 @@ type Dataset struct {
 	lru  lruCache
 
 	wal *wal
-	// tel is the optional telemetry sink (nil = uninstrumented); see
-	// SetTelemetry.
-	tel Telemetry
-	// spans is the optional tracing span source (nil = untraced); see
-	// SetSpanner.
-	spans Spanner
+	// metrics is the instrument set SetMetrics binds (zero = unrecorded);
+	// the WAL holds a copy.
+	metrics metrics
 	// pending holds segment paths written since the last checkpoint, still
 	// owed an fsync before the manifest may reference them durably.
 	pending map[string]bool
@@ -202,9 +200,7 @@ func (ds *Dataset) applyWALRecord(rec *walRecord) error {
 	if e.Bytes, err = writeSegment(ds.fsys, path, rec.segKind, rec.payload, false); err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.AddSegmentBytes(e.Bytes)
-	}
+	ds.metrics.segBytes.Add(float64(e.Bytes))
 	ds.pending[path] = true
 	ds.idx[rec.id] = len(ds.man.Entries)
 	ds.man.Entries = append(ds.man.Entries, e)
@@ -218,7 +214,7 @@ func (ds *Dataset) applyWALRecord(rec *walRecord) error {
 // After a clean checkpoint the WAL is redundant and reset. Idempotent and
 // cheap when nothing is outstanding.
 //
-// The trigger reason lands in the telemetry sink's duration histogram —
+// The trigger reason labels the checkpoint duration histogram —
 // service layers distinguish idle background checkpoints from size-bound
 // ones when reading saturation. When ctx carries a sampled trace the
 // checkpoint is recorded as a "store.checkpoint" span attributed with the
@@ -231,9 +227,10 @@ func (ds *Dataset) CheckpointReasonCtx(ctx context.Context, reason string) error
 	if len(ds.pending) == 0 && ds.wal.size == 0 {
 		return nil
 	}
-	_, end := startSpan(ds.spans, ctx, "store.checkpoint")
+	_, span := obs.StartSpan(ctx, "store.checkpoint")
 	err := ds.checkpointTimed(reason)
-	end("reason", reason)
+	span.SetAttr("reason", reason)
+	span.End()
 	if err != nil {
 		ds.fail(err)
 		return err
@@ -249,10 +246,8 @@ func (ds *Dataset) checkpointTimed(reason string) error {
 	if err := ds.checkpoint(); err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.ObserveCheckpoint(reason, time.Since(start))
-		ds.tel.SetWALSize(ds.wal.size)
-	}
+	ds.metrics.checkpoint.With(reason).ObserveSince(start)
+	ds.metrics.walSize.Set(float64(ds.wal.size))
 	return nil
 }
 
@@ -270,9 +265,7 @@ func (ds *Dataset) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if ds.tel != nil {
-		ds.tel.AddSegmentBytes(dictBytes)
-	}
+	ds.metrics.segBytes.Add(float64(dictBytes))
 	man := *ds.man
 	man.Entries = append([]Entry(nil), ds.man.Entries...)
 	man.Terms = ds.dict.Len() - 1
@@ -349,9 +342,9 @@ func (ds *Dataset) HealCtx(ctx context.Context) error {
 	}
 	ds.idx, ds.pending = idx, pending
 	ds.failed = nil
-	_, end := startSpan(ds.spans, ctx, "store.heal")
+	_, span := obs.StartSpan(ctx, "store.heal")
 	err := ds.checkpointTimed(CheckpointHeal)
-	end()
+	span.End()
 	if err != nil {
 		ds.fail(err)
 		return err
@@ -423,21 +416,18 @@ func (ds *Dataset) GraphAtCtx(ctx context.Context, i int) (*rdf.Graph, error) {
 		return nil, fmt.Errorf("store: version index %d out of range [0, %d)", i, len(ds.man.Entries))
 	}
 	if g := ds.lru.get(i); g != nil {
-		if ds.tel != nil {
-			ds.tel.ObserveCacheAccess(true)
-		}
+		ds.metrics.cacheHits.Inc()
 		return g, nil
 	}
-	if ds.tel != nil {
-		ds.tel.ObserveCacheAccess(false)
-	}
-	_, end := startSpan(ds.spans, ctx, "store.materialize")
+	ds.metrics.cacheMisses.Inc()
+	_, span := obs.StartSpan(ctx, "store.materialize")
+	defer span.End()
 	g, replayed, err := ds.materialize(ctx, i)
 	if err != nil {
-		end()
 		return nil, err
 	}
-	end("version", ds.man.Entries[i].ID, "deltas_replayed", strconv.Itoa(replayed))
+	span.SetAttr("version", ds.man.Entries[i].ID)
+	span.SetAttr("deltas_replayed", strconv.Itoa(replayed))
 	return g, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
 )
@@ -195,11 +196,9 @@ type wal struct {
 	f    vfs.File
 	size int64
 	seq  uint64 // last sequence handed out
-	// tel mirrors the owning Dataset's sink (nil = uninstrumented); append
-	// is where fsync latency — the durability floor — is measured.
-	tel Telemetry
-	// spans mirrors the owning Dataset's span source (nil = untraced).
-	spans Spanner
+	// metrics mirrors the owning Dataset's instruments; append is where
+	// fsync latency — the durability floor — is measured.
+	metrics metrics
 }
 
 func (w *wal) path() string { return joinPath(w.dir, walFileName) }
@@ -239,9 +238,7 @@ func (w *wal) reset() error {
 	}
 	w.f = f
 	w.size = 0
-	if w.tel != nil {
-		w.tel.SetWALSize(0)
-	}
+	w.metrics.walSize.Set(0)
 	return nil
 }
 
@@ -259,31 +256,28 @@ func (w *wal) ensureOpen() error {
 // one fsync. When ctx carries a sampled trace, the whole append and the
 // fsync alone are recorded as nested "wal.append" / "wal.fsync" spans.
 func (w *wal) append(ctx context.Context, framed []byte) error {
-	actx, aend := startSpan(w.spans, ctx, "wal.append")
+	actx, aspan := obs.StartSpan(ctx, "wal.append")
+	defer aspan.End()
 	start := time.Now()
 	if err := w.ensureOpen(); err != nil {
-		aend()
 		return err
 	}
 	if _, err := w.f.Write(framed); err != nil {
-		aend()
 		return fmt.Errorf("store: appending WAL record: %w", err)
 	}
-	_, fend := startSpan(w.spans, actx, "wal.fsync")
+	_, fspan := obs.StartSpan(actx, "wal.fsync")
 	syncStart := time.Now()
 	err := w.f.Sync()
-	fend()
+	fspan.End()
 	if err != nil {
-		aend()
 		return fmt.Errorf("store: syncing WAL: %w", err)
 	}
 	w.size += int64(len(framed))
-	if w.tel != nil {
-		w.tel.ObserveWALFsync(time.Since(syncStart))
-		w.tel.ObserveWALAppend(len(framed), time.Since(start))
-		w.tel.SetWALSize(w.size)
-	}
-	aend("bytes", strconv.Itoa(len(framed)))
+	w.metrics.walFsync.ObserveSince(syncStart)
+	w.metrics.walAppend.ObserveSince(start)
+	w.metrics.walBytes.Add(float64(len(framed)))
+	w.metrics.walSize.Set(float64(w.size))
+	aspan.SetAttr("bytes", strconv.Itoa(len(framed)))
 	return nil
 }
 
