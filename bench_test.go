@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"evorec"
-	"evorec/internal/archive"
 	"evorec/internal/exp"
 	"evorec/internal/graphx"
 	"evorec/internal/measures"
@@ -390,25 +389,6 @@ func BenchmarkTrendAnalyze(b *testing.B) {
 	}
 }
 
-func BenchmarkArchiveSaveLoadDeltaChain(b *testing.B) {
-	vs, _, err := synth.GenerateVersions(synth.Small(),
-		synth.EvolveConfig{Ops: 60, Locality: 0.8}, 3, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := archive.Save(dir, vs, archive.Options{Policy: archive.DeltaChain}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := archive.Load(dir); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // sizedChainStore wraps a sized version pair (shared dictionary, ~2% churn)
 // in a VersionStore, the unit the persistent stores operate on.
 func sizedChainStore(n int) *evorec.VersionStore {
@@ -477,28 +457,6 @@ func BenchmarkStoreOpenLazy(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := evorec.OpenStore(dir); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkArchiveTextSaveLoad is the text-codec counterpart of
-// StoreSave+StoreLoad at the same sizes, so the sized text-vs-binary gap is
-// visible in one bench run.
-func BenchmarkArchiveTextSaveLoad(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			vs := sizedChainStore(size.n)
-			dir := b.TempDir()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := archive.Save(dir, vs, archive.Options{Policy: archive.DeltaChain}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := archive.Load(dir); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,7 @@
 //	measures   print the top-k entities of every evolution measure
 //	recommend  recommend measures for a user's interests
 //	trend      analyze change trends over a chain of versions
-//	archive    pack/unpack versions under an archiving policy
-//	store      pack, inspect, verify, or recover the binary segment store
+//	store      pack, unpack, inspect, verify, or recover the segment store
 //	report     personalized evolution digest for a user
 //	summarize  relevance-based schema summary of one version
 //	serve      run the HTTP evolution service over stored datasets
@@ -44,8 +43,6 @@ func main() {
 		err = cmdRecommend(os.Args[2:])
 	case "trend":
 		err = cmdTrend(os.Args[2:])
-	case "archive":
-		err = cmdArchive(os.Args[2:])
 	case "store":
 		err = cmdStore(os.Args[2:])
 	case "report":
@@ -80,8 +77,7 @@ subcommands:
   measures   print the top-k entities of every evolution measure
   recommend  recommend measures for a user's interests
   trend      analyze change trends over a chain of versions
-  archive    pack/unpack versions under an archiving policy
-  store      pack, inspect, verify, or recover the binary segment store
+  store      pack, unpack, inspect, verify, or recover the segment store
   report     personalized evolution digest for a user
   summarize  relevance-based schema summary of one version
   serve      run the HTTP evolution service over stored datasets
@@ -114,21 +110,8 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, id := range vs.IDs() {
-		v, _ := vs.Get(id)
-		path := filepath.Join(*out, id+".nt")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := evorec.WriteNTriples(f, v.Graph); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d triples)\n", path, v.Graph.Len())
+	if err := writeVersions(vs, *out); err != nil {
+		return err
 	}
 	for i, f := range focuses {
 		fmt.Printf("step %d change burst centered on %s\n", i+1, f.Local())
@@ -291,21 +274,29 @@ func cmdRecommend(args []string) error {
 	return nil
 }
 
-// writeGraphFile writes one graph as sorted N-Triples under dir/name,
+// writeVersions writes every version of vs as sorted N-Triples dir/<id>.nt,
 // creating dir if needed.
-func writeGraphFile(dir, name string, g *evorec.Graph) error {
+func writeVersions(vs *evorec.VersionStore, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
+	for _, id := range vs.IDs() {
+		v, _ := vs.Get(id)
+		path := filepath.Join(dir, id+".nt")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := evorec.WriteNTriples(f, v.Graph); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d triples)\n", path, v.Graph.Len())
 	}
-	if err := evorec.WriteNTriples(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // loadUser resolves the user profile: from a JSON file when -profile is

@@ -12,25 +12,28 @@ import (
 
 // cmdStore groups operations on the binary segment store. "inspect" dumps a
 // store directory's manifest and verifies every segment's framing and
-// checksum; "pack" writes versions into a new store; "verify" checks every
+// checksum; "pack" writes N-Triples versions into a new store and "unpack"
+// writes a store's versions back out as N-Triples; "verify" checks every
 // durability invariant including the write-ahead log and (optionally) a
 // feed directory's fan-out ledger; "recover" replays the WAL (or, with
 // -dry-run, prints what replay would do).
 func cmdStore(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: evorec store <inspect|pack|verify|recover> [flags]")
+		return fmt.Errorf("usage: evorec store <inspect|pack|unpack|verify|recover> [flags]")
 	}
 	switch args[0] {
 	case "inspect":
 		return cmdStoreInspect(args[1:])
 	case "pack":
 		return cmdStorePack(args[1:])
+	case "unpack":
+		return cmdStoreUnpack(args[1:])
 	case "verify":
 		return cmdStoreVerify(args[1:])
 	case "recover":
 		return cmdStoreRecover(args[1:])
 	default:
-		return fmt.Errorf("unknown store action %q (want inspect, pack, verify or recover)", args[0])
+		return fmt.Errorf("unknown store action %q (want inspect, pack, unpack, verify or recover)", args[0])
 	}
 }
 
@@ -239,7 +242,7 @@ func cmdStoreInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := evorec.SetStoreCacheCap(ds, *cacheCap); err != nil {
+		if err := ds.SetCacheCap(*cacheCap); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -250,14 +253,14 @@ func cmdStoreInspect(args []string) error {
 			}
 			fmt.Printf("materialized %-12s %d triples\n", id, g.Len())
 		}
-		hits, misses := evorec.StoreCacheStats(ds)
-		fmt.Printf("cache cap=%d hits=%d misses=%d\n", evorec.StoreCacheCap(ds), hits, misses)
+		hits, misses := ds.CacheStats()
+		fmt.Printf("cache cap=%d hits=%d misses=%d\n", ds.CacheCap(), hits, misses)
 	}
 	return nil
 }
 
-// cmdStorePack writes N-Triples version files into a binary store, the
-// segment-level sibling of "archive -policy ...".
+// cmdStorePack writes N-Triples version files into a binary store, naming
+// them v1, v2, ... in argument order.
 func cmdStorePack(args []string) error {
 	fs := flag.NewFlagSet("store pack", flag.ExitOnError)
 	policy := fs.String("policy", "hybrid", "storage policy: full, delta, or hybrid")
@@ -309,4 +312,27 @@ func cmdStorePack(args []string) error {
 	fmt.Printf("stored %d versions (%d terms) under %s policy into %s (%d bytes)\n",
 		len(man.Entries), man.Terms, man.Policy, *out, size)
 	return nil
+}
+
+// cmdStoreUnpack writes every version of a store as sorted N-Triples
+// <out>/<id>.nt, the inverse of cmdStorePack.
+func cmdStoreUnpack(args []string) error {
+	fs := flag.NewFlagSet("store unpack", flag.ExitOnError)
+	out := fs.String("out", ".", "output directory for vN.nt files")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("usage: evorec store unpack -out <dir> <storeDir>")
+	}
+	ds, err := evorec.OpenStore(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	defer ds.Close()
+	vs, err := ds.VersionStore()
+	if err != nil {
+		return err
+	}
+	return writeVersions(vs, *out)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,5 +42,44 @@ func TestCmdStorePackAndInspect(t *testing.T) {
 	}
 	if err := cmdStore([]string{"pack", "-policy", "bogus", "-out", out, v1}); err == nil {
 		t.Fatal("bad policy must fail")
+	}
+}
+
+// TestCmdStorePackUnpackRoundTrip packs generated N-Triples files under each
+// policy and unpacks them again: every vN.nt must come back byte for byte.
+func TestCmdStorePackUnpackRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	v1, v2 := genTestVersions(t, dir)
+	for _, pol := range []string{"full", "delta", "hybrid"} {
+		packed := filepath.Join(dir, pol+"-store")
+		if err := cmdStore([]string{"pack", "-policy", pol, "-every", "2", "-out", packed, v1, v2}); err != nil {
+			t.Fatal(err)
+		}
+		unpacked := filepath.Join(dir, pol+"-unpacked", "nested")
+		if err := cmdStore([]string{"unpack", "-out", unpacked, packed}); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{v1, v2} {
+			want, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(unpacked, filepath.Base(src)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: unpacked %s differs from its source", pol, filepath.Base(src))
+			}
+		}
+	}
+	if err := cmdStore([]string{"unpack", "-out", dir}); err == nil {
+		t.Fatal("unpack without a store dir must fail")
+	}
+	if err := cmdStore([]string{"unpack", "-out", dir, filepath.Join(dir, "missing")}); err == nil {
+		t.Fatal("unpack of a missing store must fail")
+	}
+	if err := cmdStore([]string{"pack", "-out", filepath.Join(dir, "empty")}); err == nil {
+		t.Fatal("pack without version files must fail")
 	}
 }

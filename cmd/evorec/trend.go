@@ -64,75 +64,3 @@ func cmdTrend(args []string) error {
 	}
 	return nil
 }
-
-// cmdArchive packs version files into an archive directory or unpacks an
-// archive back into N-Triples files.
-func cmdArchive(args []string) error {
-	fs := flag.NewFlagSet("archive", flag.ExitOnError)
-	policy := fs.String("policy", "delta", "archiving policy: full, delta, or hybrid")
-	every := fs.Int("every", 4, "snapshot period for the hybrid policy")
-	unpack := fs.Bool("unpack", false, "unpack <dir> into N-Triples files instead of packing")
-	out := fs.String("out", "archive", "archive directory (pack) / output directory (unpack)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *unpack {
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: evorec archive -unpack -out <dir> <archiveDir>")
-		}
-		vs, err := evorec.LoadArchive(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		return writeVersions(vs, *out)
-	}
-	if fs.NArg() < 1 {
-		return fmt.Errorf("usage: evorec archive [-policy p] -out <dir> <v1.nt> [more versions...]")
-	}
-	var pol evorec.ArchivePolicy
-	switch *policy {
-	case "full":
-		pol = evorec.FullSnapshots
-	case "delta":
-		pol = evorec.DeltaChain
-	case "hybrid":
-		pol = evorec.HybridArchive
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
-	vs := evorec.NewVersionStore()
-	for i := 0; i < fs.NArg(); i++ {
-		v, err := loadVersion(fs.Arg(i), fmt.Sprintf("v%d", i+1))
-		if err != nil {
-			return err
-		}
-		if err := vs.Add(v); err != nil {
-			return err
-		}
-	}
-	man, err := evorec.SaveArchive(*out, vs, evorec.ArchiveOptions{Policy: pol, SnapshotEvery: *every})
-	if err != nil {
-		return err
-	}
-	size, err := evorec.ArchiveDiskUsage(*out, man)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("archived %d versions under %s policy into %s (%d bytes)\n",
-		len(man.Entries), pol, *out, size)
-	for _, e := range man.Entries {
-		fmt.Printf("  %-4s %-9s %s\n", e.ID, e.Kind, e.File)
-	}
-	return nil
-}
-
-func writeVersions(vs *evorec.VersionStore, dir string) error {
-	for _, id := range vs.IDs() {
-		v, _ := vs.Get(id)
-		if err := writeGraphFile(dir, id+".nt", v.Graph); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s/%s.nt (%d triples)\n", dir, id, v.Graph.Len())
-	}
-	return nil
-}

@@ -34,7 +34,6 @@ import (
 	"math/rand"
 	"net/http"
 
-	"evorec/internal/archive"
 	"evorec/internal/core"
 	"evorec/internal/delta"
 	"evorec/internal/feed"
@@ -149,8 +148,8 @@ type Delta = delta.Delta
 func ComputeDelta(older, newer *Graph) *Delta { return delta.Compute(older, newer) }
 
 // ComputeDeltaParallel is ComputeDelta with the scan split across CPU cores;
-// it requires (and the synthetic generators, Clone, and the archive loader
-// guarantee) that both graphs share a term dictionary to gain anything.
+// it requires (and the synthetic generators, Clone, and OpenStore guarantee)
+// that both graphs share a term dictionary to gain anything.
 func ComputeDeltaParallel(older, newer *Graph) *Delta { return delta.ComputeParallel(older, newer) }
 
 // HighLevelChange is a detected schema-level change pattern.
@@ -477,55 +476,13 @@ func AnalyzeTrend(vs *VersionStore, m Measure) (*TrendAnalysis, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Archive
-
-// ArchivePolicy selects how versions are materialized on disk.
-type ArchivePolicy = archive.Policy
-
-// ArchiveOptions parameterize SaveArchive.
-type ArchiveOptions = archive.Options
-
-// ArchiveManifest indexes a saved archive.
-type ArchiveManifest = archive.Manifest
-
-// Archiving policies.
-const (
-	FullSnapshots = archive.FullSnapshots
-	DeltaChain    = archive.DeltaChain
-	HybridArchive = archive.Hybrid
-)
-
-// SaveArchive persists a version store to a directory under a policy.
-func SaveArchive(dir string, vs *VersionStore, opt ArchiveOptions) (*ArchiveManifest, error) {
-	return archive.Save(dir, vs, opt)
-}
-
-// LoadArchive reconstructs a version store from an archive directory.
-func LoadArchive(dir string) (*VersionStore, error) { return archive.Load(dir) }
-
-// ArchiveDiskUsage sums the archive's on-disk footprint.
-func ArchiveDiskUsage(dir string, man *ArchiveManifest) (int64, error) {
-	return archive.DiskUsage(dir, man)
-}
-
-// ArchiveCodec selects the archive's on-disk encoding.
-type ArchiveCodec = archive.Codec
-
-// Archive codecs.
-const (
-	// TextArchive is interoperable N-Triples (the default).
-	TextArchive = archive.Text
-	// BinaryArchive is the dictionary-native segment store.
-	BinaryArchive = archive.Binary
-)
-
-// ---------------------------------------------------------------------------
 // Binary segment store
 
 // StorePolicy selects the binary store's snapshot/delta mix.
 type StorePolicy = store.Policy
 
-// Binary store policies.
+// Archiving policies (the paper's reference [13]): a snapshot per version,
+// a delta chain over one snapshot, or periodic snapshots with deltas between.
 const (
 	StoreFullSnapshots = store.FullSnapshots
 	StoreDeltaChain    = store.DeltaChain
@@ -548,16 +505,6 @@ type StoreInfo = store.Info
 
 // StoreDefaultCacheCap is the store dataset's default graph-LRU capacity.
 const StoreDefaultCacheCap = store.DefaultCacheCap
-
-// SetStoreCacheCap resizes a store dataset's graph LRU (minimum 1; smaller
-// capacities are rejected, not clamped).
-func SetStoreCacheCap(ds *StoreDataset, n int) error { return ds.SetCacheCap(n) }
-
-// StoreCacheStats reports a store dataset's LRU hit/miss counters.
-func StoreCacheStats(ds *StoreDataset) (hits, misses int) { return ds.CacheStats() }
-
-// StoreCacheCap returns a store dataset's current LRU capacity.
-func StoreCacheCap(ds *StoreDataset) int { return ds.CacheCap() }
 
 // SaveStore persists a version store to dir in the binary segment format.
 func SaveStore(dir string, vs *VersionStore, opt StoreOptions) (*StoreManifest, error) {
@@ -671,11 +618,6 @@ type Learner = recommend.Learner
 
 // NewLearner returns a feedback learner with the given rate in (0,1].
 func NewLearner(rate float64) (*Learner, error) { return recommend.NewLearner(rate) }
-
-// BuildItemsParallel is BuildItems with concurrent measure evaluation.
-func BuildItemsParallel(ctx *MeasureContext, reg *MeasureRegistry) []Item {
-	return recommend.BuildItemsParallel(ctx, reg)
-}
 
 // Proportionality is the fraction of group members with at least m of
 // their personal top-delta measures in the selection.

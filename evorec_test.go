@@ -87,9 +87,8 @@ func TestPublicAPIMeasuresAndDeltas(t *testing.T) {
 		t.Fatalf("extended measures = %d", len(evorec.ExtendedMeasures()))
 	}
 	items := evorec.BuildItems(ctx, evorec.NewExtendedMeasureRegistry())
-	par := evorec.BuildItemsParallel(ctx, evorec.NewExtendedMeasureRegistry())
-	if len(items) != 11 || len(par) != 11 {
-		t.Fatalf("items = %d/%d", len(items), len(par))
+	if len(items) != 11 {
+		t.Fatalf("items = %d", len(items))
 	}
 }
 
@@ -148,22 +147,34 @@ func TestPublicAPIQuery(t *testing.T) {
 	}
 }
 
+// TestPublicAPIArchive archives a chain under the delta-chain policy through
+// the store facade and reopens it: every version comes back intact.
 func TestPublicAPIArchive(t *testing.T) {
 	vs, _ := apiWorld(t)
 	dir := t.TempDir()
-	man, err := evorec.SaveArchive(dir, vs, evorec.ArchiveOptions{Policy: evorec.DeltaChain})
+	man, err := evorec.SaveStore(dir, vs, evorec.StoreOptions{Policy: evorec.StoreDeltaChain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evorec.ArchiveDiskUsage(dir, man); err != nil {
+	if size, err := evorec.StoreDiskUsage(dir, man); err != nil || size == 0 {
+		t.Fatalf("disk usage = %d, %v", size, err)
+	}
+	ds, err := evorec.OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := evorec.LoadArchive(dir)
+	defer ds.Close()
+	back, err := ds.VersionStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != vs.Len() {
 		t.Fatalf("archive round trip %d != %d", back.Len(), vs.Len())
+	}
+	for i := 0; i < vs.Len(); i++ {
+		if d := evorec.ComputeDelta(vs.At(i).Graph, back.At(i).Graph); !d.IsEmpty() {
+			t.Fatalf("version %s changed by the round trip: %d triples", vs.At(i).ID, d.Size())
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Trends and archiving: watch how a knowledge base changes over a whole
 // chain of versions — the paper's "observe changes trends" promise — and
-// persist the chain under the delta-chain archiving policy. The example
-// tracks the change-count measure across five versions, classifies every
-// class's trend shape, shows the hottest and fastest-rising classes, and
-// compares archive footprints.
+// archive the chain in the segment store. The example tracks the
+// change-count measure across five versions, classifies every class's trend
+// shape, shows the hottest and fastest-rising classes, and compares the
+// footprints of two archiving policies.
 package main
 
 import (
@@ -56,24 +56,29 @@ func main() {
 
 	// Archive the chain under two policies and compare footprints.
 	fmt.Println("\narchiving the chain:")
-	for _, pol := range []evorec.ArchivePolicy{evorec.FullSnapshots, evorec.DeltaChain} {
+	for _, pol := range []evorec.StorePolicy{evorec.StoreFullSnapshots, evorec.StoreDeltaChain} {
 		dir, err := os.MkdirTemp("", "evorec-trends-")
 		if err != nil {
 			log.Fatal(err)
 		}
-		man, err := evorec.SaveArchive(dir, versions, evorec.ArchiveOptions{Policy: pol})
+		man, err := evorec.SaveStore(dir, versions, evorec.StoreOptions{Policy: pol})
 		if err != nil {
 			log.Fatal(err)
 		}
-		size, err := evorec.ArchiveDiskUsage(dir, man)
+		size, err := evorec.StoreDiskUsage(dir, man)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Round-trip check: the archive reconstructs the chain exactly.
-		back, err := evorec.LoadArchive(dir)
+		// Round-trip check: the store reconstructs the chain exactly.
+		ds, err := evorec.OpenStore(dir)
 		if err != nil {
 			log.Fatal(err)
 		}
+		back, err := ds.VersionStore()
+		if err != nil {
+			log.Fatal(err)
+		}
+		ds.Close()
 		ok := back.Len() == versions.Len()
 		fmt.Printf("  %-15s %7d bytes  round-trip ok=%v\n", pol, size, ok)
 		os.RemoveAll(dir)

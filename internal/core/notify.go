@@ -28,49 +28,13 @@ type Notification struct {
 	Reason string
 }
 
-// ItemsByID indexes items by measure ID. It is the map-path companion of
-// UserNotifications; the served paths use the pair's cached
-// recommend.ItemIndex (whose ByID does the same job) instead.
-func ItemsByID(items []recommend.Item) map[string]recommend.Item {
-	byID := make(map[string]recommend.Item, len(items))
-	for _, it := range items {
-		byID[it.ID()] = it
-	}
-	return byID
-}
-
-// UserNotifications emits one user's notifications for a version pair: the
-// user's top-k measures whose relatedness crosses the threshold, in
-// descending relatedness order. It is the map-scored reference body of
-// Notify, kept as the oracle the parity suite holds the flat kernel to;
-// Engine.Notify and the feed fan-out route through UserNotificationsIndexed,
-// which must produce this output verbatim — reasons included.
-func UserNotifications(u *profile.Profile, items []recommend.Item, byID map[string]recommend.Item, olderID, newerID string, threshold float64, k int) []Notification {
-	var out []Notification
-	for _, r := range recommend.TopK(u, items, k) {
-		if r.Score < threshold || r.Score == 0 {
-			continue
-		}
-		it, ok := byID[r.MeasureID]
-		if !ok {
-			continue
-		}
-		out = append(out, Notification{
-			UserID:      u.ID,
-			OlderID:     olderID,
-			NewerID:     newerID,
-			MeasureID:   r.MeasureID,
-			Relatedness: r.Score,
-			Reason:      recommend.ExplainText(u, it, 1),
-		})
-	}
-	return out
-}
-
-// UserNotificationsIndexed is UserNotifications on the flat kernel: one
-// interest compile, candidate-only scoring through the pair's item index,
-// and flat explanations only for the measures actually emitted. Output is
-// bit-identical to UserNotifications over the same items.
+// UserNotificationsIndexed emits one user's notifications for a version
+// pair: the user's top-k measures whose relatedness crosses the threshold,
+// in descending relatedness order. It runs on the flat kernel: one interest
+// compile, candidate-only scoring through the pair's item index, and flat
+// explanations only for the measures actually emitted. The parity suite
+// holds its output, reasons included, bit-identical to the map-scored
+// reference over the same items.
 func UserNotificationsIndexed(u *profile.Profile, idx *recommend.ItemIndex, olderID, newerID string, threshold float64, k int) []Notification {
 	var out []Notification
 	idx.NotifyEach(u, threshold, k, func(measureID string, score float64, reason string) {

@@ -12,6 +12,45 @@ import (
 
 func recommendTerm(local string) rdf.Term { return rdf.SchemaIRI(local) }
 
+// ItemsByID indexes items by measure ID. It is the map-path companion of
+// UserNotifications; the served paths use the pair's cached
+// recommend.ItemIndex (whose ByID does the same job) instead.
+func ItemsByID(items []recommend.Item) map[string]recommend.Item {
+	byID := make(map[string]recommend.Item, len(items))
+	for _, it := range items {
+		byID[it.ID()] = it
+	}
+	return byID
+}
+
+// UserNotifications emits one user's notifications for a version pair: the
+// user's top-k measures whose relatedness crosses the threshold, in
+// descending relatedness order. It is the map-scored reference body of
+// Notify, kept as the oracle the parity suite holds the flat kernel to;
+// Engine.Notify and the feed fan-out route through UserNotificationsIndexed,
+// which must produce this output verbatim — reasons included.
+func UserNotifications(u *profile.Profile, items []recommend.Item, byID map[string]recommend.Item, olderID, newerID string, threshold float64, k int) []Notification {
+	var out []Notification
+	for _, r := range recommend.TopK(u, items, k) {
+		if r.Score < threshold || r.Score == 0 {
+			continue
+		}
+		it, ok := byID[r.MeasureID]
+		if !ok {
+			continue
+		}
+		out = append(out, Notification{
+			UserID:      u.ID,
+			OlderID:     olderID,
+			NewerID:     newerID,
+			MeasureID:   r.MeasureID,
+			Relatedness: r.Score,
+			Reason:      recommend.ExplainText(u, it, 1),
+		})
+	}
+	return out
+}
+
 // The engine routes every point selection and notification through the
 // flat scoring kernel (recommend.ItemIndex); these tests hold that routing
 // bit-identical to the map-scored reference functions over the same items

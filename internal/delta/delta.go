@@ -32,7 +32,7 @@ type Delta struct {
 	// dict plus the encoded change lists form the ID fast path for Apply:
 	// when the target graph shares dict, the replay runs as integer index
 	// operations without re-interning a single term. Compute fills them on
-	// its shared-dict path; Encode builds them for deltas parsed from text.
+	// its shared-dict path.
 	dict       *rdf.Dict
 	addedIDs   []rdf.IDTriple
 	deletedIDs []rdf.IDTriple
@@ -248,9 +248,9 @@ func (d *Delta) IsEmpty() bool { return d.Size() == 0 }
 // delta of (A, B) to a clone of A yields a graph equal to B.
 //
 // When the delta carries encoded change lists for g's own Dict (a delta from
-// Compute over shared-dict graphs, or one passed through Encode), the replay
-// runs entirely on integer index operations; otherwise each triple is
-// re-interned through the term-level path. The fast path is skipped when the
+// Compute over shared-dict graphs), the replay runs entirely on integer
+// index operations; otherwise each triple is re-interned through the
+// term-level path. The fast path is skipped when the
 // exported Added/Deleted slices no longer match the encoded lists in length
 // (a caller filtered them after Compute), so mutation falls back to the
 // term-level replay instead of silently applying stale changes.
@@ -280,28 +280,6 @@ func (d *Delta) Apply(g *rdf.Graph) (removed, added int) {
 		}
 	}
 	return removed, added
-}
-
-// Encode interns the delta's triples into dict and caches the ID-encoded
-// change lists, so a later Apply onto any graph sharing dict replays on the
-// integer fast path. The archive loader calls it once per parsed delta file
-// — the chain's versions all share one dictionary, so each change is
-// interned once instead of once per term-level Add/Remove.
-func (d *Delta) Encode(dict *rdf.Dict) {
-	d.dict = dict
-	d.addedIDs = encodeTriples(dict, d.Added)
-	d.deletedIDs = encodeTriples(dict, d.Deleted)
-}
-
-func encodeTriples(dict *rdf.Dict, ts []rdf.Triple) []rdf.IDTriple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]rdf.IDTriple, len(ts))
-	for i, t := range ts {
-		out[i] = rdf.IDTriple{S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O)}
-	}
-	return out
 }
 
 // Invert returns the reverse delta: applying Invert() to the newer version

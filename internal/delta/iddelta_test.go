@@ -72,23 +72,6 @@ func TestApplyInvertIDPath(t *testing.T) {
 	}
 }
 
-func TestEncodeGivesFastPath(t *testing.T) {
-	older, newer, addedT, deletedT := sharedPair()
-	// A delta built from bare terms (as the archive's text reader does) has
-	// no dict; Encode against the target's dict must enable the ID path and
-	// produce the same result as the term path.
-	d := &Delta{Added: []rdf.Triple{addedT}, Deleted: []rdf.Triple{deletedT}}
-	d.Encode(older.Dict())
-	if d.dict != older.Dict() || len(d.addedIDs) != 1 || len(d.deletedIDs) != 1 {
-		t.Fatal("Encode did not build the ID lists")
-	}
-	rebuilt := older.Clone()
-	d.Apply(rebuilt)
-	if !Compute(rebuilt, newer).IsEmpty() {
-		t.Fatal("encoded Apply did not reconstruct newer")
-	}
-}
-
 func TestApplyForeignDictFallsBack(t *testing.T) {
 	older, newer, _, _ := sharedPair()
 	d := Compute(older, newer)

@@ -9,7 +9,7 @@ import (
 )
 
 // buildVersionPair makes two graphs sharing one dictionary: a base graph
-// plus a mutated clone, mimicking how synth and the archive produce version
+// plus a mutated clone, mimicking how synth and the store produce version
 // chains.
 func buildVersionPair(n int, seed int64) (*rdf.Graph, *rdf.Graph) {
 	rng := rand.New(rand.NewSource(seed))

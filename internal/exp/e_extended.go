@@ -2,13 +2,12 @@ package exp
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"sort"
 	"time"
 
-	"evorec/internal/archive"
 	"evorec/internal/measures"
+	"evorec/internal/rdf"
 	"evorec/internal/store"
 	"evorec/internal/summary"
 	"evorec/internal/synth"
@@ -57,101 +56,85 @@ func E11ChangeTrends(p Params) (string, error) {
 	return t.String(), nil
 }
 
-// A3ArchivePolicies ablates the storage layer along two axes (after the
-// paper's reference [13]): the archiving policy (full snapshots, delta
-// chain, hybrid) and the on-disk codec (text N-Triples vs the binary
-// dictionary-native segment store). For each cell it measures footprint,
-// save time, full-chain load time, and random access to a single middle
-// version — the operation the lazy binary handle exists for: text must
-// reconstruct the chain to answer it, binary decodes one snapshot plus the
-// deltas since.
+// A3ArchivePolicies ablates the segment store's archiving policy (after the
+// paper's reference [13]): full snapshots, a hybrid with a snapshot every
+// second version, and a delta chain. For each policy it measures footprint
+// (relative to full snapshots), save time, full-chain load time, and cold
+// random access to a single middle version, which decodes the nearest
+// snapshot plus the deltas since.
 func A3ArchivePolicies(p Params) (string, error) {
 	ds, err := BuildDataset(p)
 	if err != nil {
 		return "", err
 	}
-	mid := ds.Versions.Len() / 2
-	midID := ds.Versions.At(mid).ID
-	t := newTable("A3 — archiving policies × codec: storage vs access (versions=" + itoa(ds.Versions.Len()) + ")")
-	t.row("policy", "codec", "bytes", "relative", "save_ms", "load_ms", "rand_ms")
+	midID := ds.Versions.At(ds.Versions.Len() / 2).ID
+	t := newTable("A3 — archiving policies: storage vs access (versions=" + itoa(ds.Versions.Len()) + ")")
+	t.row("policy", "bytes", "relative", "save_ms", "load_ms", "rand_ms")
 	var baseline int64
-	for _, pol := range []archive.Policy{archive.FullSnapshots, archive.Hybrid, archive.DeltaChain} {
-		for _, codec := range []archive.Codec{archive.Text, archive.Binary} {
-			dir, err := tempDir("evorec-a3-" + pol.String() + "-" + codec.String())
-			if err != nil {
-				return "", err
-			}
-			start := time.Now()
-			man, err := archive.Save(dir, ds.Versions,
-				archive.Options{Policy: pol, SnapshotEvery: 2, Codec: codec})
-			if err != nil {
-				return "", err
-			}
-			saveMs := time.Since(start).Seconds() * 1000
-			size, err := archive.DiskUsage(dir, man)
-			if err != nil {
-				return "", err
-			}
-			start = time.Now()
-			back, err := archive.Load(dir)
-			if err != nil {
-				return "", err
-			}
-			loadMs := time.Since(start).Seconds() * 1000
-			if back.Len() != ds.Versions.Len() {
-				t.row("WARNING: reconstruction lost versions")
-			}
-			randMs, err := randomAccessMs(dir, codec, midID)
-			if err != nil {
-				return "", err
-			}
-			if pol == archive.FullSnapshots && codec == archive.Text {
-				baseline = size
-			}
-			rel := float64(size) / float64(baseline)
-			t.rowf("%s\t%s\t%d\t%.2f\t%.1f\t%.1f\t%.1f",
-				pol, codec, size, rel, saveMs, loadMs, randMs)
-			cleanupDir(dir)
+	for _, pol := range []store.Policy{store.FullSnapshots, store.Hybrid, store.DeltaChain} {
+		r, err := archiveCost(ds.Versions, pol, midID)
+		if err != nil {
+			return "", err
 		}
+		if r.loaded != ds.Versions.Len() {
+			t.row("WARNING: reconstruction lost versions")
+		}
+		if pol == store.FullSnapshots {
+			baseline = r.bytes
+		}
+		t.rowf("%s\t%d\t%.2f\t%.1f\t%.1f\t%.1f", pol, r.bytes,
+			float64(r.bytes)/float64(baseline), r.saveMs, r.loadMs, r.randMs)
 	}
 	t.row("")
-	t.row("shape check: the delta chain stores a fraction of the snapshot bytes;")
-	t.row("binary shrinks every cell further and loads without parsing, and its")
-	t.row("lazy random access skips the versions the request never touches.")
+	t.row("shape check: the delta chain stores a fraction of the snapshot bytes,")
+	t.row("and lazy random access decodes only the segments one version needs.")
 	return t.String(), nil
 }
 
-// randomAccessMs times fetching one version cold: a fresh load of whatever
-// the codec requires to answer for that version.
-func randomAccessMs(dir string, codec archive.Codec, id string) (float64, error) {
-	start := time.Now()
-	if codec == archive.Binary {
-		h, err := store.Open(dir)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := h.GraphCtx(context.TODO(), id); err != nil {
-			return 0, err
-		}
-	} else {
-		vs, err := archive.Load(dir)
-		if err != nil {
-			return 0, err
-		}
-		if _, ok := vs.Get(id); !ok {
-			return 0, fmt.Errorf("exp: version %s missing from archive", id)
-		}
+// archiveRun is one A3 row: a chain saved under one policy in a fresh
+// temporary directory, then read back whole and for a single version.
+type archiveRun struct {
+	bytes                  int64
+	loaded                 int
+	saveMs, loadMs, randMs float64
+}
+
+func archiveCost(vs *rdf.VersionStore, pol store.Policy, randID string) (archiveRun, error) {
+	var r archiveRun
+	dir, err := os.MkdirTemp("", "evorec-a3-"+pol.String())
+	if err != nil {
+		return r, err
 	}
-	return time.Since(start).Seconds() * 1000, nil
+	defer os.RemoveAll(dir)
+	start := time.Now()
+	man, err := store.Save(dir, vs, store.Options{Policy: pol, SnapshotEvery: 2})
+	if err != nil {
+		return r, err
+	}
+	r.saveMs = time.Since(start).Seconds() * 1000
+	if r.bytes, err = store.DiskUsage(dir, man); err != nil {
+		return r, err
+	}
+	start = time.Now()
+	h, err := store.Open(dir)
+	if err != nil {
+		return r, err
+	}
+	back, err := h.VersionStore()
+	h.Close()
+	if err != nil {
+		return r, err
+	}
+	r.loadMs, r.loaded = time.Since(start).Seconds()*1000, back.Len()
+	start = time.Now()
+	if h, err = store.Open(dir); err != nil {
+		return r, err
+	}
+	_, err = h.GraphCtx(context.TODO(), randID)
+	h.Close()
+	r.randMs = time.Since(start).Seconds() * 1000
+	return r, err
 }
-
-// tempDir creates a fresh temporary directory for an ablation run.
-func tempDir(prefix string) (string, error) {
-	return os.MkdirTemp("", prefix)
-}
-
-// cleanupDir removes an ablation directory, ignoring errors (temp space).
-func cleanupDir(dir string) { os.RemoveAll(dir) }
 
 // A4SummaryCoverage ablates the schema-summarization substrate (after the
 // paper's reference [15]): summary size k against instance coverage and the

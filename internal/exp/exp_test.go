@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"evorec/internal/archive"
 	"evorec/internal/measures"
 	"evorec/internal/recommend"
+	"evorec/internal/store"
 	"evorec/internal/summary"
 	"evorec/internal/synth"
 	"evorec/internal/trend"
@@ -237,73 +237,20 @@ func TestA3DeltaChainSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirFull, dirDelta := t.TempDir(), t.TempDir()
-	manFull, err := archive.Save(dirFull, ds.Versions, archive.Options{Policy: archive.FullSnapshots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	manDelta, err := archive.Save(dirDelta, ds.Versions, archive.Options{Policy: archive.DeltaChain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeFull, err := archive.DiskUsage(dirFull, manFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeDelta, err := archive.DiskUsage(dirDelta, manDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizeDelta >= sizeFull {
-		t.Fatalf("delta chain (%d) must be smaller than snapshots (%d)", sizeDelta, sizeFull)
-	}
-}
-
-// Shape assertion for the extended A3: on the same chain and policy, the
-// binary codec must occupy fewer bytes than text, and its reload must be
-// lossless with every graph sharing one dictionary.
-func TestA3BinarySmallerThanText(t *testing.T) {
-	p := TestScale()
-	ds, err := BuildDataset(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []archive.Policy{archive.FullSnapshots, archive.DeltaChain} {
-		sizes := make(map[archive.Codec]int64)
-		for _, codec := range []archive.Codec{archive.Text, archive.Binary} {
-			dir := t.TempDir()
-			man, err := archive.Save(dir, ds.Versions,
-				archive.Options{Policy: pol, Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			size, err := archive.DiskUsage(dir, man)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizes[codec] = size
-			back, err := archive.Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if back.Len() != ds.Versions.Len() {
-				t.Fatalf("%s/%s: reloaded %d versions, want %d",
-					pol, codec, back.Len(), ds.Versions.Len())
-			}
-			for i := 0; i < back.Len(); i++ {
-				if back.At(i).Graph.Len() != ds.Versions.At(i).Graph.Len() {
-					t.Fatalf("%s/%s: version %d has %d triples, want %d", pol, codec,
-						i, back.At(i).Graph.Len(), ds.Versions.At(i).Graph.Len())
-				}
-				if back.At(i).Graph.Dict() != back.At(0).Graph.Dict() {
-					t.Fatalf("%s/%s: reloaded chain does not share one dictionary", pol, codec)
-				}
-			}
+	sizes := make(map[store.Policy]int64)
+	for _, pol := range []store.Policy{store.FullSnapshots, store.DeltaChain} {
+		dir := t.TempDir()
+		man, err := store.Save(dir, ds.Versions, store.Options{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sizes[archive.Binary] >= sizes[archive.Text] {
-			t.Fatalf("%s: binary (%d bytes) must be smaller than text (%d bytes)",
-				pol, sizes[archive.Binary], sizes[archive.Text])
+		if sizes[pol], err = store.DiskUsage(dir, man); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if sizes[store.DeltaChain] >= sizes[store.FullSnapshots] {
+		t.Fatalf("delta chain (%d) must be smaller than snapshots (%d)",
+			sizes[store.DeltaChain], sizes[store.FullSnapshots])
 	}
 }
 

@@ -136,11 +136,11 @@ func (f *Feed) affectedLocked(idx *recommend.ItemIndex) []string {
 // scoreLocked scores the affected subscribers against the indexed items,
 // sharded across the worker pool. The result is index-aligned with
 // affected; each slot holds the subscriber's notifications in descending
-// relatedness, the exact output of core.UserNotifications — so feed batches
-// equal a serial Engine.Notify over the affected set. Each worker scores
-// through core.UserNotificationsIndexed, inheriting the kernel's pooled
-// per-call scratch. Workers only read the registry (the caller holds the
-// write lock, so nothing mutates underneath them).
+// relatedness, as core.UserNotificationsIndexed emits them — so feed
+// batches equal a serial Engine.Notify over the affected set, and each
+// worker inherits the kernel's pooled per-call scratch. Workers only read
+// the registry (the caller holds the write lock, so nothing mutates
+// underneath them).
 func (f *Feed) scoreLocked(ctx context.Context, affected []string, idx *recommend.ItemIndex, olderID, newerID string) [][]core.Notification {
 	out := make([][]core.Notification, len(affected))
 	if len(affected) == 0 {

@@ -7,7 +7,7 @@ import (
 
 // FuzzParseTripleLine checks the parser invariants on arbitrary input: it
 // must never panic, and anything it accepts must re-serialize and re-parse
-// to the same triple (the round-trip invariant backing the archive layer).
+// to the same triple (the round-trip invariant backing "store unpack").
 // Under plain `go test` the seed corpus runs as unit cases; `go test
 // -fuzz=FuzzParseTripleLine ./internal/rdf` explores further.
 // FuzzDictIntern checks the interner invariants on arbitrary term content:

@@ -32,7 +32,7 @@ func ReadNTriples(r io.Reader) (*Graph, error) {
 }
 
 // ReadNTriplesInto parses N-Triples from r into an existing graph, so
-// callers loading many versions of one dataset (e.g. the archive layer) can
+// callers loading many versions of one dataset (e.g. "store pack") can
 // intern them all into one shared dictionary.
 func ReadNTriplesInto(g *Graph, r io.Reader) error {
 	sc := bufio.NewScanner(r)

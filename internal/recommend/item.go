@@ -8,7 +8,6 @@ package recommend
 
 import (
 	"sort"
-	"sync"
 
 	"evorec/internal/measures"
 	"evorec/internal/profile"
@@ -47,33 +46,6 @@ func BuildItems(ctx *measures.Context, reg *measures.Registry) []Item {
 			Vector:  map[rdf.Term]float64(s.Normalize()),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
-
-// BuildItemsParallel is BuildItems with measures evaluated concurrently.
-// The Context's derived structures are immutable after construction and the
-// graph supports concurrent reads, so measures are embarrassingly parallel;
-// on multi-core machines this cuts the per-pair evaluation latency to
-// roughly the slowest single measure. The result is identical to
-// BuildItems (sorted by measure ID).
-func BuildItemsParallel(ctx *measures.Context, reg *measures.Registry) []Item {
-	ms := reg.All()
-	out := make([]Item, len(ms))
-	var wg sync.WaitGroup
-	for i, m := range ms {
-		wg.Add(1)
-		go func(i int, m measures.Measure) {
-			defer wg.Done()
-			s := m.Compute(ctx)
-			out[i] = Item{
-				Measure: m,
-				Scores:  s,
-				Vector:  map[rdf.Term]float64(s.Normalize()),
-			}
-		}(i, m)
-	}
-	wg.Wait()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }

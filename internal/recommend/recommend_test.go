@@ -274,61 +274,3 @@ func TestMeanRelatedness(t *testing.T) {
 		t.Fatal("empty selection mean relatedness must be 0")
 	}
 }
-
-func TestBuildItemsParallelMatchesSequential(t *testing.T) {
-	// Build a real context so all measures run.
-	g1 := rdf.NewGraph()
-	a, b := term("PA"), term("PB")
-	p := term("pp")
-	g1.Add(rdf.T(a, rdf.RDFType, rdf.RDFSClass))
-	g1.Add(rdf.T(b, rdf.RDFSSubClassOf, a))
-	g1.Add(rdf.T(p, rdf.RDFSDomain, a))
-	g1.Add(rdf.T(p, rdf.RDFSRange, b))
-	g1.Add(rdf.T(rdf.ResourceIRI("x"), rdf.RDFType, a))
-	g2 := g1.Clone()
-	g2.Add(rdf.T(rdf.ResourceIRI("y"), rdf.RDFType, b))
-	g2.Add(rdf.T(rdf.ResourceIRI("x"), p, rdf.ResourceIRI("y")))
-
-	ctx := measures.NewContext(
-		&rdf.Version{ID: "v1", Graph: g1},
-		&rdf.Version{ID: "v2", Graph: g2},
-	)
-	reg := measures.NewExtendedRegistry()
-	seq := BuildItems(ctx, reg)
-	par := BuildItemsParallel(ctx, reg)
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].ID() != par[i].ID() {
-			t.Fatalf("order differs at %d: %s vs %s", i, seq[i].ID(), par[i].ID())
-		}
-		for tm, v := range seq[i].Scores {
-			if par[i].Scores[tm] != v {
-				t.Fatalf("scores differ for %s at %v", seq[i].ID(), tm)
-			}
-		}
-	}
-}
-
-func TestBuildItemsParallelRace(t *testing.T) {
-	// Exercised under -race in CI: many concurrent builds over one context.
-	g := rdf.NewGraph()
-	c := term("RC")
-	g.Add(rdf.T(c, rdf.RDFType, rdf.RDFSClass))
-	ctx := measures.NewContext(
-		&rdf.Version{ID: "v1", Graph: g},
-		&rdf.Version{ID: "v2", Graph: g.Clone()},
-	)
-	reg := measures.NewRegistry()
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			BuildItemsParallel(ctx, reg)
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-}

@@ -13,8 +13,8 @@
 // service can hold a long chain on disk and page in only the versions it is
 // asked about (ROADMAP: disk-backed version stores).
 //
-// The text archive (internal/archive) remains the interoperable format; this
-// store is the fast path behind archive.Binary.
+// This is evorec's only on-disk format for a version chain. N-Triples go in
+// and out through the CLI's "store pack" and "store unpack".
 package store
 
 import (
@@ -28,8 +28,8 @@ import (
 	"evorec/internal/store/vfs"
 )
 
-// FormatV1 identifies the segment store's manifest format. archive.Load uses
-// it to route a directory to the binary reader.
+// FormatV1 identifies the segment store's manifest format; readManifest
+// rejects any other.
 const FormatV1 = "evorec-store/v1"
 
 const (
@@ -37,8 +37,8 @@ const (
 	dictFileName = "dict.seg"
 )
 
-// Policy selects how versions are materialized on disk, mirroring the text
-// archive's policies over binary segments.
+// Policy selects how versions are materialized on disk: the archiving
+// policies of the paper's reference [13] over binary segments.
 type Policy uint8
 
 const (
@@ -159,8 +159,8 @@ func Save(dir string, vs *rdf.VersionStore, opt Options) (*Manifest, error) {
 // are overwritten.
 //
 // All versions are encoded against one dictionary — the first graph's when
-// the chain shares it (the normal case: Clone and archive.Load preserve
-// sharing), with foreign-dict graphs re-interned into it transparently. The
+// the chain shares it (the normal case: Clone and Open preserve sharing),
+// with foreign-dict graphs re-interned into it transparently. The
 // dictionary segment is written last so late-interned terms are included.
 //
 // Durability follows the checkpoint pattern: segments land via plain atomic

@@ -56,39 +56,141 @@ func assertSameVersions(t *testing.T, want, got *rdf.VersionStore) {
 	}
 }
 
+// trickyChain builds a three-version chain whose literals exercise every
+// escaping corner: quotes, backslashes, newlines, carriage returns, tabs,
+// non-ASCII unicode (including an astral-plane rune), language tags and
+// datatypes. The string table stores raw UTF-8, so each must come back
+// exactly, through snapshot and delta segments alike.
+func trickyChain(t *testing.T) *rdf.VersionStore {
+	t.Helper()
+	s := rdf.NewIRI("ex:s")
+	p := rdf.NewIRI("ex:p")
+	nasty := []rdf.Term{
+		rdf.NewLiteral(`she said "hi"`),
+		rdf.NewLiteral("line1\nline2\r\ttabbed"),
+		rdf.NewLiteral(`back\slash and trailing \`),
+		rdf.NewLiteral("unicode: δφπ — 漢字 𝄞"),
+		rdf.NewLangLiteral("größe \"quoted\"\n", "de"),
+		rdf.NewTypedLiteral("1\t2", "http://www.w3.org/2001/XMLSchema#string"),
+	}
+	g1 := rdf.NewGraph()
+	for _, o := range nasty[:4] {
+		g1.Add(rdf.T(s, p, o))
+	}
+	// v2 deletes two nasty literals and adds two more, so the delta
+	// segments must carry them; v3 churns again on top.
+	g2 := g1.Clone()
+	g2.Remove(rdf.T(s, p, nasty[0]))
+	g2.Remove(rdf.T(s, p, nasty[1]))
+	g2.Add(rdf.T(s, p, nasty[4]))
+	g2.Add(rdf.T(s, p, nasty[5]))
+	g3 := g2.Clone()
+	g3.Remove(rdf.T(s, p, nasty[4]))
+	g3.Add(rdf.T(s, p, nasty[1]))
+	vs := rdf.NewVersionStore()
+	for i, g := range []*rdf.Graph{g1, g2, g3} {
+		if err := vs.Add(&rdf.Version{ID: fmt.Sprintf("v%d", i+1), Graph: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vs
+}
+
+// assertStoreRoundTrip saves vs under pol, reopens it and checks that every
+// version comes back intact on the dataset's one shared dictionary.
+func assertStoreRoundTrip(t *testing.T, vs *rdf.VersionStore, pol store.Policy) {
+	t.Helper()
+	dir := t.TempDir()
+	man, err := store.Save(dir, vs, store.Options{Policy: pol, SnapshotEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Format != store.FormatV1 || len(man.Entries) != vs.Len() {
+		t.Fatalf("manifest = %+v", man)
+	}
+	ds, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ds.VersionStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameVersions(t, vs, back)
+	// Every reloaded graph shares one dictionary, so the delta
+	// engine keeps its ID fast path after a round-trip.
+	for _, id := range back.IDs() {
+		v, _ := back.Get(id)
+		if v.Graph.Dict() != ds.Dict() {
+			t.Fatalf("version %s does not share the dataset dictionary", id)
+		}
+	}
+	if _, ok := delta.ComputeIDs(back.At(0).Graph, back.At(back.Len()-1).Graph); !ok {
+		t.Fatal("reloaded graphs must support ID-level diffing")
+	}
+}
+
 func TestStoreRoundTripAllPolicies(t *testing.T) {
 	vs := testChain(t, 4)
 	for _, pol := range []store.Policy{store.FullSnapshots, store.DeltaChain, store.Hybrid} {
 		t.Run(pol.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			man, err := store.Save(dir, vs, store.Options{Policy: pol, SnapshotEvery: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if man.Format != store.FormatV1 || len(man.Entries) != vs.Len() {
-				t.Fatalf("manifest = %+v", man)
-			}
-			ds, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := ds.VersionStore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameVersions(t, vs, back)
-			// Every reloaded graph shares one dictionary, so the delta
-			// engine keeps its ID fast path after a round-trip.
-			for _, id := range back.IDs() {
-				v, _ := back.Get(id)
-				if v.Graph.Dict() != ds.Dict() {
-					t.Fatalf("version %s does not share the dataset dictionary", id)
-				}
-			}
-			if _, ok := delta.ComputeIDs(back.At(0).Graph, back.At(back.Len()-1).Graph); !ok {
-				t.Fatal("reloaded graphs must support ID-level diffing")
-			}
+			assertStoreRoundTrip(t, vs, pol)
 		})
+	}
+}
+
+// TestStoreRoundTripTrickyLiterals runs the escaping corner cases of
+// trickyChain through every policy: the string table stores raw UTF-8 and
+// needs no escaping, so each literal must survive byte for byte.
+func TestStoreRoundTripTrickyLiterals(t *testing.T) {
+	vs := trickyChain(t)
+	for _, pol := range []store.Policy{store.FullSnapshots, store.DeltaChain, store.Hybrid} {
+		t.Run(pol.String(), func(t *testing.T) {
+			assertStoreRoundTrip(t, vs, pol)
+		})
+	}
+}
+
+// TestStoreOpenSharedDictFastPath asserts that a reloaded hybrid chain
+// supports ID-level diffing: the property the whole substrate exists for.
+func TestStoreOpenSharedDictFastPath(t *testing.T) {
+	vs := trickyChain(t)
+	dir := t.TempDir()
+	if _, err := store.Save(dir, vs, store.Options{Policy: store.Hybrid, SnapshotEvery: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ds.VersionStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := delta.ComputeIDs(back.At(0).Graph, back.At(back.Len()-1).Graph); !ok {
+		t.Fatal("reloaded versions must share one dictionary")
+	}
+}
+
+// TestStoreDeltaChainSmallerThanSnapshots pins the point of the delta
+// policy: for a chain with local churn it occupies fewer bytes on disk
+// than storing every version as a full snapshot.
+func TestStoreDeltaChainSmallerThanSnapshots(t *testing.T) {
+	vs := testChain(t, 5)
+	sizes := make(map[store.Policy]int64)
+	for _, pol := range []store.Policy{store.FullSnapshots, store.DeltaChain} {
+		dir := t.TempDir()
+		man, err := store.Save(dir, vs, store.Options{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sizes[pol], err = store.DiskUsage(dir, man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sizes[store.DeltaChain] >= sizes[store.FullSnapshots] {
+		t.Fatalf("delta chain (%d B) must be smaller than full snapshots (%d B)",
+			sizes[store.DeltaChain], sizes[store.FullSnapshots])
 	}
 }
 
