@@ -1,8 +1,9 @@
-// Benchmarks: one per experiment table/figure (the bench target column of
-// DESIGN.md §6), each regenerating its table at test scale, plus
-// micro-benchmarks for the substrate layers the pipeline is built from.
+// Micro-benchmarks for the substrate layers the pipeline is built from,
+// plus the group-commit ingestion benchmark CI gates on. End-to-end latency
+// is measured by the bench/ module (bash bench/run.sh); the experiment
+// tables are printed by evorec exp.
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run '^$' -bench=. -benchmem
 package evorec_test
 
 import (
@@ -15,7 +16,6 @@ import (
 	"testing"
 
 	"evorec"
-	"evorec/internal/exp"
 	"evorec/internal/graphx"
 	"evorec/internal/measures"
 	"evorec/internal/recommend"
@@ -24,46 +24,6 @@ import (
 	"evorec/internal/synth"
 	"evorec/internal/trend"
 )
-
-// benchParams is the benchmark-scale experiment setup: small enough for
-// stable per-iteration times, identical in structure to the full scale.
-func benchParams() exp.Params { return exp.TestScale() }
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	p := benchParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := e.Run(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty experiment output")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// One benchmark per table / figure.
-
-func BenchmarkE1DeltaStatistics(b *testing.B)        { benchExperiment(b, "E1") }
-func BenchmarkE2MeasureComplementarity(b *testing.B) { benchExperiment(b, "E2") }
-func BenchmarkE3NeighborhoodLocality(b *testing.B)   { benchExperiment(b, "E3") }
-func BenchmarkE4RelatednessQuality(b *testing.B)     { benchExperiment(b, "E4") }
-func BenchmarkE5DiversityTradeoff(b *testing.B)      { benchExperiment(b, "E5") }
-func BenchmarkE6GroupFairness(b *testing.B)          { benchExperiment(b, "E6") }
-func BenchmarkE7FairReranking(b *testing.B)          { benchExperiment(b, "E7") }
-func BenchmarkE8AnonymityUtility(b *testing.B)       { benchExperiment(b, "E8") }
-func BenchmarkE9Scalability(b *testing.B)            { benchExperiment(b, "E9") }
-func BenchmarkE10ProvenanceOverhead(b *testing.B)    { benchExperiment(b, "E10") }
-func BenchmarkA1BetweennessSampling(b *testing.B)    { benchExperiment(b, "A1") }
-func BenchmarkA2IndexVariants(b *testing.B)          { benchExperiment(b, "A2") }
 
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
@@ -290,8 +250,6 @@ func BenchmarkAllMeasures(b *testing.B) {
 // BenchmarkRecommendTopK measures the served scoring path: the item index
 // compiled once per pair (as the engine caches it), each request compiling
 // the user's interests and scoring through flat vectors and postings.
-// BenchmarkRecommendTopKMap is the map-scored reference path the kernel is
-// held bit-identical to.
 func BenchmarkRecommendTopK(b *testing.B) {
 	older, newer := benchVersions(b)
 	ctx := measures.NewContext(older, newer)
@@ -306,23 +264,6 @@ func BenchmarkRecommendTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.TopK(pool[i%len(pool)], 3)
-	}
-}
-
-func BenchmarkRecommendTopKMap(b *testing.B) {
-	older, newer := benchVersions(b)
-	ctx := measures.NewContext(older, newer)
-	items := recommend.BuildItems(ctx, measures.NewRegistry())
-	sch := schema.Extract(older.Graph)
-	pool, _, err := synth.GenerateProfiles(sch, synth.ProfileConfig{Users: 8, ExtraInterests: 2},
-		rand.New(rand.NewSource(2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recommend.TopK(pool[i%len(pool)], items, 3)
 	}
 }
 
@@ -369,10 +310,6 @@ func BenchmarkEnginePipeline(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkE11ChangeTrends(b *testing.B)   { benchExperiment(b, "E11") }
-func BenchmarkE12FeedLocality(b *testing.B)   { benchExperiment(b, "E12") }
-func BenchmarkA3ArchivePolicies(b *testing.B) { benchExperiment(b, "A3") }
 
 func BenchmarkTrendAnalyze(b *testing.B) {
 	vs, _, err := synth.GenerateVersions(synth.Small(),
@@ -463,8 +400,6 @@ func BenchmarkStoreOpenLazy(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkA4SummaryCoverage(b *testing.B) { benchExperiment(b, "A4") }
 
 func BenchmarkSummarize(b *testing.B) {
 	older, _ := benchVersions(b)

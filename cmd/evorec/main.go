@@ -252,17 +252,15 @@ func cmdRecommend(args []string) error {
 	if err != nil {
 		return err
 	}
-	items, err := eng.Items(older.ID, newer.ID)
+	idx, err := eng.ItemIndex(older.ID, newer.ID)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("recommended measures for interests %q (strategy=%s):\n", *interests, strat)
 	for rank, r := range recs {
 		var name string
-		for _, it := range items {
-			if it.ID() == r.MeasureID {
-				name = it.Measure.Name()
-			}
+		if it, ok := idx.ByID(r.MeasureID); ok {
+			name = it.Measure.Name()
 		}
 		fmt.Printf("  %d. %-28s %s (score %.3f)\n", rank+1, r.MeasureID, name, r.Score)
 	}

@@ -178,6 +178,26 @@ func TestCmdServeFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCmdSimFlagValidation: out-of-range sizes are refused before a plan is
+// built, instead of silently running the default workload.
+func TestCmdSimFlagValidation(t *testing.T) {
+	cases := [][]string{
+		{"-concurrency", "0"},
+		{"-users", "0"},
+		{"-users", "-3"},
+		{"-evolve-ops", "0"},
+		{"-parity-every", "-1"},
+		{"-ops", "-1"},
+		{"-chaos", "-1"},
+	}
+	for _, args := range cases {
+		args = append([]string{"-ops", "1", "-quiet"}, args...)
+		if err := cmdSim(args); err == nil || !strings.Contains(err.Error(), "must be >= ") {
+			t.Errorf("cmdSim(%v) = %v, want a range error", args, err)
+		}
+	}
+}
+
 func TestParseRouteTimeouts(t *testing.T) {
 	def, per, err := parseRouteTimeouts([]string{"3s", "/v1/datasets/{name}/recommend=0", "/v1/datasets=250ms"})
 	if err != nil {

@@ -104,8 +104,6 @@ func cmdServe(args []string) error {
 		"completed traces retained for GET /debug/traces (minimum 1)")
 	traceSlow := fs.Duration("trace-slow", time.Second,
 		"log any sampled trace slower than this as a structured warning (0 disables)")
-	latencyBuckets := fs.String("latency-buckets", "",
-		"comma-separated HTTP latency histogram bucket bounds in seconds, strictly increasing (empty = default schedule)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 0,
 		"bound on closing datasets at shutdown (checkpoints + feed flushes); 0 waits indefinitely; datasets still draining at the deadline are logged and abandoned")
@@ -147,13 +145,6 @@ func cmdServe(args []string) error {
 	default:
 		return fmt.Errorf("-log-level must be debug, info, warn or error, got %q", *logLevel)
 	}
-	var buckets []float64
-	if *latencyBuckets != "" {
-		var err error
-		if buckets, err = evorec.ParseLatencyBuckets(*latencyBuckets); err != nil {
-			return fmt.Errorf("-latency-buckets: %w", err)
-		}
-	}
 	if *healBackoff <= 0 {
 		return fmt.Errorf("-heal-backoff must be > 0, got %s", *healBackoff)
 	}
@@ -189,7 +180,6 @@ func cmdServe(args []string) error {
 		Metrics:           reg,
 		Logger:            logger,
 		Tracer:            tracer,
-		LatencyBuckets:    buckets,
 		RouteTimeout:      defRouteTimeout,
 		RouteTimeouts:     perRouteTimeouts,
 	})

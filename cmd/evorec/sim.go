@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"evorec"
@@ -38,13 +37,22 @@ func cmdSim(args []string) error {
 	opsURL := fs.String("ops-url", "",
 		"operator base URL for /metrics scraping with -addr (in-process runs wire it automatically)")
 	oplog := fs.String("oplog", "", "write the deterministic operation log to this file")
-	out := fs.String("out", "", "write the benchmark report JSON to this file")
+	out := fs.String("out", "", "write the soak report JSON to this file")
 	quiet := fs.Bool("quiet", false, "suppress the progress summary on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *concurrency < 1 {
 		return fmt.Errorf("-concurrency must be >= 1, got %d", *concurrency)
+	}
+	if *users < 1 {
+		return fmt.Errorf("-users must be >= 1, got %d", *users)
+	}
+	if *evolveOps < 1 {
+		return fmt.Errorf("-evolve-ops must be >= 1, got %d", *evolveOps)
+	}
+	if *parityEvery < 0 {
+		return fmt.Errorf("-parity-every must be >= 0, got %d", *parityEvery)
 	}
 	if *ops < 0 {
 		return fmt.Errorf("-ops must be >= 0, got %d", *ops)
@@ -121,13 +129,12 @@ func cmdSim(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := res.Report()
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		if err := rep.WriteJSON(f); err != nil {
+		if err := res.WriteJSON(f); err != nil {
 			f.Close() //nolint:errcheck
 			return err
 		}
@@ -136,8 +143,7 @@ func cmdSim(args []string) error {
 		}
 	}
 
-	fmt.Printf("sim seed=%d ops=%d elapsed=%.2fs throughput=%.0f ops/s\n",
-		res.Seed, res.Ops, res.Elapsed.Seconds(), float64(res.Ops)/res.Elapsed.Seconds())
+	fmt.Printf("sim seed=%d ops=%d elapsed=%.2fs\n", res.Seed, res.Ops, res.DurationSec)
 	fmt.Printf("  checks=%d violations=%d parity=%d scrapes=%d traces=%d\n",
 		res.Checks, res.Violations, res.Parity, res.Scrapes, res.TracesSeen)
 	fmt.Printf("  commits: acked=%d 503=%d fanouts=%d notifications=%d\n",
@@ -146,16 +152,6 @@ func cmdSim(args []string) error {
 		fmt.Printf("  chaos: windows=%d degraded=%g healed=%g 503s busy=%d degraded=%d reads=%d\n",
 			res.ChaosWindows, res.DegradedEntries, res.Heals,
 			res.Commits503Busy, res.Commits503Degraded, res.Reads503)
-	}
-	kinds := make([]string, 0, len(res.PerOp))
-	for k := range res.PerOp {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		st := res.PerOp[k]
-		fmt.Printf("  %-16s n=%-5d p50=%.2fms p95=%.2fms p99=%.2fms\n",
-			k, st.Count, st.P50Millis, st.P95Millis, st.P99Millis)
 	}
 	if res.Violations > 0 {
 		for _, s := range res.Samples {

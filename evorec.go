@@ -251,10 +251,12 @@ func BuildItems(ctx *MeasureContext, reg *MeasureRegistry) []Item {
 
 // ItemIndex is the ID-native scoring kernel over one pair's items: flat
 // sorted TermID vectors with cached norms behind an inverted term → item
-// postings index, with bounded-heap top-k selection. Its rankings are
-// bit-identical to the map-scored reference functions (TopK, GroupTopK,
-// ...); the engine caches one per version pair and the feed fan-out scores
-// subscribers through it (see DESIGN.md §9).
+// postings index, with bounded-heap top-k selection. It is the one home of
+// the point rankings (TopK, NoveltyTopK, SemanticTopK, PopularityTopK,
+// GroupTopK), bit-identical to scoring every item with Relatedness; the
+// engine caches one per version pair, the feed fan-out scores subscribers
+// through it (see DESIGN.md §9), and NewItemIndex builds one over any item
+// slice.
 type ItemIndex = recommend.ItemIndex
 
 // NewItemIndex compiles items into the flat scoring kernel form.
@@ -263,19 +265,9 @@ func NewItemIndex(items []Item) *ItemIndex { return recommend.NewItemIndex(items
 // Relatedness scores how related an item is to a user (§III-a).
 func Relatedness(u *Profile, it Item) float64 { return recommend.Relatedness(u, it) }
 
-// TopK returns the k measures most related to the user.
-func TopK(u *Profile, items []Item, k int) []Recommendation {
-	return recommend.TopK(u, items, k)
-}
-
 // MMR returns a content-diversified top-k (λ mixes relevance vs diversity).
 func MMR(u *Profile, items []Item, k int, lambda float64) []Recommendation {
 	return recommend.MMR(u, items, k, lambda)
-}
-
-// GroupTopK recommends to a group under an aggregation strategy.
-func GroupTopK(g *Group, items []Item, k int, agg Aggregation) []Recommendation {
-	return recommend.GroupTopK(g, items, k, agg)
 }
 
 // FairGreedyTopK is the fairness-aware group selection (§III-d).
@@ -286,16 +278,6 @@ func FairGreedyTopK(g *Group, items []Item, k int, alpha float64) []Recommendati
 // MaxMin returns a Max-Min diversified top-k.
 func MaxMin(u *Profile, items []Item, k int) []Recommendation {
 	return recommend.MaxMin(u, items, k)
-}
-
-// NoveltyTopK ranks by relatedness × novelty, demoting already-seen measures.
-func NoveltyTopK(u *Profile, items []Item, k int) []Recommendation {
-	return recommend.NoveltyTopK(u, items, k)
-}
-
-// SemanticTopK round-robins over measure categories for semantic diversity.
-func SemanticTopK(u *Profile, items []Item, k int) []Recommendation {
-	return recommend.SemanticTopK(u, items, k)
 }
 
 // IntraListDiversity is the mean pairwise content distance of a selection.
@@ -821,11 +803,6 @@ const DefaultTraceRing = obs.DefaultTraceRing
 // (/debug/traces) — the same instance in all three.
 func NewTracer(cfg TracerConfig) *Tracer { return obs.NewTracer(cfg) }
 
-// ParseLatencyBuckets parses a comma-separated histogram bucket schedule in
-// seconds for HTTPServerConfig.LatencyBuckets: at least one bound, every
-// bound positive and finite, strictly increasing (`serve -latency-buckets`).
-func ParseLatencyBuckets(spec string) ([]float64, error) { return obs.ParseBuckets(spec) }
-
 // ---------------------------------------------------------------------------
 // Workload simulation
 
@@ -840,9 +817,11 @@ type SimConfig = sim.Config
 // never does.
 type SimPlan = sim.Plan
 
-// SimResult carries the outcome of a soak run: throughput, client/server
-// latency, invariant and telemetry-conservation verdicts, and the final
-// metrics snapshot for BENCH artifacts.
+// SimResult is a soak run's verdict: the invariant checks run, the
+// violations the shadow model and the telemetry conservation laws found,
+// and the client's books of commits, fan-outs, notifications and chaos
+// incidents. WriteJSON renders it as the soak report; it holds no latency
+// figures (the bench/ module measures those).
 type SimResult = sim.Result
 
 // SimInProcess is a self-contained evorec service stack (store, service,

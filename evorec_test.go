@@ -191,12 +191,10 @@ func TestPublicAPIFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := evorec.TopK(u, items, 1)[0]
-	var it evorec.Item
-	for _, cand := range items {
-		if cand.ID() == top.MeasureID {
-			it = cand
-		}
+	idx := evorec.NewItemIndex(items)
+	it, ok := idx.ByID(idx.TopK(u, 1)[0].MeasureID)
+	if !ok {
+		t.Fatal("top measure missing from the index")
 	}
 	before := evorec.Relatedness(u, it)
 	l.Accept(u, it)
@@ -219,6 +217,7 @@ func TestPublicAPISurface(t *testing.T) {
 	v2, _ := vs.Get("v2")
 	ctx := evorec.NewMeasureContext(v1, v2)
 	items := evorec.BuildItems(ctx, evorec.NewMeasureRegistry())
+	idx := evorec.NewItemIndex(items)
 
 	u := evorec.NewProfile("surface")
 	u.SetInterest(focuses[0], 1)
@@ -230,10 +229,10 @@ func TestPublicAPISurface(t *testing.T) {
 	if got := evorec.MaxMin(u, items, 3); len(got) != 3 {
 		t.Fatalf("MaxMin = %d items", len(got))
 	}
-	if got := evorec.NoveltyTopK(u, items, 2); len(got) != 2 {
+	if got := idx.NoveltyTopK(u, 2); len(got) != 2 {
 		t.Fatalf("NoveltyTopK = %d items", len(got))
 	}
-	sel := evorec.SemanticTopK(u, items, 3)
+	sel := idx.SemanticTopK(u, 3)
 	if cov := evorec.CategoryCoverage(items, sel); cov <= 0 {
 		t.Fatalf("coverage = %g", cov)
 	}
@@ -249,7 +248,7 @@ func TestPublicAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsel := evorec.GroupTopK(grp, items, 2, evorec.LeastMisery)
+	gsel := idx.GroupTopK(grp, 2, evorec.LeastMisery)
 	sats := evorec.GroupSatisfactions(grp, items, gsel)
 	if len(sats) != 2 {
 		t.Fatalf("sats = %v", sats)
@@ -294,12 +293,9 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 
 	// Explanations.
-	top := evorec.TopK(u, items, 1)
-	var it evorec.Item
-	for _, cand := range items {
-		if cand.ID() == top[0].MeasureID {
-			it = cand
-		}
+	it, ok := idx.ByID(idx.TopK(u, 1)[0].MeasureID)
+	if !ok {
+		t.Fatal("top measure missing from the index")
 	}
 	if evorec.ExplainText(u, it, 1) == "" {
 		t.Fatal("ExplainText empty")

@@ -72,8 +72,8 @@ func ExampleRunQuery() {
 	// bob
 }
 
-// ExampleTopK ranks evolution measures by relatedness to a user.
-func ExampleTopK() {
+// ExampleItemIndex_TopK ranks evolution measures by relatedness to a user.
+func ExampleItemIndex_TopK() {
 	versions, focuses, err := evorec.GenerateVersions(
 		evorec.SmallKB(), evorec.EvolveConfig{Ops: 80, Locality: 0.9}, 1, 7)
 	if err != nil {
@@ -86,7 +86,7 @@ func ExampleTopK() {
 
 	u := evorec.NewProfile("u")
 	u.SetInterest(focuses[0], 1)
-	top := evorec.TopK(u, items, 2)
+	top := evorec.NewItemIndex(items).TopK(u, 2)
 	fmt.Println(len(top), "measures recommended")
 	// Output:
 	// 2 measures recommended

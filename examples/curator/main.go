@@ -62,10 +62,11 @@ func main() {
 	}
 
 	items := evorec.BuildItems(ctx, evorec.NewMeasureRegistry())
+	idx := evorec.NewItemIndex(items)
 
 	// Plain relatedness vs a semantically diverse slate.
-	plain := evorec.TopK(curator, items, 3)
-	diverse := evorec.SemanticTopK(curator, items, 3)
+	plain := idx.TopK(curator, 3)
+	diverse := idx.SemanticTopK(curator, 3)
 	fmt.Printf("\nplain top-3 for the curator:    %v (category coverage %.2f)\n",
 		evorec.MeasureIDs(plain), evorec.CategoryCoverage(items, plain))
 	fmt.Printf("semantically diverse top-3:     %v (category coverage %.2f)\n",

@@ -55,9 +55,10 @@ func main() {
 	}
 
 	const k = 3
-	show("average aggregation:", evorec.GroupTopK(team, items, k, evorec.Average))
-	show("least-misery aggregation:", evorec.GroupTopK(team, items, k, evorec.LeastMisery))
-	show("most-pleasure aggregation:", evorec.GroupTopK(team, items, k, evorec.MostPleasure))
+	idx := evorec.NewItemIndex(items)
+	show("average aggregation:", idx.GroupTopK(team, k, evorec.Average))
+	show("least-misery aggregation:", idx.GroupTopK(team, k, evorec.LeastMisery))
+	show("most-pleasure aggregation:", idx.GroupTopK(team, k, evorec.MostPleasure))
 	show("fair greedy (α=0.8):", evorec.FairGreedyTopK(team, items, k, 0.8))
 
 	fmt.Println("the fair selections trade a little mean satisfaction for a higher")

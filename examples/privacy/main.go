@@ -46,11 +46,12 @@ func main() {
 		groundTruth[i] = gt
 	}
 
+	idx := evorec.NewItemIndex(items)
 	evaluate := func(label string, published []*evorec.Profile) {
 		risk := evorec.ReidentificationRisk(pool, published)
 		ndcg := 0.0
 		for i, p := range published {
-			ranked := evorec.MeasureIDs(evorec.TopK(p, items, len(items)))
+			ranked := evorec.MeasureIDs(idx.TopK(p, len(items)))
 			ndcg += evorec.NDCGAtK(ranked, groundTruth[i], k)
 		}
 		fmt.Printf("  %-16s re-identification risk %.2f   NDCG@%d %.3f\n",

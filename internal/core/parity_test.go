@@ -12,49 +12,60 @@ import (
 
 func recommendTerm(local string) rdf.Term { return rdf.SchemaIRI(local) }
 
-// ItemsByID indexes items by measure ID. It is the map-path companion of
-// UserNotifications; the served paths use the pair's cached
-// recommend.ItemIndex (whose ByID does the same job) instead.
-func ItemsByID(items []recommend.Item) map[string]recommend.Item {
-	byID := make(map[string]recommend.Item, len(items))
-	for _, it := range items {
-		byID[it.ID()] = it
-	}
-	return byID
-}
-
 // UserNotifications emits one user's notifications for a version pair: the
 // user's top-k measures whose relatedness crosses the threshold, in
 // descending relatedness order. It is the map-scored reference body of
-// Notify, kept as the oracle the parity suite holds the flat kernel to;
-// Engine.Notify and the feed fan-out route through UserNotificationsIndexed,
-// which must produce this output verbatim — reasons included.
-func UserNotifications(u *profile.Profile, items []recommend.Item, byID map[string]recommend.Item, olderID, newerID string, threshold float64, k int) []Notification {
-	var out []Notification
-	for _, r := range recommend.TopK(u, items, k) {
-		if r.Score < threshold || r.Score == 0 {
-			continue
+// Notify: every item is scored with recommend.Relatedness and the list is
+// fully sorted in the canonical order (score desc, NaN last, measure ID
+// asc). Engine.Notify and the feed fan-out route through
+// UserNotificationsIndexed, which must produce this output verbatim —
+// reasons included.
+func UserNotifications(u *profile.Profile, items []recommend.Item, olderID, newerID string, threshold float64, k int) []Notification {
+	type scored struct {
+		it    recommend.Item
+		score float64
+	}
+	ranked := make([]scored, len(items))
+	for i, it := range items {
+		ranked[i] = scored{it, recommend.Relatedness(u, it)}
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
+		an, bn := math.IsNaN(a.score), math.IsNaN(b.score)
+		switch {
+		case an != bn:
+			return bn
+		case !an && a.score != b.score:
+			return a.score > b.score
 		}
-		it, ok := byID[r.MeasureID]
-		if !ok {
+		return a.it.ID() < b.it.ID()
+	})
+	if k < len(ranked) {
+		ranked = ranked[:k]
+	}
+	var out []Notification
+	for _, r := range ranked {
+		if r.score < threshold || r.score == 0 {
 			continue
 		}
 		out = append(out, Notification{
 			UserID:      u.ID,
 			OlderID:     olderID,
 			NewerID:     newerID,
-			MeasureID:   r.MeasureID,
-			Relatedness: r.Score,
-			Reason:      recommend.ExplainText(u, it, 1),
+			MeasureID:   r.it.ID(),
+			Relatedness: r.score,
+			Reason:      recommend.ExplainText(u, r.it, 1),
 		})
 	}
 	return out
 }
 
-// The engine routes every point selection and notification through the
-// flat scoring kernel (recommend.ItemIndex); these tests hold that routing
-// bit-identical to the map-scored reference functions over the same items
-// — scores, rankings, notification batches and reason strings.
+// The engine routes every point selection and notification through its
+// cached scoring kernel (recommend.ItemIndex). These tests hold that
+// routing bit-identical to an index freshly built from the same items
+// (whose own parity with the map-scored reference rankers the recommend
+// package asserts), and to the map-scored notification body above —
+// scores, rankings, notification batches and reason strings.
 
 func TestEngineRecommendMatchesReference(t *testing.T) {
 	e, pool := testEngine(t)
@@ -62,14 +73,15 @@ func TestEngineRecommendMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := recommend.NewItemIndex(items)
 	for _, u := range pool {
 		for _, tc := range []struct {
 			strategy Strategy
 			want     []recommend.Recommendation
 		}{
-			{Plain, recommend.TopK(u, items, 3)},
-			{NoveltyAware, recommend.NoveltyTopK(u, items, 3)},
-			{SemanticDiverse, recommend.SemanticTopK(u, items, 3)},
+			{Plain, ix.TopK(u, 3)},
+			{NoveltyAware, ix.NoveltyTopK(u, 3)},
+			{SemanticDiverse, ix.SemanticTopK(u, 3)},
 		} {
 			got, err := e.Recommend(u, Request{OlderID: "v1", NewerID: "v2", K: 3, Strategy: tc.strategy})
 			if err != nil {
@@ -92,8 +104,9 @@ func TestEngineGroupRecommendMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := recommend.NewItemIndex(items)
 	for _, agg := range []recommend.Aggregation{recommend.Average, recommend.LeastMisery, recommend.MostPleasure} {
-		want := recommend.GroupTopK(g, items, 3, agg)
+		want := ix.GroupTopK(g, 3, agg)
 		got, err := e.RecommendGroup(g, GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
 		if err != nil {
 			t.Fatal(err)
@@ -117,10 +130,9 @@ func TestNotifyParityWithMapPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := ItemsByID(items)
 	for _, threshold := range []float64{0, 0.05, 0.5} {
 		for _, u := range pool {
-			want := UserNotifications(u, items, byID, "v1", "v2", threshold, 3)
+			want := UserNotifications(u, items, "v1", "v2", threshold, 3)
 			got := UserNotificationsIndexed(u, idx, "v1", "v2", threshold, 3)
 			if !sameNotes(got, want) {
 				t.Fatalf("user %s threshold %g:\nindexed  %+v\nreference %+v", u.ID, threshold, got, want)
@@ -133,7 +145,7 @@ func TestNotifyParityWithMapPath(t *testing.T) {
 		}
 		var ref []Notification
 		for _, u := range pool {
-			ref = append(ref, UserNotifications(u, items, byID, "v1", "v2", threshold, 3)...)
+			ref = append(ref, UserNotifications(u, items, "v1", "v2", threshold, 3)...)
 		}
 		sort.SliceStable(ref, func(i, j int) bool {
 			if ref[i].UserID != ref[j].UserID {
@@ -160,7 +172,6 @@ func TestNotifyParityDegenerateProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := ItemsByID(items)
 
 	empty := profile.New("empty")
 	outside := profile.New("outside")
@@ -173,7 +184,7 @@ func TestNotifyParityDegenerateProfiles(t *testing.T) {
 		break
 	}
 	for _, u := range []*profile.Profile{empty, outside, zero, nanu} {
-		want := UserNotifications(u, items, byID, "v1", "v2", 0.05, 3)
+		want := UserNotifications(u, items, "v1", "v2", 0.05, 3)
 		got := UserNotificationsIndexed(u, idx, "v1", "v2", 0.05, 3)
 		if !sameNotes(got, want) {
 			t.Fatalf("user %s:\nindexed  %+v\nreference %+v", u.ID, got, want)

@@ -24,7 +24,7 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	items, err := e.Items(req.OlderID, req.NewerID)
+	idx, err := e.ItemIndex(req.OlderID, req.NewerID)
 	if err != nil {
 		return "", err
 	}
@@ -57,7 +57,7 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 
 	b.WriteString("  recommended measures:\n")
 	for rank, r := range sel {
-		it, ok := findItem(items, r.MeasureID)
+		it, ok := idx.ByID(r.MeasureID)
 		if !ok {
 			continue
 		}
@@ -75,13 +75,4 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-func findItem(items []recommend.Item, id string) (recommend.Item, bool) {
-	for _, it := range items {
-		if it.ID() == id {
-			return it, true
-		}
-	}
-	return recommend.Item{}, false
 }

@@ -44,7 +44,7 @@ func E6GroupFairness(p Params) (string, error) {
 			a := agg
 			minS, meanS, jain, err := groupStats(ds, kind, 4, p.K, p.Seed+11,
 				func(g *profile.Group) []recommend.Recommendation {
-					return recommend.GroupTopK(g, ds.Items, p.K, a)
+					return ds.Index.GroupTopK(g, p.K, a)
 				})
 			if err != nil {
 				return "", err

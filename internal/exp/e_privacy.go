@@ -28,7 +28,7 @@ func E8AnonymityUtility(p Params) (string, error) {
 		var ndcg float64
 		for i, u := range ds.Pool {
 			gt := groundTruth(u, ds.Items)
-			ranked := recommend.MeasureIDs(recommend.TopK(published[i], ds.Items, len(ds.Items)))
+			ranked := recommend.MeasureIDs(ds.Index.TopK(published[i], len(ds.Items)))
 			ndcg += recommend.NDCGAtK(ranked, gt, p.K)
 		}
 		t.rowf("%s\t%.3f\t%.3f", label, risk, ndcg/float64(len(ds.Pool)))

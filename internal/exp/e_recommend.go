@@ -82,9 +82,9 @@ func E4RelatednessQuality(p Params) (string, error) {
 		relSet := relevantSet(gt, p.K)
 		partial := partialProfile(u)
 
-		personalized := recommend.MeasureIDs(recommend.TopK(partial, ds.Items, len(ds.Items)))
+		personalized := recommend.MeasureIDs(ds.Index.TopK(partial, len(ds.Items)))
 		random := recommend.MeasureIDs(recommend.RandomTopK(ds.Items, len(ds.Items), rng))
-		popular := recommend.MeasureIDs(recommend.PopularityTopK(ds.Items, len(ds.Items)))
+		popular := recommend.MeasureIDs(ds.Index.PopularityTopK(len(ds.Items)))
 
 		ndcgRel += recommend.NDCGAtK(personalized, gt, p.K)
 		ndcgRand += recommend.NDCGAtK(random, gt, p.K)
@@ -136,7 +136,7 @@ func E5DiversityTradeoff(p Params) (string, error) {
 		return recommend.MaxMin(u, ds.Items, p.K)
 	})
 	evalSel("semantic", func(u *profile.Profile) []recommend.Recommendation {
-		return recommend.SemanticTopK(u, ds.Items, p.K)
+		return ds.Index.SemanticTopK(u, p.K)
 	})
 	t.row("")
 	t.row("shape check: relatedness falls and diversity rises as λ decreases;")

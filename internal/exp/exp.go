@@ -78,6 +78,8 @@ type Dataset struct {
 	Ctx *measures.Context
 	// Items are the evaluated measures of the final pair.
 	Items []recommend.Item
+	// Index is the scoring kernel over Items; point rankings go through it.
+	Index *recommend.ItemIndex
 	// Pool is the synthetic user population (profiles over the first
 	// version's schema).
 	Pool []*profile.Profile
@@ -110,6 +112,7 @@ func BuildDataset(p Params) (*Dataset, error) {
 		Focuses:   focuses,
 		Ctx:       ctx,
 		Items:     items,
+		Index:     recommend.NewItemIndex(items),
 		Pool:      pool,
 		PoolFocus: poolFocus,
 	}, nil

@@ -109,9 +109,9 @@ func TestE4PersonalizationBeatsBaselines(t *testing.T) {
 	for _, u := range ds.Pool {
 		gt := groundTruth(u, ds.Items)
 		partial := partialProfile(u)
-		ndcgRel += recommend.NDCGAtK(recommend.MeasureIDs(recommend.TopK(partial, ds.Items, len(ds.Items))), gt, p.K)
+		ndcgRel += recommend.NDCGAtK(recommend.MeasureIDs(ds.Index.TopK(partial, len(ds.Items))), gt, p.K)
 		ndcgRand += recommend.NDCGAtK(recommend.MeasureIDs(recommend.RandomTopK(ds.Items, len(ds.Items), rng)), gt, p.K)
-		ndcgPop += recommend.NDCGAtK(recommend.MeasureIDs(recommend.PopularityTopK(ds.Items, len(ds.Items))), gt, p.K)
+		ndcgPop += recommend.NDCGAtK(recommend.MeasureIDs(ds.Index.PopularityTopK(len(ds.Items))), gt, p.K)
 	}
 	if ndcgRel <= ndcgRand || ndcgRel <= ndcgPop {
 		t.Fatalf("personalized NDCG (%.3f) must beat random (%.3f) and popularity (%.3f)",

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -41,17 +40,10 @@ type HTTPMetrics struct {
 // HTTP instrument set on reg. Every argument may be nil: a nil registry
 // disables metrics, a nil logger disables access logs, a nil tracer
 // disables traceparent handling, and with all three nil Wrap returns
-// handlers unchanged. buckets overrides the evorec_http_request_seconds
-// schedule (nil keeps DefBuckets) for deployments whose latency envelope
-// the default resolves poorly; bounds must be positive and strictly
-// increasing — ParseBuckets validates exactly this. The first registration
-// of the histogram fixes its buckets for the process.
-func NewHTTPMetrics(reg *Registry, logger *slog.Logger, tracer *Tracer, buckets []float64) *HTTPMetrics {
+// handlers unchanged. The latency histogram uses DefBuckets.
+func NewHTTPMetrics(reg *Registry, logger *slog.Logger, tracer *Tracer) *HTTPMetrics {
 	if reg == nil && logger == nil && tracer == nil {
 		return nil
-	}
-	if buckets == nil {
-		buckets = DefBuckets
 	}
 	return &HTTPMetrics{
 		tracer: tracer,
@@ -60,7 +52,7 @@ func NewHTTPMetrics(reg *Registry, logger *slog.Logger, tracer *Tracer, buckets 
 			"route", "method", "class"),
 		latency: reg.HistogramVec("evorec_http_request_seconds",
 			"HTTP request latency in seconds, by route pattern.",
-			buckets, "route"),
+			DefBuckets, "route"),
 		inFlight: reg.Gauge("evorec_http_in_flight",
 			"HTTP requests currently being served."),
 		bytes: reg.CounterVec("evorec_http_response_bytes_total",
@@ -71,33 +63,6 @@ func NewHTTPMetrics(reg *Registry, logger *slog.Logger, tracer *Tracer, buckets 
 			"route"),
 		logger: logger,
 	}
-}
-
-// ParseBuckets parses a comma-separated histogram bucket schedule in
-// seconds ("0.005,0.025,0.1,0.5,2"). It validates what a usable exposition
-// requires: at least one bound, every bound a positive finite number, and
-// strict ascent. The +Inf bucket is implicit and must not be listed.
-func ParseBuckets(spec string) ([]float64, error) {
-	parts := strings.Split(spec, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("obs: empty bucket bound in %q", spec)
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: bucket bound %q is not a number", p)
-		}
-		if math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
-			return nil, fmt.Errorf("obs: bucket bound %q must be positive and finite (+Inf is implicit)", p)
-		}
-		if len(out) > 0 && v <= out[len(out)-1] {
-			return nil, fmt.Errorf("obs: bucket bounds must be strictly increasing, got %g after %g", v, out[len(out)-1])
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // serveContained runs the handler under panic containment: a panicking

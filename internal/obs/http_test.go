@@ -14,7 +14,7 @@ import (
 // handler's context), and a missing one is minted.
 func TestWrapRequestID(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil, nil)
+	m := NewHTTPMetrics(reg, nil, nil)
 	var seen string
 	h := m.Wrap("/v1/test", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestIDFrom(r.Context())
@@ -49,7 +49,7 @@ func TestWrapRequestID(t *testing.T) {
 // writes a body without an explicit WriteHeader.
 func TestWrapStatusClasses(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil, nil)
+	m := NewHTTPMetrics(reg, nil, nil)
 	mux := http.NewServeMux()
 	mux.Handle("/ok", m.Wrap("/ok", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "implicit 200") // no WriteHeader: net/http defaults
@@ -91,7 +91,7 @@ func TestWrapStatusClasses(t *testing.T) {
 // request counter all agree.
 func TestWrapConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, NewLogger(&strings.Builder{}, "error"), nil, nil)
+	m := NewHTTPMetrics(reg, NewLogger(&strings.Builder{}, "error"), nil)
 	h := m.Wrap("/v1/datasets/{name}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	}))
@@ -136,9 +136,9 @@ func TestWrapConcurrent(t *testing.T) {
 // TestWrapNil locks the off switch: with neither registry nor logger the
 // middleware is a nil receiver and hands handlers back unchanged.
 func TestWrapNil(t *testing.T) {
-	m := NewHTTPMetrics(nil, nil, nil, nil)
+	m := NewHTTPMetrics(nil, nil, nil)
 	if m != nil {
-		t.Fatal("NewHTTPMetrics(nil, nil, nil, nil) != nil")
+		t.Fatal("NewHTTPMetrics(nil, nil, nil) != nil")
 	}
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
 	if got := m.Wrap("/x", h); fmt.Sprintf("%p", got) != fmt.Sprintf("%p", h) {
@@ -166,70 +166,5 @@ func TestRouteLabel(t *testing.T) {
 		if got := RouteLabel(pattern); got != want {
 			t.Errorf("RouteLabel(%q) = %q, want %q", pattern, got, want)
 		}
-	}
-}
-
-// TestParseBuckets pins the -latency-buckets grammar: comma-separated
-// positive finite seconds in strict ascent, +Inf implicit.
-func TestParseBuckets(t *testing.T) {
-	got, err := ParseBuckets("0.005, 0.05,0.5,2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.005, 0.05, 0.5, 2}
-	if len(got) != len(want) {
-		t.Fatalf("ParseBuckets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ParseBuckets = %v, want %v", got, want)
-		}
-	}
-	if b, err := ParseBuckets("0.25"); err != nil || len(b) != 1 || b[0] != 0.25 {
-		t.Errorf("single bound: %v, %v", b, err)
-	}
-	for _, bad := range []string{
-		"",         // no bounds at all
-		"0.1,,0.5", // empty element
-		"0.1,abc",  // not a number
-		"0.1,+Inf", // +Inf is implicit, never listed
-		"NaN",      // not a usable bound
-		"0,0.1",    // bounds must be positive
-		"-0.1,0.5", // negative
-		"0.1,0.1",  // must strictly ascend
-		"0.5,0.1",  // descending
-	} {
-		if _, err := ParseBuckets(bad); err == nil {
-			t.Errorf("ParseBuckets(%q) accepted an invalid schedule", bad)
-		}
-	}
-}
-
-// TestCustomLatencyBuckets threads a custom schedule end to end: the
-// request-latency histogram exposes exactly the configured le bounds (plus
-// +Inf), not the default schedule.
-func TestCustomLatencyBuckets(t *testing.T) {
-	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, nil, nil, []float64{0.001, 1})
-	h := m.Wrap("/v1/custom", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/custom", nil))
-
-	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, want := range []string{
-		`evorec_http_request_seconds_bucket{le="0.001",route="/v1/custom"}`,
-		`evorec_http_request_seconds_bucket{le="1",route="/v1/custom"}`,
-		`evorec_http_request_seconds_bucket{le="+Inf",route="/v1/custom"} 1`,
-		`evorec_http_request_seconds_count{route="/v1/custom"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if strings.Contains(body, `le="0.005"`) {
-		t.Error("default bucket schedule leaked into a custom-bucket histogram")
 	}
 }

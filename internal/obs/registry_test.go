@@ -89,7 +89,7 @@ func TestNilSafety(t *testing.T) {
 	reg.Histogram("c", "", nil).Observe(1)
 	reg.CounterVec("d", "", "l").With("v").Inc()
 	reg.HistogramVec("e", "", nil, "l").With("v").Observe(1)
-	NewHTTPMetrics(reg, nil, nil, nil)
+	NewHTTPMetrics(reg, nil, nil)
 	if err := reg.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,6 @@ func (f *Flat) Compile(v map[rdf.Term]float64, d *rdf.Dict, intern bool, squares
 	}
 }
 
-// CompileFlat compiles a profile's interests against d without interning:
-// the read-only request-path form of Compile.
-func CompileFlat(p *Profile, d *rdf.Dict) *Flat {
-	f := new(Flat)
-	f.Compile(p.Interests, d, false, nil)
-	return f
-}
-
 // CosineFlat computes the cosine similarity of two flat vectors compiled
 // against the same Dict. It is bit-identical to CosineVectors over the
 // source maps: the matched products form the same multiset, are summed in

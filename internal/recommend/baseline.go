@@ -22,12 +22,3 @@ func RandomTopK(items []Item, k int, rng *rand.Rand) []Recommendation {
 	}
 	return out
 }
-
-// PopularityTopK is the user-independent popularity baseline: items ranked
-// by the total change mass their measure reports, i.e. the measure that
-// "saw the most change" is recommended to everyone regardless of interests.
-// ItemIndex.PopularityTopK serves the same ranking from totals cached at
-// index build.
-func PopularityTopK(items []Item, k int) []Recommendation {
-	return selectTopK(items, k, func(it Item) float64 { return it.Scores.Total() })
-}

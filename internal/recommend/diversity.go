@@ -69,7 +69,7 @@ func MaxMin(u *profile.Profile, items []Item, k int) []Recommendation {
 	if k == 0 || len(items) == 0 {
 		return nil
 	}
-	top := TopK(u, items, 1)
+	top := relatedTopK(u, items, 1)
 	selected := []Recommendation{top[0]}
 	used := map[string]bool{top[0].MeasureID: true}
 	for len(selected) < k {
@@ -101,62 +101,6 @@ func MaxMin(u *profile.Profile, items []Item, k int) []Recommendation {
 		})
 	}
 	return selected
-}
-
-// Novelty returns the novelty factor of an item for a user (§III-c(ii)):
-// 1/(1+timesSeen), so unseen measures score 1 and repeatedly shown measures
-// decay harmonically.
-func Novelty(u *profile.Profile, it Item) float64 {
-	return 1 / float64(1+u.SeenCount(it.ID()))
-}
-
-// NoveltyTopK ranks items by relatedness × novelty, implementing
-// novelty-based diversity: measures already shown to the user are demoted
-// in favor of fresh viewpoints. ItemIndex.NoveltyTopK is the flat-kernel
-// form.
-func NoveltyTopK(u *profile.Profile, items []Item, k int) []Recommendation {
-	return selectTopK(items, k, func(it Item) float64 {
-		return Relatedness(u, it) * Novelty(u, it)
-	})
-}
-
-// SemanticTopK implements semantic (category-based) diversity (§III-c(iii)):
-// it round-robins over measure categories in their stable order, picking the
-// most related not-yet-chosen item of each category, so the selection covers
-// count-based, structural and semantic viewpoints before repeating any.
-func SemanticTopK(u *profile.Profile, items []Item, k int) []Recommendation {
-	if k > len(items) {
-		k = len(items)
-	}
-	byCat := make(map[measures.Category][]Recommendation)
-	for _, cat := range measures.Categories() {
-		var sub []Item
-		for _, it := range items {
-			if it.Category() == cat {
-				sub = append(sub, it)
-			}
-		}
-		byCat[cat] = TopK(u, sub, len(sub))
-	}
-	var out []Recommendation
-	for len(out) < k {
-		progressed := false
-		for _, cat := range measures.Categories() {
-			if len(out) >= k {
-				break
-			}
-			if len(byCat[cat]) == 0 {
-				continue
-			}
-			out = append(out, byCat[cat][0])
-			byCat[cat] = byCat[cat][1:]
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-	return out
 }
 
 // IntraListDiversity is the mean pairwise content distance of a selection;

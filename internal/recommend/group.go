@@ -64,12 +64,6 @@ func GroupScore(g *profile.Group, it Item, agg Aggregation) float64 {
 	}
 }
 
-// GroupTopK recommends k measures to the group under the given aggregation.
-// ItemIndex.GroupTopK is the flat-kernel form.
-func GroupTopK(g *profile.Group, items []Item, k int, agg Aggregation) []Recommendation {
-	return selectTopK(items, k, func(it Item) float64 { return GroupScore(g, it, agg) })
-}
-
 // Satisfaction is the normalized satisfaction of one member with a
 // selection: the member's total relatedness over the selected items divided
 // by the total relatedness of the member's personal ideal selection of the
@@ -86,7 +80,7 @@ func Satisfaction(u *profile.Profile, items []Item, sel []Recommendation) float6
 		}
 	}
 	ideal := 0.0
-	for _, r := range TopK(u, items, len(sel)) {
+	for _, r := range relatedTopK(u, items, len(sel)) {
 		ideal += r.Score
 	}
 	if ideal == 0 {

@@ -15,8 +15,9 @@ import (
 // visits only the items sharing at least one dictionary term with the
 // user's interests — every other item's cosine relatedness is exactly 0,
 // so it is assigned, not computed — and selection runs through the shared
-// bounded heap. All scores are bit-identical to the map-scored reference
-// functions (TopK, GroupTopK, ...), which the parity suite asserts.
+// bounded heap. All scores are bit-identical to scoring every item through
+// Relatedness (or GroupScore) on the map vectors; the parity suite holds
+// each method to such a reference ranker, kept in this package's tests.
 //
 // The index owns a private dictionary: item entity terms are interned at
 // construction, user interests are compiled against it lookup-only per
@@ -203,8 +204,7 @@ func (ix *ItemIndex) selectScores(scores []float64, k int) []Recommendation {
 	return h.take()
 }
 
-// TopK returns the k measures most related to the user — the flat-kernel
-// form of TopK, bit-identical to it.
+// TopK returns the k measures most related to the user (§III-a).
 func (ix *ItemIndex) TopK(u *profile.Profile, k int) []Recommendation {
 	sc := ix.getScratch()
 	defer putScratch(sc)
@@ -212,8 +212,9 @@ func (ix *ItemIndex) TopK(u *profile.Profile, k int) []Recommendation {
 	return ix.selectScores(sc.scores, k)
 }
 
-// NoveltyTopK ranks by relatedness × novelty — the flat-kernel form of
-// NoveltyTopK.
+// NoveltyTopK ranks by relatedness × novelty (§III-c(ii)), novelty being
+// 1/(1+times seen): measures already shown to the user are demoted in favor
+// of fresh viewpoints.
 func (ix *ItemIndex) NoveltyTopK(u *profile.Profile, k int) []Recommendation {
 	sc := ix.getScratch()
 	defer putScratch(sc)
@@ -224,8 +225,10 @@ func (ix *ItemIndex) NoveltyTopK(u *profile.Profile, k int) []Recommendation {
 	return ix.selectScores(sc.scores, k)
 }
 
-// SemanticTopK round-robins over measure categories — the flat-kernel form
-// of SemanticTopK.
+// SemanticTopK implements semantic (category-based) diversity
+// (§III-c(iii)): it round-robins over measure categories in their stable
+// order, taking each category's most related not-yet-chosen measure, so the
+// selection covers every viewpoint before repeating any.
 func (ix *ItemIndex) SemanticTopK(u *profile.Profile, k int) []Recommendation {
 	sc := ix.getScratch()
 	defer putScratch(sc)
@@ -262,16 +265,16 @@ func (ix *ItemIndex) SemanticTopK(u *profile.Profile, k int) []Recommendation {
 	return out
 }
 
-// PopularityTopK ranks by the cached deterministic change-mass totals — the
-// flat-kernel form of PopularityTopK.
+// PopularityTopK is the user-independent popularity baseline: measures
+// ranked by the change mass they report, from totals cached at index build.
 func (ix *ItemIndex) PopularityTopK(k int) []Recommendation {
 	return ix.selectScores(ix.totals, k)
 }
 
-// GroupTopK recommends to a group under an aggregation — the flat-kernel
-// form of GroupTopK: members are compiled once, candidate items are the
-// union of the members' postings, and each candidate aggregates member
-// cosines in member order, exactly as GroupScore does.
+// GroupTopK recommends to a group under an aggregation (§III-d): members
+// are compiled once, candidate items are the union of the members'
+// postings, and each candidate aggregates member cosines in member order,
+// exactly as GroupScore does.
 func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recommendation {
 	sc := ix.getScratch()
 	defer putScratch(sc)

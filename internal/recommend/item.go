@@ -66,14 +66,10 @@ type Recommendation struct {
 	Score float64
 }
 
-// TopK returns the k measures most related to the user.
-//
-// This is the reference (map-scored) path, kept for ad-hoc item slices and
-// as the oracle the parity suite holds the kernel to; served traffic goes
-// through ItemIndex.TopK, which produces bit-identical results from flat
-// vectors. Selection is shared: both pick k through the same bounded heap
-// under the same total order.
-func TopK(u *profile.Profile, items []Item, k int) []Recommendation {
+// relatedTopK returns the k items most related to the user, scored on the
+// map path: Satisfaction, IsCovered and MaxMin rank ad-hoc item slices with
+// it. Served rankings go through ItemIndex.TopK.
+func relatedTopK(u *profile.Profile, items []Item, k int) []Recommendation {
 	return selectTopK(items, k, func(it Item) float64 { return Relatedness(u, it) })
 }
 

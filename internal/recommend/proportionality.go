@@ -18,7 +18,7 @@ func IsCovered(u *profile.Profile, items []Item, sel []Recommendation, m, delta 
 		return true
 	}
 	top := make(map[string]bool, delta)
-	for _, r := range TopK(u, items, delta) {
+	for _, r := range relatedTopK(u, items, delta) {
 		// Zero-relatedness entries only pad the ranking; they are not items
 		// the user would recognize as theirs.
 		if r.Score > 0 {

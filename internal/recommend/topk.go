@@ -126,8 +126,7 @@ func (h *bounded[T]) down(i int) {
 }
 
 // selectTopK scores every item and returns the k best recommendations in
-// the canonical order — the shared selection step of every TopK variant,
-// replacing the old score-everything-then-sort.Slice path.
+// the canonical order — the selection step of the map-scored rankers.
 func selectTopK(items []Item, k int, score func(Item) float64) []Recommendation {
 	if k > len(items) {
 		k = len(items)

@@ -72,11 +72,6 @@ type Config struct {
 	// span per sampled request, and threads the trace context through every
 	// handler into the service/store/feed layers. Nil disables tracing.
 	Tracer *obs.Tracer
-	// LatencyBuckets overrides the evorec_http_request_seconds bucket
-	// schedule (upper bounds in seconds, positive and strictly increasing —
-	// obs.ParseBuckets validates the CLI spelling). Nil keeps
-	// obs.DefBuckets, so existing expositions are unchanged.
-	LatencyBuckets []float64
 	// RouteTimeout bounds every request's handler via context.WithTimeout:
 	// the deadline threads through the service into store materialization
 	// and cold pair builds, so an expired request stops consuming the write
@@ -117,7 +112,7 @@ func New(svc *service.Service, cfg Config) (*Server, error) {
 	s := &Server{
 		svc:           svc,
 		mux:           http.NewServeMux(),
-		httpm:         obs.NewHTTPMetrics(cfg.Metrics, cfg.Logger, cfg.Tracer, cfg.LatencyBuckets),
+		httpm:         obs.NewHTTPMetrics(cfg.Metrics, cfg.Logger, cfg.Tracer),
 		retryAfter:    strconv.Itoa(retry),
 		defTimeout:    cfg.RouteTimeout,
 		routeTimeouts: cfg.RouteTimeouts,

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"evorec/internal/core"
 	"evorec/internal/profile"
@@ -23,7 +22,7 @@ import (
 // what the final conservation pass equates. Transport errors (no status
 // line) are counted separately: the server may or may not have seen the
 // request, so every exclusive-use law degrades to advisory when any occur.
-func (r *runner) do(method, path string, q url.Values, body []byte, route string) (int, []byte, time.Duration, error) {
+func (r *runner) do(method, path string, q url.Values, body []byte, route string) (int, []byte, error) {
 	u := r.cfg.BaseURL + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -34,25 +33,23 @@ func (r *runner) do(method, path string, q url.Values, body []byte, route string
 	}
 	req, err := http.NewRequest(method, u, rd)
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, nil, err
 	}
-	start := time.Now()
 	resp, err := r.client.Do(req)
-	dur := time.Since(start)
 	if err != nil {
 		r.transport.Add(1)
 		r.viol.addf("transport", "%s %s: %v", method, path, err)
-		return 0, nil, dur, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close() //nolint:errcheck
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		r.transport.Add(1)
 		r.viol.addf("transport", "%s %s: reading body: %v", method, path, err)
-		return 0, nil, dur, err
+		return 0, nil, err
 	}
 	r.routes.add(route, method, statusClass(resp.StatusCode))
-	return resp.StatusCode, b, dur, nil
+	return resp.StatusCode, b, nil
 }
 
 func statusClass(status int) string { return fmt.Sprintf("%dxx", status/100) }
@@ -170,10 +167,7 @@ func (r *runner) exec(op *Op) {
 }
 
 func (r *runner) execCreate(op *Op, d *dsState) {
-	status, body, dur, err := r.do("POST", "/v1/datasets/"+op.Dataset, nil, nil, routeDataset)
-	if err == nil {
-		r.lat.record(op.Kind, dur)
-	}
+	status, body, err := r.do("POST", "/v1/datasets/"+op.Dataset, nil, nil, routeDataset)
 	if !r.expect(err == nil && status == http.StatusCreated,
 		"status", "create %s = %d (err %v), want 201", op.Dataset, status, err) {
 		// Dependent ops are generated after the create, so they would wait on
@@ -209,7 +203,7 @@ func (r *runner) execCommit(op *Op, d *dsState) {
 	}
 	d.mu.Unlock()
 
-	status, body, dur, err := r.do("POST",
+	status, body, err := r.do("POST",
 		"/v1/datasets/"+op.Dataset+"/versions/"+op.VersionID, nil, op.Body, routeCommit)
 	if err != nil {
 		// Indeterminate: the server may have applied the commit. The version
@@ -220,7 +214,6 @@ func (r *runner) execCommit(op *Op, d *dsState) {
 		d.mu.Unlock()
 		return
 	}
-	r.lat.record(op.Kind, dur)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -329,12 +322,11 @@ func (r *runner) execSubscribe(op *Op, d *dsState) {
 	wasActive := d.user(op.User).active
 	d.mu.Unlock()
 	body, _ := json.Marshal(map[string]string{"interests": op.Interests})
-	status, respBody, dur, err := r.do("PUT",
+	status, respBody, err := r.do("PUT",
 		"/v1/datasets/"+op.Dataset+"/subscribers/"+op.User, nil, body, routeSub)
 	if err != nil {
 		return
 	}
-	r.lat.record(op.Kind, dur)
 	want := http.StatusCreated
 	if wasActive {
 		want = http.StatusOK
@@ -361,12 +353,11 @@ func (r *runner) execUnsubscribe(op *Op, d *dsState) {
 	d.mu.Lock()
 	wasActive := d.user(op.User).active
 	d.mu.Unlock()
-	status, _, dur, err := r.do("DELETE",
+	status, _, err := r.do("DELETE",
 		"/v1/datasets/"+op.Dataset+"/subscribers/"+op.User, nil, nil, routeSub)
 	if err != nil {
 		return
 	}
-	r.lat.record(op.Kind, dur)
 	want := http.StatusOK
 	if !wasActive {
 		want = http.StatusNotFound
@@ -439,11 +430,10 @@ func (r *runner) execRecommend(op *Op, d *dsState) {
 	q.Set("strategy", op.Strategy)
 	q.Set("user_id", op.User)
 	q.Set("interests", op.Interests)
-	status, body, dur, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/recommend", q, nil, routeRec)
+	status, body, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/recommend", q, nil, routeRec)
 	if err != nil {
 		return
 	}
-	r.lat.record(op.Kind, dur)
 	if !r.checkPairStatus("recommend", op, d, status, before) {
 		return
 	}
@@ -526,11 +516,10 @@ func (r *runner) execGroup(op *Op, d *dsState) {
 	for _, m := range op.Members {
 		q.Add("member", m)
 	}
-	status, body, dur, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/recommend/group", q, nil, routeGroup)
+	status, body, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/recommend/group", q, nil, routeGroup)
 	if err != nil {
 		return
 	}
-	r.lat.record(op.Kind, dur)
 	if !r.checkPairStatus("group-recommend", op, d, status, before) {
 		return
 	}
@@ -562,11 +551,10 @@ func (r *runner) execNotify(op *Op, d *dsState) {
 			users[id] = 0
 		}
 	}
-	status, body, dur, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/notify", q, nil, routeNotify)
+	status, body, err := r.do("GET", "/v1/datasets/"+op.Dataset+"/notify", q, nil, routeNotify)
 	if err != nil {
 		return
 	}
-	r.lat.record(op.Kind, dur)
 	if !r.checkPairStatus("notify", op, d, status, before) {
 		return
 	}
@@ -614,12 +602,9 @@ func (r *runner) pollOnce(d *dsState, user string, drain bool) (int, bool) {
 	q := url.Values{}
 	q.Set("after", fmt.Sprint(after))
 	q.Set("limit", fmt.Sprint(limit))
-	status, body, dur, err := r.do("GET", "/v1/datasets/"+d.name+"/feed/"+user, q, nil, routeFeed)
+	status, body, err := r.do("GET", "/v1/datasets/"+d.name+"/feed/"+user, q, nil, routeFeed)
 	if err != nil {
 		return 0, false
-	}
-	if !drain {
-		r.lat.record(OpPoll, dur)
 	}
 	// Poll status semantics: an active subscriber always has a feed (200); a
 	// user who never subscribed has none (404 — the negative half of the
@@ -685,7 +670,7 @@ func (r *runner) execInspect(d *dsState) {
 	if d.broken {
 		return
 	}
-	status, body, _, err := r.do("GET", "/v1/datasets/"+d.name, nil, nil, routeDataset)
+	status, body, err := r.do("GET", "/v1/datasets/"+d.name, nil, nil, routeDataset)
 	if err != nil {
 		return
 	}

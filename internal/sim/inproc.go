@@ -24,12 +24,9 @@ type InProcOptions struct {
 	// Dir roots the backed datasets' store directories and feed logs; empty
 	// means a fresh temp directory, removed on Close.
 	Dir string
-	// LogW receives the server's structured logs; nil means io.Discard.
+	// LogW receives the server's structured logs at level warn; nil means
+	// io.Discard.
 	LogW io.Writer
-	// LogLevel is the slog level name; empty means "warn".
-	LogLevel string
-	// TraceRing sizes the /debug/traces ring; zero means 4096.
-	TraceRing int
 }
 
 // InProcess is a live evorec server stack wired for a simulation: the API
@@ -74,19 +71,11 @@ func StartInProcess(plan *Plan, opt InProcOptions) (*InProcess, error) {
 	if logW == nil {
 		logW = io.Discard
 	}
-	level := opt.LogLevel
-	if level == "" {
-		level = "warn"
-	}
-	ring := opt.TraceRing
-	if ring == 0 {
-		ring = 4096
-	}
-	logger := obs.NewLogger(logW, level)
+	logger := obs.NewLogger(logW, "warn")
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerConfig{
 		SampleRate:    1,
-		RingSize:      ring,
+		RingSize:      4096,
 		SlowThreshold: time.Second,
 		Logger:        logger,
 	})

@@ -58,20 +58,6 @@ func (t *routeTally) total() int64 {
 	return n
 }
 
-// latencyRecorder accumulates client-observed per-op-kind latencies.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples [numOpKinds][]time.Duration
-}
-
-func newLatencyRecorder() *latencyRecorder { return &latencyRecorder{} }
-
-func (l *latencyRecorder) record(k OpKind, d time.Duration) {
-	l.mu.Lock()
-	l.samples[k] = append(l.samples[k], d)
-	l.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------------
 // Prometheus text exposition parsing
 
@@ -199,15 +185,14 @@ func (s *snapshot) value(name string, labels map[string]string) float64 {
 // histogramGroup is one histogram series: its cumulative buckets by bound,
 // plus _sum and _count.
 type histogramGroup struct {
-	base    string // canonical key of the label set without le
-	bounds  []float64
-	cumul   []float64
-	sum     float64
-	count   float64
-	hasCnt  bool
-	hasInf  bool
-	infCnt  float64
-	routeLb string
+	base   string // canonical key of the label set without le
+	bounds []float64
+	cumul  []float64
+	sum    float64
+	count  float64
+	hasCnt bool
+	hasInf bool
+	infCnt float64
 }
 
 // histograms groups every *_bucket family in the snapshot by base label set.
@@ -229,7 +214,7 @@ func (s *snapshot) histograms() map[string]*histogramGroup {
 			gk := seriesKey(base, labels)
 			g := out[gk]
 			if g == nil {
-				g = &histogramGroup{base: gk, routeLb: labels["route"]}
+				g = &histogramGroup{base: gk}
 				out[gk] = g
 			}
 			if le == "+Inf" {
@@ -246,7 +231,7 @@ func (s *snapshot) histograms() map[string]*histogramGroup {
 			gk := seriesKey(strings.TrimSuffix(name, "_sum"), labels)
 			g := out[gk]
 			if g == nil {
-				g = &histogramGroup{base: gk, routeLb: labels["route"]}
+				g = &histogramGroup{base: gk}
 				out[gk] = g
 			}
 			g.sum = val
@@ -254,7 +239,7 @@ func (s *snapshot) histograms() map[string]*histogramGroup {
 			gk := seriesKey(strings.TrimSuffix(name, "_count"), labels)
 			g := out[gk]
 			if g == nil {
-				g = &histogramGroup{base: gk, routeLb: labels["route"]}
+				g = &histogramGroup{base: gk}
 				out[gk] = g
 			}
 			g.count, g.hasCnt = val, true
@@ -273,33 +258,6 @@ func (b *boundSorter) Less(i, j int) bool { return b.g.bounds[i] < b.g.bounds[j]
 func (b *boundSorter) Swap(i, j int) {
 	b.g.bounds[i], b.g.bounds[j] = b.g.bounds[j], b.g.bounds[i]
 	b.g.cumul[i], b.g.cumul[j] = b.g.cumul[j], b.g.cumul[i]
-}
-
-// quantile estimates a quantile from the cumulative buckets by linear
-// interpolation within the landing bucket — the standard Prometheus
-// histogram_quantile estimator.
-func (g *histogramGroup) quantile(q float64) float64 {
-	if !g.hasInf || g.infCnt == 0 {
-		return 0
-	}
-	target := q * g.infCnt
-	prevBound, prevCumul := 0.0, 0.0
-	for i, bound := range g.bounds {
-		if g.cumul[i] >= target {
-			width := bound - prevBound
-			inBucket := g.cumul[i] - prevCumul
-			if inBucket == 0 {
-				return bound
-			}
-			return prevBound + width*(target-prevCumul)/inBucket
-		}
-		prevBound, prevCumul = bound, g.cumul[i]
-	}
-	// Landed in the +Inf bucket: the highest finite bound is the best claim.
-	if len(g.bounds) > 0 {
-		return g.bounds[len(g.bounds)-1]
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------

@@ -3,79 +3,23 @@ package sim
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strings"
 	"time"
 )
 
-// Result is a completed soak run's verdict plus everything needed to render
-// a benchmark report.
+// Result is a completed soak run's verdict and, as JSON, the soak report:
+// the invariant checks run, the violations found, and the client's books
+// that CI asserts on. It holds no timings beyond the run's length; latency
+// is measured by the bench/ module.
 type Result struct {
-	Seed       int64
-	Ops        int
-	Elapsed    time.Duration
-	Checks     int64 // invariant evaluations performed
-	Violations int
-	ByCategory map[string]int
-	Samples    []string // first violations, verbatim
-	Parity     int64    // indexed-vs-reference parity comparisons run
-	Transport  int64    // requests that died before a status line
-	Scrapes    int64
-	TracesSeen int64
-	ReadyOK    int64
-	ReadyBusy  int64
-	Commits2xx int
-	Commits503 int
-	Fanouts    int
-	Notified   int64
-
-	// The chaos books: how the 503s split, how many read sheds were
-	// tolerated, and the server's own degraded/heal transition counts
-	// from the final scrape.
-	Commits503Busy     int
-	Commits503Degraded int // enqueue-time degraded + mid-batch faults
-	Reads503           int64
-	ChaosWindows       int
-	DegradedEntries    float64
-	Heals              float64
-
-	PerOp       map[string]OpStats
-	ServerRoute map[string]RouteStats
-}
-
-// OpStats summarizes client-observed latency for one op kind.
-type OpStats struct {
-	Count      int     `json:"count"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	P50Millis  float64 `json:"p50_ms"`
-	P95Millis  float64 `json:"p95_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	MaxMillis  float64 `json:"max_ms"`
-	MeanMillis float64 `json:"mean_ms"`
-}
-
-// RouteStats summarizes the server's own latency histogram for one route,
-// estimated by bucket interpolation from the final scrape.
-type RouteStats struct {
-	Count     float64 `json:"count"`
-	P50Millis float64 `json:"p50_ms"`
-	P95Millis float64 `json:"p95_ms"`
-	P99Millis float64 `json:"p99_ms"`
-}
-
-// BenchReport is the BENCH_9.json schema.
-type BenchReport struct {
-	Bench       string         `json:"bench"`
 	Seed        int64          `json:"seed"`
 	Ops         int            `json:"ops"`
 	DurationSec float64        `json:"duration_sec"`
-	OpsPerSec   float64        `json:"ops_per_sec"`
 	Checks      int64          `json:"invariant_checks"`
 	Violations  int            `json:"violations"`
 	ByCategory  map[string]int `json:"violations_by_category,omitempty"`
-	Samples     []string       `json:"violation_samples,omitempty"`
-	Parity      int64          `json:"parity_checks"`
-	Transport   int64          `json:"transport_errors"`
+	Samples     []string       `json:"violation_samples,omitempty"` // first violations, verbatim
+	Parity      int64          `json:"parity_checks"`               // indexed-vs-reference parity comparisons run
+	Transport   int64          `json:"transport_errors"`            // requests that died before a status line
 	Scrapes     int64          `json:"metric_scrapes"`
 	TracesSeen  int64          `json:"traces_seen"`
 	ReadyOK     int64          `json:"readyz_ok"`
@@ -85,92 +29,22 @@ type BenchReport struct {
 	Fanouts     int            `json:"fanouts"`
 	Notified    int64          `json:"notifications"`
 
+	// The chaos books: how the 503s split, how many read sheds were
+	// tolerated, and the server's own degraded/heal transition counts
+	// from the final scrape.
 	Commits503Busy     int     `json:"commits_503_busy,omitempty"`
-	Commits503Degraded int     `json:"commits_503_degraded,omitempty"`
+	Commits503Degraded int     `json:"commits_503_degraded,omitempty"` // enqueue-time degraded + mid-batch faults
 	Reads503           int64   `json:"reads_503,omitempty"`
 	ChaosWindows       int     `json:"chaos_windows,omitempty"`
 	DegradedEntries    float64 `json:"degraded_entries,omitempty"`
 	Heals              float64 `json:"heals,omitempty"`
-
-	PerOp       map[string]OpStats    `json:"per_op"`
-	ServerRoute map[string]RouteStats `json:"server_route,omitempty"`
-}
-
-// Report renders the result in the repo's BENCH_N.json convention.
-func (res *Result) Report() *BenchReport {
-	return &BenchReport{
-		Bench:       "sim-soak",
-		Seed:        res.Seed,
-		Ops:         res.Ops,
-		DurationSec: res.Elapsed.Seconds(),
-		OpsPerSec:   float64(res.Ops) / res.Elapsed.Seconds(),
-		Checks:      res.Checks,
-		Violations:  res.Violations,
-		ByCategory:  res.ByCategory,
-		Samples:     res.Samples,
-		Parity:      res.Parity,
-		Transport:   res.Transport,
-		Scrapes:     res.Scrapes,
-		TracesSeen:  res.TracesSeen,
-		ReadyOK:     res.ReadyOK,
-		ReadyBusy:   res.ReadyBusy,
-		Commits2xx:  res.Commits2xx,
-		Commits503:  res.Commits503,
-		Fanouts:     res.Fanouts,
-		Notified:    res.Notified,
-
-		Commits503Busy:     res.Commits503Busy,
-		Commits503Degraded: res.Commits503Degraded,
-		Reads503:           res.Reads503,
-		ChaosWindows:       res.ChaosWindows,
-		DegradedEntries:    res.DegradedEntries,
-		Heals:              res.Heals,
-
-		PerOp:       res.PerOp,
-		ServerRoute: res.ServerRoute,
-	}
 }
 
 // WriteJSON writes the report, indented, to w.
-func (rep *BenchReport) WriteJSON(w io.Writer) error {
+func (res *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// percentile reads the q-th quantile from sorted samples by nearest rank.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// stats summarizes one op kind's samples.
-func (l *latencyRecorder) stats(k OpKind, elapsed time.Duration) (OpStats, bool) {
-	l.mu.Lock()
-	samples := append([]time.Duration(nil), l.samples[k]...)
-	l.mu.Unlock()
-	if len(samples) == 0 {
-		return OpStats{}, false
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	var sum time.Duration
-	for _, s := range samples {
-		sum += s
-	}
-	return OpStats{
-		Count:      len(samples),
-		OpsPerSec:  float64(len(samples)) / elapsed.Seconds(),
-		P50Millis:  millis(percentile(samples, 0.50)),
-		P95Millis:  millis(percentile(samples, 0.95)),
-		P99Millis:  millis(percentile(samples, 0.99)),
-		MaxMillis:  millis(samples[len(samples)-1]),
-		MeanMillis: millis(sum / time.Duration(len(samples))),
-	}, true
+	return enc.Encode(res)
 }
 
 // buildResult assembles the Result from the run's accumulated state. final
@@ -178,20 +52,19 @@ func (l *latencyRecorder) stats(k OpKind, elapsed time.Duration) (OpStats, bool)
 func (r *runner) buildResult(elapsed time.Duration, final *snapshot) *Result {
 	total, cats, samples := r.viol.snapshot()
 	res := &Result{
-		Seed:       r.plan.Seed,
-		Ops:        len(r.plan.Ops),
-		Elapsed:    elapsed,
-		Checks:     r.checks.Load(),
-		Violations: total,
-		ByCategory: cats,
-		Samples:    samples,
-		Parity:     r.parityChecked.Load(),
-		Transport:  r.transport.Load(),
-		Scrapes:    r.scrapeCount.Load(),
-		TracesSeen: r.tracesSeen.Load(),
-		ReadyOK:    r.readyOK.Load(),
-		ReadyBusy:  r.readyBusy.Load(),
-		PerOp:      make(map[string]OpStats),
+		Seed:        r.plan.Seed,
+		Ops:         len(r.plan.Ops),
+		DurationSec: elapsed.Seconds(),
+		Checks:      r.checks.Load(),
+		Violations:  total,
+		ByCategory:  cats,
+		Samples:     samples,
+		Parity:      r.parityChecked.Load(),
+		Transport:   r.transport.Load(),
+		Scrapes:     r.scrapeCount.Load(),
+		TracesSeen:  r.tracesSeen.Load(),
+		ReadyOK:     r.readyOK.Load(),
+		ReadyBusy:   r.readyBusy.Load(),
 	}
 	for _, d := range r.ds {
 		d.mu.Lock()
@@ -208,25 +81,6 @@ func (r *runner) buildResult(elapsed time.Duration, final *snapshot) *Result {
 	if final != nil {
 		res.DegradedEntries = final.value("evorec_dataset_degraded_total", nil)
 		res.Heals = final.value("evorec_dataset_heals_total", nil)
-	}
-	for k := OpKind(0); k < numOpKinds; k++ {
-		if st, ok := r.lat.stats(k, elapsed); ok {
-			res.PerOp[k.String()] = st
-		}
-	}
-	if final != nil {
-		res.ServerRoute = make(map[string]RouteStats)
-		for _, g := range final.histograms() {
-			if !strings.HasPrefix(g.base, "evorec_http_request_seconds{") || !g.hasInf {
-				continue
-			}
-			res.ServerRoute[g.routeLb] = RouteStats{
-				Count:     g.infCnt,
-				P50Millis: g.quantile(0.50) * 1000,
-				P95Millis: g.quantile(0.95) * 1000,
-				P99Millis: g.quantile(0.99) * 1000,
-			}
-		}
 	}
 	return res
 }

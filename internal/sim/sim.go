@@ -133,7 +133,6 @@ type runner struct {
 	plan   *Plan
 	client *http.Client
 	ds     map[string]*dsState
-	lat    *latencyRecorder
 	routes *routeTally
 	viol   *violations
 	checks atomic.Int64
@@ -174,7 +173,6 @@ func Run(cfg Config, plan *Plan) (*Result, error) {
 			},
 		},
 		ds:     make(map[string]*dsState, len(plan.Datasets)),
-		lat:    newLatencyRecorder(),
 		routes: newRouteTally(),
 		viol:   &violations{},
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -74,12 +76,34 @@ func TestInProcessSoak(t *testing.T) {
 	if res.Transport != 0 {
 		t.Errorf("%d transport errors against an in-process server", res.Transport)
 	}
-	rep := res.Report()
-	if rep.OpsPerSec <= 0 || len(rep.PerOp) == 0 {
-		t.Errorf("report lacks throughput/latency data: %+v", rep)
+	checkReportKeys(t, res,
+		[]string{"ops", "violations", "invariant_checks", "commits_acked",
+			"notifications", "parity_checks", "metric_scrapes"},
+		[]string{"per_op", "server_route", "ops_per_sec", "bench"})
+}
+
+// checkReportKeys encodes the soak report and requires the keys a CI soak
+// job reads to be present and the removed latency keys to be absent, so a
+// renamed JSON tag fails here rather than in CI's python.
+func checkReportKeys(t *testing.T, res *Result, present, absent []string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := rep.PerOp["commit"]; !ok {
-		t.Error("report has no commit latency stats")
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range present {
+		if _, ok := rep[k]; !ok {
+			t.Errorf("soak report lacks %q:\n%s", k, buf.Bytes())
+		}
+	}
+	for _, k := range absent {
+		if _, ok := rep[k]; ok {
+			t.Errorf("soak report still carries %q", k)
+		}
 	}
 }
 
@@ -148,4 +172,7 @@ func TestInProcessChaosSoak(t *testing.T) {
 	if res.Commits2xx == 0 {
 		t.Error("no commits were acknowledged around the fault windows")
 	}
+	checkReportKeys(t, res,
+		[]string{"ops", "violations", "commits_acked", "chaos_windows", "degraded_entries", "heals"},
+		[]string{"per_op", "server_route", "ops_per_sec", "bench"})
 }

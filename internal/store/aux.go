@@ -17,34 +17,23 @@ const (
 	KindSubscribers byte = 5
 )
 
-// WriteKindedSegment frames payload under the given segment kind and writes
-// it to path on the real filesystem with full durability (temp fsync,
-// rename, directory fsync): a crash never leaves a torn file under the
-// final name, and the rename itself survives power loss.
-func WriteKindedSegment(path string, kind byte, payload []byte) (int64, error) {
-	return WriteKindedSegmentFS(vfs.OS{}, path, kind, payload, true)
-}
-
-// WriteKindedSegmentFS is WriteKindedSegment on an explicit filesystem.
-// With durable unset the write is still atomic (temp + rename) but carries
-// no fsync — the caller owes a later SyncPath + SyncDir before relying on
-// the bytes across a crash.
+// WriteKindedSegmentFS frames payload under the given segment kind and
+// writes it to path on fsys through a temp file and rename, so a crash
+// never leaves a torn file under the final name. With durable set the temp
+// file is fsynced before the rename and the directory after it, so the
+// rename itself survives power loss; with durable unset the caller owes a
+// later SyncPath + SyncDir before relying on the bytes across a crash.
 func WriteKindedSegmentFS(fsys vfs.FS, path string, kind byte, payload []byte, durable bool) (int64, error) {
 	return writeSegment(fsys, path, kind, payload, durable)
 }
 
-// ReadKindedSegment reads dir/file and unframes it, validating magic, kind,
-// exact length and checksum.
-func ReadKindedSegment(dir, file string, kind byte) ([]byte, error) {
-	return ReadKindedSegmentFS(vfs.OS{}, dir, file, kind)
-}
-
-// ReadKindedSegmentFS is ReadKindedSegment on an explicit filesystem.
+// ReadKindedSegmentFS reads dir/file on fsys and unframes it, validating
+// magic, kind, exact length and checksum.
 func ReadKindedSegmentFS(fsys vfs.FS, dir, file string, kind byte) ([]byte, error) {
 	return readSegment(fsys, dir, file, kind)
 }
 
-// EncodeKindedSegment frames payload in memory — what WriteKindedSegment
+// EncodeKindedSegment frames payload in memory — what WriteKindedSegmentFS
 // persists. Fuzz harnesses use it to seed well-formed segments.
 func EncodeKindedSegment(kind byte, payload []byte) []byte {
 	buf := make([]byte, 0, segHeaderLen+len(payload)+segTrailerLen)
@@ -57,15 +46,10 @@ func DecodeKindedSegment(name string, data []byte, kind byte) ([]byte, error) {
 	return decodeSegment(name, data, kind)
 }
 
-// WriteFileAtomic writes data to path through a sibling temp file + rename
-// with full durability, the same all-or-nothing discipline every store file
-// lands with. The feed manifest uses it so its commit point is a single
-// rename that survives a crash.
-func WriteFileAtomic(path string, data []byte) error {
-	return vfs.WriteFileAtomic(vfs.OS{}, path, data, true)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic on an explicit filesystem.
+// WriteFileAtomicFS writes data to path on fsys through a sibling temp file
+// + rename, the same all-or-nothing discipline every store file lands with;
+// durable adds the fsyncs that make the rename survive a crash. The feed
+// manifest uses it so its commit point is a single rename.
 func WriteFileAtomicFS(fsys vfs.FS, path string, data []byte, durable bool) error {
 	return vfs.WriteFileAtomic(fsys, path, data, durable)
 }
