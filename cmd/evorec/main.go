@@ -190,12 +190,6 @@ func cmdMeasures(args []string) error {
 	return nil
 }
 
-// parseInterests parses "Class=0.9,OtherClass=0.4" into a profile — the
-// grammar shared with the HTTP API's interests= parameter.
-func parseInterests(id, spec string) (*evorec.Profile, error) {
-	return evorec.ParseInterests(id, spec)
-}
-
 func cmdRecommend(args []string) error {
 	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
 	k := fs.Int("k", 3, "measures to recommend")
@@ -222,20 +216,9 @@ func cmdRecommend(args []string) error {
 	if err != nil {
 		return err
 	}
-	var strat evorec.Strategy
-	switch *strategy {
-	case "plain":
-		strat = evorec.Plain
-	case "mmr":
-		strat = evorec.DiverseMMR
-	case "maxmin":
-		strat = evorec.DiverseMaxMin
-	case "novelty":
-		strat = evorec.NoveltyAware
-	case "semantic":
-		strat = evorec.SemanticDiverse
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+	strat, err := evorec.ParseStrategy(*strategy)
+	if err != nil {
+		return err
 	}
 
 	eng := evorec.NewEngine(evorec.EngineConfig{})
@@ -308,5 +291,5 @@ func loadUser(profilePath, interests string) (*evorec.Profile, error) {
 		defer f.Close()
 		return evorec.ReadProfileJSON(f)
 	}
-	return parseInterests("cli-user", interests)
+	return evorec.ParseInterests("cli-user", interests)
 }

@@ -119,7 +119,7 @@ func TestCmdReportAndSummarize(t *testing.T) {
 }
 
 func TestParseInterests(t *testing.T) {
-	p, err := parseInterests("u", "C0001=0.5, C0002 , http://x/abs=2")
+	p, err := evorec.ParseInterests("u", "C0001=0.5, C0002 , http://x/abs=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestParseInterests(t *testing.T) {
 	if p.InterestIn(evorec.NewIRI("http://x/abs")) != 2 {
 		t.Fatal("absolute IRI interest wrong")
 	}
-	if _, err := parseInterests("u", ""); err == nil {
+	if _, err := evorec.ParseInterests("u", ""); err == nil {
 		t.Fatal("empty spec must fail")
 	}
 }

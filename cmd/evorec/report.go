@@ -27,7 +27,7 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	user, err := parseInterests("cli-user", *interests)
+	user, err := evorec.ParseInterests("cli-user", *interests)
 	if err != nil {
 		return err
 	}

@@ -83,7 +83,7 @@ func validateCacheCap(n int) error {
 // registry (GET /metrics on the API port; -ops-addr adds a separate
 // operator listener with pprof and expvar) and logged structurally through
 // slog. SIGINT/SIGTERM shut down gracefully: the listener stops, in-flight
-// requests drain, and every dataset's feed logs are flushed.
+// requests drain, and every dataset's feed journal is compacted.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -95,7 +95,7 @@ func cmdServe(args []string) error {
 	cacheCap := fs.Int("cache-cap", evorec.StoreDefaultCacheCap,
 		"store LRU capacity per disk-backed dataset (minimum 1)")
 	feedDir := fs.String("feed-dir", "",
-		"directory for per-dataset subscriber registries and feed logs (empty = in-memory feeds)")
+		"directory holding one feed journal per disk-backed dataset, <dir>/<dataset>/feed.log: subscribers, feed logs and fan-out ledger (empty = in-memory feeds)")
 	feedWorkers := fs.Int("feed-workers", evorec.FeedDefaultWorkers,
 		"fan-out worker pool size per dataset (minimum 1)")
 	traceSample := fs.Float64("trace-sample", 1,

@@ -384,6 +384,10 @@ const (
 	SemanticDiverse = core.SemanticDiverse
 )
 
+// ParseStrategy maps a strategy name ("plain", "mmr", "maxmin", "novelty",
+// "semantic"; "" is plain) to its Strategy.
+func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
+
 // NewEngine builds an engine.
 func NewEngine(cfg EngineConfig) *Engine { return core.New(cfg) }
 
@@ -533,8 +537,9 @@ func PlanStoreRecovery(dir string) (*StoreRecoverPlan, error) { return store.Pla
 // FeedVerifyInfo is the result of VerifyFeedDir.
 type FeedVerifyInfo = feed.VerifyInfo
 
-// VerifyFeedDir strictly loads a persisted feed directory (registry, logs,
-// fan-out ledger) and summarizes it; any corruption is the returned error.
+// VerifyFeedDir replays one dataset's feed journal (registry, logs, fan-out
+// ledger) read-only and summarizes it; a missing journal or any corruption
+// is the returned error.
 func VerifyFeedDir(dir string) (*FeedVerifyInfo, error) { return feed.Verify(dir) }
 
 // ---------------------------------------------------------------------------
@@ -738,9 +743,9 @@ const (
 // retained feed log.
 var ErrUnknownSubscriber = feed.ErrUnknownSubscriber
 
-// OpenFeed builds a feed, loading persisted state when cfg.Dir holds a
-// manifest. Service datasets open their feeds automatically; OpenFeed is
-// the standalone entry point (benchmarks, offline tooling).
+// OpenFeed builds a feed, replaying and compacting its journal when cfg.Dir
+// is set. Service datasets open their feeds automatically; OpenFeed is the
+// standalone entry point (benchmarks, offline tooling).
 func OpenFeed(cfg FeedConfig) (*Feed, error) { return feed.Open(cfg) }
 
 // ---------------------------------------------------------------------------

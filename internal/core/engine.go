@@ -31,15 +31,16 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// Engine is the processing model. It caches the expensive per-version-pair
-// structures (contexts and items) so that repeated recommendations against
-// the same pair are cheap.
+// Engine is the processing model. It caches each version pair's
+// recommendable items and their scoring index, so that repeated
+// recommendations against the same pair are cheap; the measure context the
+// items are evaluated from is built, used and dropped.
 //
-// Engine is not safe for unsupervised concurrent use: Ingest, Context and
-// Items mutate the caches. It is, however, built to sit behind an external
+// Engine is not safe for unsupervised concurrent use: Ingest and Items
+// mutate the cache. It is, however, built to sit behind an external
 // reader/writer lock (internal/service does exactly that): once a pair is
 // cached — observable through HasItems — Recommend, RecommendGroup, Notify
-// and RecommendPrivate only read the caches and append to the (internally
+// and RecommendPrivate only read the cache and append to the (internally
 // synchronized) provenance store, so any number of them may run concurrently
 // under a read lock while cache-building calls hold the write lock.
 type Engine struct {
@@ -49,11 +50,21 @@ type Engine struct {
 	prov     *provenance.Store
 
 	versionRec map[string]string // version ID -> provenance record ID
-	ctxCache   map[string]*measures.Context
-	itemsCache map[string][]recommend.Item
-	idxCache   map[string]*recommend.ItemIndex // built with itemsCache, same lifetime
-	itemsRec   map[string]string               // pair key -> provenance record ID
-	ctxBuilds  int                             // contexts actually constructed (cache misses)
+	pairs      map[string]*pair  // pair key -> cached items
+	ctxBuilds  int               // contexts actually constructed
+}
+
+// pair is one version pair's cached evaluation.
+type pair struct {
+	olderID, newerID string
+	items            []recommend.Item
+	// idx is the scoring kernel's index over items: built once per pair, so
+	// every later recommend/notify against the pair scores through flat
+	// vectors and postings without mutating anything — the property that
+	// lets the service run them under a read lock.
+	idx            *recommend.ItemIndex
+	added, deleted int    // |δ+| and |δ-|, the low-level delta sizes
+	rec            string // evaluate_measures provenance record ID
 }
 
 // New builds an engine from the config.
@@ -78,10 +89,7 @@ func New(cfg Config) *Engine {
 		versions:   rdf.NewVersionStore(),
 		prov:       prov,
 		versionRec: make(map[string]string),
-		ctxCache:   make(map[string]*measures.Context),
-		itemsCache: make(map[string][]recommend.Item),
-		idxCache:   make(map[string]*recommend.ItemIndex),
-		itemsRec:   make(map[string]string),
+		pairs:      make(map[string]*pair),
 	}
 }
 
@@ -122,13 +130,10 @@ func (e *Engine) IngestAll(vs *rdf.VersionStore) error {
 
 func pairKey(olderID, newerID string) string { return olderID + "->" + newerID }
 
-// Context returns (building and caching on first use) the analysis context
-// for a version pair.
+// Context builds the analysis context for a version pair. Contexts are not
+// cached: the first build of a pair records its compute_delta provenance,
+// later builds reuse that record.
 func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
-	key := pairKey(olderID, newerID)
-	if ctx, ok := e.ctxCache[key]; ok {
-		return ctx, nil
-	}
 	older, ok := e.versions.Get(olderID)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown version %q", olderID)
@@ -138,8 +143,11 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 		return nil, fmt.Errorf("core: unknown version %q", newerID)
 	}
 	ctx := measures.NewContext(older, newer)
-	e.ctxCache[key] = ctx
 	e.ctxBuilds++
+	key := pairKey(olderID, newerID)
+	if _, ok := e.prov.Creator("delta:" + key); ok {
+		return ctx, nil
+	}
 	if _, err := e.prov.Append("compute_delta", e.agent, provenance.Inference,
 		[]string{e.versionRec[olderID], e.versionRec[newerID]},
 		[]string{"delta:" + key},
@@ -149,25 +157,18 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 	return ctx, nil
 }
 
-// Items returns (building and caching on first use) the recommendable items
-// — every registered measure evaluated on the version pair.
-func (e *Engine) Items(olderID, newerID string) ([]recommend.Item, error) {
+// cached returns the pair's cache entry, building it on first use: every
+// registered measure evaluated on a context that is dropped afterwards.
+func (e *Engine) cached(olderID, newerID string) (*pair, error) {
 	key := pairKey(olderID, newerID)
-	if items, ok := e.itemsCache[key]; ok {
-		return items, nil
+	if p, ok := e.pairs[key]; ok {
+		return p, nil
 	}
 	ctx, err := e.Context(olderID, newerID)
 	if err != nil {
 		return nil, err
 	}
 	items := recommend.BuildItems(ctx, e.registry)
-	e.itemsCache[key] = items
-	// The scoring kernel's item index lives and dies with the item cache:
-	// built once per pair, so every later recommend/notify against the pair
-	// scores through flat vectors and postings without mutating anything —
-	// the property that lets the service run them under a read lock.
-	e.idxCache[key] = recommend.NewItemIndex(items)
-
 	deltaRec, _ := e.prov.Creator("delta:" + key)
 	artifacts := make([]string, 0, len(items))
 	for _, it := range items {
@@ -178,8 +179,21 @@ func (e *Engine) Items(olderID, newerID string) ([]recommend.Item, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: recording measure provenance: %w", err)
 	}
-	e.itemsRec[key] = rec.ID
-	return items, nil
+	p := &pair{olderID: olderID, newerID: newerID, items: items,
+		idx:   recommend.NewItemIndex(items),
+		added: len(ctx.Delta.Added), deleted: len(ctx.Delta.Deleted), rec: rec.ID}
+	e.pairs[key] = p
+	return p, nil
+}
+
+// Items returns (building and caching on first use) the recommendable items
+// — every registered measure evaluated on the version pair.
+func (e *Engine) Items(olderID, newerID string) ([]recommend.Item, error) {
+	p, err := e.cached(olderID, newerID)
+	if err != nil {
+		return nil, err
+	}
+	return p.items, nil
 }
 
 // ItemIndex returns (building and caching the pair on first use) the
@@ -187,47 +201,45 @@ func (e *Engine) Items(olderID, newerID string) ([]recommend.Item, error) {
 // and safe for concurrent use; the feed fan-out borrows it so commits score
 // subscribers through the exact structures the recommend path uses.
 func (e *Engine) ItemIndex(olderID, newerID string) (*recommend.ItemIndex, error) {
-	if _, err := e.Items(olderID, newerID); err != nil {
+	p, err := e.cached(olderID, newerID)
+	if err != nil {
 		return nil, err
 	}
-	return e.idxCache[pairKey(olderID, newerID)], nil
+	return p.idx, nil
 }
 
-// HasItems reports whether the pair's items (and therefore its context) are
-// already cached. When it returns true, the recommendation entry points read
-// the caches without mutating them, which is what lets a service run them
-// concurrently under a read lock.
+// DeltaSizes returns (building and caching the pair on first use) how many
+// triples the version pair added and deleted.
+func (e *Engine) DeltaSizes(olderID, newerID string) (added, deleted int, err error) {
+	p, err := e.cached(olderID, newerID)
+	if err != nil {
+		return 0, 0, err
+	}
+	return p.added, p.deleted, nil
+}
+
+// HasItems reports whether the pair's items are already cached. When it
+// returns true, the recommendation entry points read the cache without
+// mutating it, which is what lets a service run them concurrently under a
+// read lock.
 func (e *Engine) HasItems(olderID, newerID string) bool {
-	_, ok := e.itemsCache[pairKey(olderID, newerID)]
+	_, ok := e.pairs[pairKey(olderID, newerID)]
 	return ok
 }
 
-// ContextBuilds returns how many measure contexts the engine actually
-// constructed (cache misses). A service wrapping the engine with singleflight
-// can assert that hammering one pair from many goroutines builds it once.
+// ContextBuilds returns how many measure contexts the engine constructed. A
+// service wrapping the engine with singleflight can assert that hammering
+// one pair from many goroutines builds it once.
 func (e *Engine) ContextBuilds() int { return e.ctxBuilds }
 
 // CachedPairs returns the pair keys with cached items, sorted.
 func (e *Engine) CachedPairs() []string {
-	out := make([]string, 0, len(e.itemsCache))
-	for key := range e.itemsCache {
+	out := make([]string, 0, len(e.pairs))
+	for key := range e.pairs {
 		out = append(out, key)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// InvalidatePair drops one pair's cached context and items, reporting
-// whether anything was cached. The next request against the pair rebuilds.
-func (e *Engine) InvalidatePair(olderID, newerID string) bool {
-	key := pairKey(olderID, newerID)
-	_, hadCtx := e.ctxCache[key]
-	_, hadItems := e.itemsCache[key]
-	delete(e.ctxCache, key)
-	delete(e.itemsCache, key)
-	delete(e.idxCache, key)
-	delete(e.itemsRec, key)
-	return hadCtx || hadItems
 }
 
 // InvalidateVersion drops every cached pair that involves the version and
@@ -236,12 +248,9 @@ func (e *Engine) InvalidatePair(olderID, newerID string) bool {
 // pairs keep their caches.
 func (e *Engine) InvalidateVersion(id string) int {
 	n := 0
-	for key, ctx := range e.ctxCache {
-		if ctx.Older.ID == id || ctx.Newer.ID == id {
-			delete(e.ctxCache, key)
-			delete(e.itemsCache, key)
-			delete(e.idxCache, key)
-			delete(e.itemsRec, key)
+	for key, p := range e.pairs {
+		if p.olderID == id || p.newerID == id {
+			delete(e.pairs, key)
 			n++
 		}
 	}
@@ -282,6 +291,20 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy maps a strategy name, as String renders it, back to the
+// strategy; "" is Plain.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return Plain, nil
+	}
+	for s := Plain; s <= SemanticDiverse; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want plain|mmr|maxmin|novelty|semantic)", name)
+}
+
 // Request parameterizes a single-user recommendation.
 type Request struct {
 	// OlderID and NewerID name the version pair to analyze.
@@ -307,12 +330,10 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 	if req.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", req.K)
 	}
-	items, err := e.Items(req.OlderID, req.NewerID)
+	p, err := e.cached(req.OlderID, req.NewerID)
 	if err != nil {
 		return nil, err
 	}
-	key := pairKey(req.OlderID, req.NewerID)
-	idx := e.idxCache[key]
 	lambda := req.Lambda
 	if lambda == 0 {
 		lambda = 0.5
@@ -323,24 +344,24 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 	var sel []recommend.Recommendation
 	switch req.Strategy {
 	case DiverseMMR:
-		sel = recommend.MMR(u, items, req.K, lambda)
+		sel = recommend.MMR(u, p.items, req.K, lambda)
 	case DiverseMaxMin:
-		sel = recommend.MaxMin(u, items, req.K)
+		sel = recommend.MaxMin(u, p.items, req.K)
 	case NoveltyAware:
-		sel = idx.NoveltyTopK(u, req.K)
+		sel = p.idx.NoveltyTopK(u, req.K)
 	case SemanticDiverse:
-		sel = idx.SemanticTopK(u, req.K)
+		sel = p.idx.SemanticTopK(u, req.K)
 	default:
-		sel = idx.TopK(u, req.K)
+		sel = p.idx.TopK(u, req.K)
 	}
 	if req.MarkSeen {
 		for _, s := range sel {
 			u.MarkSeen(s.MeasureID)
 		}
 	}
-	artifact := fmt.Sprintf("rec:%s:%s:%s", u.ID, key, req.Strategy)
+	artifact := fmt.Sprintf("rec:%s:%s:%s", u.ID, pairKey(req.OlderID, req.NewerID), req.Strategy)
 	if _, err := e.prov.Append("recommend", e.agent, provenance.Inference,
-		[]string{e.itemsRec[key]}, []string{artifact},
+		[]string{p.rec}, []string{artifact},
 		fmt.Sprintf("k=%d measures=%v", req.K, recommend.MeasureIDs(sel))); err != nil {
 		return nil, fmt.Errorf("core: recording recommendation provenance: %w", err)
 	}
@@ -372,24 +393,23 @@ func (e *Engine) RecommendGroup(g *profile.Group, req GroupRequest) ([]recommend
 	if req.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", req.K)
 	}
-	items, err := e.Items(req.OlderID, req.NewerID)
+	p, err := e.cached(req.OlderID, req.NewerID)
 	if err != nil {
 		return nil, err
 	}
-	key := pairKey(req.OlderID, req.NewerID)
 	var sel []recommend.Recommendation
 	if req.FairGreedy {
-		sel = recommend.FairGreedyTopK(g, items, req.K, req.FairAlpha)
+		sel = recommend.FairGreedyTopK(g, p.items, req.K, req.FairAlpha)
 	} else {
-		sel = e.idxCache[key].GroupTopK(g, req.K, req.Aggregation)
+		sel = p.idx.GroupTopK(g, req.K, req.Aggregation)
 	}
 	mode := req.Aggregation.String()
 	if req.FairGreedy {
 		mode = fmt.Sprintf("fair_greedy(α=%.2f)", req.FairAlpha)
 	}
-	artifact := fmt.Sprintf("grouprec:%s:%s:%s", g.ID, key, mode)
+	artifact := fmt.Sprintf("grouprec:%s:%s:%s", g.ID, pairKey(req.OlderID, req.NewerID), mode)
 	if _, err := e.prov.Append("recommend_group", e.agent, provenance.Inference,
-		[]string{e.itemsRec[key]}, []string{artifact},
+		[]string{p.rec}, []string{artifact},
 		fmt.Sprintf("k=%d members=%d measures=%v", req.K, g.Size(), recommend.MeasureIDs(sel))); err != nil {
 		return nil, fmt.Errorf("core: recording group recommendation provenance: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"evorec/internal/delta"
 	"evorec/internal/profile"
 	"evorec/internal/recommend"
 	"evorec/internal/schema"
@@ -56,16 +57,11 @@ func TestIngestRecordsProvenance(t *testing.T) {
 
 func TestContextCachingAndErrors(t *testing.T) {
 	e, _ := testEngine(t)
-	c1, err := e.Context("v1", "v2")
-	if err != nil {
+	if _, err := e.Context("v1", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := e.Context("v1", "v2")
-	if err != nil {
+	if _, err := e.Context("v1", "v2"); err != nil {
 		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("Context must be cached")
 	}
 	if _, err := e.Context("v1", "nope"); err == nil {
 		t.Fatal("unknown newer version must fail")
@@ -308,6 +304,15 @@ func TestCacheAccessorsAndInvalidation(t *testing.T) {
 	if got := e.ContextBuilds(); got != 2 {
 		t.Fatalf("cache hit incremented ContextBuilds to %d", got)
 	}
+	// The entry records the pair's delta sizes, so reading them builds nothing.
+	older, _ := e.Versions().Get("v1")
+	newer, _ := e.Versions().Get("v2")
+	want := delta.ComputeVersions(older, newer)
+	added, deleted, err := e.DeltaSizes("v1", "v2")
+	if err != nil || added != len(want.Added) || deleted != len(want.Deleted) || e.ContextBuilds() != 2 {
+		t.Fatalf("DeltaSizes = %d, %d, %v after %d builds; want %d, %d after 2",
+			added, deleted, err, e.ContextBuilds(), len(want.Added), len(want.Deleted))
+	}
 	// InvalidateVersion drops exactly the pairs that read the version.
 	if n := e.InvalidateVersion("v2"); n != 2 {
 		t.Fatalf("InvalidateVersion(v2) dropped %d pairs, want 2", n)
@@ -325,15 +330,20 @@ func TestCacheAccessorsAndInvalidation(t *testing.T) {
 	if got := e.ContextBuilds(); got != 3 {
 		t.Fatalf("rebuild after invalidation: ContextBuilds = %d, want 3", got)
 	}
-	// InvalidatePair is the single-pair hook.
-	if !e.InvalidatePair("v1", "v2") {
-		t.Fatal("InvalidatePair must report the drop")
+}
+
+func TestParseStrategyRoundTrip(t *testing.T) {
+	for s := Plain; s <= SemanticDiverse; s++ {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
 	}
-	if e.InvalidatePair("v1", "v2") {
-		t.Fatal("second InvalidatePair must report nothing cached")
+	if got, err := ParseStrategy(""); err != nil || got != Plain {
+		t.Fatalf(`ParseStrategy("") = %v, %v; want plain`, got, err)
 	}
-	// An invalidated pair that only dropped items still recommends correctly.
-	if _, err := e.Context("v1", "v2"); err != nil {
-		t.Fatal(err)
+	_, err := ParseStrategy("wild")
+	if err == nil || err.Error() != `unknown strategy "wild" (want plain|mmr|maxmin|novelty|semantic)` {
+		t.Fatalf("ParseStrategy(wild) error = %v", err)
 	}
 }

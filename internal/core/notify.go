@@ -62,13 +62,13 @@ func (e *Engine) Notify(pool []*profile.Profile, olderID, newerID string, thresh
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
-	idx, err := e.ItemIndex(olderID, newerID)
+	p, err := e.cached(olderID, newerID)
 	if err != nil {
 		return nil, err
 	}
 	var out []Notification
 	for _, u := range pool {
-		out = append(out, UserNotificationsIndexed(u, idx, olderID, newerID, threshold, k)...)
+		out = append(out, UserNotificationsIndexed(u, p.idx, olderID, newerID, threshold, k)...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].UserID != out[j].UserID {
@@ -76,10 +76,9 @@ func (e *Engine) Notify(pool []*profile.Profile, olderID, newerID string, thresh
 		}
 		return out[i].Relatedness > out[j].Relatedness
 	})
-	key := pairKey(olderID, newerID)
 	if _, err := e.prov.Append("notify", e.agent, provenance.Inference,
-		[]string{e.itemsRec[key]},
-		[]string{fmt.Sprintf("notifications:%s", key)},
+		[]string{p.rec},
+		[]string{fmt.Sprintf("notifications:%s", pairKey(olderID, newerID))},
 		fmt.Sprintf("%d notifications over %d users (threshold %.2f)", len(out), len(pool), threshold)); err != nil {
 		return nil, fmt.Errorf("core: recording notification provenance: %w", err)
 	}

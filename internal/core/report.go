@@ -20,26 +20,21 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ctx, err := e.Context(req.OlderID, req.NewerID)
-	if err != nil {
-		return "", err
-	}
-	idx, err := e.ItemIndex(req.OlderID, req.NewerID)
-	if err != nil {
-		return "", err
-	}
+	// Recommend built the pair, so both versions are ingested.
+	p := e.pairs[pairKey(req.OlderID, req.NewerID)]
+	older, _ := e.versions.Get(req.OlderID)
+	newer, _ := e.versions.Get(req.NewerID)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Evolution digest for %s (%s -> %s)\n", u.ID, req.OlderID, req.NewerID)
-	fmt.Fprintf(&b, "  overall: %d triples added, %d deleted\n",
-		len(ctx.Delta.Added), len(ctx.Delta.Deleted))
+	fmt.Fprintf(&b, "  overall: %d triples added, %d deleted\n", p.added, p.deleted)
 
 	// High-level changes touching the user's interests.
 	interests := make(map[string]bool, len(u.Interests))
 	for t := range u.Interests {
 		interests[t.Value] = true
 	}
-	changes := delta.DetectHighLevel(ctx.Older.Graph, ctx.Newer.Graph)
+	changes := delta.DetectHighLevel(older.Graph, newer.Graph)
 	var mine []delta.HighLevelChange
 	for _, c := range changes {
 		if interests[c.Target.Value] {
@@ -57,7 +52,7 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 
 	b.WriteString("  recommended measures:\n")
 	for rank, r := range sel {
-		it, ok := idx.ByID(r.MeasureID)
+		it, ok := p.idx.ByID(r.MeasureID)
 		if !ok {
 			continue
 		}

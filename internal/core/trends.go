@@ -10,9 +10,9 @@ import (
 
 // TrendAnalysis evaluates the given measure over every consecutive version
 // pair of the engine's chain and returns the per-entity trend analysis
-// ("observe changes trends", paper §I). Contexts are the engine-cached
-// ones, so repeated trend queries are cheap, and the analysis is recorded
-// in provenance.
+// ("observe changes trends", paper §I). Each pair's context is built for
+// the call and dropped with it (contexts are not cached), and the analysis
+// is recorded in provenance.
 func (e *Engine) TrendAnalysis(measureID string) (*trend.Analysis, error) {
 	m, ok := e.registry.Get(measureID)
 	if !ok {

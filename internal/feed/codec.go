@@ -10,9 +10,9 @@ import (
 	"evorec/internal/rdf"
 )
 
-// Payload formats (framed by internal/store's segment envelope):
+// Payload formats (nested in the journal records of journal.go):
 //
-// Subscribers (store.KindSubscribers):
+// Subscribers:
 //
 //	count    uvarint
 //	per sub: id string, nInterests uvarint, then per interest a term
@@ -23,7 +23,7 @@ import (
 // Subscribers are written sorted by ID, interests sorted by term, so equal
 // registries produce identical bytes.
 //
-// Feed log (store.KindFeedLog):
+// Feed log:
 //
 //	user     string
 //	next     uvarint   next cursor to assign
@@ -35,7 +35,7 @@ import (
 // Strings are uvarint-length-prefixed. Every decoder bounds-checks each
 // read and validates counts against the remaining payload, so arbitrary
 // bytes error cleanly — never panic, never allocate beyond the input size
-// (FuzzFeedLogDecode enforces this).
+// (FuzzFeedJournal enforces this).
 const (
 	tagKindMask = 0x0f
 	tagDatatype = 0x10
@@ -55,7 +55,7 @@ type payloadReader struct {
 func (r *payloadReader) remaining() int { return len(r.b) - r.off }
 
 func (r *payloadReader) errf(format string, args ...any) error {
-	return fmt.Errorf("feed: segment %s: %s", r.name, fmt.Sprintf(format, args...))
+	return fmt.Errorf("feed: %s: %s", r.name, fmt.Sprintf(format, args...))
 }
 
 func (r *payloadReader) byte() (byte, error) {
@@ -90,14 +90,20 @@ func (r *payloadReader) count(what string) (int, error) {
 	return int(v), nil
 }
 
-func (r *payloadReader) str(what string) (string, error) {
+// bytes reads a uvarint-length-prefixed byte string, aliasing the payload.
+func (r *payloadReader) bytes(what string) ([]byte, error) {
 	n, err := r.count(what)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return s, nil
+	return b, nil
+}
+
+func (r *payloadReader) str(what string) (string, error) {
+	b, err := r.bytes(what)
+	return string(b), err
 }
 
 func (r *payloadReader) f64() (float64, error) {
@@ -112,6 +118,11 @@ func (r *payloadReader) f64() (float64, error) {
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
+}
+
+func appendBytes(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
 }
 
 func appendF64(buf []byte, v float64) []byte {
@@ -247,12 +258,12 @@ func decodeSubscribers(name string, payload []byte) (map[string]*profile.Profile
 // ---------------------------------------------------------------------------
 // Feed logs
 
-// appendFeedLog serializes one user's log.
-func appendFeedLog(buf []byte, user string, next uint64, entries []Entry) []byte {
-	buf = appendString(buf, user)
-	buf = binary.AppendUvarint(buf, next)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
+// appendFeedLog serializes one user's log part.
+func appendFeedLog(buf []byte, lp logPart) []byte {
+	buf = appendString(buf, lp.user)
+	buf = binary.AppendUvarint(buf, lp.next)
+	buf = binary.AppendUvarint(buf, uint64(len(lp.entries)))
+	for _, e := range lp.entries {
 		buf = binary.AppendUvarint(buf, e.Cursor)
 		buf = appendString(buf, e.Note.OlderID)
 		buf = appendString(buf, e.Note.NewerID)
@@ -263,60 +274,60 @@ func appendFeedLog(buf []byte, user string, next uint64, entries []Entry) []byte
 	return buf
 }
 
-// decodeFeedLog rebuilds one user's log from a feed-log payload, enforcing
-// strictly increasing cursors below the recorded next.
-func decodeFeedLog(name string, payload []byte) (user string, next uint64, entries []Entry, err error) {
+// decodeFeedLog rebuilds one user's log part from a feed-log payload,
+// enforcing strictly increasing cursors below the recorded next.
+func decodeFeedLog(name string, payload []byte) (lp logPart, err error) {
 	r := &payloadReader{name: name, b: payload}
-	if user, err = r.str("user"); err != nil {
-		return "", 0, nil, err
+	if lp.user, err = r.str("user"); err != nil {
+		return logPart{}, err
 	}
-	if user == "" {
-		return "", 0, nil, r.errf("empty user ID")
+	if lp.user == "" {
+		return logPart{}, r.errf("empty user ID")
 	}
-	if next, err = r.uvarint(); err != nil {
-		return "", 0, nil, err
+	if lp.next, err = r.uvarint(); err != nil {
+		return logPart{}, err
 	}
-	if next == 0 {
-		return "", 0, nil, r.errf("next cursor must be >= 1")
+	if lp.next == 0 {
+		return logPart{}, r.errf("next cursor must be >= 1")
 	}
 	n, err := r.count("entry")
 	if err != nil {
-		return "", 0, nil, err
+		return logPart{}, err
 	}
 	// Every entry is at least 13 payload bytes (cursor, four length
 	// prefixes, the float), so presizing by the remaining bytes bounds the
 	// allocation however large the claimed count.
-	entries = make([]Entry, 0, min(n, r.remaining()/13+1))
+	lp.entries = make([]Entry, 0, min(n, r.remaining()/13+1))
 	prev := uint64(0)
 	for i := 0; i < n; i++ {
 		var e Entry
 		if e.Cursor, err = r.uvarint(); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
-		if e.Cursor <= prev || e.Cursor >= next {
-			return "", 0, nil, r.errf("entry %d: cursor %d out of order (prev %d, next %d)", i, e.Cursor, prev, next)
+		if e.Cursor <= prev || e.Cursor >= lp.next {
+			return logPart{}, r.errf("entry %d: cursor %d out of order (prev %d, next %d)", i, e.Cursor, prev, lp.next)
 		}
 		prev = e.Cursor
-		e.Note.UserID = user
+		e.Note.UserID = lp.user
 		if e.Note.OlderID, err = r.str("older"); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
 		if e.Note.NewerID, err = r.str("newer"); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
 		if e.Note.MeasureID, err = r.str("measure"); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
 		if e.Note.Relatedness, err = r.f64(); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
 		if e.Note.Reason, err = r.str("reason"); err != nil {
-			return "", 0, nil, err
+			return logPart{}, err
 		}
-		entries = append(entries, e)
+		lp.entries = append(lp.entries, e)
 	}
 	if r.remaining() != 0 {
-		return "", 0, nil, r.errf("%d trailing bytes after feed log", r.remaining())
+		return logPart{}, r.errf("%d trailing bytes after feed log", r.remaining())
 	}
-	return user, next, entries, nil
+	return lp, nil
 }

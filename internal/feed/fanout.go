@@ -45,7 +45,7 @@ type Stats struct {
 // When ctx carries a sampled trace, the fan-out is recorded as a
 // "feed.fanout" span nesting "feed.match" (index intersection), one
 // "feed.score" span per worker, "feed.append" (log appends) and
-// "feed.persist" (durable rewrite). Ledger-skipped fan-outs are not
+// "feed.persist" (the journal append and fsync). Ledger-skipped fan-outs are not
 // traced — they do no work worth a timeline.
 func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, idx *recommend.ItemIndex) (Stats, error) {
 	f.mu.Lock()
@@ -67,7 +67,9 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 	st.Affected = len(affected)
 	notes := f.scoreLocked(ctx, affected, idx, olderID, newerID)
 	_, aspan := obs.StartSpan(ctx, "feed.append")
-	changed := make([]string, 0, len(affected))
+	// The journal record carries the pair and every appended entry, so the
+	// fan-out lands durably all at once or not at all.
+	rec := &record{pairs: [][2]string{{olderID, newerID}}}
 	for i, id := range affected {
 		if len(notes[i]) == 0 {
 			continue
@@ -77,17 +79,21 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 			lg = &userLog{next: 1}
 			f.logs[id] = lg
 		}
+		part := logPart{user: id, entries: make([]Entry, 0, len(notes[i]))}
 		for _, n := range notes[i] {
-			lg.entries = append(lg.entries, Entry{Cursor: lg.next, Note: n})
+			e := Entry{Cursor: lg.next, Note: n}
+			lg.entries = append(lg.entries, e)
+			part.entries = append(part.entries, e)
 			lg.next++
 			st.Notified++
 		}
+		part.next = lg.next
 		lg.trim(f.maxLog)
-		changed = append(changed, id)
+		rec.logs = append(rec.logs, part)
 	}
 	aspan.SetAttr("notified", strconv.Itoa(st.Notified))
 	aspan.End()
-	f.done[key] = donePair{older: olderID, newer: newerID}
+	f.done[key] = [2]string{olderID, newerID}
 	// Delivery is complete in memory here; the observation covers scoring
 	// and log appends and is recorded even when persistence below degrades,
 	// matching what subscribers actually experienced.
@@ -95,18 +101,15 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 	f.metrics.affected.Observe(float64(st.Affected))
 	f.metrics.notified.Add(float64(st.Notified))
 	_, pspan := obs.StartSpan(ctx, "feed.persist")
-	err := f.persistFanOutLocked(changed)
-	pspan.SetAttr("users", strconv.Itoa(len(changed)))
+	err := f.persistLocked(rec)
+	pspan.SetAttr("users", strconv.Itoa(len(rec.logs)))
 	pspan.End()
 	span.SetAttr("older", olderID)
 	span.SetAttr("newer", newerID)
 	span.SetAttr("affected", strconv.Itoa(st.Affected))
 	span.SetAttr("notified", strconv.Itoa(st.Notified))
 	span.End()
-	if err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, err
 }
 
 // affectedLocked intersects the index's positively-scored entity terms

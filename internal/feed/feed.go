@@ -21,18 +21,15 @@
 // a commit can never receive a duplicate or a torn batch. Poll and listing
 // run under the read lock.
 //
-// Durability (Config.Dir != ""): the registry and each user's log persist
-// as framed segments (internal/store's magic/CRC envelope, temp-file +
-// fsync + rename + directory fsync) under a JSON manifest written last —
-// the same crash discipline as the binary version store. A kill between a segment write and the manifest
-// update leaves the manifest recording fewer entries than the segment
-// holds; Open tolerates that superset, so no acknowledged notification is
-// lost. See DESIGN.md §8.
+// Durability (Config.Dir != ""): every subscribe, unsubscribe and fan-out
+// is appended to the feed's journal, <Dir>/feed.log, and fsynced before it
+// returns. See journal.go and DESIGN.md §8.
 package feed
 
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"sort"
 	"sync"
@@ -150,8 +147,6 @@ func (l *userLog) trim(max int) {
 // pairKey identifies a fanned-out version pair in the done ledger.
 func pairKey(olderID, newerID string) string { return olderID + "\x00" + newerID }
 
-type donePair struct{ older, newer string }
-
 // Feed is the subscriber registry, inverted interest index and per-user
 // feed logs of one dataset. All methods are safe for concurrent use.
 type Feed struct {
@@ -168,17 +163,17 @@ type Feed struct {
 	subs map[string]*profile.Profile        // subscriber ID -> owned profile clone
 	idx  map[rdf.TermID]map[string]struct{} // interest term -> postings
 	logs map[string]*userLog
-	done map[string]donePair // fanned-out pairs (idempotence ledger)
+	done map[string][2]string // fanned-out (older, newer) pairs: the idempotence ledger
 
-	// persistence bookkeeping (Dir != "")
-	meta        map[string]*logMeta // user -> persisted log location
-	nextLog     int                 // last log file index handed out
-	foreignLogs map[string]struct{} // manifest log files outside the logNNNNN scheme
-	subsBytes   int64               // framed size of the subscriber segment
+	// journal state (Dir != ""); see journal.go
+	journal   vfs.File // append handle; nil after a failed append or Flush
+	size      int64    // journal bytes
+	compacted int64    // journal bytes right after the last compaction
 }
 
-// Open builds a feed, loading persisted state when cfg.Dir holds a
-// manifest. Missing directories are created.
+// Open builds a feed. With cfg.Dir set it replays the journal there (a
+// missing directory or journal is a fresh feed) and compacts it; without,
+// the feed lives in memory and Open touches no filesystem.
 func Open(cfg Config) (*Feed, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
@@ -210,10 +205,22 @@ func Open(cfg Config) (*Feed, error) {
 		subs:      make(map[string]*profile.Profile),
 		idx:       make(map[rdf.TermID]map[string]struct{}),
 		logs:      make(map[string]*userLog),
-		done:      make(map[string]donePair),
-		meta:      make(map[string]*logMeta),
+		done:      make(map[string][2]string),
 	}
-	if err := f.load(); err != nil {
+	if f.dir == "" {
+		return f, nil
+	}
+	if err := f.fsys.MkdirAll(f.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("feed: creating %s: %w", f.dir, err)
+	}
+	data, err := readJournal(f.fsys, f.dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	if err := f.load(data); err != nil {
+		return nil, err
+	}
+	if err := f.compactLocked(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -238,11 +245,11 @@ func (f *Feed) Pairs() int {
 // reports whether the subscriber was newly created. Subscribers receive
 // notifications for commits that happen after they subscribe.
 //
-// Weights must be positive and finite: what Subscribe accepts, the
-// persisted-segment decoder accepts back, so a bad registration can never
-// wedge a feed directory against reopening. If persisting the registry
-// fails, the in-memory change is rolled back — a reported error means the
-// registry is exactly as it was.
+// Weights must be positive and finite: what Subscribe accepts, the journal
+// decoder accepts back, so a bad registration can never wedge a feed
+// directory against reopening. If appending to the journal fails, the
+// in-memory change is rolled back — a reported error means the registry is
+// exactly as it was.
 func (f *Feed) Subscribe(p *profile.Profile) (info SubscriberInfo, created bool, err error) {
 	if p == nil || p.ID == "" {
 		return SubscriberInfo{}, false, fmt.Errorf("feed: subscriber must have a non-empty ID")
@@ -263,14 +270,14 @@ func (f *Feed) Subscribe(p *profile.Profile) (info SubscriberInfo, created bool,
 	own := p.Clone()
 	f.subs[p.ID] = own
 	f.addPostingsLocked(p.ID, own)
-	if err := f.persistSubscribersLocked(); err != nil {
+	if err := f.persistLocked(&record{upserts: map[string]*profile.Profile{p.ID: own}}); err != nil {
 		f.dropPostingsLocked(p.ID, own)
 		delete(f.subs, p.ID)
 		if existed {
 			f.subs[p.ID] = old
 			f.addPostingsLocked(p.ID, old)
 		}
-		f.repairRegistrySegmentLocked()
+		f.compactLocked() //nolint:errcheck // best effort; the original error is returned
 		return SubscriberInfo{}, false, err
 	}
 	return subscriberInfo(own), !existed, nil
@@ -290,27 +297,13 @@ func (f *Feed) Unsubscribe(id string) error {
 	}
 	f.dropPostingsLocked(id, old)
 	delete(f.subs, id)
-	if err := f.persistSubscribersLocked(); err != nil {
+	if err := f.persistLocked(&record{removals: []string{id}}); err != nil {
 		f.subs[id] = old
 		f.addPostingsLocked(id, old)
-		f.repairRegistrySegmentLocked()
+		f.compactLocked() //nolint:errcheck // best effort; the original error is returned
 		return err
 	}
 	return nil
-}
-
-// repairRegistrySegmentLocked re-lands the registry segment after a failed
-// persist was rolled back in memory. The failure may have struck after the
-// segment write (at the manifest), leaving the new registry on disk — and
-// the segment, not the manifest, is what load() trusts. Rewriting it from
-// the restored state re-converges disk with memory; if the disk is still
-// broken this write fails too, leaving things no worse (the original error
-// is already on its way to the caller).
-func (f *Feed) repairRegistrySegmentLocked() {
-	if f.dir == "" {
-		return
-	}
-	_ = f.writeSubscribersLocked() //nolint:errcheck // best effort, see above
 }
 
 // addPostingsLocked inserts id into the postings list of each of p's

@@ -19,6 +19,7 @@ import (
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 	"evorec/internal/schema"
+	"evorec/internal/store/vfs"
 	"evorec/internal/synth"
 )
 
@@ -419,14 +420,17 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrashWindowReopen simulates a kill between the log-segment writes
-// and the manifest update: the segments hold a second fan-out the manifest
-// never recorded. Open must succeed and serve the superset — the segment
-// is the truth, the manifest is the index.
+// TestCrashWindowReopen simulates a crash mid-append: the second fan-out's
+// journal record is cut in half. The reopened feed holds exactly the first
+// fan-out — neither the torn record's entries nor its ledger entry —
+// re-running the pair delivers it, and that delivery survives another
+// reopen.
 func TestCrashWindowReopen(t *testing.T) {
 	w := buildWorld(t)
 	dir := t.TempDir()
-	f, err := feed.Open(feed.Config{Dir: dir, Threshold: 0.01, K: 3})
+	path := filepath.Join(dir, "feed.log")
+	cfg := feed.Config{Dir: dir, Threshold: 0.01, K: 3}
+	f, err := feed.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,32 +440,55 @@ func TestCrashWindowReopen(t *testing.T) {
 	if _, err := fanOut(f, w.ohID, w.nwID, w.items); err != nil {
 		t.Fatal(err)
 	}
-	manifestAfterFirst, err := os.ReadFile(filepath.Join(dir, "feed.json"))
+	first, _, err := f.Poll("u", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fanOut(f, w.ohID, "v3", w.items); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := f.Poll("u", 0, 0)
+	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "Kill" between segment write and manifest update: the segments hold
-	// both fan-outs, the manifest only the first.
-	if err := os.WriteFile(filepath.Join(dir, "feed.json"), manifestAfterFirst, 0o644); err != nil {
+	if st, err := fanOut(f, w.ohID, "v3", w.items); err != nil || st.Notified == 0 {
+		t.Fatalf("second fan-out: %+v %v", st, err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := feed.Open(feed.Config{Dir: dir})
+	if err := os.Truncate(path, before.Size()+(after.Size()-before.Size())/2); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := feed.Open(cfg)
 	if err != nil {
-		t.Fatalf("reopen after crash window: %v", err)
+		t.Fatalf("reopen after a torn append: %v", err)
 	}
 	got, _, err := g.Poll("u", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("crash-window reopen lost entries:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, first) || g.Pairs() != 1 {
+		t.Fatalf("torn fan-out leaked: %d pairs, entries\n got %+v\nwant %+v", g.Pairs(), got, first)
+	}
+	st, err := fanOut(g, w.ohID, "v3", w.items)
+	if err != nil || st.Skipped || st.Notified == 0 {
+		t.Fatalf("re-running the torn pair: %+v %v", st, err)
+	}
+	want, _, err := g.Poll("u", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := feed.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = h.Poll("u", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || h.Pairs() != 2 {
+		t.Fatalf("re-delivery lost on reopen: %d pairs, entries\n got %+v\nwant %+v", h.Pairs(), got, want)
 	}
 }
 
@@ -550,7 +577,7 @@ func TestRaceSubscribeFanOut(t *testing.T) {
 	}
 }
 
-// TestSubscribeRejectsBadWeights: what Subscribe accepts, the segment
+// TestSubscribeRejectsBadWeights: what Subscribe accepts, the journal
 // decoder must accept back — NaN/Inf/non-positive weights are rejected up
 // front so a bad registration can never wedge a feed dir against reopening.
 func TestSubscribeRejectsBadWeights(t *testing.T) {
@@ -570,13 +597,13 @@ func TestSubscribeRejectsBadWeights(t *testing.T) {
 	}
 }
 
-// TestSubscribePersistFailureRollsBack: when the registry segment cannot be
-// written, Subscribe/Unsubscribe report the error AND leave the in-memory
-// registry exactly as it was — no phantom subscribers receiving fan-outs,
-// no silently-dropped ones.
+// TestSubscribePersistFailureRollsBack: when the journal cannot be
+// appended to, Subscribe/Unsubscribe report the error AND leave the
+// in-memory registry exactly as it was — no phantom subscribers receiving
+// fan-outs, no silently-dropped ones.
 func TestSubscribePersistFailureRollsBack(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "feeds")
-	f, err := feed.Open(feed.Config{Dir: dir})
+	chaos := vfs.NewChaosFS(vfs.NewMemFS(), "")
+	f, err := feed.Open(feed.Config{Dir: "feeds", FS: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,21 +611,16 @@ func TestSubscribePersistFailureRollsBack(t *testing.T) {
 	alice.SetInterest(rdf.SchemaIRI("Painting"), 1)
 	mustSubscribe(t, f, alice)
 
-	// Break the feed directory: a regular file where the dir was makes
-	// every segment write fail with ENOTDIR.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Break the disk: every write and fsync through the open journal
+	// handle, and every compaction, now fails.
+	chaos.Arm()
 	bob := profile.New("bob")
 	bob.SetInterest(rdf.SchemaIRI("Sculpture"), 1)
 	if _, _, err := f.Subscribe(bob); err == nil {
-		t.Fatal("subscribe with a broken feed dir succeeded")
+		t.Fatal("subscribe with a broken disk succeeded")
 	}
 	if err := f.Unsubscribe("alice"); err == nil {
-		t.Fatal("unsubscribe with a broken feed dir succeeded")
+		t.Fatal("unsubscribe with a broken disk succeeded")
 	}
 	subs := f.Subscribers()
 	if len(subs) != 1 || subs[0].ID != "alice" {
@@ -610,7 +632,7 @@ func TestSubscribePersistFailureRollsBack(t *testing.T) {
 }
 
 // TestEmptyFanOutPersistsLedger: a fan-out that notifies nobody must still
-// land its ledger entry in the manifest, or the pair would be eligible for
+// land its ledger entry in the journal, or the pair would be eligible for
 // re-delivery after a restart.
 func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	w := buildWorld(t)
@@ -642,5 +664,50 @@ func TestEmptyFanOutPersistsLedger(t *testing.T) {
 	}
 	if !st2.Skipped {
 		t.Fatal("reopened feed re-fanned a pair that notified nobody")
+	}
+}
+
+// TestVerifyRequiresJournal: Verify reads one dataset's feed directory
+// without writing to it. A directory with no journal — the feed root, say,
+// instead of <root>/<dataset> — is an error, not an empty feed.
+func TestVerifyRequiresJournal(t *testing.T) {
+	w := buildWorld(t)
+	root := t.TempDir()
+	dir := filepath.Join(root, "kb")
+	f, err := feed.Open(feed.Config{Dir: dir, Threshold: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range w.pool {
+		mustSubscribe(t, f, u)
+	}
+	st, err := fanOut(f, w.ohID, w.nwID, w.items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := feed.Verify(root); err == nil {
+		t.Fatal("Verify of a directory without a journal succeeded")
+	}
+	if _, err := feed.Verify(filepath.Join(root, "missing")); err == nil {
+		t.Fatal("Verify of a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(root, "missing")); !os.IsNotExist(err) {
+		t.Fatalf("Verify created the directory it checked: %v", err)
+	}
+	info, err := feed.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Subscribers != len(w.pool) || info.Entries != st.Notified ||
+		len(info.Pairs) != 1 || info.Pairs[0] != [2]string{w.ohID, w.nwID} {
+		t.Fatalf("Verify = %+v, want %d subscribers, %d entries, pair %s -> %s",
+			info, len(w.pool), st.Notified, w.ohID, w.nwID)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != "feed.log" {
+		t.Fatalf("feed directory holds %v, want only feed.log", names)
 	}
 }

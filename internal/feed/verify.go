@@ -1,13 +1,10 @@
 package feed
 
-import (
-	"sort"
-
-	"evorec/internal/store/vfs"
-)
+import "evorec/internal/store/vfs"
 
 // VerifyInfo summarizes a persisted feed directory's state after a full
-// strict load: subscriber registry, per-user logs, and the fan-out ledger.
+// strict replay of its journal: subscriber registry, per-user logs, and the
+// fan-out ledger.
 type VerifyInfo struct {
 	// Subscribers is the registry size; Logs how many users hold a feed
 	// log; Entries the total retained notifications.
@@ -16,57 +13,28 @@ type VerifyInfo struct {
 	// already delivered — sorted. "store verify" cross-checks each pair
 	// against the version chain it claims to have fanned out.
 	Pairs [][2]string
-	// PendingPairs lists pairs that appear in some user's log but not in
-	// the ledger: the crash window between a durable log write and the
-	// manifest update. They are not a fault — the log entries were
-	// delivered — but a re-run fan-out for such a pair would deliver again,
-	// so they are surfaced.
-	PendingPairs [][2]string
 }
 
-// Verify strictly loads the feed directory at dir and reports its state.
-// Every decoder error — bad framing, bad CRC, out-of-order cursors, a
-// manifest recording more than a segment holds — surfaces as the returned
-// error, exactly as Open would fail. A missing manifest is an empty feed.
-func Verify(dir string) (*VerifyInfo, error) { return VerifyFS(vfs.OS{}, dir) }
-
-// VerifyFS is Verify on an explicit filesystem.
-func VerifyFS(fsys vfs.FS, dir string) (*VerifyInfo, error) {
-	f, err := Open(Config{Dir: dir, FS: fsys})
+// Verify replays the journal of the feed directory dir — one dataset's,
+// <feed root>/<dataset> — and reports its state, read-only: nothing is
+// created, compacted or written. A missing journal and a pre-journal
+// directory are errors, and so is corruption, exactly as Open fails on it;
+// a torn tail is not.
+func Verify(dir string) (*VerifyInfo, error) {
+	data, err := readJournal(vfs.OS{}, dir)
 	if err != nil {
 		return nil, err
 	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	info := &VerifyInfo{Subscribers: len(f.subs), Logs: len(f.logs)}
-	inLedger := make(map[string]bool, len(f.done))
-	for _, p := range f.done {
-		info.Pairs = append(info.Pairs, [2]string{p.older, p.newer})
-		inLedger[pairKey(p.older, p.newer)] = true
+	f, err := Open(Config{})
+	if err != nil {
+		return nil, err
 	}
-	pending := make(map[string][2]string)
+	if err := f.load(data); err != nil {
+		return nil, err
+	}
+	info := &VerifyInfo{Subscribers: len(f.subs), Logs: len(f.logs), Pairs: f.ledgerLocked()}
 	for _, lg := range f.logs {
 		info.Entries += len(lg.entries)
-		for _, e := range lg.entries {
-			key := pairKey(e.Note.OlderID, e.Note.NewerID)
-			if !inLedger[key] {
-				pending[key] = [2]string{e.Note.OlderID, e.Note.NewerID}
-			}
-		}
 	}
-	for _, p := range pending {
-		info.PendingPairs = append(info.PendingPairs, p)
-	}
-	sortPairs(info.Pairs)
-	sortPairs(info.PendingPairs)
 	return info, nil
-}
-
-func sortPairs(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
 }

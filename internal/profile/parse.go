@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -30,6 +31,9 @@ func ParseInterests(id, spec string) (*Profile, error) {
 			w, err = strconv.ParseFloat(weightStr, 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad weight in %q: %w", part, err)
+			}
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("invalid weight in %q (want a finite number)", part)
 			}
 		}
 		term := rdf.SchemaIRI(name)

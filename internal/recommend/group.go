@@ -35,6 +35,20 @@ func (a Aggregation) String() string {
 	}
 }
 
+// ParseAggregation maps an aggregation name, as String renders it, back to
+// the aggregation; "" is Average.
+func ParseAggregation(name string) (Aggregation, error) {
+	if name == "" {
+		return Average, nil
+	}
+	for a := Average; a <= MostPleasure; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown aggregation %q (want average|least_misery|most_pleasure)", name)
+}
+
 // GroupScore aggregates the members' relatedness for one item.
 func GroupScore(g *profile.Group, it Item, agg Aggregation) float64 {
 	switch agg {

@@ -174,3 +174,19 @@ func TestSortedMeasureIDs(t *testing.T) {
 		t.Fatalf("SortedMeasureIDs = %v", ids)
 	}
 }
+
+func TestParseAggregationRoundTrip(t *testing.T) {
+	for a := Average; a <= MostPleasure; a++ {
+		got, err := ParseAggregation(a.String())
+		if err != nil || got != a {
+			t.Fatalf("ParseAggregation(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	if got, err := ParseAggregation(""); err != nil || got != Average {
+		t.Fatalf(`ParseAggregation("") = %v, %v; want average`, got, err)
+	}
+	_, err := ParseAggregation("tyranny")
+	if err == nil || err.Error() != `unknown aggregation "tyranny" (want average|least_misery|most_pleasure)` {
+		t.Fatalf("ParseAggregation(tyranny) error = %v", err)
+	}
+}

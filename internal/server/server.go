@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -234,43 +235,6 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 // ---------------------------------------------------------------------------
 // Query-parameter parsing
 
-// parseInterests and parseUserSpec are the grammar shared with the CLI,
-// building request-scoped profiles.
-var (
-	parseInterests = profile.ParseInterests
-	parseUserSpec  = profile.ParseUserSpec
-)
-
-func parseStrategy(name string) (core.Strategy, error) {
-	switch name {
-	case "", "plain":
-		return core.Plain, nil
-	case "mmr":
-		return core.DiverseMMR, nil
-	case "maxmin":
-		return core.DiverseMaxMin, nil
-	case "novelty":
-		return core.NoveltyAware, nil
-	case "semantic":
-		return core.SemanticDiverse, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want plain|mmr|maxmin|novelty|semantic)", name)
-	}
-}
-
-func parseAggregation(name string) (recommend.Aggregation, error) {
-	switch name {
-	case "", "average":
-		return recommend.Average, nil
-	case "least_misery":
-		return recommend.LeastMisery, nil
-	case "most_pleasure":
-		return recommend.MostPleasure, nil
-	default:
-		return 0, fmt.Errorf("unknown aggregation %q (want average|least_misery|most_pleasure)", name)
-	}
-}
-
 // intParam parses an integer query parameter with a default.
 func intParam(r *http.Request, name string, def int) (int, error) {
 	v := r.URL.Query().Get(name)
@@ -284,7 +248,9 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// floatParam parses a float query parameter with a default.
+// floatParam parses a finite float query parameter with a default. NaN
+// passes every range check and ±Inf would reach the JSON encoder, so both
+// are refused here.
 func floatParam(r *http.Request, name string, def float64) (float64, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
@@ -293,6 +259,9 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s=%q is not a number", name, v)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("parameter %s=%q is not a finite number", name, v)
 	}
 	return f, nil
 }
@@ -557,7 +526,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	strat, err := parseStrategy(q.Get("strategy"))
+	strat, err := core.ParseStrategy(q.Get("strategy"))
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -571,7 +540,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if userID == "" {
 		userID = "anonymous"
 	}
-	u, err := parseInterests(userID, q.Get("interests"))
+	u, err := profile.ParseInterests(userID, q.Get("interests"))
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -608,7 +577,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		pool := []*profile.Profile{u}
 		for _, spec := range q["pool"] {
-			p, err := parseUserSpec(spec)
+			p, err := profile.ParseUserSpec(spec)
 			if err != nil {
 				s.writeErr(w, err)
 				return
@@ -651,7 +620,7 @@ func (s *Server) handleRecommendGroup(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	agg, err := parseAggregation(q.Get("agg"))
+	agg, err := recommend.ParseAggregation(q.Get("agg"))
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -668,7 +637,7 @@ func (s *Server) handleRecommendGroup(w http.ResponseWriter, r *http.Request) {
 	}
 	members := make([]*profile.Profile, 0, len(specs))
 	for _, spec := range specs {
-		p, err := parseUserSpec(spec)
+		p, err := profile.ParseUserSpec(spec)
 		if err != nil {
 			s.writeErr(w, err)
 			return
@@ -742,7 +711,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("decoding subscribe body: %w", err))
 		return
 	}
-	p, err := parseInterests(r.PathValue("id"), req.Interests)
+	p, err := profile.ParseInterests(r.PathValue("id"), req.Interests)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -883,7 +852,7 @@ func (s *Server) handleNotify(w http.ResponseWriter, r *http.Request) {
 	}
 	pool := make([]*profile.Profile, 0, len(specs))
 	for _, spec := range specs {
-		p, err := parseUserSpec(spec)
+		p, err := profile.ParseUserSpec(spec)
 		if err != nil {
 			s.writeErr(w, err)
 			return

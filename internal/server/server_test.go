@@ -279,6 +279,16 @@ func TestServerErrors(t *testing.T) {
 		{"subscribe_bad_weight", "PUT", "/v1/datasets/gallery/subscribers/u", `{"interests":"Painting=x"}`, 400, "bad weight"},
 		{"subscribe_nan_weight", "PUT", "/v1/datasets/gallery/subscribers/u", `{"interests":"Painting=NaN"}`, 400, "invalid weight"},
 		{"subscribe_inf_weight", "PUT", "/v1/datasets/gallery/subscribers/u", `{"interests":"Painting=+Inf"}`, 400, "invalid weight"},
+		{"nan_lambda", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&strategy=mmr&lambda=NaN", "", 400, "not a finite number"},
+		{"inf_epsilon", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&epsilon=Inf", "", 400, "not a finite number"},
+		{"group_nan_alpha", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=1&fair=1&alpha=NaN", "", 400, "not a finite number"},
+		{"notify_nan_threshold", "GET", "/v1/datasets/gallery/notify?older=v1&newer=v2&user=a:Painting=1&threshold=NaN", "", 400, "not a finite number"},
+		{"nan_interest_weight", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=NaN", "", 400, "invalid weight"},
+		{"inf_interest_weight", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=Inf", "", 400, "invalid weight"},
+		{"group_nan_member_weight", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=NaN", "", 400, "invalid weight"},
+		{"group_inf_member_weight", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=Inf", "", 400, "invalid weight"},
+		{"pool_nan_weight", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&kanon=2&pool=b:Painting=NaN", "", 400, "invalid weight"},
+		{"notify_inf_user_weight", "GET", "/v1/datasets/gallery/notify?older=v1&newer=v2&user=a:Painting=Inf", "", 400, "invalid weight"},
 		{"subscribe_unknown_dataset", "PUT", "/v1/datasets/nope/subscribers/u", `{"interests":"Painting=1"}`, 404, "unknown dataset"},
 		{"unsubscribe_unknown", "DELETE", "/v1/datasets/gallery/subscribers/ghost", "", 404, "unknown subscriber"},
 		{"feed_unknown_user", "GET", "/v1/datasets/gallery/feed/ghost", "", 404, "unknown subscriber"},

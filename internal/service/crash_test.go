@@ -1,13 +1,14 @@
 package service_test
 
-// Crash-recovery property test: one scripted session — subscriber updates,
-// commits, commit-triggered feed fan-out — replayed with a fault injected
+// Crash-recovery property test: one scripted session — subscribes, an
+// unsubscribe, commits, commit-triggered feed fan-out — replayed with a
+// fault injected
 // at every filesystem operation the session performs. After each simulated
 // crash (unsynced state dropped, the process gone), reopening must recover
 // exactly the acknowledged prefix: every acked commit and subscription is
-// present, nothing outside the attempted set appears, no version is
-// partial, no feed batch is re-deliverable, and the recovered store accepts
-// new writes.
+// present, an acked unsubscribe stays applied, nothing outside the
+// attempted set appears, no version is partial, no feed batch is
+// re-deliverable, and the recovered store accepts new writes.
 
 import (
 	"bytes"
@@ -29,6 +30,7 @@ const crashFeedDir = "feeds"
 type crashAck struct {
 	commits []string    // version IDs whose Commit returned nil
 	subs    []string    // subscriber IDs whose Subscribe returned nil
+	unsub   bool        // whether the scripted Unsubscribe returned nil
 	fanouts [][2]string // pairs whose fan-out reported no persistence error
 }
 
@@ -71,25 +73,29 @@ func runCrashWorkload(t testing.TB, fsys vfs.FS, storeDir string, bodies map[str
 		}
 	}
 	for i, id := range workload.commits {
-		if i < len(workload.pool) {
-			if _, _, err := d.Subscribe(workload.pool[i]); err == nil {
-				ack.subs = append(ack.subs, workload.pool[i].ID)
-			}
+		if _, _, err := d.Subscribe(workload.pool[i]); err == nil {
+			ack.subs = append(ack.subs, workload.pool[i].ID)
+		}
+		if i == len(workload.commits)-1 {
+			// A removal mid-journal: the last fan-out's record follows it.
+			ack.unsub = d.Unsubscribe(workload.pool[0].ID) == nil
 		}
 		commit(id)
 	}
 	return ack
 }
 
+// crashScript subscribes pool[i] before committing commits[i], and
+// unsubscribes pool[0] before the last commit.
 type crashScript struct {
 	commits []string
 	pool    []*profile.Profile
 }
 
 func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
-	vs := testChain(t, 3) // v1..v4; v4 is committed only after recovery
+	vs := testChain(t, 5) // v1..v6; v6 is committed only after recovery
 	ids := vs.IDs()
-	pool := testProfiles(t, vs, 2)
+	pool := testProfiles(t, vs, 4)
 	bodies := make(map[string][]byte, len(ids))
 	graphs := make(map[string]*rdf.Graph, len(ids))
 	for i := 0; i < vs.Len(); i++ {
@@ -102,8 +108,8 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 		bodies[v.ID] = buf
 		graphs[v.ID] = v.Graph
 	}
-	script := &crashScript{commits: ids[1:3], pool: pool} // v2, v3 with a subscribe before each
-	chain := ids[:3]                                      // the longest chain the workload can build
+	script := &crashScript{commits: ids[1:5], pool: pool} // v2..v5 with a subscribe before each
+	chain := ids[:5]                                      // the longest chain the workload can build
 
 	// Counting run: no fault, measure how many fs operations one clean
 	// session performs — the injection points to enumerate.
@@ -112,8 +118,8 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 	counter := vfs.NewFaultFS(mem, 0, vfs.FaultError)
 	cleanAck := runCrashWorkload(t, counter, storeDir, bodies, script)
 	total := counter.Ops()
-	if len(cleanAck.commits) != 2 || len(cleanAck.subs) != 2 || len(cleanAck.fanouts) != 2 {
-		t.Fatalf("clean run acked %+v, want 2 commits, 2 subs, 2 fanouts", cleanAck)
+	if len(cleanAck.commits) != 4 || len(cleanAck.subs) != 4 || !cleanAck.unsub || len(cleanAck.fanouts) != 4 {
+		t.Fatalf("clean run acked %+v, want 4 commits, 4 subs, the unsubscribe, 4 fanouts", cleanAck)
 	}
 	if total < 30 {
 		t.Fatalf("clean session issued only %d fs ops; the workload no longer exercises the write paths", total)
@@ -175,18 +181,27 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 			for _, s := range d.Subscribers() {
 				subs[s.ID] = true
 			}
-			attempted := map[string]bool{pool[0].ID: true, pool[1].ID: true}
+			attempted := make(map[string]bool)
+			for _, p := range pool {
+				attempted[p.ID] = true
+			}
 			for id := range subs {
 				if !attempted[id] {
 					t.Fatalf("recovered subscriber %q was never registered", id)
 				}
 			}
 			for _, id := range ack.subs {
-				if !subs[id] {
+				if !subs[id] && !(ack.unsub && id == pool[0].ID) {
 					t.Fatalf("acknowledged subscriber %q lost by recovery", id)
 				}
 			}
-			okPairs := map[[2]string]bool{{ids[0], ids[1]}: true, {ids[1], ids[2]}: true}
+			if ack.unsub && subs[pool[0].ID] {
+				t.Fatalf("acknowledged unsubscribe of %q undone by recovery", pool[0].ID)
+			}
+			okPairs := make(map[[2]string]bool)
+			for i := 1; i < len(chain); i++ {
+				okPairs[[2]string{chain[i-1], chain[i]}] = true
+			}
 			for id := range subs {
 				entries, _, err := d.PollFeed(id, 0, 0)
 				if err != nil {

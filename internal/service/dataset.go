@@ -84,7 +84,7 @@ type Dataset struct {
 // newDataset wires a dataset facade. sds is nil for in-memory datasets; vs,
 // when non-nil, seeds the engine with an existing chain.
 func newDataset(name, dir string, sds *store.Dataset, vs *rdf.VersionStore, cfg Config, health *readyState, gate chan struct{}) (*Dataset, error) {
-	eng := core.New(core.Config{Registry: cfg.Registry, Agent: cfg.Agent, Clock: cfg.Clock})
+	eng := core.New(core.Config{})
 	if vs != nil {
 		if err := eng.IngestAll(vs); err != nil {
 			return nil, err
@@ -168,11 +168,11 @@ func (d *Dataset) hasVersionLocked(id string) bool {
 }
 
 // ensureVersionLocked makes the version visible to the engine, paging it in
-// from the backing store on first use. Ingested versions stay resident (the
-// engine's pair caches reference their graphs), so the store LRU bounds
-// reconstruction cost while serving memory grows with the distinct versions
-// actually requested. Callers hold the write lock. When ctx carries a
-// sampled trace, a cold page-in surfaces as a "store.materialize" span.
+// from the backing store on first use. Ingested versions stay resident in
+// the engine's version store, so the store LRU bounds reconstruction cost
+// while serving memory grows with the distinct versions actually requested.
+// Callers hold the write lock. When ctx carries a sampled trace, a cold
+// page-in surfaces as a "store.materialize" span.
 func (d *Dataset) ensureVersionLocked(ctx context.Context, id string) error {
 	if _, ok := d.eng.Versions().Get(id); ok {
 		return nil
@@ -357,23 +357,23 @@ type DeltaStats struct {
 	HighLevel      []string
 }
 
-// DeltaCtx returns the pair's low-level delta sizes and rendered high-level
-// changes.
+// DeltaCtx returns the pair's low-level delta sizes, which the engine's pair
+// cache records, and its rendered high-level changes, detected on the two
+// resident versions.
 func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*DeltaStats, error) {
 	var out *DeltaStats
 	err := d.withItems(ctx, olderID, newerID, func() error {
-		ctx, err := d.eng.Context(olderID, newerID)
+		added, deleted, err := d.eng.DeltaSizes(olderID, newerID)
 		if err != nil {
 			return err
 		}
-		stats := &DeltaStats{
-			Older: olderID, Newer: newerID,
-			Added: len(ctx.Delta.Added), Deleted: len(ctx.Delta.Deleted),
+		// The pair is cached, so both versions are resident in the engine.
+		older, _ := d.eng.Versions().Get(olderID)
+		newer, _ := d.eng.Versions().Get(newerID)
+		out = &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted}
+		for _, c := range delta.DetectHighLevel(older.Graph, newer.Graph) {
+			out.HighLevel = append(out.HighLevel, c.String())
 		}
-		for _, c := range delta.DetectHighLevel(ctx.Older.Graph, ctx.Newer.Graph) {
-			stats.HighLevel = append(stats.HighLevel, c.String())
-		}
-		out = stats
 		return nil
 	})
 	return out, err
@@ -439,8 +439,9 @@ type CommitInfo struct {
 	// FeedError records a fan-out or feed-persistence failure. The commit
 	// itself is durable by the time fan-out runs, so its failure must not
 	// fail the commit: in-memory delivery already happened where possible
-	// and the next Flush retries persistence; the error is surfaced here
-	// for the client instead of being conflated with a commit failure.
+	// and the feed's next journal write compacts the whole state, retrying
+	// persistence; the error is surfaced here for the client instead of
+	// being conflated with a commit failure.
 	FeedError string
 	// RequestID and TraceID carry the originating request's identifiers
 	// into the commit result (and from there into fan-out attribution),

@@ -14,6 +14,7 @@ import (
 	"evorec/internal/rdf"
 	"evorec/internal/service"
 	"evorec/internal/store"
+	"evorec/internal/store/vfs"
 )
 
 // commitVersion commits one synthetic version through the N-Triples path.
@@ -208,7 +209,7 @@ func TestFeedPersistsAcrossServices(t *testing.T) {
 	if want == 0 {
 		t.Fatal("no entries delivered before restart")
 	}
-	if err := svc.FlushFeeds(); err != nil {
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -385,7 +386,8 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedRoot := t.TempDir()
-	svc := service.New(service.Config{FeedDir: feedRoot, FeedThreshold: 0.01})
+	chaos := vfs.NewChaosFS(vfs.OS{}, feedRoot)
+	svc := service.New(service.Config{FS: chaos, FeedDir: feedRoot, FeedThreshold: 0.01})
 	d, err := svc.Open("kb", storeDir)
 	if err != nil {
 		t.Fatal(err)
@@ -395,14 +397,9 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Break the dataset's feed directory: every log write now fails.
-	fdir := filepath.Join(feedRoot, "kb")
-	if err := os.RemoveAll(fdir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(fdir, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Break the feed tree only: every journal write now fails, while the
+	// store commits as usual.
+	chaos.Arm()
 	info, err := d.CommitCtx(context.Background(), "v2", ntBody(t, vs.At(1).Graph))
 	if err != nil {
 		t.Fatalf("commit failed on a feed persistence error: %v", err)

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"evorec/internal/feed"
-	"evorec/internal/measures"
 	"evorec/internal/obs"
 	"evorec/internal/rdf"
 	"evorec/internal/store"
@@ -76,23 +75,15 @@ var (
 
 // Config parameterizes a Service. The zero value is usable.
 type Config struct {
-	// Registry supplies the measure set every dataset's engine evaluates;
-	// nil means measures.NewRegistry(). It must not be mutated once the
-	// service is serving.
-	Registry *measures.Registry
-	// Agent names the service in provenance records; empty means "evorec".
-	Agent string
-	// Clock stamps provenance records; nil means time.Now.
-	Clock func() time.Time
 	// CacheCap overrides the store LRU capacity of disk-backed datasets
 	// (minimum 1); zero keeps store.DefaultCacheCap.
 	CacheCap int
 	// FeedDir roots feed persistence: each disk-backed dataset's subscriber
-	// registry and per-user feed logs live under FeedDir/<dataset name>.
-	// Empty keeps every feed in memory. In-memory datasets always keep
-	// their feeds in memory — their version chains don't survive a
-	// restart, so a persisted fan-out ledger would wrongly suppress
-	// delivery for recycled version IDs.
+	// registry, per-user feed logs and fan-out ledger live in one journal,
+	// FeedDir/<dataset name>/feed.log. Empty keeps every feed in memory.
+	// In-memory datasets always keep their feeds in memory — their version
+	// chains don't survive a restart, so a persisted fan-out ledger would
+	// wrongly suppress delivery for recycled version IDs.
 	FeedDir string
 	// FeedWorkers bounds each dataset's fan-out worker pool; zero keeps
 	// feed.DefaultWorkers.
@@ -268,23 +259,6 @@ func (s *Service) Infos() []Info {
 		out = append(out, d.Info())
 	}
 	return out
-}
-
-// FlushFeeds persists every dataset's feed state (subscribers, logs,
-// manifests). Graceful shutdown calls it after draining in-flight
-// requests; in-memory feeds no-op.
-func (s *Service) FlushFeeds() error {
-	var firstErr error
-	for _, name := range s.Names() {
-		d, err := s.Get(name)
-		if err != nil {
-			continue
-		}
-		if err := d.feed.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("flushing feed of dataset %q: %w", name, err)
-		}
-	}
-	return firstErr
 }
 
 // Close shuts every dataset down: commit queues drain, backing stores

@@ -78,20 +78,11 @@ func writeSegment(fsys vfs.FS, path string, kind byte, payload []byte, durable b
 	if uint64(len(payload)) > math.MaxUint32 {
 		return 0, fmt.Errorf("store: segment payload %d bytes exceeds the 4 GiB format limit", len(payload))
 	}
-	buf := appendFramed(make([]byte, 0, segHeaderLen+len(payload)+segTrailerLen), kind, payload)
+	buf := AppendFrame(make([]byte, 0, segHeaderLen+len(payload)+segTrailerLen), kind, payload)
 	if err := vfs.WriteFileAtomic(fsys, path, buf, durable); err != nil {
 		return 0, fmt.Errorf("store: writing segment: %w", err)
 	}
 	return int64(len(buf)), nil
-}
-
-// appendFramed appends the full segment envelope (header, payload, CRC).
-func appendFramed(buf []byte, kind byte, payload []byte) []byte {
-	buf = append(buf, segMagic...)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // readSegment reads and unframes the segment at dir/file, validating magic,

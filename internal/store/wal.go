@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"strconv"
 	"time"
@@ -84,7 +83,7 @@ func appendWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 	if uint64(len(p)) > maxSegmentPayload {
 		return nil, fmt.Errorf("store: WAL record for %q exceeds the 4 GiB frame limit", rec.id)
 	}
-	return appendFramed(buf, kindWAL, p), nil
+	return AppendFrame(buf, kindWAL, p), nil
 }
 
 const maxSegmentPayload = 1<<32 - 1
@@ -147,7 +146,7 @@ func scanWAL(data []byte) (recs []*walRecord, clean int, err error) {
 	off := 0
 	var lastSeq uint64
 	for {
-		payload, next, ok := nextWALFrame(data, off)
+		payload, next, ok := NextFrame(data, off, kindWAL)
 		if !ok {
 			return recs, off, nil
 		}
@@ -163,28 +162,6 @@ func scanWAL(data []byte) (recs []*walRecord, clean int, err error) {
 		recs = append(recs, rec)
 		off = next
 	}
-}
-
-// nextWALFrame validates the frame starting at off and returns its payload
-// and the next frame's offset. ok is false when the remaining bytes do not
-// hold one whole valid frame (the torn tail).
-func nextWALFrame(data []byte, off int) (payload []byte, next int, ok bool) {
-	rest := data[off:]
-	if len(rest) < segHeaderLen+segTrailerLen {
-		return nil, 0, false
-	}
-	if string(rest[:4]) != segMagic || rest[4] != kindWAL {
-		return nil, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(rest[5:9]))
-	if len(rest)-segHeaderLen-segTrailerLen < n {
-		return nil, 0, false
-	}
-	payload = rest[segHeaderLen : segHeaderLen+n]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[segHeaderLen+n:]) {
-		return nil, 0, false
-	}
-	return payload, off + segHeaderLen + n + segTrailerLen, true
 }
 
 // wal is the open write-ahead log of one Dataset. The handle is lazy: a
