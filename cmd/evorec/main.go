@@ -7,7 +7,7 @@
 //	measures   print the top-k entities of every evolution measure
 //	recommend  recommend measures for a user's interests
 //	trend      analyze change trends over a chain of versions
-//	store      pack, unpack, inspect, verify, or recover the segment store
+//	store      pack, unpack, or verify the segment store
 //	report     personalized evolution digest for a user
 //	summarize  relevance-based schema summary of one version
 //	serve      run the HTTP evolution service over stored datasets
@@ -77,7 +77,7 @@ subcommands:
   measures   print the top-k entities of every evolution measure
   recommend  recommend measures for a user's interests
   trend      analyze change trends over a chain of versions
-  store      pack, unpack, inspect, verify, or recover the segment store
+  store      pack, unpack, or verify the segment store
   report     personalized evolution digest for a user
   summarize  relevance-based schema summary of one version
   serve      run the HTTP evolution service over stored datasets

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -10,37 +9,32 @@ import (
 	"evorec"
 )
 
-// cmdStore groups operations on the binary segment store. "inspect" dumps a
-// store directory's manifest and verifies every segment's framing and
-// checksum; "pack" writes N-Triples versions into a new store and "unpack"
-// writes a store's versions back out as N-Triples; "verify" checks every
-// durability invariant including the write-ahead log and (optionally) a
-// feed directory's fan-out ledger; "recover" replays the WAL (or, with
-// -dry-run, prints what replay would do).
+// cmdStore groups operations on the binary segment store: "pack" writes
+// N-Triples versions into a new store, "unpack" writes a store's versions
+// back out as N-Triples, and "verify" is the store's one read-only check —
+// every segment, the write-ahead log's replay plan and (optionally) a feed
+// directory's fan-out ledger.
 func cmdStore(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: evorec store <inspect|pack|unpack|verify|recover> [flags]")
+		return fmt.Errorf("usage: evorec store <pack|unpack|verify> [flags]")
 	}
 	switch args[0] {
-	case "inspect":
-		return cmdStoreInspect(args[1:])
 	case "pack":
 		return cmdStorePack(args[1:])
 	case "unpack":
 		return cmdStoreUnpack(args[1:])
 	case "verify":
 		return cmdStoreVerify(args[1:])
-	case "recover":
-		return cmdStoreRecover(args[1:])
 	default:
-		return fmt.Errorf("unknown store action %q (want inspect, pack, unpack, verify or recover)", args[0])
+		return fmt.Errorf("unknown store action %q (want pack, unpack or verify)", args[0])
 	}
 }
 
 // cmdStoreVerify checks a store directory read-only: manifest and segment
-// framing/CRC, chain contiguity, dictionary coverage, WAL replayability,
-// and — when -feed-dir names the dataset's feed directory — the fan-out
-// ledger's consistency against the version chain.
+// framing/CRC, chain contiguity, dictionary coverage, the WAL replay plan
+// (the one Open applies, refusing the store on any problem in it), and —
+// when -feed-dir names the dataset's feed directory — the fan-out ledger's
+// consistency against the version chain.
 func cmdStoreVerify(args []string) error {
 	fs := flag.NewFlagSet("store verify", flag.ExitOnError)
 	feedDir := fs.String("feed-dir", "",
@@ -55,16 +49,10 @@ func cmdStoreVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	okSegs := 0
-	for _, s := range rep.Info.Segments {
-		if s.OK {
-			okSegs++
-		}
+	if err := printSegments(rep); err != nil {
+		return err
 	}
-	fmt.Printf("manifest  %s, policy %s, %d versions, %d terms\n",
-		rep.Info.Format, rep.Info.Policy, rep.Info.Versions, rep.Info.Terms)
-	fmt.Printf("segments  %d/%d ok (%d bytes)\n", okSegs, len(rep.Info.Segments), rep.Info.TotalBytes)
-	printWALPlan(rep.Plan)
+	printWALPlan(rep)
 
 	problems := append([]string(nil), rep.Problems...)
 	if *feedDir != "" {
@@ -85,6 +73,43 @@ func cmdStoreVerify(args []string) error {
 		return fmt.Errorf("%d problem(s) found", len(problems))
 	}
 	fmt.Println("ok")
+	return nil
+}
+
+// printSegments prints the manifest summary and one row per segment.
+func printSegments(rep *evorec.StoreVerifyReport) error {
+	info := rep.Info
+	okSegs := 0
+	for _, s := range info.Segments {
+		if s.OK {
+			okSegs++
+		}
+	}
+	fmt.Printf("manifest  %s, policy %s, %d versions (%d snapshots, %d deltas), %d terms\n",
+		info.Format, info.Policy, info.Versions, info.Snapshots, info.Deltas, info.Terms)
+	fmt.Printf("segments  %d/%d ok (%d bytes)\n\n", okSegs, len(info.Segments), info.TotalBytes)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "segment\tkind\tid\tbytes\tcontents\tstatus")
+	for _, s := range info.Segments {
+		contents := ""
+		switch s.Kind {
+		case "snapshot":
+			contents = fmt.Sprintf("%d triples", s.Triples)
+		case "delta":
+			contents = fmt.Sprintf("+%d -%d", s.Added, s.Deleted)
+		case "dict":
+			contents = fmt.Sprintf("%d terms", info.Terms)
+		}
+		status := "ok"
+		if !s.OK {
+			status = "CORRUPT: " + s.Err
+		}
+		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%s\t%s\n", s.File, s.Kind, s.ID, s.Bytes, contents, status)
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fmt.Println()
 	return nil
 }
 
@@ -115,7 +140,10 @@ func checkLedger(fi *evorec.FeedVerifyInfo, rep *evorec.StoreVerifyReport) []str
 	return problems
 }
 
-func printWALPlan(plan *evorec.StoreRecoverPlan) {
+// printWALPlan prints the WAL summary, one line per readable record with
+// its replay fate, and what opening the store replays.
+func printWALPlan(rep *evorec.StoreVerifyReport) {
+	plan := rep.Plan
 	applied, replayable, orphaned := 0, 0, 0
 	for _, r := range plan.Records {
 		switch r.Status {
@@ -133,126 +161,19 @@ func printWALPlan(plan *evorec.StoreRecoverPlan) {
 	}
 	fmt.Printf("wal       %d bytes, %d records (%d applied, %d replayable, %d orphaned)%s\n",
 		plan.WALBytes, len(plan.Records), applied, replayable, orphaned, torn)
-}
-
-// cmdStoreRecover replays a store's write-ahead log: with -dry-run it only
-// prints what replay would apply; without, it opens the store (which runs
-// recovery and checkpoints) and reports what happened.
-func cmdStoreRecover(args []string) error {
-	fs := flag.NewFlagSet("store recover", flag.ExitOnError)
-	dryRun := fs.Bool("dry-run", false, "print what replay would do without writing anything")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: evorec store recover [-dry-run] <dir>")
-	}
-	dir := fs.Arg(0)
-	plan, err := evorec.PlanStoreRecovery(dir)
-	if err != nil {
-		return err
-	}
-	printWALPlan(plan)
 	for _, r := range plan.Records {
 		fmt.Printf("  seq %-4d %-10s %-12s parent %-12s %s (%d bytes, %d new terms)\n",
 			r.Seq, r.Status, r.ID, r.Parent, r.Kind, r.Bytes, r.Terms)
 	}
-	if *dryRun {
-		if len(plan.Apply) == 0 {
-			fmt.Println("dry run: nothing to replay")
-		} else {
-			fmt.Printf("dry run: replay would apply %d version(s): %v (chain tail %s)\n",
-				len(plan.Apply), plan.Apply, plan.Tail)
-		}
-		return nil
+	switch {
+	case len(plan.Problems) > 0:
+		fmt.Println("replay    open refuses the store and leaves the WAL as it is")
+	case len(plan.Apply) == 0:
+		fmt.Println("replay    nothing to replay")
+	default:
+		fmt.Printf("replay    open would apply %d version(s): %v (chain tail %s)\n",
+			len(plan.Apply), plan.Apply, plan.Tail)
 	}
-	ds, err := evorec.OpenStore(dir) // Open replays the WAL and checkpoints
-	if err != nil {
-		return err
-	}
-	defer ds.Close()
-	if len(plan.Apply) == 0 {
-		fmt.Println("nothing to replay; store is clean")
-	} else {
-		fmt.Printf("recovered %d version(s); chain tail %s, WAL truncated\n", len(plan.Apply), plan.Tail)
-	}
-	return nil
-}
-
-func cmdStoreInspect(args []string) error {
-	fs := flag.NewFlagSet("store inspect", flag.ExitOnError)
-	cacheCap := fs.Int("cache-cap", 0,
-		"materialize every version through an LRU of this capacity (minimum 1) and report cache stats")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: evorec store inspect [-cache-cap n] <dir>")
-	}
-	deep := flagWasSet(fs, "cache-cap")
-	if deep {
-		if err := validateCacheCap(*cacheCap); err != nil {
-			return err
-		}
-	}
-	info, err := evorec.InspectStore(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("format   %s\n", info.Format)
-	fmt.Printf("policy   %s\n", info.Policy)
-	fmt.Printf("terms    %d\n", info.Terms)
-	fmt.Printf("versions %d (%d snapshots, %d deltas)\n",
-		info.Versions, info.Snapshots, info.Deltas)
-	fmt.Printf("bytes    %d\n\n", info.TotalBytes)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "segment\tkind\tid\tbytes\tcontents\tstatus")
-	bad := 0
-	for _, s := range info.Segments {
-		contents := ""
-		switch s.Kind {
-		case "snapshot":
-			contents = fmt.Sprintf("%d triples", s.Triples)
-		case "delta":
-			contents = fmt.Sprintf("+%d -%d", s.Added, s.Deleted)
-		case "dict":
-			contents = fmt.Sprintf("%d terms", info.Terms)
-		}
-		status := "ok"
-		if !s.OK {
-			status = "CORRUPT: " + s.Err
-			bad++
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%s\t%s\n", s.File, s.Kind, s.ID, s.Bytes, contents, status)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d segment(s) failed verification", bad)
-	}
-	if deep {
-		// Deep verification: reconstruct every version through an LRU of the
-		// requested capacity, proving the chain replays end to end.
-		ds, err := evorec.OpenStore(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		if err := ds.SetCacheCap(*cacheCap); err != nil {
-			return err
-		}
-		fmt.Println()
-		for i, id := range ds.IDs() {
-			g, err := ds.GraphAtCtx(context.Background(), i)
-			if err != nil {
-				return fmt.Errorf("materializing %s: %w", id, err)
-			}
-			fmt.Printf("materialized %-12s %d triples\n", id, g.Len())
-		}
-		hits, misses := ds.CacheStats()
-		fmt.Printf("cache cap=%d hits=%d misses=%d\n", ds.CacheCap(), hits, misses)
-	}
-	return nil
 }
 
 // cmdStorePack writes N-Triples version files into a binary store, naming

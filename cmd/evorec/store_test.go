@@ -14,10 +14,10 @@ func TestCmdStorePackAndInspect(t *testing.T) {
 	if err := cmdStore([]string{"pack", "-policy", "delta", "-out", out, v1, v2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdStore([]string{"inspect", out}); err != nil {
+	if err := cmdStore([]string{"verify", out}); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one segment: inspect must report failure via its exit error.
+	// Corrupt one segment: verify must report failure via its exit error.
 	path := filepath.Join(out, "v2.delta")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -27,8 +27,8 @@ func TestCmdStorePackAndInspect(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdStore([]string{"inspect", out}); err == nil {
-		t.Fatal("inspect of a corrupted store must fail")
+	if err := cmdStore([]string{"verify", out}); err == nil {
+		t.Fatal("verify of a corrupted store must fail")
 	}
 	// Usage errors.
 	if err := cmdStore(nil); err == nil {
@@ -37,8 +37,8 @@ func TestCmdStorePackAndInspect(t *testing.T) {
 	if err := cmdStore([]string{"bogus"}); err == nil {
 		t.Fatal("unknown action must fail")
 	}
-	if err := cmdStore([]string{"inspect"}); err == nil {
-		t.Fatal("inspect without dir must fail")
+	if err := cmdStore([]string{"verify"}); err == nil {
+		t.Fatal("verify without dir must fail")
 	}
 	if err := cmdStore([]string{"pack", "-policy", "bogus", "-out", out, v1}); err == nil {
 		t.Fatal("bad policy must fail")

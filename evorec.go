@@ -486,9 +486,6 @@ type StoreManifest = store.Manifest
 // served without loading the whole chain.
 type StoreDataset = store.Dataset
 
-// StoreInfo is the result of InspectStore.
-type StoreInfo = store.Info
-
 // StoreDefaultCacheCap is the store dataset's default graph-LRU capacity.
 const StoreDefaultCacheCap = store.DefaultCacheCap
 
@@ -497,12 +494,9 @@ func SaveStore(dir string, vs *VersionStore, opt StoreOptions) (*StoreManifest, 
 	return store.Save(dir, vs, opt)
 }
 
-// OpenStore opens a binary store directory as a lazy dataset handle.
+// OpenStore opens a binary store directory as a lazy dataset handle,
+// replaying its write-ahead log first.
 func OpenStore(dir string) (*StoreDataset, error) { return store.Open(dir) }
-
-// InspectStore verifies a store directory's segments without materializing
-// any graph.
-func InspectStore(dir string) (*StoreInfo, error) { return store.Inspect(dir) }
 
 // StoreDiskUsage sums the store's on-disk footprint.
 func StoreDiskUsage(dir string, man *StoreManifest) (int64, error) {
@@ -511,12 +505,6 @@ func StoreDiskUsage(dir string, man *StoreManifest) (int64, error) {
 
 // StoreVerifyReport is the result of VerifyStore.
 type StoreVerifyReport = store.VerifyReport
-
-// StoreRecoverPlan is the result of PlanStoreRecovery.
-type StoreRecoverPlan = store.RecoverPlan
-
-// StoreWALRecordInfo is one WAL record's replay fate.
-type StoreWALRecordInfo = store.WALRecordInfo
 
 // WAL record replay statuses.
 const (
@@ -528,11 +516,8 @@ const (
 // VerifyStore checks every durability invariant of a store directory —
 // segment framing and checksums, chain contiguity, dictionary coverage,
 // WAL replayability — without materializing a graph or writing a byte.
+// OpenStore refuses exactly the WAL problems it reports.
 func VerifyStore(dir string) (*StoreVerifyReport, error) { return store.Verify(dir) }
-
-// PlanStoreRecovery simulates what opening the store would replay from its
-// write-ahead log, read-only.
-func PlanStoreRecovery(dir string) (*StoreRecoverPlan, error) { return store.PlanRecovery(dir) }
 
 // FeedVerifyInfo is the result of VerifyFeedDir.
 type FeedVerifyInfo = feed.VerifyInfo

@@ -35,14 +35,15 @@ import (
 // bytes), and once the journal has grown to max(2 × its size after the
 // last compaction, compactBytes).
 //
-// Replay reads records until the first frame that fails its framing. That
-// frame is the torn tail a crash mid-append leaves — not an error — only
-// when it is not at offset 0 (the compaction record is written by atomic
-// rename, so it is never torn) and no valid frame follows it (nothing is
-// appended behind torn bytes). Any other bad frame is corruption, and so
-// is a well-framed record that does not apply — a log part starting behind
-// its user's log, a pair already in the ledger, the removal of an unknown
-// subscriber, trailing bytes after the record. Open fails on corruption.
+// Replay reads records with store.ReadFrames, the store WAL's reader, until
+// the first frame that fails its framing. That frame is the torn tail a
+// crash mid-append leaves — not an error — only when it is not at offset 0
+// (the compaction record is written by atomic rename, so it is never torn)
+// and no valid frame follows it (nothing is appended behind torn bytes).
+// Any other bad frame is corruption, and so is a well-framed record that
+// does not apply — a log part starting behind its user's log, a pair
+// already in the ledger, the removal of an unknown subscriber, trailing
+// bytes after the record. Open fails on corruption.
 const (
 	journalName = "feed.log"
 	// compactBytes is the journal size below which growth never triggers a
@@ -185,37 +186,28 @@ func (f *Feed) applyLocked(rec *record) error {
 }
 
 // load replays journal bytes: every record up to the torn tail, if any.
+// store.ReadFrames refuses a bad frame with a valid frame after it; a bad
+// frame 0 is corruption too, because the compaction record is renamed into
+// place, never torn.
 func (f *Feed) load(data []byte) error {
-	for off := 0; off < len(data); {
-		payload, next, ok := store.NextFrame(data, off, store.KindFeed)
-		if !ok {
-			if off == 0 || frameAfter(data, off) {
-				return fmt.Errorf("feed: %s: corrupt frame at offset %d", journalName, off)
-			}
-			return nil
-		}
-		name := fmt.Sprintf("%s record at offset %d", journalName, off)
-		rec, err := decodeRecord(name, payload)
+	frames, end, err := store.ReadFrames(data, store.KindFeed)
+	if err == nil && end == 0 && len(data) > 0 {
+		err = fmt.Errorf("corrupt frame at offset 0")
+	}
+	if err != nil {
+		return fmt.Errorf("feed: %s: %w", journalName, err)
+	}
+	for _, fr := range frames {
+		name := fmt.Sprintf("%s record at offset %d", journalName, fr.Off)
+		rec, err := decodeRecord(name, fr.Payload)
 		if err != nil {
 			return err
 		}
 		if err := f.applyLocked(rec); err != nil {
 			return fmt.Errorf("feed: %s: %w", name, err)
 		}
-		off = next
 	}
 	return nil
-}
-
-// frameAfter reports whether a valid journal frame starts anywhere in data
-// after off.
-func frameAfter(data []byte, off int) bool {
-	for i := off + 1; i < len(data); i++ {
-		if _, _, ok := store.NextFrame(data, i, store.KindFeed); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // readJournal returns the bytes of dir's journal; a missing journal is an

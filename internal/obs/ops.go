@@ -71,7 +71,7 @@ func HealthHandler(info BuildInfo, dynamic func() map[string]any) http.Handler {
 
 // ReadyHandler serves GET /readyz: the readiness probe /healthz is not.
 // check reports whether the service can usefully answer right now plus
-// detail fields (in-flight replays, checkpoints, drains); not-ready
+// detail fields (in-flight replays, drains); not-ready
 // renders 503 so a load balancer parks traffic during WAL replay or a
 // drain without killing the process the way a failing liveness probe
 // would. A nil check is always ready — liveness and readiness coincide

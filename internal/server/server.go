@@ -126,7 +126,7 @@ func New(svc *service.Service, cfg Config) (*Server, error) {
 	}
 	s.mux.Handle("GET /healthz", obs.HealthHandler(obs.FromBuildInfo("evorec"), nil))
 	// Liveness and readiness split: /healthz answers 200 while the process
-	// is up; /readyz answers 503 during WAL replay, checkpoints and the
+	// is up; /readyz answers 503 during WAL replay and the
 	// shutdown drain, so load balancers steer around recovery windows.
 	s.mux.Handle("GET /readyz", obs.ReadyHandler(svc.Ready))
 	s.route("GET /v1/datasets", s.handleList)

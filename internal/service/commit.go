@@ -83,19 +83,14 @@ func (d *Dataset) enqueue(req *commitReq) error {
 	return nil
 }
 
-// walCheckpointBytes bounds WAL growth under sustained commit load: past
-// it the drain goroutine checkpoints between batches even though committers
-// are waiting, keeping recovery replay time and log disk usage bounded.
-const walCheckpointBytes = 4 << 20
-
 // runCommits drains the queue batch by batch until it is empty, then exits.
 // Each round takes everything queued since the last one, so batch size
 // adapts to contention: idle datasets commit singly, saturated ones
-// coalesce dozens of commits per fsync. Checkpoints ride the same rhythm:
-// while commits keep arriving the WAL absorbs them (one sequential fsync
-// per batch) and segment/manifest writes are deferred; once the queue goes
-// quiet — or the WAL outgrows its bound — the accumulated tail is folded
-// into a durable checkpoint off every committer's acknowledgment path.
+// coalesce dozens of commits per fsync. While commits keep arriving the WAL
+// absorbs them (one sequential fsync per batch; the store checkpoints
+// before a batch once the WAL outgrows its bound); once the queue goes
+// quiet the accumulated tail is folded into a durable checkpoint off every
+// committer's acknowledgment path.
 func (d *Dataset) runCommits() {
 	c := &d.committer
 	for {
@@ -105,7 +100,7 @@ func (d *Dataset) runCommits() {
 			// Queue drained: absorb the WAL now, then re-check — a commit
 			// that arrived while checkpointing keeps this goroutine alive
 			// (enqueue saw running=true and spawned nothing).
-			d.checkpointStore(store.CheckpointIdle)
+			d.checkpointStore()
 			c.mu.Lock()
 			if len(c.queue) == 0 {
 				c.running = false
@@ -122,48 +117,31 @@ func (d *Dataset) runCommits() {
 		c.mu.Unlock()
 		d.metrics.batchSize.Observe(float64(len(batch)))
 		d.commitBatch(batch)
-		if d.walPastBound() {
-			d.checkpointStore(store.CheckpointWALBound)
-		}
 	}
 }
 
-// walPastBound reports whether the WAL has outgrown walCheckpointBytes.
-func (d *Dataset) walPastBound() bool {
-	if d.sds == nil {
-		return false
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sds.WALSize() >= walCheckpointBytes
-}
-
-// checkpointStore folds the WAL into a durable checkpoint, recording the
-// trigger reason ("idle" between bursts, "wal-bound" under sustained
-// load) in the checkpoint-duration histogram. A checkpoint failure
+// checkpointStore folds the WAL into a durable checkpoint once the queue
+// drains, recording it under the "idle" reason. A checkpoint failure
 // poisons the store handle AND is reported the moment it happens — a
 // failure-count tick, a WARN line, and the transition into the degraded
-// state that suspends commits while the heal probe works the disk.
-func (d *Dataset) checkpointStore(reason string) {
+// state that suspends commits while the heal probe works the disk. It
+// holds only this dataset's write lock; readiness is unaffected.
+func (d *Dataset) checkpointStore() {
 	if d.sds == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.sds.WALSize() > 0 {
-		// A checkpoint fsyncs segments, dict and manifest while holding the
-		// write lock; /readyz reports not-ready for the duration.
-		d.health.begin(blockCheckpoint)
-		err := d.sds.CheckpointReasonCtx(context.Background(), reason)
-		d.health.end(blockCheckpoint)
-		if err != nil {
-			d.metrics.ckptFailures.With(reason).Inc()
-			if d.logger != nil {
-				d.logger.Warn("checkpoint failed",
-					"dataset", d.name, "reason", reason, "error", err.Error())
-			}
-			d.enterDegradedLocked(err)
+	if d.sds.WALSize() == 0 {
+		return
+	}
+	if err := d.sds.CheckpointReasonCtx(context.Background(), store.CheckpointIdle); err != nil {
+		d.metrics.ckptFailures.With(store.CheckpointIdle).Inc()
+		if d.logger != nil {
+			d.logger.Warn("checkpoint failed",
+				"dataset", d.name, "reason", store.CheckpointIdle, "error", err.Error())
 		}
+		d.enterDegradedLocked(err)
 	}
 }
 
@@ -243,11 +221,13 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 		entries, err := d.sds.AppendBatchCtx(bctx, vs)
 		if err != nil {
 			// A poisoned store handle means the write path itself failed
-			// (WAL append, segment write, inline checkpoint) — enter the
+			// (WAL-bound checkpoint, WAL append, segment write) — enter the
 			// degraded state so later commits shed at the door while the
-			// heal probe retries. The "mid-commit" marker lets clients and
-			// the sim oracle distinguish this batch's 503s from the cheap
-			// enqueue-time refusals.
+			// heal probe retries. The handle registered none of the batch,
+			// but once its WAL write began the batch is indeterminate
+			// across a crash (see store.Dataset.HealCtx). The "mid-commit"
+			// marker lets clients and the sim oracle distinguish this
+			// batch's 503s from the cheap enqueue-time refusals.
 			if d.sds.Failed() != nil {
 				d.enterDegradedLocked(err)
 				d.metrics.commitDegr.Add(float64(len(ok)))

@@ -101,8 +101,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 }
 
 // tryHeal runs one probe attempt: healing state, a root span, the store's HealCtx
-// under the write lock (it checkpoints, so it is a readiness blocker like
-// any other checkpoint), then healthy or back to degraded.
+// under the write lock, then healthy or back to degraded.
 func (d *Dataset) tryHeal(attempt int) bool {
 	d.state.Store(stateHealing)
 	d.health.moveDatasetState(stateDegraded, stateHealing)
@@ -110,9 +109,7 @@ func (d *Dataset) tryHeal(attempt int) bool {
 	span.SetAttr("dataset", d.name)
 	span.SetAttr("attempt", fmt.Sprint(attempt))
 	d.mu.Lock()
-	d.health.begin(blockCheckpoint)
 	err := d.sds.HealCtx(ctx)
-	d.health.end(blockCheckpoint)
 	d.mu.Unlock()
 	if err != nil {
 		span.SetAttr("error", err.Error())

@@ -388,6 +388,9 @@ func TestCommitSurvivesFanOutFailure(t *testing.T) {
 	feedRoot := t.TempDir()
 	chaos := vfs.NewChaosFS(vfs.OS{}, feedRoot)
 	svc := service.New(service.Config{FS: chaos, FeedDir: feedRoot, FeedThreshold: 0.01})
+	// Close waits out the idle checkpoint the commit leaves running in
+	// storeDir, which would otherwise race the temp directories' removal.
+	defer svc.Close() //nolint:errcheck // the feed tree is broken on purpose, so its flush fails
 	d, err := svc.Open("kb", storeDir)
 	if err != nil {
 		t.Fatal(err)

@@ -7,15 +7,15 @@ import (
 )
 
 // blocker names one class of work that makes the service not-ready: WAL
-// replay while a disk-backed dataset opens, a checkpoint folding the WAL
-// into durable segments, and the shutdown drain. Liveness (/healthz) stays
-// green through all of them — the process is up — but /readyz reports 503
-// so load balancers route around the window instead of queueing behind it.
+// replay while a disk-backed dataset opens, and the shutdown drain.
+// Liveness (/healthz) stays green through both — the process is up — but
+// /readyz reports 503 so load balancers route around the window instead of
+// queueing behind it. A checkpoint is not a blocker: it holds only its own
+// dataset's write lock, and every other dataset keeps serving.
 type blocker int
 
 const (
 	blockReplay blocker = iota
-	blockCheckpoint
 	blockDrain
 )
 
@@ -24,9 +24,8 @@ const (
 // usable (and always ready) — gauge binding is optional, exactly like every
 // other instrument in the service.
 type readyState struct {
-	replays     atomic.Int64
-	checkpoints atomic.Int64
-	drains      atomic.Int64
+	replays atomic.Int64
+	drains  atomic.Int64
 
 	// Per-state dataset counts for evorec_dataset_state{state}. A degraded
 	// dataset is NOT a readiness blocker: its reads keep serving, and
@@ -37,11 +36,10 @@ type readyState struct {
 	dsDegraded atomic.Int64
 	dsHealing  atomic.Int64
 
-	gReplays     *obs.Gauge
-	gCheckpoints *obs.Gauge
-	gDrains      *obs.Gauge
-	gReady       *obs.Gauge
-	gState       *obs.GaugeVec
+	gReplays *obs.Gauge
+	gDrains  *obs.Gauge
+	gReady   *obs.Gauge
+	gState   *obs.GaugeVec
 }
 
 // bind attaches the readiness gauges to reg (nil reg leaves the state
@@ -52,8 +50,6 @@ func (h *readyState) bind(reg *obs.Registry) {
 	}
 	h.gReplays = reg.Gauge("evorec_replays_in_flight",
 		"Store opens currently replaying a write-ahead log (service not-ready while > 0).")
-	h.gCheckpoints = reg.Gauge("evorec_checkpoints_in_flight",
-		"Checkpoints currently folding a WAL into durable segments (service not-ready while > 0).")
 	h.gDrains = reg.Gauge("evorec_drains_in_flight",
 		"Shutdown drains currently in flight (service not-ready while > 0).")
 	h.gReady = reg.Gauge("evorec_ready",
@@ -117,8 +113,6 @@ func (h *readyState) counter(b blocker) (*atomic.Int64, *obs.Gauge) {
 	switch b {
 	case blockReplay:
 		return &h.replays, h.gReplays
-	case blockCheckpoint:
-		return &h.checkpoints, h.gCheckpoints
 	default:
 		return &h.drains, h.gDrains
 	}
@@ -147,7 +141,7 @@ func (h *readyState) end(b blocker) {
 
 // ready reports whether no blocker is in flight.
 func (h *readyState) ready() bool {
-	return h.replays.Load() == 0 && h.checkpoints.Load() == 0 && h.drains.Load() == 0
+	return h.replays.Load() == 0 && h.drains.Load() == 0
 }
 
 // refreshReady re-derives the summary gauge. Counters move independently, so
@@ -163,14 +157,13 @@ func (h *readyState) refreshReady() {
 
 // Ready reports whether the service should receive traffic, with the
 // per-blocker counts as detail (rendered into the /readyz body). Not-ready
-// means a WAL replay, checkpoint or shutdown drain is in flight.
+// means a WAL replay or shutdown drain is in flight.
 func (s *Service) Ready() (bool, map[string]any) {
 	h := &s.ready
 	return h.ready(), map[string]any{
-		"replays_in_flight":     h.replays.Load(),
-		"checkpoints_in_flight": h.checkpoints.Load(),
-		"drains_in_flight":      h.drains.Load(),
-		"datasets_degraded":     h.dsDegraded.Load(),
-		"datasets_healing":      h.dsHealing.Load(),
+		"replays_in_flight": h.replays.Load(),
+		"drains_in_flight":  h.drains.Load(),
+		"datasets_degraded": h.dsDegraded.Load(),
+		"datasets_healing":  h.dsHealing.Load(),
 	}
 }

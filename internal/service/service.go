@@ -143,8 +143,8 @@ func (c Config) fs() vfs.FS {
 type Service struct {
 	cfg Config
 
-	// ready tracks readiness blockers (WAL replays, checkpoints, shutdown
-	// drains) for /readyz; datasets hold a pointer into it.
+	// ready tracks readiness blockers (WAL replays, shutdown drains) for
+	// /readyz; datasets hold a pointer into it.
 	ready readyState
 
 	// buildGate bounds concurrent cold pair builds service-wide (nil =

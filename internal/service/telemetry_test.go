@@ -114,7 +114,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	want := []string{
 		"# TYPE evorec_build_shed_total counter",
 		"# TYPE evorec_checkpoint_failures_total counter",
-		"# TYPE evorec_checkpoints_in_flight gauge",
 		"# TYPE evorec_commit_batch_size histogram",
 		"# TYPE evorec_commit_busy_total counter",
 		"# TYPE evorec_commit_degraded_total counter",

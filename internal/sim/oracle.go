@@ -297,9 +297,10 @@ func (r *runner) scrapeOnce(prev *snapshot) *snapshot {
 		r.checkMonotone(prev, snap)
 	}
 
-	// Readiness can legitimately dip during checkpoints; tallied, not judged.
+	// Only WAL replay at open and the shutdown drain make the server
+	// not-ready, and neither overlaps the run.
 	if st, _, err := r.fetch("/readyz"); err == nil {
-		if st == http.StatusOK {
+		if r.expect(st == http.StatusOK, "readiness", "GET /readyz = %d mid-run", st) {
 			r.readyOK.Add(1)
 		} else {
 			r.readyBusy.Add(1)

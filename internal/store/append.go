@@ -18,15 +18,19 @@ import (
 //
 // The sequence is WAL-first:
 //
-//  1. Validate and encode every version, building one WAL record per commit
-//     (segment payload, dictionary tail, chain parent).
-//  2. Append all records to the WAL and fsync it — the acknowledgment
+//  1. Validate every version; then, if the WAL has reached
+//     DefaultWALCheckpointBytes, checkpoint. A failure here has logged and
+//     registered nothing.
+//  2. Encode every version, building one WAL record per commit (segment
+//     payload, dictionary tail, chain parent).
+//  3. Append all records to the WAL and fsync it — the acknowledgment
 //     point. When AppendBatchCtx returns nil, the batch survives any crash.
-//  3. Apply: write each segment file (atomic rename, no fsync yet) and
-//     extend the in-memory manifest. Durability for these files comes from
-//     the WAL until a later checkpoint fsyncs them and truncates the log;
-//     the on-disk manifest is deliberately NOT rewritten here, so a crash
-//     can never leave a manifest referencing unsynced segments.
+//  4. Apply: write each segment file (atomic rename, no fsync yet), then
+//     register the batch in the in-memory manifest and index. Durability
+//     for these files comes from the WAL until a later checkpoint fsyncs
+//     them and truncates the log; the on-disk manifest is deliberately NOT
+//     rewritten here, so a crash can never leave a manifest referencing
+//     unsynced segments.
 //
 // Segment kinds follow the manifest's recorded policy and snapshot cadence
 // exactly as before: under DeltaChain each version is a delta over its
@@ -37,10 +41,12 @@ import (
 // no-op when it already shares it); newly interned terms ride in the WAL
 // record's dictionary tail and reach the dict segment at checkpoint.
 //
-// Any error from the WAL write onward poisons the handle (see Dataset): the
-// batch's durability is then unknown or partial, and the only safe
-// continuation is reopening the directory, which re-applies whatever the
-// WAL acknowledged.
+// A returned error means the handle registered none of the batch: Has,
+// IDs and Len are as they were. An error from the bound checkpoint, the
+// WAL write or a segment write also poisons the handle (see Dataset). Once
+// the WAL write has begun, the batch's durability is unknown: its records
+// may be whole on disk, and reopening the directory after a crash replays
+// them.
 //
 // When ctx carries a sampled trace, the whole batch is recorded as a
 // "store.append" span nesting "store.encode" and the WAL's
@@ -80,6 +86,13 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 			return nil, fmt.Errorf("store: version ID %q cannot name a segment file", v.ID)
 		}
 		seen[v.ID] = true
+	}
+	// The bound is enforced before the batch is logged, so a failing
+	// checkpoint leaves nothing of the batch behind.
+	if ds.wal.size >= DefaultWALCheckpointBytes {
+		if err := ds.CheckpointReasonCtx(ctx, CheckpointWALBound); err != nil {
+			return nil, err
+		}
 	}
 
 	// Encode the whole batch and build its WAL records. Interning into the
@@ -170,37 +183,31 @@ func (ds *Dataset) AppendBatchCtx(ctx context.Context, vs []*rdf.Version) ([]*En
 
 	// Apply. Failures past this point are sticky but the commits are already
 	// durable — recovery replays them from the WAL.
-	out := make([]*Entry, len(vs))
 	man := *ds.man
 	man.Entries = append(append([]Entry(nil), ds.man.Entries...), entries...)
-	for k, v := range vs {
+	for k := range vs {
 		e := &man.Entries[base+k]
 		segKind := kindSnapshot
 		if e.Kind == kindNameDelta {
 			segKind = kindDelta
 		}
-		path := joinPath(ds.dir, e.File)
-		if _, err := writeSegment(ds.fsys, path, segKind, payloads[k], false); err != nil {
+		if _, err := writeSegment(ds.fsys, joinPath(ds.dir, e.File), segKind, payloads[k], false); err != nil {
 			ds.fail(err)
 			return nil, err
 		}
 		ds.metrics.segBytes.Add(float64(e.Bytes))
-		ds.pending[path] = true
-		ds.idx[v.ID] = base + k
-		out[k] = e
 	}
 	man.Terms = ds.dict.Len() - 1
 	ds.man = &man
+	out := make([]*Entry, len(vs))
 	for k, v := range vs {
+		out[k] = &man.Entries[base+k]
+		ds.idx[v.ID] = base + k
+		ds.pending[joinPath(ds.dir, out[k].File)] = true
 		if v.Graph.Dict() == ds.dict {
 			// The committed graph is already in dataset encoding; cache it so
 			// an immediately following delta append or pair analysis is free.
 			ds.lru.put(base+k, v.Graph)
-		}
-	}
-	if ds.wal.size >= DefaultWALCheckpointBytes {
-		if err := ds.CheckpointReasonCtx(ctx, CheckpointWALBound); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 )
 
@@ -25,11 +26,41 @@ func AppendFrame(buf []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
-// NextFrame validates the frame of the given kind starting at off in an
-// append-only log of frames and returns its payload and the next frame's
-// offset. ok is false when the remaining bytes do not hold one whole valid
-// frame: the torn tail a crash mid-append leaves.
-func NextFrame(data []byte, off int, kind byte) (payload []byte, next int, ok bool) {
+// Frame is one valid frame of an append-only log: its payload and the
+// offset it starts at, for error messages.
+type Frame struct {
+	Off     int
+	Payload []byte
+}
+
+// ReadFrames walks an append-only log of frames of the given kind — the
+// store's write-ahead log and the feed journal both — and returns its valid
+// frames in order and the offset where they end. Bytes past end are the
+// torn tail a crash mid-append leaves, not an error, unless a valid frame
+// starts anywhere after end: nothing is ever appended behind torn bytes, so
+// the frame at end is then corrupt, and err says so (frames still holds the
+// frames before it).
+func ReadFrames(data []byte, kind byte) (frames []Frame, end int, err error) {
+	for end < len(data) {
+		payload, next, ok := nextFrame(data, end, kind)
+		if !ok {
+			for i := end + 1; i < len(data); i++ {
+				if _, _, ok := nextFrame(data, i, kind); ok {
+					return frames, end, fmt.Errorf("corrupt frame at offset %d (a valid frame follows at offset %d)", end, i)
+				}
+			}
+			return frames, end, nil
+		}
+		frames = append(frames, Frame{Off: end, Payload: payload})
+		end = next
+	}
+	return frames, end, nil
+}
+
+// nextFrame validates the frame of the given kind starting at off and
+// returns its payload and the next frame's offset. ok is false when the
+// bytes at off do not hold one whole valid frame.
+func nextFrame(data []byte, off int, kind byte) (payload []byte, next int, ok bool) {
 	rest := data[off:]
 	if len(rest) < segHeaderLen+segTrailerLen {
 		return nil, 0, false

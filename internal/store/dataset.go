@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"evorec/internal/obs"
@@ -59,11 +60,13 @@ type Dataset struct {
 // filesystem.
 func Open(dir string) (*Dataset, error) { return OpenFS(vfs.OS{}, dir) }
 
-// OpenFS opens the store at dir on the given filesystem. Any WAL tail past
-// the manifest is replayed: commits acknowledged before a crash but never
-// checkpointed are re-applied (segments rewritten, dictionary re-interned,
-// manifest rebuilt) and the store checkpointed, so the handle always starts
-// from a durable, WAL-empty state.
+// OpenFS opens the store at dir on the given filesystem and replays the
+// WAL by planWAL, the rule VerifyFS reports: commits acknowledged before a
+// crash but never checkpointed are re-applied (segments rewritten,
+// dictionary re-interned, manifest rebuilt) and the store checkpointed, so
+// the handle starts from a durable, WAL-empty state. A WAL that Verify
+// would report a problem in — corruption, an orphaned record — is refused,
+// and wal.log is left as it is.
 func OpenFS(fsys vfs.FS, dir string) (*Dataset, error) {
 	man, err := readManifest(fsys, dir)
 	if err != nil {
@@ -104,107 +107,41 @@ func OpenFS(fsys vfs.FS, dir string) (*Dataset, error) {
 		wal:     &wal{fsys: fsys, dir: dir},
 		pending: make(map[string]bool),
 	}
-	// Everything in the loaded dictionary is durable (the dict segment is
-	// only ever written with full fsync discipline); replay may raise the
-	// watermark further as it re-interns record tails.
+	data, err := ds.wal.read()
+	if err != nil {
+		return nil, err
+	}
+	plan, replay := planWAL(data, man, dict)
+	if len(plan.Problems) > 0 {
+		return nil, fmt.Errorf("store: %s refused, %s left as it is: %s",
+			dir, walFileName, strings.Join(plan.Problems, "; "))
+	}
+	for _, r := range replay {
+		path := joinPath(dir, r.entry.File)
+		if _, err := writeSegment(fsys, path, r.rec.segKind, r.rec.payload, false); err != nil {
+			return nil, err
+		}
+		ds.metrics.segBytes.Add(float64(r.entry.Bytes))
+		ds.pending[path] = true
+		ds.idx[r.rec.id] = len(ds.man.Entries)
+		ds.man.Entries = append(ds.man.Entries, r.entry)
+	}
+	// Everything in the dictionary is now durable (the dict segment is only
+	// ever written with full fsync discipline) or logged in a replayed
+	// record.
 	ds.dictCovered = dict.Len() - 1
-	if err := ds.replayWAL(); err != nil {
+	if len(plan.Records) == 0 {
+		// Nothing readable (at most a torn tail): nothing to redo. Leave the
+		// file for the first append's reset.
+		return ds, nil
+	}
+	ds.wal.seq = plan.Records[len(plan.Records)-1].Seq
+	// Everything readable is applied (or was already durable): make it all
+	// durable and truncate the log.
+	if err := ds.checkpointTimed(CheckpointReplay); err != nil {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// replayWAL applies the WAL's readable records past the manifest, then
-// checkpoints. Records whose version the manifest already holds were applied
-// before the crash and are skipped; a record whose parent is not the current
-// chain tail ends replay (the durable state never reached it).
-func (ds *Dataset) replayWAL() error {
-	data, err := ds.wal.read()
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	recs, _, err := scanWAL(data)
-	if err != nil {
-		return err
-	}
-	applied := 0
-	for _, rec := range recs {
-		ds.wal.seq = rec.seq
-		if _, done := ds.idx[rec.id]; done {
-			continue
-		}
-		tail := ""
-		if n := len(ds.man.Entries); n > 0 {
-			tail = ds.man.Entries[n-1].ID
-		}
-		if rec.parent != tail {
-			break
-		}
-		if err := ds.applyWALRecord(rec); err != nil {
-			return err
-		}
-		applied++
-	}
-	if applied == 0 && len(recs) == 0 {
-		// Pure torn tail: nothing readable, nothing to redo. Leave the file
-		// for the first append's reset.
-		return nil
-	}
-	// Everything readable is applied (or was already durable): make it all
-	// durable and truncate the log.
-	return ds.checkpointTimed(CheckpointReplay)
-}
-
-// applyWALRecord redoes one commit from its WAL record: re-interns the
-// record's dictionary tail (verifying the IDs land exactly where the writer
-// assigned them), validates the segment payload, writes the segment file,
-// and extends the in-memory manifest.
-func (ds *Dataset) applyWALRecord(rec *walRecord) error {
-	if rec.dictBase > ds.dict.Len()-1 {
-		return fmt.Errorf("store: WAL record %q: dictionary base %d past dictionary size %d",
-			rec.id, rec.dictBase, ds.dict.Len()-1)
-	}
-	for j, t := range rec.dictTail {
-		want := rdf.TermID(rec.dictBase + 1 + j)
-		if got := ds.dict.Intern(t); got != want {
-			return fmt.Errorf("store: WAL record %q: dictionary tail term %d interned as ID %d, want %d",
-				rec.id, j, got, want)
-		}
-	}
-	if covered := rec.dictBase + len(rec.dictTail); covered > ds.dictCovered {
-		ds.dictCovered = covered
-	}
-	e := Entry{ID: rec.id}
-	var err error
-	switch rec.segKind {
-	case kindSnapshot:
-		e.Kind = kindNameSnapshot
-		e.File = rec.id + ".snap"
-		e.Triples, err = decodeSnapshot(e.File, rec.payload, ds.dict.Len(), func(rdf.IDTriple) {})
-	case kindDelta:
-		e.Kind = kindNameDelta
-		e.File = rec.id + ".delta"
-		e.Added, e.Deleted, err = decodeDelta(e.File, rec.payload, ds.dict.Len(),
-			func(rdf.IDTriple) {}, func(rdf.IDTriple) {})
-	}
-	if err != nil {
-		return fmt.Errorf("store: WAL record %q: %w", rec.id, err)
-	}
-	if !validFileName(e.File) {
-		return fmt.Errorf("store: WAL record ID %q cannot name a segment file", rec.id)
-	}
-	path := joinPath(ds.dir, e.File)
-	if e.Bytes, err = writeSegment(ds.fsys, path, rec.segKind, rec.payload, false); err != nil {
-		return err
-	}
-	ds.metrics.segBytes.Add(float64(e.Bytes))
-	ds.pending[path] = true
-	ds.idx[rec.id] = len(ds.man.Entries)
-	ds.man.Entries = append(ds.man.Entries, e)
-	return nil
 }
 
 // CheckpointReasonCtx makes every commit since the last checkpoint durable
@@ -307,15 +244,19 @@ func (ds *Dataset) fail(err error) {
 func (ds *Dataset) Failed() error { return ds.failed }
 
 // HealCtx attempts to clear a poisoned handle in place, without reopening the
-// directory. It is safe because a failed batch is rejected before the
-// in-memory manifest is swapped: ds.man always holds exactly the
-// acknowledged prefix, whatever the failure half-applied elsewhere. HealCtx
-// rebuilds the index and pending set from that manifest, then runs a full
-// checkpoint — fsync the acknowledged segments, rewrite the dictionary
-// segment, write the manifest durably, truncate the WAL. The truncation
-// deliberately discards WAL records of commits whose apply failed after
-// the WAL fsync: their callers were handed an error, and resurrecting them
-// on a later replay would turn a reported failure into a silent commit.
+// directory. It is safe because a failed batch registers nothing: the
+// in-memory manifest, index and pending set always hold exactly the
+// batches AppendBatchCtx returned nil for, whatever a failure half-applied
+// on disk. HealCtx runs a full checkpoint over them — fsync the pending
+// segments, rewrite the dictionary segment, write the manifest durably,
+// truncate the WAL.
+//
+// The truncation discards the WAL records of a batch that failed after its
+// WAL write began, so a reopen after the heal does not bring that batch
+// back. That holds only if the heal completes first: a crash between the
+// failure and a completed heal leaves the records in the WAL, and the
+// reopen replays them. A failed batch is therefore indeterminate across a
+// crash — its caller saw an error, yet its versions may survive.
 //
 // On success the handle appends and checkpoints again and every
 // acknowledged commit is durable. If the underlying fault persists, the
@@ -328,19 +269,6 @@ func (ds *Dataset) HealCtx(ctx context.Context) error {
 	if ds.failed == nil {
 		return nil
 	}
-	idx := make(map[string]int, len(ds.man.Entries))
-	live := make(map[string]bool, len(ds.man.Entries))
-	for i, e := range ds.man.Entries {
-		idx[e.ID] = i
-		live[joinPath(ds.dir, e.File)] = true
-	}
-	pending := make(map[string]bool, len(ds.pending))
-	for path := range ds.pending {
-		if live[path] {
-			pending[path] = true
-		}
-	}
-	ds.idx, ds.pending = idx, pending
 	ds.failed = nil
 	_, span := obs.StartSpan(ctx, "store.heal")
 	err := ds.checkpointTimed(CheckpointHeal)

@@ -142,7 +142,7 @@ func joinPath(dir, file string) string { return filepath.Join(dir, file) }
 // directory: no separators, no "..", nothing rooted. Both the writer (file
 // names derived from caller version IDs) and the reader (names from an
 // untrusted manifest) refuse anything else, so a crafted manifest cannot
-// point Open/Inspect at files outside the store.
+// point Open/Verify at files outside the store.
 func validFileName(name string) bool {
 	return name != "" && name != "." && name != ".." &&
 		!strings.ContainsAny(name, `/\`) && filepath.Base(name) == name

@@ -351,8 +351,8 @@ func TestStoreRejectsEscapingFileNames(t *testing.T) {
 	if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), "escapes") {
 		t.Fatalf("manifest with escaping file name must be rejected, got %v", err)
 	}
-	if _, err := store.Inspect(dir); err == nil {
-		t.Fatal("Inspect must reject an escaping manifest too")
+	if _, err := store.Verify(dir); err == nil {
+		t.Fatal("Verify must reject an escaping manifest too")
 	}
 	// A version ID that would escape as a file name is refused at save time.
 	bad := rdf.NewVersionStore()
@@ -456,6 +456,9 @@ func TestStoreCorruptionDetected(t *testing.T) {
 	})
 }
 
+// TestInspect checks the manifest and segment view Verify reports: counts,
+// one row per segment, the footprint DiskUsage computes, and a corrupted
+// segment reported in place rather than as a fatal error.
 func TestInspect(t *testing.T) {
 	vs := testChain(t, 3)
 	dir := t.TempDir()
@@ -463,10 +466,11 @@ func TestInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.Inspect(dir)
+	rep, err := store.Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := rep.Info
 	if info.Format != store.FormatV1 || info.Policy != "hybrid" {
 		t.Fatalf("info header = %+v", info)
 	}
@@ -486,16 +490,19 @@ func TestInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if usage != info.TotalBytes {
-		t.Fatalf("DiskUsage = %d, Inspect total = %d", usage, info.TotalBytes)
+		t.Fatalf("DiskUsage = %d, Verify total = %d", usage, info.TotalBytes)
 	}
 	// A corrupted segment is reported, not fatal.
 	corrupt(t, filepath.Join(dir, "v1.snap"), -1)
-	info, err = store.Inspect(dir)
+	rep, err = store.Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.OK() {
+		t.Fatal("Verify passed a store with a corrupted segment")
+	}
 	var found bool
-	for _, s := range info.Segments {
+	for _, s := range rep.Info.Segments {
 		if s.File == "v1.snap" {
 			found = true
 			if s.OK || s.Err == "" {

@@ -33,13 +33,19 @@ import (
 //	  payLen   uvarint  the version's segment payload (snapshot or delta
 //	  payload           bytes), verbatim — replay writes it as the segment
 //
-// Recovery scans the file record by record; the first frame that fails its
-// magic, bounds or CRC check ends the readable prefix (a torn tail is the
-// expected shape of a crash mid-append, never an error). Records whose
-// version ID the manifest already lists are skipped — they were applied and
-// checkpointed-by-manifest before the crash — and a record whose parent is
-// not the current chain tail ends replay (it belongs to a commit sequence
-// the durable state never reached; applying it would fork the chain).
+// Recovery reads the frames with ReadFrames and decides every record's fate
+// with planWAL, the one replay rule OpenFS applies and VerifyFS reports. A
+// bad last frame is the torn tail a crash mid-append leaves, never an
+// error; a bad frame with a valid frame after it is corruption (nothing is
+// appended behind torn bytes: the first append after Open resets the
+// file). Frame 0 is appended like any other, so a torn frame 0 with nothing
+// after it is still a crash. Records whose version the chain already holds
+// are skipped — they were applied and checkpointed-by-manifest before the
+// crash — and a record whose parent is not the chain tail is orphaned: it
+// belongs to a commit sequence the durable state never reached, so applying
+// it would fork the chain and dropping it would lose an acked commit. Open
+// refuses the store on it, and on any other problem, and leaves wal.log as
+// it is.
 //
 // The WAL is truncated by checkpoint: once every applied segment, the
 // dictionary and the manifest are fsynced (and the directory synced so the
@@ -50,9 +56,10 @@ const (
 	kindWAL     byte = 6
 )
 
-// DefaultWALCheckpointBytes is the WAL size past which AppendBatchCtx checkpoints
-// inline. Service layers with a background checkpointer (group commit) can
-// checkpoint earlier; this bound holds for bare store users too.
+// DefaultWALCheckpointBytes is the WAL size at or past which AppendBatchCtx
+// checkpoints before it logs the next batch. Service layers with a
+// background checkpointer (group commit) checkpoint earlier, when idle;
+// this bound holds for bare store users too.
 const DefaultWALCheckpointBytes = 4 << 20
 
 // walRecord is one decoded WAL commit record.
@@ -135,33 +142,6 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 		return nil, r.errf("record %q: %d trailing bytes", rec.id, r.remaining())
 	}
 	return rec, nil
-}
-
-// scanWAL walks raw WAL bytes and returns every readable record plus the
-// offset where the readable prefix ends. A torn or corrupt tail frame is
-// not an error — it is what a crash mid-append leaves — but a record that
-// frames correctly and still fails to decode, or a sequence number that
-// does not strictly increase, is.
-func scanWAL(data []byte) (recs []*walRecord, clean int, err error) {
-	off := 0
-	var lastSeq uint64
-	for {
-		payload, next, ok := NextFrame(data, off, kindWAL)
-		if !ok {
-			return recs, off, nil
-		}
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
-			return nil, off, fmt.Errorf("store: WAL record at offset %d: %w", off, err)
-		}
-		if rec.seq <= lastSeq {
-			return nil, off, fmt.Errorf("store: WAL sequence %d at offset %d not increasing (previous %d)",
-				rec.seq, off, lastSeq)
-		}
-		lastSeq = rec.seq
-		recs = append(recs, rec)
-		off = next
-	}
 }
 
 // wal is the open write-ahead log of one Dataset. The handle is lazy: a
