@@ -16,11 +16,9 @@ import (
 	"testing"
 
 	"evorec"
-	"evorec/internal/graphx"
 	"evorec/internal/measures"
 	"evorec/internal/recommend"
 	"evorec/internal/schema"
-	"evorec/internal/semantics"
 	"evorec/internal/synth"
 	"evorec/internal/trend"
 )
@@ -192,59 +190,95 @@ func BenchmarkSchemaExtract(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAnalyzer(b *testing.B) {
-	older, _ := benchVersions(b)
-	sch := schema.Extract(older.Graph)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		semantics.NewAnalyzer(older.Graph, sch)
+// coldHistoryPair is a version pair shaped like the bench module's
+// cold-history workload: 60 classes, 50 properties, ~2,600 triples, one
+// step of steady instance churn apart.
+func coldHistoryPair(b *testing.B) (*evorec.Version, *evorec.Version) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	kb := synth.KBConfig{Classes: 60, Properties: 40, LiteralProps: 10, Instances: 1000, ZipfS: 1.4, LinksPerInstance: 2}
+	g, nm, err := synth.Generate(kb, rng)
+	if err != nil {
+		b.Fatal(err)
 	}
+	flat := synth.OpWeights{Reparent: 2, RetargetProperty: 2, AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}
+	next, _, err := synth.Evolve(g, synth.EvolveConfig{Ops: 40, Locality: 0.8, Weights: flat}, nm, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &evorec.Version{ID: "v1", Graph: g}, &evorec.Version{ID: "v2", Graph: next}
+}
+
+// benchPairs runs fn as one sub-benchmark per measure-layer pair shape: the
+// synth Small pair and the cold-history-shaped pair.
+func benchPairs(b *testing.B, fn func(b *testing.B, older, newer *evorec.Version)) {
+	for _, pair := range []struct {
+		name string
+		make func(*testing.B) (*evorec.Version, *evorec.Version)
+	}{{"small", benchVersions}, {"cold-history", coldHistoryPair}} {
+		b.Run(pair.name, func(b *testing.B) {
+			older, newer := pair.make(b)
+			fn(b, older, newer)
+		})
+	}
+}
+
+// BenchmarkSemanticAnalyzer measures one version's analysis: schema, class
+// graph, semantic vectors and betweenness.
+func BenchmarkSemanticAnalyzer(b *testing.B) {
+	benchPairs(b, func(b *testing.B, older, _ *evorec.Version) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			measures.Analyze(older.Graph)
+		}
+	})
 }
 
 func BenchmarkBetweennessExact(b *testing.B) {
-	older, _ := benchVersions(b)
-	g := graphx.FromAdjacency(schema.Extract(older.Graph).ClassGraph())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Betweenness()
-	}
+	benchPairs(b, func(b *testing.B, older, _ *evorec.Version) {
+		g := schema.Extract(older.Graph).ClassGraph()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Betweenness()
+		}
+	})
 }
 
 func BenchmarkBetweennessSampled(b *testing.B) {
-	older, _ := benchVersions(b)
-	g := graphx.FromAdjacency(schema.Extract(older.Graph).ClassGraph())
-	rng := rand.New(rand.NewSource(1))
-	k := g.NumNodes() / 4
-	if k < 1 {
-		k = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BetweennessSampled(k, rng)
-	}
+	benchPairs(b, func(b *testing.B, older, _ *evorec.Version) {
+		g := schema.Extract(older.Graph).ClassGraph()
+		rng := rand.New(rand.NewSource(1))
+		k := max(g.NumNodes()/4, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.BetweennessSampled(k, rng)
+		}
+	})
 }
 
 func BenchmarkMeasureContext(b *testing.B) {
-	older, newer := benchVersions(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		measures.NewContext(older, newer)
-	}
+	benchPairs(b, func(b *testing.B, older, newer *evorec.Version) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			measures.NewContext(older, newer)
+		}
+	})
 }
 
 func BenchmarkAllMeasures(b *testing.B) {
-	older, newer := benchVersions(b)
-	ctx := measures.NewContext(older, newer)
-	reg := measures.NewRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recommend.BuildItems(ctx, reg)
-	}
+	benchPairs(b, func(b *testing.B, older, newer *evorec.Version) {
+		ctx := measures.NewContext(older, newer)
+		reg := measures.NewRegistry()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recommend.BuildItems(ctx, reg)
+		}
+	})
 }
 
 // BenchmarkRecommendTopK measures the served scoring path: the item index

@@ -46,7 +46,6 @@ import (
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 	"evorec/internal/schema"
-	"evorec/internal/semantics"
 	"evorec/internal/server"
 	"evorec/internal/service"
 	"evorec/internal/sim"
@@ -162,14 +161,6 @@ func DetectHighLevel(older, newer *Graph) []HighLevelChange {
 
 // StructuralGraph is the class-level graph used by structural measures.
 type StructuralGraph = graphx.Graph
-
-// SemanticAnalyzer answers semantic importance queries over one version.
-type SemanticAnalyzer = semantics.Analyzer
-
-// NewSemanticAnalyzer builds the semantic analyzer for a graph.
-func NewSemanticAnalyzer(g *Graph, s *Schema) *SemanticAnalyzer {
-	return semantics.NewAnalyzer(g, s)
-}
 
 // ---------------------------------------------------------------------------
 // Measures

@@ -38,18 +38,6 @@ type Delta struct {
 	deletedIDs []rdf.IDTriple
 }
 
-// IDDelta is a delta in dictionary-encoded form: the added and deleted
-// ID-triples, sorted numerically by (S, P, O). Like every ID-level value it
-// is only meaningful relative to the Dict shared by the graphs it was
-// computed from; the binary store serializes these lists directly.
-type IDDelta struct {
-	// Added holds δ+ and Deleted δ−, both sorted with rdf.SortIDTriples.
-	Added, Deleted []rdf.IDTriple
-}
-
-// Size returns |δ| = |δ+| + |δ−|.
-func (d *IDDelta) Size() int { return len(d.Added) + len(d.Deleted) }
-
 // Compute returns the low-level delta between the two graphs.
 //
 // When the graphs share a term dictionary (which all versions of one dataset
@@ -138,7 +126,7 @@ func ComputeParallel(older, newer *rdf.Graph) *Delta {
 }
 
 // collectIDDiff returns the sorted added and deleted ID-triple lists between
-// two graphs sharing a Dict — the shared core of Compute and ComputeIDs.
+// two graphs sharing a Dict.
 func collectIDDiff(older, newer *rdf.Graph) (added, deleted []rdf.IDTriple) {
 	added = make([]rdf.IDTriple, 0, deltaCap(newer.Len()))
 	deleted = make([]rdf.IDTriple, 0, deltaCap(older.Len()))
@@ -157,18 +145,6 @@ func collectIDDiff(older, newer *rdf.Graph) (added, deleted []rdf.IDTriple) {
 	rdf.SortIDTriples(added)
 	rdf.SortIDTriples(deleted)
 	return added, deleted
-}
-
-// ComputeIDs returns the ID-level delta between two graphs sharing a Dict,
-// never decoding a term; ok is false when the graphs have distinct
-// dictionaries (an ID-level diff would be meaningless). The binary store
-// serializes deltas from exactly this form.
-func ComputeIDs(older, newer *rdf.Graph) (d *IDDelta, ok bool) {
-	if older.Dict() != newer.Dict() {
-		return nil, false
-	}
-	added, deleted := collectIDDiff(older, newer)
-	return &IDDelta{Added: added, Deleted: deleted}, true
 }
 
 // DiffSortedIDs computes the ID-level delta between two sorted,
@@ -280,38 +256,6 @@ func (d *Delta) Apply(g *rdf.Graph) (removed, added int) {
 		}
 	}
 	return removed, added
-}
-
-// Invert returns the reverse delta: applying Invert() to the newer version
-// yields the older one. Any encoded fast-path lists are swapped along.
-func (d *Delta) Invert() *Delta {
-	inv := &Delta{
-		OlderID:    d.NewerID,
-		NewerID:    d.OlderID,
-		Added:      make([]rdf.Triple, len(d.Deleted)),
-		Deleted:    make([]rdf.Triple, len(d.Added)),
-		dict:       d.dict,
-		addedIDs:   d.deletedIDs,
-		deletedIDs: d.addedIDs,
-	}
-	copy(inv.Added, d.Deleted)
-	copy(inv.Deleted, d.Added)
-	return inv
-}
-
-// AddedGraph materializes δ+ as a graph, so the query engine and the
-// schema extractor can run directly over "what appeared".
-func (d *Delta) AddedGraph() *rdf.Graph {
-	g := rdf.NewGraph()
-	g.AddAll(d.Added)
-	return g
-}
-
-// DeletedGraph materializes δ− as a graph ("what disappeared").
-func (d *Delta) DeletedGraph() *rdf.Graph {
-	g := rdf.NewGraph()
-	g.AddAll(d.Deleted)
-	return g
 }
 
 // TermDelta is the per-term attribution of a delta: how many added and

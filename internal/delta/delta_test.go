@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,10 +92,15 @@ func TestInvertRoundTrip(t *testing.T) {
 	older.Add(tri(2))
 	newer.Add(tri(2))
 	newer.Add(tri(3))
-	d := Compute(older, newer)
-	inv := d.Invert()
+	d := ComputeVersions(&rdf.Version{ID: "a", Graph: older}, &rdf.Version{ID: "b", Graph: newer})
+	// The inverse delta is the delta of the reversed pair: it swaps the
+	// version IDs and the change lists.
+	inv := ComputeVersions(&rdf.Version{ID: "b", Graph: newer}, &rdf.Version{ID: "a", Graph: older})
 	if inv.OlderID != d.NewerID || inv.NewerID != d.OlderID {
-		t.Fatal("Invert must swap version IDs")
+		t.Fatal("inverse must swap version IDs")
+	}
+	if !slices.Equal(inv.Added, d.Deleted) || !slices.Equal(inv.Deleted, d.Added) {
+		t.Fatalf("inverse lists = (%v, %v), want (%v, %v)", inv.Added, inv.Deleted, d.Deleted, d.Added)
 	}
 	back := newer.Clone()
 	inv.Apply(back)
@@ -227,7 +233,11 @@ func TestAddedDeletedGraphs(t *testing.T) {
 	newer.Add(tri(2))
 	newer.Add(tri(3))
 	d := Compute(older, newer)
-	ag, dg := d.AddedGraph(), d.DeletedGraph()
+	// δ+ and δ− materialized as graphs hold exactly what appeared and what
+	// disappeared.
+	ag, dg := rdf.NewGraph(), rdf.NewGraph()
+	ag.AddAll(d.Added)
+	dg.AddAll(d.Deleted)
 	if ag.Len() != 1 || !ag.Has(tri(3)) {
 		t.Fatalf("AddedGraph = %v", ag.Triples())
 	}

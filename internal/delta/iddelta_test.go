@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"slices"
 	"testing"
 
 	"evorec/internal/rdf"
@@ -64,9 +65,8 @@ func TestApplyAfterFilterFallsBack(t *testing.T) {
 
 func TestApplyInvertIDPath(t *testing.T) {
 	older, newer, _, _ := sharedPair()
-	d := Compute(older, newer)
 	back := newer.Clone()
-	d.Invert().Apply(back)
+	Compute(newer, older).Apply(back)
 	if !Compute(back, older).IsEmpty() {
 		t.Fatal("inverted ID-path Apply did not reconstruct older")
 	}
@@ -87,19 +87,18 @@ func TestApplyForeignDictFallsBack(t *testing.T) {
 
 func TestComputeIDs(t *testing.T) {
 	older, newer, _, _ := sharedPair()
-	id, ok := ComputeIDs(older, newer)
-	if !ok {
-		t.Fatal("ComputeIDs must succeed on shared-dict graphs")
-	}
-	if len(id.Added) != 1 || len(id.Deleted) != 1 || id.Size() != 2 {
-		t.Fatalf("IDDelta sizes = (%d, %d)", len(id.Added), len(id.Deleted))
-	}
 	d := Compute(older, newer)
-	if dec := older.Dict().TermOf(id.Added[0].S); dec != d.Added[0].S {
+	// Shared-dict graphs diff on IDs: the encoded lists mirror the decoded
+	// ones.
+	if d.dict != older.Dict() || len(d.addedIDs) != 1 || len(d.deletedIDs) != 1 {
+		t.Fatalf("ID lists = (%d, %d) over dict %p", len(d.addedIDs), len(d.deletedIDs), d.dict)
+	}
+	if dec := older.Dict().TermOf(d.addedIDs[0].S); dec != d.Added[0].S {
 		t.Fatalf("decoded added subject = %v, want %v", dec, d.Added[0].S)
 	}
-	if _, ok := ComputeIDs(older, rdf.NewGraph()); ok {
-		t.Fatal("ComputeIDs must refuse foreign-dict graphs")
+	// A foreign-dict pair takes the term-level scan and has no ID lists.
+	if f := Compute(older, rdf.NewGraph()); f.dict != nil || f.deletedIDs != nil {
+		t.Fatal("foreign-dict Compute must not produce ID lists")
 	}
 }
 
@@ -131,14 +130,9 @@ func TestDiffSortedIDs(t *testing.T) {
 	rdf.SortIDTriples(oIDs)
 	rdf.SortIDTriples(nIDs)
 	a2, d2 := DiffSortedIDs(oIDs, nIDs)
-	id, _ := ComputeIDs(og, ng)
-	if len(a2) != len(id.Added) || len(d2) != len(id.Deleted) {
-		t.Fatalf("DiffSortedIDs disagrees with ComputeIDs: (%d, %d) vs (%d, %d)",
-			len(a2), len(d2), len(id.Added), len(id.Deleted))
-	}
-	for i := range a2 {
-		if a2[i] != id.Added[i] {
-			t.Fatalf("added[%d] = %v, want %v", i, a2[i], id.Added[i])
-		}
+	d := Compute(og, ng)
+	if !slices.Equal(a2, d.addedIDs) || !slices.Equal(d2, d.deletedIDs) {
+		t.Fatalf("DiffSortedIDs disagrees with Compute: (%v, %v) vs (%v, %v)",
+			a2, d2, d.addedIDs, d.deletedIDs)
 	}
 }

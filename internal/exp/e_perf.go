@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"evorec/internal/core"
-	"evorec/internal/graphx"
 	"evorec/internal/measures"
 	"evorec/internal/rdf"
 	"evorec/internal/recommend"
@@ -126,7 +125,7 @@ func A1BetweennessSampling(p Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sg := graphx.FromAdjacency(schema.Extract(g).ClassGraph())
+	sg := schema.Extract(g).ClassGraph()
 
 	start := time.Now()
 	exact := sg.Betweenness()

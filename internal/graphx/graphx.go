@@ -1,142 +1,55 @@
 // Package graphx implements the structural graph algorithms behind the
 // paper's structural evolution measures (§II-c): Brandes betweenness
 // centrality, bridging centrality (betweenness × bridging coefficient,
-// after Hwang et al.), plus the supporting machinery — BFS distances,
-// connected components, clustering coefficients, degree statistics and
-// PageRank — over an undirected graph of RDF terms.
+// after Hwang et al.), plus clustering coefficients, shortest paths and
+// PageRank, over an undirected graph of RDF terms.
 //
-// The package converts the term-keyed adjacency produced by
-// schema.ClassGraph into a compact integer-indexed form once, then runs all
-// algorithms on integer IDs.
+// A Graph holds its nodes sorted by term and its adjacency as node indexes,
+// so every algorithm runs on integers and node i of schema.ClassGraph is
+// class ordinal i of the measure layer.
 package graphx
 
 import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"evorec/internal/rdf"
 )
 
 // Graph is an undirected graph over rdf.Term nodes with integer-compacted
-// adjacency. Build one with FromAdjacency (term-keyed input) or
-// FromAdjacencyIDs (dictionary-encoded input, which skips every term-keyed
-// map on the construction path).
+// adjacency. Build one with FromAdjacency.
 type Graph struct {
-	nodes []rdf.Term
-	// Exactly one of index / (dict, idIndex) is populated, depending on the
-	// constructor: node lookup goes through the term dictionary when the
-	// graph was built from encoded adjacency, so probes hash a uint32
-	// instead of a three-string struct.
-	index   map[rdf.Term]int
-	dict    *rdf.Dict
-	idIndex map[rdf.TermID]int
-	adj     [][]int
+	nodes []rdf.Term // sorted by rdf.Term.Compare
+	adj   [][]int    // ascending, duplicate-free, no self-loops
 }
 
-// indexOf resolves a term to its compact node index.
+// FromAdjacency builds a Graph over nodes, which must be sorted by
+// rdf.Term.Compare and distinct; node lookups binary-search them. adj holds
+// one list per node: adj[i] lists the neighbours of node i as indexes into
+// nodes, in any order, and duplicates, self-loops and out-of-range indexes
+// are dropped. The graph takes ownership of both slices.
+func FromAdjacency(nodes []rdf.Term, adj [][]int) *Graph {
+	for u, ns := range adj {
+		kept := ns[:0]
+		for _, v := range ns {
+			if v >= 0 && v < len(nodes) && v != u {
+				kept = append(kept, v)
+			}
+		}
+		slices.Sort(kept)
+		adj[u] = slices.Compact(kept)
+	}
+	return &Graph{nodes: nodes, adj: adj}
+}
+
+// indexOf resolves a term to its node index.
 func (g *Graph) indexOf(t rdf.Term) (int, bool) {
-	if g.dict != nil {
-		id, ok := g.dict.Lookup(t)
-		if !ok {
-			return 0, false
-		}
-		i, ok := g.idIndex[id]
-		return i, ok
-	}
-	i, ok := g.index[t]
-	return i, ok
-}
-
-// FromAdjacency builds a Graph from a term-keyed adjacency map, such as the
-// one returned by schema.ClassGraph. Nodes are ordered deterministically
-// (sorted by term) so that all derived scores are reproducible. Edges to
-// nodes absent from the map are ignored; duplicate edges and self-loops are
-// dropped.
-func FromAdjacency(adj map[rdf.Term][]rdf.Term) *Graph {
-	nodes := make([]rdf.Term, 0, len(adj))
-	for t := range adj {
-		nodes = append(nodes, t)
-	}
-	rdf.SortTerms(nodes)
-	index := make(map[rdf.Term]int, len(nodes))
-	for i, t := range nodes {
-		index[t] = i
-	}
-	g := &Graph{nodes: nodes, index: index, adj: make([][]int, len(nodes))}
-	for t, ns := range adj {
-		u := index[t]
-		seen := make(map[int]struct{}, len(ns))
-		for _, n := range ns {
-			v, ok := index[n]
-			if !ok || v == u {
-				continue
-			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			g.adj[u] = append(g.adj[u], v)
-		}
-		sort.Ints(g.adj[u])
-	}
-	return g
-}
-
-// FromAdjacencyIDs builds a Graph from dictionary-encoded adjacency, such as
-// schema.ClassGraphIDs. It produces a graph identical to FromAdjacency over
-// the decoded terms (same deterministic node order, same scores) but the
-// whole construction hashes only uint32 IDs. The dict must be the one that
-// minted the IDs.
-func FromAdjacencyIDs(dict *rdf.Dict, adj map[rdf.TermID][]rdf.TermID) *Graph {
-	ids := make([]rdf.TermID, 0, len(adj))
-	for id := range adj {
-		ids = append(ids, id)
-	}
-	// Deterministic node order: sorted by decoded term, matching
-	// FromAdjacency so all derived scores are reproducible across the two
-	// construction paths.
-	slices.SortFunc(ids, func(a, b rdf.TermID) int {
-		return dict.TermOf(a).Compare(dict.TermOf(b))
-	})
-	idIndex := make(map[rdf.TermID]int, len(ids))
-	nodes := make([]rdf.Term, len(ids))
-	for i, id := range ids {
-		idIndex[id] = i
-		nodes[i] = dict.TermOf(id)
-	}
-	g := &Graph{nodes: nodes, dict: dict, idIndex: idIndex, adj: make([][]int, len(ids))}
-	for id, ns := range adj {
-		u := idIndex[id]
-		seen := make(map[int]struct{}, len(ns))
-		for _, n := range ns {
-			v, ok := idIndex[n]
-			if !ok || v == u {
-				continue
-			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			g.adj[u] = append(g.adj[u], v)
-		}
-		sort.Ints(g.adj[u])
-	}
-	return g
+	return slices.BinarySearchFunc(g.nodes, t, rdf.Term.Compare)
 }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, ns := range g.adj {
-		n += len(ns)
-	}
-	return n / 2
-}
 
 // Nodes returns the node terms in index order.
 func (g *Graph) Nodes() []rdf.Term {
@@ -145,6 +58,10 @@ func (g *Graph) Nodes() []rdf.Term {
 	return out
 }
 
+// Adjacent returns the neighbours of node i as ascending node indexes. The
+// slice belongs to the graph; callers must not modify it.
+func (g *Graph) Adjacent(i int) []int { return g.adj[i] }
+
 // Degree returns the degree of node t, or 0 if t is not in the graph.
 func (g *Graph) Degree(t rdf.Term) int {
 	i, ok := g.indexOf(t)
@@ -152,12 +69,6 @@ func (g *Graph) Degree(t rdf.Term) int {
 		return 0
 	}
 	return len(g.adj[i])
-}
-
-// HasNode reports whether t is a node of the graph.
-func (g *Graph) HasNode(t rdf.Term) bool {
-	_, ok := g.indexOf(t)
-	return ok
 }
 
 // Neighbors returns the nodes adjacent to t, in node-index (sorted term)
@@ -306,48 +217,16 @@ func (g *Graph) BridgingCoefficient() Scores {
 	return out
 }
 
-// BridgingCentrality computes bridging centrality: the product of the
-// betweenness rank value and the bridging coefficient. A node scoring high
-// connects densely-connected components, the topological signal the paper's
-// structural measure targets.
-func (g *Graph) BridgingCentrality() Scores {
-	bc := g.Betweenness()
+// BridgingCentrality computes bridging centrality from the graph's
+// betweenness bc: the product of betweenness and the bridging coefficient.
+// A node scoring high connects densely-connected components, the
+// topological signal the paper's structural measure targets. Taking bc
+// lets a caller that already ran Brandes reuse it.
+func (g *Graph) BridgingCentrality(bc Scores) Scores {
 	brc := g.BridgingCoefficient()
 	out := make(Scores, len(g.nodes))
 	for _, t := range g.nodes {
 		out[t] = bc[t] * brc[t]
-	}
-	return out
-}
-
-// BFSDistances returns the unweighted shortest-path distance from src to
-// every reachable node. Unreachable nodes are absent from the result.
-func (g *Graph) BFSDistances(src rdf.Term) map[rdf.Term]int {
-	s, ok := g.indexOf(src)
-	if !ok {
-		return nil
-	}
-	dist := make([]int, len(g.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	out := make(map[rdf.Term]int)
-	for i, d := range dist {
-		if d >= 0 {
-			out[g.nodes[i]] = d
-		}
 	}
 	return out
 }
@@ -397,40 +276,6 @@ func (g *Graph) BFSPath(src, dst rdf.Term) []rdf.Term {
 		}
 	}
 	return nil
-}
-
-// ConnectedComponents returns the node sets of each connected component,
-// largest first (ties broken by smallest contained node index).
-func (g *Graph) ConnectedComponents() [][]rdf.Term {
-	comp := make([]int, len(g.nodes))
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]rdf.Term
-	for i := range g.nodes {
-		if comp[i] >= 0 {
-			continue
-		}
-		id := len(comps)
-		var members []rdf.Term
-		stack := []int{i}
-		comp[i] = id
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, g.nodes[v])
-			for _, w := range g.adj[v] {
-				if comp[w] < 0 {
-					comp[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-		rdf.SortTerms(members)
-		comps = append(comps, members)
-	}
-	sort.SliceStable(comps, func(a, b int) bool { return len(comps[a]) > len(comps[b]) })
-	return comps
 }
 
 // ClusteringCoefficient computes the local clustering coefficient of every
@@ -507,18 +352,4 @@ func (g *Graph) PageRank(d float64, eps float64, maxIter int) Scores {
 		out[t] = rank[i]
 	}
 	return out
-}
-
-// Diameter returns the longest shortest-path distance in the graph,
-// considering only reachable pairs. Empty graphs return 0.
-func (g *Graph) Diameter() int {
-	max := 0
-	for _, t := range g.nodes {
-		for _, d := range g.BFSDistances(t) {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

@@ -4,12 +4,111 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"evorec/internal/rdf"
 )
 
 func node(i int) rdf.Term { return rdf.SchemaIRI(fmt.Sprintf("N%02d", i)) }
+
+// fromTerms builds a Graph from term-keyed adjacency: the map's keys are the
+// nodes, and edges to terms that are not keys are dropped.
+func fromTerms(adj map[rdf.Term][]rdf.Term) *Graph {
+	nodes := make([]rdf.Term, 0, len(adj))
+	for t := range adj {
+		nodes = append(nodes, t)
+	}
+	rdf.SortTerms(nodes)
+	index := make(map[rdf.Term]int, len(nodes))
+	for i, t := range nodes {
+		index[t] = i
+	}
+	ix := make([][]int, len(nodes))
+	for t, ns := range adj {
+		for _, n := range ns {
+			if v, ok := index[n]; ok {
+				ix[index[t]] = append(ix[index[t]], v)
+			} else {
+				ix[index[t]] = append(ix[index[t]], len(nodes)) // out of range
+			}
+		}
+	}
+	return FromAdjacency(nodes, ix)
+}
+
+func hasNode(g *Graph, t rdf.Term) bool {
+	_, ok := g.indexOf(t)
+	return ok
+}
+
+func numEdges(g *Graph) int {
+	n := 0
+	for _, ns := range g.adj {
+		n += len(ns)
+	}
+	return n / 2
+}
+
+// bfsDistances returns the unweighted shortest-path distance from src to
+// every reachable node; nil when src is not a node.
+func bfsDistances(g *Graph, src rdf.Term) map[rdf.Term]int {
+	s, ok := g.indexOf(src)
+	if !ok {
+		return nil
+	}
+	dist := map[int]int{s: 0}
+	queue := []int{s}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.adj[v] {
+			if _, seen := dist[w]; !seen {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	out := make(map[rdf.Term]int, len(dist))
+	for i, d := range dist {
+		out[g.nodes[i]] = d
+	}
+	return out
+}
+
+// connectedComponents returns the node sets of each connected component,
+// largest first.
+func connectedComponents(g *Graph) [][]rdf.Term {
+	seen := make(map[rdf.Term]bool)
+	var comps [][]rdf.Term
+	for _, t := range g.nodes {
+		if seen[t] {
+			continue
+		}
+		var members []rdf.Term
+		for m := range bfsDistances(g, t) {
+			seen[m] = true
+			members = append(members, m)
+		}
+		comps = append(comps, members)
+	}
+	sort.SliceStable(comps, func(a, b int) bool { return len(comps[a]) > len(comps[b]) })
+	return comps
+}
+
+// diameter returns the longest shortest-path distance between reachable
+// pairs; 0 for an empty graph.
+func diameter(g *Graph) int {
+	max := 0
+	for _, t := range g.nodes {
+		for _, d := range bfsDistances(g, t) {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
 
 // pathGraph builds 0-1-2-...-(n-1).
 func pathGraph(n int) *Graph {
@@ -21,7 +120,7 @@ func pathGraph(n int) *Graph {
 		adj[node(i-1)] = append(adj[node(i-1)], node(i))
 		adj[node(i)] = append(adj[node(i)], node(i-1))
 	}
-	return FromAdjacency(adj)
+	return fromTerms(adj)
 }
 
 // starGraph builds hub 0 connected to 1..n-1.
@@ -31,7 +130,7 @@ func starGraph(n int) *Graph {
 		adj[node(0)] = append(adj[node(0)], node(i))
 		adj[node(i)] = []rdf.Term{node(0)}
 	}
-	return FromAdjacency(adj)
+	return fromTerms(adj)
 }
 
 // barbellGraph: two K4 cliques joined through a single bridge node.
@@ -54,7 +153,7 @@ func barbellGraph() *Graph {
 	}
 	edge(3, 4)
 	edge(4, 5)
-	return FromAdjacency(adj)
+	return fromTerms(adj)
 }
 
 func TestFromAdjacencyDedupAndSelfLoops(t *testing.T) {
@@ -63,23 +162,23 @@ func TestFromAdjacencyDedupAndSelfLoops(t *testing.T) {
 		a: {b, b, a}, // duplicate edge + self loop
 		b: {a},
 	}
-	g := FromAdjacency(adj)
-	if g.NumNodes() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("nodes=%d edges=%d, want 2/1", g.NumNodes(), g.NumEdges())
+	g := fromTerms(adj)
+	if g.NumNodes() != 2 || numEdges(g) != 1 {
+		t.Fatalf("nodes=%d edges=%d, want 2/1", g.NumNodes(), numEdges(g))
 	}
 	if g.Degree(a) != 1 || g.Degree(b) != 1 {
 		t.Fatalf("degrees = %d,%d want 1,1", g.Degree(a), g.Degree(b))
 	}
-	if g.Degree(node(9)) != 0 || g.HasNode(node(9)) {
+	if g.Degree(node(9)) != 0 || hasNode(g, node(9)) {
 		t.Fatal("absent node must have degree 0")
 	}
 }
 
 func TestFromAdjacencyIgnoresUnknownTargets(t *testing.T) {
 	a := node(0)
-	g := FromAdjacency(map[rdf.Term][]rdf.Term{a: {node(7)}}) // 7 not a key
-	if g.NumNodes() != 1 || g.NumEdges() != 0 {
-		t.Fatalf("unknown edge target must be dropped: nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
+	g := fromTerms(map[rdf.Term][]rdf.Term{a: {node(7)}}) // 7 not a key
+	if g.NumNodes() != 1 || numEdges(g) != 0 {
+		t.Fatalf("unknown edge target must be dropped: nodes=%d edges=%d", g.NumNodes(), numEdges(g))
 	}
 }
 
@@ -114,7 +213,7 @@ func TestBetweennessDisconnected(t *testing.T) {
 		node(0): {node(1)}, node(1): {node(0)},
 		node(2): {node(3)}, node(3): {node(2)},
 	}
-	bc := FromAdjacency(adj).Betweenness()
+	bc := fromTerms(adj).Betweenness()
 	for i := 0; i < 4; i++ {
 		if bc[node(i)] != 0 {
 			t.Fatalf("BC in 2-node components must be 0, got %g", bc[node(i)])
@@ -156,7 +255,7 @@ func TestBridgingCoefficientBridgeNode(t *testing.T) {
 
 func TestBridgingCentralityIdentifiesBridge(t *testing.T) {
 	g := barbellGraph()
-	bri := g.BridgingCentrality()
+	bri := g.BridgingCentrality(g.Betweenness())
 	best := node(0)
 	for _, n := range g.Nodes() {
 		if bri[n] > bri[best] {
@@ -169,24 +268,24 @@ func TestBridgingCentralityIdentifiesBridge(t *testing.T) {
 }
 
 func TestBridgingIsolatedNode(t *testing.T) {
-	g := FromAdjacency(map[rdf.Term][]rdf.Term{node(0): nil})
+	g := fromTerms(map[rdf.Term][]rdf.Term{node(0): nil})
 	if got := g.BridgingCoefficient()[node(0)]; got != 0 {
 		t.Fatalf("isolated BrC = %g, want 0", got)
 	}
-	if got := g.BridgingCentrality()[node(0)]; got != 0 {
+	if got := g.BridgingCentrality(g.Betweenness())[node(0)]; got != 0 {
 		t.Fatalf("isolated bridging centrality = %g, want 0", got)
 	}
 }
 
 func TestBFSDistances(t *testing.T) {
 	g := pathGraph(5)
-	d := g.BFSDistances(node(0))
+	d := bfsDistances(g, node(0))
 	for i := 0; i < 5; i++ {
 		if d[node(i)] != i {
 			t.Fatalf("dist(0,%d) = %d, want %d", i, d[node(i)], i)
 		}
 	}
-	if g.BFSDistances(node(99)) != nil {
+	if bfsDistances(g, node(99)) != nil {
 		t.Fatal("BFS from unknown source must return nil")
 	}
 }
@@ -195,7 +294,7 @@ func TestBFSDistancesUnreachable(t *testing.T) {
 	adj := map[rdf.Term][]rdf.Term{
 		node(0): {node(1)}, node(1): {node(0)}, node(2): nil,
 	}
-	d := FromAdjacency(adj).BFSDistances(node(0))
+	d := bfsDistances(fromTerms(adj), node(0))
 	if _, ok := d[node(2)]; ok {
 		t.Fatal("unreachable node must be absent from BFS result")
 	}
@@ -210,7 +309,7 @@ func TestConnectedComponents(t *testing.T) {
 		node(3): {node(4)}, node(4): {node(3)},
 		node(5): nil,
 	}
-	comps := FromAdjacency(adj).ConnectedComponents()
+	comps := connectedComponents(fromTerms(adj))
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
 	}
@@ -227,7 +326,7 @@ func TestClusteringCoefficient(t *testing.T) {
 		node(1): {node(0), node(2)},
 		node(2): {node(0), node(1)},
 	}
-	cc := FromAdjacency(tri).ClusteringCoefficient()
+	cc := fromTerms(tri).ClusteringCoefficient()
 	for i := 0; i < 3; i++ {
 		if math.Abs(cc[node(i)]-1) > 1e-9 {
 			t.Fatalf("triangle CC = %g, want 1", cc[node(i)])
@@ -248,7 +347,7 @@ func TestPageRankUniformOnRegular(t *testing.T) {
 	for i := 0; i < n; i++ {
 		adj[node(i)] = []rdf.Term{node((i + 1) % n), node((i + n - 1) % n)}
 	}
-	pr := FromAdjacency(adj).PageRank(0.85, 1e-12, 200)
+	pr := fromTerms(adj).PageRank(0.85, 1e-12, 200)
 	for i := 0; i < n; i++ {
 		if math.Abs(pr[node(i)]-1/float64(n)) > 1e-6 {
 			t.Fatalf("PR(node%d) = %g, want %g", i, pr[node(i)], 1/float64(n))
@@ -276,24 +375,24 @@ func TestPageRankSumsToOne(t *testing.T) {
 }
 
 func TestPageRankEmptyAndDangling(t *testing.T) {
-	if pr := FromAdjacency(nil).PageRank(0.85, 1e-9, 50); len(pr) != 0 {
+	if pr := fromTerms(nil).PageRank(0.85, 1e-9, 50); len(pr) != 0 {
 		t.Fatal("PageRank of empty graph must be empty")
 	}
 	// One isolated node: all mass on it.
-	pr := FromAdjacency(map[rdf.Term][]rdf.Term{node(0): nil}).PageRank(0.85, 1e-9, 50)
+	pr := fromTerms(map[rdf.Term][]rdf.Term{node(0): nil}).PageRank(0.85, 1e-9, 50)
 	if math.Abs(pr[node(0)]-1) > 1e-6 {
 		t.Fatalf("single dangling node PR = %g, want 1", pr[node(0)])
 	}
 }
 
 func TestDiameter(t *testing.T) {
-	if d := pathGraph(6).Diameter(); d != 5 {
+	if d := diameter(pathGraph(6)); d != 5 {
 		t.Fatalf("path diameter = %d, want 5", d)
 	}
-	if d := starGraph(5).Diameter(); d != 2 {
+	if d := diameter(starGraph(5)); d != 2 {
 		t.Fatalf("star diameter = %d, want 2", d)
 	}
-	if d := FromAdjacency(nil).Diameter(); d != 0 {
+	if d := diameter(fromTerms(nil)); d != 0 {
 		t.Fatalf("empty diameter = %d, want 0", d)
 	}
 }
@@ -302,8 +401,8 @@ func TestDeterministicNodeOrder(t *testing.T) {
 	adj := map[rdf.Term][]rdf.Term{
 		node(2): {node(1)}, node(1): {node(2), node(0)}, node(0): {node(1)},
 	}
-	a := FromAdjacency(adj).Nodes()
-	b := FromAdjacency(adj).Nodes()
+	a := fromTerms(adj).Nodes()
+	b := fromTerms(adj).Nodes()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("node order must be deterministic")
@@ -345,7 +444,7 @@ func TestBFSPath(t *testing.T) {
 	}
 	for i := 1; i < len(p); i++ {
 		// consecutive path nodes must be adjacent (distance 1)
-		d := g.BFSDistances(p[i-1])
+		d := bfsDistances(g, p[i-1])
 		if d[p[i]] != 1 {
 			t.Fatalf("path nodes %v and %v not adjacent", p[i-1], p[i])
 		}
@@ -357,7 +456,7 @@ func TestBFSPath(t *testing.T) {
 		t.Fatal("unknown destination must yield nil")
 	}
 	// Disconnected.
-	dg := FromAdjacency(map[rdf.Term][]rdf.Term{node(0): nil, node(1): nil})
+	dg := fromTerms(map[rdf.Term][]rdf.Term{node(0): nil, node(1): nil})
 	if dg.BFSPath(node(0), node(1)) != nil {
 		t.Fatal("unreachable destination must yield nil")
 	}
@@ -374,7 +473,7 @@ func bruteForceBetweenness(g *Graph) map[rdf.Term]float64 {
 	}
 	for i, s := range nodes {
 		// BFS from s: distances and shortest-path counts.
-		dist := g.BFSDistances(s)
+		dist := bfsDistances(g, s)
 		sigma := map[rdf.Term]float64{s: 1}
 		// Process nodes by increasing distance.
 		byDist := map[int][]rdf.Term{}
@@ -388,7 +487,7 @@ func bruteForceBetweenness(g *Graph) map[rdf.Term]float64 {
 		for d := 1; d <= maxD; d++ {
 			for _, v := range byDist[d] {
 				for _, w := range byDist[d-1] {
-					if gDist := g.BFSDistances(w); gDist[v] == 1 {
+					if gDist := bfsDistances(g, w); gDist[v] == 1 {
 						sigma[v] += sigma[w]
 					}
 				}
@@ -404,7 +503,7 @@ func bruteForceBetweenness(g *Graph) map[rdf.Term]float64 {
 			}
 			// For every intermediate node v on an s-t shortest path:
 			// contribution sigma_sv * sigma_vt / sigma_st.
-			distT := g.BFSDistances(t)
+			distT := bfsDistances(g, t)
 			for _, v := range nodes {
 				if v == s || v == t {
 					continue
@@ -427,7 +526,7 @@ func bruteForceBetweenness(g *Graph) map[rdf.Term]float64 {
 				for d := 1; d <= maxDT; d++ {
 					for _, x := range byDistT[d] {
 						for _, w := range byDistT[d-1] {
-							if gd := g.BFSDistances(w); gd[x] == 1 {
+							if gd := bfsDistances(g, w); gd[x] == 1 {
 								sigmaT[x] += sigmaT[w]
 							}
 						}
@@ -458,7 +557,7 @@ func TestBetweennessMatchesBruteForceProperty(t *testing.T) {
 				}
 			}
 		}
-		g := FromAdjacency(adj)
+		g := fromTerms(adj)
 		fast := g.Betweenness()
 		slow := bruteForceBetweenness(g)
 		for _, nd := range g.Nodes() {

@@ -1,4 +1,4 @@
-package semantics
+package measures
 
 import (
 	"fmt"
@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"evorec/internal/rdf"
-	"evorec/internal/schema"
 )
 
-// fixture: Person --worksFor--> Org (3 links), Person --knows--> Person
-// (1 link), plus a literal-valued name property (must be ignored).
-func fixture() (*rdf.Graph, *schema.Schema) {
+// semanticFixture: Person --worksFor--> Org (3 links), Person --knows-->
+// Person (1 link), plus a literal-valued name property (must be ignored).
+func semanticFixture() *rdf.Graph {
 	g := rdf.NewGraph()
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	worksFor, knows, name := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows"), rdf.SchemaIRI("name")
@@ -35,79 +34,77 @@ func fixture() (*rdf.Graph, *schema.Schema) {
 	}
 	g.Add(rdf.T(people[0], knows, people[1]))
 	g.Add(rdf.T(people[0], name, rdf.NewLiteral("Zero")))
-	return g, schema.Extract(g)
+	return g
+}
+
+// edgeOf returns the analysis's realized edge (p, from, to), if any.
+func edgeOf(a *VersionAnalysis, p, from, to rdf.Term) (edge, bool) {
+	pi, fi, ti := ordinal(a.props, p), ordinal(a.classes, from), ordinal(a.classes, to)
+	for _, e := range a.edges {
+		if e.p == pi && e.from == fi && e.to == ti {
+			return e, true
+		}
+	}
+	return edge{}, false
 }
 
 func TestConnectionCounts(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	wf, kn := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows")
-	if got := a.ConnectionCount(EdgeKey{wf, person, org}); got != 3 {
-		t.Fatalf("conn(worksFor,Person,Org) = %d, want 3", got)
+	if e, _ := edgeOf(a, wf, person, org); e.n != 3 {
+		t.Fatalf("conn(worksFor,Person,Org) = %d, want 3", e.n)
 	}
-	if got := a.ConnectionCount(EdgeKey{kn, person, person}); got != 1 {
-		t.Fatalf("conn(knows,Person,Person) = %d, want 1", got)
+	if e, _ := edgeOf(a, kn, person, person); e.n != 1 {
+		t.Fatalf("conn(knows,Person,Person) = %d, want 1", e.n)
 	}
-	if got := a.ConnectionCount(EdgeKey{wf, org, person}); got != 0 {
-		t.Fatalf("reverse direction must be 0, got %d", got)
+	if _, ok := edgeOf(a, wf, org, person); ok {
+		t.Fatal("reverse direction must not be an edge")
 	}
 }
 
 func TestRelativeCardinality(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	wf := rdf.SchemaIRI("worksFor")
 	// Person endpoints: 3 (worksFor out) + 2 (knows both ends) = 5.
 	// Org endpoints: 3 (worksFor in). Denominator = 5+3 = 8; conn = 3.
 	want := 3.0 / 8.0
-	if got := a.RelativeCardinality(wf, person, org); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("RC = %g, want %g", got, want)
+	if e, _ := edgeOf(a, wf, person, org); math.Abs(e.rc-want) > 1e-12 {
+		t.Fatalf("RC = %g, want %g", e.rc, want)
 	}
-	if got := a.RelativeCardinality(wf, org, person); got != 0 {
-		t.Fatalf("RC reverse = %g, want 0", got)
+	if e, _ := edgeOf(a, wf, org, person); e.rc != 0 {
+		t.Fatalf("RC reverse = %g, want 0", e.rc)
 	}
-	if got := a.RelativeCardinality(rdf.SchemaIRI("nope"), person, org); got != 0 {
-		t.Fatalf("RC unknown property = %g, want 0", got)
+	if e, _ := edgeOf(a, rdf.SchemaIRI("nope"), person, org); e.rc != 0 {
+		t.Fatalf("RC unknown property = %g, want 0", e.rc)
 	}
 }
 
 func TestInOutCentrality(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
-	// Org has one incoming edge via one property: Cin = RC * 1 = 3/8.
-	if got, want := a.InCentrality(org), 3.0/8.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Cin(Org) = %g, want %g", got, want)
+	// Org has one incoming edge via one property and no outgoing edge:
+	// Cin = RC * 1 = 3/8, Cout = 0.
+	if got, want := a.Centrality(org), 3.0/8.0; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("C(Org) = %g, want %g", got, want)
 	}
-	if got := a.OutCentrality(org); got != 0 {
-		t.Fatalf("Cout(Org) = %g, want 0", got)
-	}
-	// Person: outgoing edges worksFor (RC=3/8... denominators differ) and
-	// knows; two distinct properties.
-	rcWF := a.RelativeCardinality(rdf.SchemaIRI("worksFor"), person, org)
-	rcKN := a.RelativeCardinality(rdf.SchemaIRI("knows"), person, person)
-	wantOut := (rcWF + rcKN) * 2
-	if got := a.OutCentrality(person); math.Abs(got-wantOut) > 1e-12 {
-		t.Fatalf("Cout(Person) = %g, want %g", got, wantOut)
-	}
-	// Person has one incoming edge (knows), one property.
-	if got := a.InCentrality(person); math.Abs(got-rcKN) > 1e-12 {
-		t.Fatalf("Cin(Person) = %g, want %g", got, rcKN)
-	}
-	if got := a.Centrality(person); math.Abs(got-(wantOut+rcKN)) > 1e-12 {
-		t.Fatalf("Centrality(Person) = %g", got)
+	// Person: outgoing edges worksFor (RC 3/8) and knows (RC 1/(5+5)), two
+	// distinct properties; one incoming edge (knows), one property.
+	rcWF, rcKN := 3.0/8.0, 1.0/10.0
+	wantOut, wantIn := (rcWF+rcKN)*2, rcKN
+	if got := a.Centrality(person); math.Abs(got-(wantIn+wantOut)) > 1e-12 {
+		t.Fatalf("C(Person) = %g, want %g", got, wantIn+wantOut)
 	}
 }
 
 func TestLiteralLinksIgnored(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	// name is literal-valued: it must not create any class edge.
-	for k := range a.conn {
-		if k.P == rdf.SchemaIRI("name") {
-			t.Fatalf("literal property created edge %v", k)
+	name := ordinal(a.props, rdf.SchemaIRI("name"))
+	for _, e := range a.edges {
+		if e.p == name {
+			t.Fatalf("literal property created edge %+v", e)
 		}
 	}
 }
@@ -118,10 +115,8 @@ func TestUntypedEndpointsIgnored(t *testing.T) {
 	g.Add(rdf.T(p, rdf.RDFSDomain, rdf.SchemaIRI("C")))
 	// x untyped, y untyped: no class signal.
 	g.Add(rdf.T(rdf.ResourceIRI("x"), p, rdf.ResourceIRI("y")))
-	s := schema.Extract(g)
-	a := NewAnalyzer(g, s)
-	if len(a.conn) != 0 {
-		t.Fatalf("untyped endpoints must not contribute, got %v", a.conn)
+	if a := Analyze(g); len(a.edges) != 0 {
+		t.Fatalf("untyped endpoints must not contribute, got %+v", a.edges)
 	}
 }
 
@@ -135,21 +130,20 @@ func TestMultiTypedEndpoints(t *testing.T) {
 	g.Add(rdf.T(x, rdf.RDFType, c2))
 	g.Add(rdf.T(y, rdf.RDFType, c3))
 	g.Add(rdf.T(x, p, y))
-	s := schema.Extract(g)
-	a := NewAnalyzer(g, s)
-	// Both (c1,c3) and (c2,c3) edges must exist.
-	if a.ConnectionCount(EdgeKey{p, c1, c3}) != 1 || a.ConnectionCount(EdgeKey{p, c2, c3}) != 1 {
-		t.Fatalf("multi-typed subject must contribute to all type pairs: %v", a.conn)
-	}
-	// y participates in one link but has endpoints counted once per type.
-	if a.totalConn[c3] != 1 {
-		t.Fatalf("totalConn(C3) = %d, want 1", a.totalConn[c3])
+	a := Analyze(g)
+	// Both (c1,c3) and (c2,c3) edges must exist. y takes part in one link
+	// and its endpoint counts once for C3, as x's does once per type: each
+	// edge's RC is 1/(1+1).
+	for _, from := range []rdf.Term{c1, c2} {
+		e, ok := edgeOf(a, p, from, c3)
+		if !ok || e.n != 1 || e.rc != 0.5 {
+			t.Fatalf("edge(p,%v,C3) = %+v (present %v), want 1 link with RC 0.5", from, e, ok)
+		}
 	}
 }
 
 func TestRelevanceInstanceWeighting(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	// Person (3 instances) must outrank Org (1 instance): higher centrality
 	// and higher instance weight.
@@ -194,8 +188,7 @@ func TestRelevanceNeighborContribution(t *testing.T) {
 		src := mk(fmt.Sprintf("hs%d", i), hubSrc)
 		g.Add(rdf.T(src, ph, xh))
 	}
-	s := schema.Extract(g)
-	an := NewAnalyzer(g, s)
+	an := Analyze(g)
 	if an.Relevance(a1) <= an.Relevance(b1) {
 		t.Fatalf("class next to hub must be more relevant: A1=%g B1=%g",
 			an.Relevance(a1), an.Relevance(b1))
@@ -203,8 +196,7 @@ func TestRelevanceNeighborContribution(t *testing.T) {
 }
 
 func TestPropertyCentrality(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
+	a := Analyze(semanticFixture())
 	wf, kn := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows")
 	if a.PropertyCentrality(wf) <= a.PropertyCentrality(kn) {
 		t.Fatalf("worksFor (3 links) must outrank knows (1 link): %g vs %g",
@@ -216,21 +208,17 @@ func TestPropertyCentrality(t *testing.T) {
 }
 
 func TestAllCentralitiesAllRelevances(t *testing.T) {
-	g, s := fixture()
-	a := NewAnalyzer(g, s)
-	cs := a.AllCentralities()
-	rs := a.AllRelevances()
-	if len(cs) != s.NumClasses() || len(rs) != s.NumClasses() {
-		t.Fatalf("coverage: |C|=%d |R|=%d classes=%d", len(cs), len(rs), s.NumClasses())
+	a := Analyze(semanticFixture())
+	n := a.Schema.NumClasses()
+	if len(a.centrality) != n || len(a.relevance) != n {
+		t.Fatalf("coverage: |C|=%d |R|=%d classes=%d", len(a.centrality), len(a.relevance), n)
 	}
-	for c, v := range cs {
-		if v < 0 {
-			t.Fatalf("negative centrality for %v", c)
+	for i, c := range a.classes {
+		if a.centrality[i] < 0 || a.relevance[i] < 0 {
+			t.Fatalf("negative centrality or relevance for %v", c)
 		}
-	}
-	for c, v := range rs {
-		if v < 0 {
-			t.Fatalf("negative relevance for %v", c)
+		if a.Centrality(c) != a.centrality[i] || a.Relevance(c) != a.relevance[i] {
+			t.Fatalf("Term accessors disagree with the vectors at %v", c)
 		}
 	}
 }

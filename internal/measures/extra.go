@@ -48,9 +48,9 @@ const (
 
 // Compute implements Measure.
 func (PageRankShift) Compute(ctx *Context) Scores {
-	older := ctx.OlderStruct.PageRank(prDamping, prEps, prMaxIter)
-	newer := ctx.NewerStruct.PageRank(prDamping, prEps, prMaxIter)
-	return shiftScores(ctx, older, newer)
+	older := ctx.Older.classVector(ctx.Older.Struct.PageRank(prDamping, prEps, prMaxIter))
+	newer := ctx.Newer.classVector(ctx.Newer.Struct.PageRank(prDamping, prEps, prMaxIter))
+	return ctx.classes.shift(older, newer)
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +80,9 @@ func (ClusteringShift) Category() Category { return CategoryStructural }
 
 // Compute implements Measure.
 func (ClusteringShift) Compute(ctx *Context) Scores {
-	return shiftScores(ctx, ctx.OlderStruct.ClusteringCoefficient(), ctx.NewerStruct.ClusteringCoefficient())
+	older := ctx.Older.classVector(ctx.Older.Struct.ClusteringCoefficient())
+	newer := ctx.Newer.classVector(ctx.Newer.Struct.ClusteringCoefficient())
+	return ctx.classes.shift(older, newer)
 }
 
 // ---------------------------------------------------------------------------
@@ -110,8 +112,8 @@ func (InstanceChurn) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (InstanceChurn) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
+	out := make(Scores, len(ctx.classes.terms))
+	for _, c := range ctx.classes.terms {
 		out[c] = 0
 	}
 	count := func(ts []rdf.Triple) {
@@ -155,13 +157,13 @@ func (UsageShift) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (UsageShift) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, p := range ctx.UnionProperties() {
+	out := make(Scores, len(ctx.props.terms))
+	for _, p := range ctx.props.terms {
 		var oldUse, newUse int
-		if prop, ok := ctx.OlderSchema.Property(p); ok {
+		if prop, ok := ctx.Older.Schema.Property(p); ok {
 			oldUse = prop.UsageCount
 		}
-		if prop, ok := ctx.NewerSchema.Property(p); ok {
+		if prop, ok := ctx.Newer.Schema.Property(p); ok {
 			newUse = prop.UsageCount
 		}
 		out[p] = math.Abs(float64(newUse - oldUse))

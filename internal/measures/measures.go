@@ -2,10 +2,7 @@ package measures
 
 import (
 	"fmt"
-	"math"
 	"sort"
-
-	"evorec/internal/rdf"
 )
 
 // Target says which entity population a measure scores.
@@ -112,11 +109,11 @@ func (ChangeCount) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (ChangeCount) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
+	out := make(Scores, len(ctx.classes.terms)+len(ctx.props.terms))
+	for _, c := range ctx.classes.terms {
 		out[c] = float64(ctx.Attr.Changes(c).Total())
 	}
-	for _, p := range ctx.UnionProperties() {
+	for _, p := range ctx.props.terms {
 		out[p] = float64(ctx.Attr.Changes(p).Total())
 	}
 	return out
@@ -149,8 +146,8 @@ func (NeighborhoodChangeCount) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (NeighborhoodChangeCount) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
+	out := make(Scores, len(ctx.classes.terms))
+	for _, c := range ctx.classes.terms {
 		out[c] = float64(ctx.Attr.NeighborhoodChanges(ctx.UnionNeighbors(c)))
 	}
 	return out
@@ -183,7 +180,7 @@ func (BetweennessShift) Category() Category { return CategoryStructural }
 
 // Compute implements Measure.
 func (BetweennessShift) Compute(ctx *Context) Scores {
-	return shiftScores(ctx, ctx.OlderStruct.Betweenness(), ctx.NewerStruct.Betweenness())
+	return ctx.classes.shift(ctx.Older.betweenness, ctx.Newer.betweenness)
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ func (BridgingShift) Category() Category { return CategoryStructural }
 
 // Compute implements Measure.
 func (BridgingShift) Compute(ctx *Context) Scores {
-	return shiftScores(ctx, ctx.OlderStruct.BridgingCentrality(), ctx.NewerStruct.BridgingCentrality())
+	return ctx.classes.shift(ctx.Older.bridging, ctx.Newer.bridging)
 }
 
 // ---------------------------------------------------------------------------
@@ -242,11 +239,7 @@ func (CentralityShift) Category() Category { return CategorySemantic }
 
 // Compute implements Measure.
 func (CentralityShift) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
-		out[c] = math.Abs(ctx.NewerSem.Centrality(c) - ctx.OlderSem.Centrality(c))
-	}
-	return out
+	return ctx.classes.shift(ctx.Older.centrality, ctx.Newer.centrality)
 }
 
 // ---------------------------------------------------------------------------
@@ -276,11 +269,7 @@ func (RelevanceShift) Category() Category { return CategorySemantic }
 
 // Compute implements Measure.
 func (RelevanceShift) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
-		out[c] = math.Abs(ctx.NewerSem.Relevance(c) - ctx.OlderSem.Relevance(c))
-	}
-	return out
+	return ctx.classes.shift(ctx.Older.relevance, ctx.Newer.relevance)
 }
 
 // ---------------------------------------------------------------------------
@@ -310,19 +299,7 @@ func (PropertyCentralityShift) Category() Category { return CategorySemantic }
 
 // Compute implements Measure.
 func (PropertyCentralityShift) Compute(ctx *Context) Scores {
-	out := make(Scores)
-	for _, p := range ctx.UnionProperties() {
-		out[p] = math.Abs(ctx.NewerSem.PropertyCentrality(p) - ctx.OlderSem.PropertyCentrality(p))
-	}
-	return out
-}
-
-func shiftScores(ctx *Context, older, newer map[rdf.Term]float64) Scores {
-	out := make(Scores)
-	for _, c := range ctx.UnionClasses() {
-		out[c] = math.Abs(newer[c] - older[c])
-	}
-	return out
+	return ctx.props.shift(ctx.Older.propCentrality, ctx.Newer.propCentrality)
 }
 
 // ---------------------------------------------------------------------------

@@ -58,9 +58,9 @@ func TestNewContextPopulated(t *testing.T) {
 	if ctx.Delta.IsEmpty() {
 		t.Fatal("delta must not be empty")
 	}
-	if ctx.OlderSchema.NumClasses() != 4 || ctx.NewerSchema.NumClasses() != 5 {
+	if ctx.Older.Schema.NumClasses() != 4 || ctx.Newer.Schema.NumClasses() != 5 {
 		t.Fatalf("schema class counts = %d,%d want 4,5",
-			ctx.OlderSchema.NumClasses(), ctx.NewerSchema.NumClasses())
+			ctx.Older.Schema.NumClasses(), ctx.Newer.Schema.NumClasses())
 	}
 	if len(ctx.UnionClasses()) != 5 {
 		t.Fatalf("union classes = %v", ctx.UnionClasses())

@@ -8,10 +8,11 @@ package rdf
 // Internally the graph is dictionary-encoded: every Term is interned to a
 // dense uint32 TermID by a Dict and the tri-index is keyed on IDs, so index
 // probes hash one machine word instead of a struct of three strings. The
-// exported API stays Term-based; translation happens once at the boundary of
-// each call. Graphs created with NewGraphWithDict (and every Clone) share a
-// Dict, which keeps IDs stable across versions of a dataset and enables the
-// ID-level fast paths (HasID, ForEachID) used by the delta engine.
+// Term-based methods translate once at the boundary of each call. Graphs
+// created with NewGraphWithDict (and every Clone) share a Dict, which keeps
+// IDs stable across versions of a dataset and enables the ID-level fast
+// paths (HasID, ForEachMatchID) used by the delta engine and the measure
+// layer.
 //
 // The zero value is not ready to use; call NewGraph. Graph is not safe for
 // concurrent mutation; concurrent readers are safe once mutation stops, even
@@ -269,26 +270,14 @@ func (g *Graph) RemoveID(t IDTriple) bool {
 
 // Remove deletes the triple and reports whether it was present.
 func (g *Graph) Remove(t Triple) bool {
-	id, ok := g.lookupTriple(t)
-	if !ok {
-		return false
-	}
-	if !g.spo.removeSorted(id.S, id.P, id.O) {
-		return false
-	}
-	g.pos.removeScan(id.P, id.O, id.S)
-	g.osp.removeScan(id.O, id.S, id.P)
-	g.n--
-	return true
+	id, ok := g.lookupPattern(t.S, t.P, t.O)
+	return ok && g.RemoveID(id)
 }
 
 // Has reports whether the triple is present.
 func (g *Graph) Has(t Triple) bool {
-	id, ok := g.lookupTriple(t)
-	if !ok {
-		return false
-	}
-	return g.HasID(id)
+	id, ok := g.lookupPattern(t.S, t.P, t.O)
+	return ok && g.HasID(id)
 }
 
 // HasID reports whether the ID-encoded triple is present. The IDs must come
@@ -301,24 +290,6 @@ func (g *Graph) HasID(t IDTriple) bool {
 		}
 	}
 	return false
-}
-
-// lookupTriple encodes t without interning; ok is false when any term is
-// unknown to the dictionary (and hence the triple cannot be present).
-func (g *Graph) lookupTriple(t Triple) (IDTriple, bool) {
-	s, ok := g.dict.Lookup(t.S)
-	if !ok {
-		return IDTriple{}, false
-	}
-	p, ok := g.dict.Lookup(t.P)
-	if !ok {
-		return IDTriple{}, false
-	}
-	o, ok := g.dict.Lookup(t.O)
-	if !ok {
-		return IDTriple{}, false
-	}
-	return IDTriple{s, p, o}, true
 }
 
 // decode materializes an ID-triple back into Term space.
@@ -339,10 +310,14 @@ func (g *Graph) Match(s, p, o Term) []Triple {
 }
 
 // CountMatch returns the number of triples matching the pattern without
-// materializing them.
+// materializing or decoding them.
 func (g *Graph) CountMatch(s, p, o Term) int {
+	id, ok := g.lookupPattern(s, p, o)
+	if !ok {
+		return 0
+	}
 	n := 0
-	g.ForEachMatch(s, p, o, func(Triple) bool {
+	g.ForEachMatchID(id.S, id.P, id.O, func(IDTriple) bool {
 		n++
 		return true
 	})
@@ -350,102 +325,116 @@ func (g *Graph) CountMatch(s, p, o Term) int {
 }
 
 // ForEachMatch streams every triple matching the pattern to fn, stopping
-// early if fn returns false. It selects the most selective index for the
-// bound positions. A bound term the graph has never seen matches nothing.
+// early if fn returns false. It is ForEachMatchID with the pattern encoded
+// and each match decoded. A bound term the graph has never seen matches
+// nothing.
 func (g *Graph) ForEachMatch(s, p, o Term, fn func(Triple) bool) {
-	sid, ok := g.dict.Lookup(s)
+	id, ok := g.lookupPattern(s, p, o)
 	if !ok {
 		return
+	}
+	g.ForEachMatchID(id.S, id.P, id.O, func(t IDTriple) bool {
+		return fn(g.decode(t.S, t.P, t.O))
+	})
+}
+
+// lookupPattern encodes a pattern (or a triple) without interning:
+// wildcards become AnyID, and ok is false when a bound term is unknown to
+// the dictionary, so nothing can match it.
+func (g *Graph) lookupPattern(s, p, o Term) (IDTriple, bool) {
+	sid, ok := g.dict.Lookup(s)
+	if !ok {
+		return IDTriple{}, false
 	}
 	pid, ok := g.dict.Lookup(p)
 	if !ok {
-		return
+		return IDTriple{}, false
 	}
 	oid, ok := g.dict.Lookup(o)
 	if !ok {
-		return
+		return IDTriple{}, false
 	}
-	sb, pb, ob := !s.IsWildcard(), !p.IsWildcard(), !o.IsWildcard()
+	return IDTriple{sid, pid, oid}, true
+}
+
+// ForEachMatchID streams every ID-triple matching the encoded pattern to
+// fn, stopping early if fn returns false. AnyID is the wildcard; bound IDs
+// must come from this graph's Dict. It reads the index that binds the most
+// positions, so a bound predicate scans POS and never touches a subject the
+// predicate does not use. Match order is unspecified.
+func (g *Graph) ForEachMatchID(s, p, o TermID, fn func(IDTriple) bool) {
+	sb, pb, ob := s != AnyID, p != AnyID, o != AnyID
 	switch {
 	case sb && pb && ob:
-		if g.HasID(IDTriple{sid, pid, oid}) {
-			fn(g.decode(sid, pid, oid))
+		if g.HasID(IDTriple{s, p, o}) {
+			fn(IDTriple{s, p, o})
 		}
 	case sb && pb:
-		for _, obj := range g.spo[sid][pid] {
-			if !fn(g.decode(sid, pid, obj)) {
+		for _, obj := range g.spo[s][p] {
+			if !fn(IDTriple{s, p, obj}) {
 				return
 			}
 		}
 	case sb && ob:
-		for _, pred := range g.osp[oid][sid] {
-			if !fn(g.decode(sid, pred, oid)) {
+		for _, pred := range g.osp[o][s] {
+			if !fn(IDTriple{s, pred, o}) {
 				return
 			}
 		}
 	case pb && ob:
-		for _, sub := range g.pos[pid][oid] {
-			if !fn(g.decode(sub, pid, oid)) {
+		for _, sub := range g.pos[p][o] {
+			if !fn(IDTriple{sub, p, o}) {
 				return
 			}
 		}
 	case sb:
-		for pred, objs := range g.spo[sid] {
+		for pred, objs := range g.spo[s] {
 			for _, obj := range objs {
-				if !fn(g.decode(sid, pred, obj)) {
+				if !fn(IDTriple{s, pred, obj}) {
 					return
 				}
 			}
 		}
 	case pb:
-		for obj, subs := range g.pos[pid] {
+		for obj, subs := range g.pos[p] {
 			for _, sub := range subs {
-				if !fn(g.decode(sub, pid, obj)) {
+				if !fn(IDTriple{sub, p, obj}) {
 					return
 				}
 			}
 		}
 	case ob:
-		for sub, preds := range g.osp[oid] {
+		for sub, preds := range g.osp[o] {
 			for _, pred := range preds {
-				if !fn(g.decode(sub, pred, oid)) {
+				if !fn(IDTriple{sub, pred, o}) {
 					return
 				}
 			}
 		}
 	default:
-		g.ForEach(fn)
-	}
-}
-
-// ForEach streams every triple in the graph to fn, stopping early if fn
-// returns false. It iterates the SPO index directly — the fast path for full
-// scans (delta computation, serialization) that skips pattern dispatch.
-func (g *Graph) ForEach(fn func(Triple) bool) {
-	for sub, preds := range g.spo {
-		for pred, objs := range preds {
-			for _, obj := range objs {
-				if !fn(g.decode(sub, pred, obj)) {
-					return
+		for sub, preds := range g.spo {
+			for pred, objs := range preds {
+				for _, obj := range objs {
+					if !fn(IDTriple{sub, pred, obj}) {
+						return
+					}
 				}
 			}
 		}
 	}
+}
+
+// ForEach streams every triple in the graph to fn, stopping early if fn
+// returns false.
+func (g *Graph) ForEach(fn func(Triple) bool) {
+	g.ForEachMatch(Term{}, Term{}, Term{}, fn)
 }
 
 // ForEachID streams every triple in dictionary-encoded form, stopping early
 // if fn returns false. Combined with HasID on a graph sharing the same Dict
 // it supports set difference without decoding a single string.
 func (g *Graph) ForEachID(fn func(IDTriple) bool) {
-	for sub, preds := range g.spo {
-		for pred, objs := range preds {
-			for _, obj := range objs {
-				if !fn(IDTriple{sub, pred, obj}) {
-					return
-				}
-			}
-		}
-	}
+	g.ForEachMatchID(AnyID, AnyID, AnyID, fn)
 }
 
 // ForEachIDShard streams the ID-triples whose subject falls in the given
@@ -592,32 +581,6 @@ func (g *Graph) Mentions(x Term) bool {
 	}
 	_, ok = g.osp[id]
 	return ok
-}
-
-// DegreeOut returns the number of triples with subject s.
-func (g *Graph) DegreeOut(s Term) int {
-	id, ok := g.dict.Lookup(s)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, objs := range g.spo[id] {
-		n += len(objs)
-	}
-	return n
-}
-
-// DegreeIn returns the number of triples with object o.
-func (g *Graph) DegreeIn(o Term) int {
-	id, ok := g.dict.Lookup(o)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, preds := range g.osp[id] {
-		n += len(preds)
-	}
-	return n
 }
 
 func (g *Graph) setToTerms(s idSet) []Term {

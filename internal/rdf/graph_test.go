@@ -163,14 +163,16 @@ func TestGraphDegrees(t *testing.T) {
 	g.Add(T(a, p, b))
 	g.Add(T(a, q, b))
 	g.Add(T(a, p, c))
-	if got := g.DegreeOut(a); got != 3 {
-		t.Fatalf("DegreeOut(a) = %d, want 3", got)
+	// Degrees are single-bound counts: subject-bound reads SPO, object-bound
+	// reads OSP.
+	if got := g.CountMatch(a, Term{}, Term{}); got != 3 {
+		t.Fatalf("out-degree(a) = %d, want 3", got)
 	}
-	if got := g.DegreeIn(b); got != 2 {
-		t.Fatalf("DegreeIn(b) = %d, want 2", got)
+	if got := g.CountMatch(Term{}, Term{}, b); got != 2 {
+		t.Fatalf("in-degree(b) = %d, want 2", got)
 	}
-	if got := g.DegreeOut(b); got != 0 {
-		t.Fatalf("DegreeOut(b) = %d, want 0", got)
+	if got := g.CountMatch(b, Term{}, Term{}); got != 0 {
+		t.Fatalf("out-degree(b) = %d, want 0", got)
 	}
 }
 

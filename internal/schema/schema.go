@@ -9,8 +9,10 @@
 package schema
 
 import (
+	"slices"
 	"strings"
 
+	"evorec/internal/graphx"
 	"evorec/internal/rdf"
 )
 
@@ -97,17 +99,23 @@ func Extract(g *rdf.Graph) *Schema {
 		}
 		return true
 	})
-	// Classes from rdf:type objects; instance counts.
-	g.ForEachMatch(rdf.Term{}, rdf.RDFType, rdf.Term{}, func(t rdf.Triple) bool {
-		if !t.O.IsIRI() {
+	// Classes from rdf:type objects; instance counts. The scan counts by
+	// object ID and decodes each distinct object once.
+	dict := g.Dict()
+	if typeID, ok := dict.Lookup(rdf.RDFType); ok {
+		instances := make(map[rdf.TermID]int)
+		g.ForEachMatchID(rdf.AnyID, typeID, rdf.AnyID, func(t rdf.IDTriple) bool {
+			instances[t.O]++
 			return true
+		})
+		for id, n := range instances {
+			o := dict.TermOf(id)
+			if _, meta := metaClasses[o]; meta || !o.IsIRI() {
+				continue
+			}
+			s.class(o).InstanceCount += n
 		}
-		if _, meta := metaClasses[t.O]; meta {
-			return true
-		}
-		s.class(t.O).InstanceCount++
-		return true
-	})
+	}
 	// Properties from declarations.
 	for _, p := range g.Subjects(rdf.RDFType, rdf.RDFProperty) {
 		s.property(p)
@@ -315,129 +323,34 @@ func containsTerm(ts []rdf.Term, x rdf.Term) bool {
 	return false
 }
 
-// ClassGraph returns the undirected class-level graph used by the structural
-// measures: one node per class, an edge for every direct subsumption pair
-// and for every (domain, range) pair of every property. The adjacency lists
-// are sorted and deduplicated.
-func (s *Schema) ClassGraph() map[rdf.Term][]rdf.Term {
-	adj := make(map[rdf.Term][]rdf.Term, len(s.classes))
-	addEdge := func(a, b rdf.Term) {
-		if a == b {
-			return
-		}
+// ClassGraph returns the undirected class-level graph used by the
+// structural measures: one node per class, in sorted term order, and an edge
+// for every direct subsumption pair and for every (domain, range) pair of
+// every property. A class's adjacency is exactly its Neighbors.
+func (s *Schema) ClassGraph() *graphx.Graph {
+	nodes := s.ClassTerms()
+	ord := func(t rdf.Term) int {
+		i, _ := slices.BinarySearchFunc(nodes, t, rdf.Term.Compare)
+		return i // every endpoint below is a class, so always found
+	}
+	adj := make([][]int, len(nodes))
+	addEdge := func(a, b int) {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	for t := range s.classes {
-		if _, ok := adj[t]; !ok {
-			adj[t] = nil
-		}
-	}
-	for _, c := range s.classes {
-		for _, sup := range c.Supers {
-			addEdge(c.Term, sup)
+	for i, t := range nodes {
+		for _, sup := range s.classes[t].Supers {
+			addEdge(i, ord(sup))
 		}
 	}
 	for _, p := range s.properties {
 		for _, d := range p.Domains {
 			for _, r := range p.Ranges {
-				addEdge(d, r)
+				addEdge(ord(d), ord(r))
 			}
 		}
 	}
-	for t, ns := range adj {
-		adj[t] = dedupSorted(ns)
-	}
-	return adj
-}
-
-// ClassGraphIDs is ClassGraph in dictionary-encoded form: the same nodes and
-// edges, keyed by the graph's TermIDs instead of Terms. It feeds
-// graphx.FromAdjacencyIDs so that structural-graph construction never hashes
-// a term string. The returned Dict is the underlying graph's dictionary.
-// Adjacency lists are deduplicated but not sorted; FromAdjacencyIDs imposes
-// the deterministic order.
-func (s *Schema) ClassGraphIDs() (*rdf.Dict, map[rdf.TermID][]rdf.TermID) {
-	dict := s.graph.Dict()
-	// Every schema term was extracted from the graph's own triples, so it is
-	// already interned; Lookup keeps this accessor strictly read-only, which
-	// the dictionary's concurrency model ("read methods never intern")
-	// depends on. A miss would mean a term from outside the graph — not
-	// producible today — and is skipped rather than interned.
-	adj := make(map[rdf.TermID][]rdf.TermID, len(s.classes))
-	addEdge := func(a, b rdf.TermID) {
-		if a == b {
-			return
-		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	for t := range s.classes {
-		id, ok := dict.Lookup(t)
-		if !ok {
-			continue
-		}
-		if _, ok := adj[id]; !ok {
-			adj[id] = nil
-		}
-	}
-	for _, c := range s.classes {
-		cid, ok := dict.Lookup(c.Term)
-		if !ok {
-			continue
-		}
-		for _, sup := range c.Supers {
-			if sid, ok := dict.Lookup(sup); ok {
-				addEdge(cid, sid)
-			}
-		}
-	}
-	for _, p := range s.properties {
-		for _, d := range p.Domains {
-			did, ok := dict.Lookup(d)
-			if !ok {
-				continue
-			}
-			for _, r := range p.Ranges {
-				if rid, ok := dict.Lookup(r); ok {
-					addEdge(did, rid)
-				}
-			}
-		}
-	}
-	for id, ns := range adj {
-		adj[id] = dedupIDs(ns)
-	}
-	return dict, adj
-}
-
-// dedupIDs removes duplicate IDs in place (order is not preserved).
-func dedupIDs(ids []rdf.TermID) []rdf.TermID {
-	if len(ids) < 2 {
-		return ids
-	}
-	seen := make(map[rdf.TermID]struct{}, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
-}
-
-// TypesOf returns the classes instance x is typed with, sorted.
-func (s *Schema) TypesOf(x rdf.Term) []rdf.Term {
-	var out []rdf.Term
-	for _, o := range s.graph.Objects(x, rdf.RDFType) {
-		if s.IsClass(o) {
-			out = append(out, o)
-		}
-	}
-	rdf.SortTerms(out)
-	return out
+	return graphx.FromAdjacency(nodes, adj)
 }
 
 // InstancesOf returns the direct instances of class c, sorted.

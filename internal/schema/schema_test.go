@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"slices"
 	"testing"
 
 	"evorec/internal/rdf"
@@ -172,40 +173,55 @@ func TestNeighborsExcludesSelf(t *testing.T) {
 
 func TestClassGraph(t *testing.T) {
 	s := Extract(fixture())
-	adj := s.ClassGraph()
-	if len(adj) != 5 {
-		t.Fatalf("ClassGraph has %d nodes, want 5", len(adj))
+	cg := s.ClassGraph()
+	if cg.NumNodes() != 5 {
+		t.Fatalf("ClassGraph has %d nodes, want 5", cg.NumNodes())
 	}
-	// Person adjacent to: Agent (sub), Student (sub), Organization (property).
-	ns := adj[rdf.SchemaIRI("Person")]
+	// Nodes are the classes in sorted order, so node i is class ordinal i.
+	for i, c := range s.ClassTerms() {
+		if cg.Nodes()[i] != c {
+			t.Fatalf("node %d = %v, want %v", i, cg.Nodes()[i], c)
+		}
+	}
+	// Person adjacent to: Agent (super), Student (sub), Organization
+	// (property).
+	ns := cg.Neighbors(rdf.SchemaIRI("Person"))
 	if len(ns) != 3 {
 		t.Fatalf("Person adjacency = %v, want 3", ns)
 	}
-	// Undirected: every edge must appear in both directions.
-	for a, list := range adj {
-		for _, b := range list {
-			ok := false
-			for _, back := range adj[b] {
-				if back == a {
-					ok = true
-				}
-			}
-			if !ok {
-				t.Fatalf("edge %v-%v not symmetric", a, b)
+	for i, a := range cg.Nodes() {
+		// The adjacency is the schema neighbourhood...
+		if got, want := cg.Neighbors(a), s.Neighbors(a); !equalTerms(got, want) {
+			t.Fatalf("adjacency(%v) = %v, Neighbors = %v", a, got, want)
+		}
+		// ...and undirected: every edge appears in both directions.
+		for _, j := range cg.Adjacent(i) {
+			if !slices.Contains(cg.Adjacent(j), i) {
+				t.Fatalf("edge %v-%v not symmetric", a, cg.Nodes()[j])
 			}
 		}
 	}
 }
 
+func equalTerms(a, b []rdf.Term) bool {
+	return len(a) == len(b) && (len(a) == 0 || slices.Equal(a, b))
+}
+
 func TestTypesOfInstancesOf(t *testing.T) {
 	s := Extract(fixture())
-	types := s.TypesOf(rdf.ResourceIRI("bob"))
-	if len(types) != 2 {
-		t.Fatalf("TypesOf(bob) = %v, want 2", types)
+	// bob is typed Student and Person: an instance of both, counted once in
+	// each class.
+	for _, c := range []string{"Person", "Student"} {
+		if !slices.Contains(s.InstancesOf(rdf.SchemaIRI(c)), rdf.ResourceIRI("bob")) {
+			t.Fatalf("InstancesOf(%s) misses bob", c)
+		}
 	}
 	inst := s.InstancesOf(rdf.SchemaIRI("Person"))
 	if len(inst) != 2 {
 		t.Fatalf("InstancesOf(Person) = %v, want 2", inst)
+	}
+	if cl, _ := s.Class(rdf.SchemaIRI("Student")); cl.InstanceCount != 1 {
+		t.Fatalf("InstanceCount(Student) = %d, want 1", cl.InstanceCount)
 	}
 }
 
@@ -226,7 +242,7 @@ func TestExtractEmptyGraph(t *testing.T) {
 	if ns := s.Neighbors(rdf.SchemaIRI("X")); len(ns) != 0 {
 		t.Fatal("Neighbors on unknown class must be empty")
 	}
-	if adj := s.ClassGraph(); len(adj) != 0 {
+	if cg := s.ClassGraph(); cg.NumNodes() != 0 {
 		t.Fatal("ClassGraph on empty schema must be empty")
 	}
 }

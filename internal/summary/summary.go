@@ -13,9 +13,8 @@ import (
 	"sort"
 
 	"evorec/internal/graphx"
+	"evorec/internal/measures"
 	"evorec/internal/rdf"
-	"evorec/internal/schema"
-	"evorec/internal/semantics"
 )
 
 // Summary is a relevance-selected, connected view of one version's schema.
@@ -52,17 +51,17 @@ func Summarize(g *rdf.Graph, k int) (*Summary, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("summary: k must be >= 1, got %d", k)
 	}
-	sch := schema.Extract(g)
+	an := measures.Analyze(g)
+	sch, cg := an.Schema, an.Struct
 	if sch.NumClasses() == 0 {
 		return nil, fmt.Errorf("summary: graph has no classes")
 	}
-	an := semantics.NewAnalyzer(g, sch)
 	type scored struct {
 		c rdf.Term
 		r float64
 	}
 	all := make([]scored, 0, sch.NumClasses())
-	for _, c := range sch.ClassTerms() {
+	for _, c := range cg.Nodes() {
 		all = append(all, scored{c: c, r: an.Relevance(c)})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -86,7 +85,6 @@ func Summarize(g *rdf.Graph, k int) (*Summary, error) {
 	// Connect the selection: walk selected classes in rank order; for each
 	// class not reachable from the first one within the included set, pull
 	// in the interior of one shortest path in the full class graph.
-	cg := graphx.FromAdjacency(sch.ClassGraph())
 	anchor := sum.Selected[0]
 	for _, c := range sum.Selected[1:] {
 		if reachableWithin(cg, included, anchor, c) {
@@ -103,27 +101,18 @@ func Summarize(g *rdf.Graph, k int) (*Summary, error) {
 	}
 	rdf.SortTerms(sum.Linking)
 
-	// Edges among included classes.
-	adj := sch.ClassGraph()
-	for a, ns := range adj {
+	// Edges among included classes, in sorted order: nodes and their
+	// adjacency are both sorted by term.
+	for _, a := range cg.Nodes() {
 		if _, ok := included[a]; !ok {
 			continue
 		}
-		for _, b := range ns {
-			if _, ok := included[b]; !ok {
-				continue
-			}
-			if a.Compare(b) < 0 {
+		for _, b := range cg.Neighbors(a) {
+			if _, ok := included[b]; ok && a.Compare(b) < 0 {
 				sum.Edges = append(sum.Edges, [2]rdf.Term{a, b})
 			}
 		}
 	}
-	sort.Slice(sum.Edges, func(i, j int) bool {
-		if c := sum.Edges[i][0].Compare(sum.Edges[j][0]); c != 0 {
-			return c < 0
-		}
-		return sum.Edges[i][1].Compare(sum.Edges[j][1]) < 0
-	})
 
 	// Instance coverage.
 	var total, covered int

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"evorec/internal/measures"
 	"evorec/internal/rdf"
-	"evorec/internal/schema"
-	"evorec/internal/semantics"
 	"evorec/internal/synth"
 )
 
@@ -55,8 +54,7 @@ func TestSummarizeSelectsMostRelevant(t *testing.T) {
 		t.Fatal("noise class must not enter a k=2 summary")
 	}
 	// Verify selection really is the relevance top-2.
-	sch := schema.Extract(g)
-	an := semantics.NewAnalyzer(g, sch)
+	an := measures.Analyze(g)
 	for _, c := range s.Selected {
 		if an.Relevance(c) < an.Relevance(rdf.SchemaIRI("Noise")) {
 			t.Fatalf("selected %v is less relevant than Noise", c)

@@ -236,7 +236,7 @@ func AnalyzeWithContexts(ctxs []*measures.Context, m measures.Measure) (*Analysi
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
 	for step, ctx := range ctxs {
 		scores := m.Compute(ctx)
-		a.PairIDs = append(a.PairIDs, ctx.Older.ID+"->"+ctx.Newer.ID)
+		a.PairIDs = append(a.PairIDs, ctx.Delta.OlderID+"->"+ctx.Delta.NewerID)
 		for t, v := range scores {
 			s, ok := a.series[t]
 			if !ok {
