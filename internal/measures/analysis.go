@@ -226,23 +226,10 @@ func (a *VersionAnalysis) classVector(s graphx.Scores) []float64 {
 	return v
 }
 
-// Centrality returns the semantic centrality Cin(c) + Cout(c) of class c,
-// or 0 if c is not a class of this version.
-func (a *VersionAnalysis) Centrality(c rdf.Term) float64 {
-	return at(a.centrality, ordinal(a.classes, c))
-}
-
 // Relevance returns the relevance of class c, or 0 if c is not a class of
 // this version.
 func (a *VersionAnalysis) Relevance(c rdf.Term) float64 {
 	return at(a.relevance, ordinal(a.classes, c))
-}
-
-// PropertyCentrality returns the importance of property p: the sum of the
-// relative cardinalities of the class-level edges it realizes (the
-// "extension to properties" the paper sketches at the end of §II).
-func (a *VersionAnalysis) PropertyCentrality(p rdf.Term) float64 {
-	return at(a.propCentrality, ordinal(a.props, p))
 }
 
 // ordinal returns t's index in the sorted terms, or -1.

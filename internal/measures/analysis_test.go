@@ -37,6 +37,14 @@ func semanticFixture() *rdf.Graph {
 	return g
 }
 
+func centralityOf(a *VersionAnalysis, c rdf.Term) float64 {
+	return at(a.centrality, ordinal(a.classes, c))
+}
+
+func propCentralityOf(a *VersionAnalysis, p rdf.Term) float64 {
+	return at(a.propCentrality, ordinal(a.props, p))
+}
+
 // edgeOf returns the analysis's realized edge (p, from, to), if any.
 func edgeOf(a *VersionAnalysis, p, from, to rdf.Term) (edge, bool) {
 	pi, fi, ti := ordinal(a.props, p), ordinal(a.classes, from), ordinal(a.classes, to)
@@ -86,14 +94,14 @@ func TestInOutCentrality(t *testing.T) {
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	// Org has one incoming edge via one property and no outgoing edge:
 	// Cin = RC * 1 = 3/8, Cout = 0.
-	if got, want := a.Centrality(org), 3.0/8.0; math.Abs(got-want) > 1e-12 {
+	if got, want := centralityOf(a, org), 3.0/8.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("C(Org) = %g, want %g", got, want)
 	}
 	// Person: outgoing edges worksFor (RC 3/8) and knows (RC 1/(5+5)), two
 	// distinct properties; one incoming edge (knows), one property.
 	rcWF, rcKN := 3.0/8.0, 1.0/10.0
 	wantOut, wantIn := (rcWF+rcKN)*2, rcKN
-	if got := a.Centrality(person); math.Abs(got-(wantIn+wantOut)) > 1e-12 {
+	if got := centralityOf(a, person); math.Abs(got-(wantIn+wantOut)) > 1e-12 {
 		t.Fatalf("C(Person) = %g, want %g", got, wantIn+wantOut)
 	}
 }
@@ -198,11 +206,11 @@ func TestRelevanceNeighborContribution(t *testing.T) {
 func TestPropertyCentrality(t *testing.T) {
 	a := Analyze(semanticFixture())
 	wf, kn := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows")
-	if a.PropertyCentrality(wf) <= a.PropertyCentrality(kn) {
+	if propCentralityOf(a, wf) <= propCentralityOf(a, kn) {
 		t.Fatalf("worksFor (3 links) must outrank knows (1 link): %g vs %g",
-			a.PropertyCentrality(wf), a.PropertyCentrality(kn))
+			propCentralityOf(a, wf), propCentralityOf(a, kn))
 	}
-	if got := a.PropertyCentrality(rdf.SchemaIRI("absent")); got != 0 {
+	if got := propCentralityOf(a, rdf.SchemaIRI("absent")); got != 0 {
 		t.Fatalf("PropertyCentrality(absent) = %g, want 0", got)
 	}
 }
@@ -217,8 +225,8 @@ func TestAllCentralitiesAllRelevances(t *testing.T) {
 		if a.centrality[i] < 0 || a.relevance[i] < 0 {
 			t.Fatalf("negative centrality or relevance for %v", c)
 		}
-		if a.Centrality(c) != a.centrality[i] || a.Relevance(c) != a.relevance[i] {
-			t.Fatalf("Term accessors disagree with the vectors at %v", c)
+		if a.Relevance(c) != a.relevance[i] {
+			t.Fatalf("Relevance(%v) disagrees with the relevance vector", c)
 		}
 	}
 }
