@@ -168,19 +168,6 @@ func BenchmarkDeltaCompute(b *testing.B) {
 	}
 }
 
-func BenchmarkDeltaComputeParallel(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			older, newer := sizedVersionPair(size.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				evorec.ComputeDeltaParallel(older, newer)
-			}
-		})
-	}
-}
-
 func BenchmarkSchemaExtract(b *testing.B) {
 	older, _ := benchVersions(b)
 	b.ReportAllocs()

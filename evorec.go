@@ -146,11 +146,6 @@ type Delta = delta.Delta
 // ComputeDelta computes the low-level delta between two graphs.
 func ComputeDelta(older, newer *Graph) *Delta { return delta.Compute(older, newer) }
 
-// ComputeDeltaParallel is ComputeDelta with the scan split across CPU cores;
-// it requires (and the synthetic generators, Clone, and OpenStore guarantee)
-// that both graphs share a term dictionary to gain anything.
-func ComputeDeltaParallel(older, newer *Graph) *Delta { return delta.ComputeParallel(older, newer) }
-
 // HighLevelChange is a detected schema-level change pattern.
 type HighLevelChange = delta.HighLevelChange
 

@@ -142,7 +142,12 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown version %q", newerID)
 	}
-	ctx := measures.NewContext(older, newer)
+	return e.recordContext(olderID, newerID, measures.NewContext(older, newer))
+}
+
+// recordContext counts a freshly built pair context and records the pair's
+// compute_delta provenance on its first build.
+func (e *Engine) recordContext(olderID, newerID string, ctx *measures.Context) (*measures.Context, error) {
 	e.ctxBuilds++
 	key := pairKey(olderID, newerID)
 	if _, ok := e.prov.Creator("delta:" + key); ok {

@@ -53,24 +53,39 @@ func sameDelta(t *testing.T, a, b *Delta) {
 	}
 }
 
-func TestComputeParallelMatchesCompute(t *testing.T) {
+// reintern copies g into a graph with its own dictionary, so Compute
+// against it takes the term-level scan.
+func reintern(g *rdf.Graph) *rdf.Graph {
+	out := rdf.NewGraph()
+	g.ForEach(func(tr rdf.Triple) bool { out.Add(tr); return true })
+	return out
+}
+
+// TestComputeMatchesTermLevel holds the shared-dict merge to the term-level
+// scan, on pairs up to several index chunks long.
+func TestComputeMatchesTermLevel(t *testing.T) {
 	for _, n := range []int{0, 50, 500, 6000} {
 		older, newer := buildVersionPair(n, int64(n)+1)
-		sameDelta(t, Compute(older, newer), ComputeParallel(older, newer))
+		sameDelta(t, Compute(reintern(older), newer), Compute(older, newer))
 	}
 }
 
-func TestComputeParallelDistinctDicts(t *testing.T) {
-	// Graphs with unrelated dictionaries must still produce a correct delta
-	// via the fallback path.
+// TestComputeDistinctDicts checks the term-level fallback: graphs with
+// unrelated dictionaries still produce the delta the shared-dict path does.
+func TestComputeDistinctDicts(t *testing.T) {
 	older, _ := buildVersionPair(300, 3)
 	newer := rdf.NewGraph() // its own dict
 	for _, tr := range older.Triples()[:200] {
 		newer.Add(tr)
 	}
 	newer.Add(rdf.T(rdf.NewIRI("http://x/extra"), rdf.NewIRI("http://x/p0"), rdf.NewIRI("http://x/extra2")))
-	sameDelta(t, Compute(older, newer), ComputeParallel(older, newer))
 	d := Compute(older, newer)
+	if d.dict != nil {
+		t.Fatal("distinct-dict Compute must take the term-level scan")
+	}
+	shared := rdf.NewGraphWithDict(older.Dict())
+	newer.ForEach(func(tr rdf.Triple) bool { shared.Add(tr); return true })
+	sameDelta(t, Compute(older, shared), d)
 	// Sanity: applying the delta to a clone of older yields newer.
 	g := older.Clone()
 	d.Apply(g)

@@ -8,12 +8,7 @@
 // (class added, hierarchy moved, domain changed, ...).
 package delta
 
-import (
-	"runtime"
-	"sync"
-
-	"evorec/internal/rdf"
-)
+import "evorec/internal/rdf"
 
 // Delta is the low-level delta between an older and a newer version: the
 // triples added and the triples deleted. Both slices are sorted for
@@ -42,14 +37,14 @@ type Delta struct {
 //
 // When the graphs share a term dictionary (which all versions of one dataset
 // do — Clone and the synthetic generators preserve sharing), the set
-// difference runs entirely on dictionary-encoded integer triples and only
-// the triples actually in the delta are decoded back to terms. Otherwise it
-// falls back to a term-level scan.
+// difference is one linear merge of the two graphs' ascending ForEachID
+// streams (DiffSortedIDs), and only the triples actually in the delta are
+// decoded back to terms. Otherwise it falls back to a term-level scan.
 func Compute(older, newer *rdf.Graph) *Delta {
 	d := &Delta{}
 	if older.Dict() == newer.Dict() {
 		dict := older.Dict()
-		added, deleted := collectIDDiff(older, newer)
+		added, deleted := DiffSortedIDs(sortedIDs(older), sortedIDs(newer))
 		d.dict = dict
 		d.addedIDs = added
 		d.deletedIDs = deleted
@@ -74,83 +69,21 @@ func Compute(older, newer *rdf.Graph) *Delta {
 	return d
 }
 
-// ComputeParallel is Compute with the scan split across runtime.NumCPU()
-// workers, each diffing one subject shard of the ID-encoded indexes. It
-// returns the identical (sorted) delta. Graphs with distinct dictionaries
-// fall back to the serial term-level scan.
-func ComputeParallel(older, newer *rdf.Graph) *Delta {
-	if older.Dict() != newer.Dict() {
-		return Compute(older, newer)
-	}
-	shards := runtime.NumCPU()
-	if shards > 1 && older.Len()+newer.Len() < 4096 {
-		shards = 1 // not worth the fan-out below a few thousand triples
-	}
-	dict := older.Dict()
-	addedByShard := make([][]rdf.IDTriple, shards)
-	deletedByShard := make([][]rdf.IDTriple, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			newer.ForEachIDShard(w, shards, func(t rdf.IDTriple) bool {
-				if !older.HasID(t) {
-					addedByShard[w] = append(addedByShard[w], t)
-				}
-				return true
-			})
-			older.ForEachIDShard(w, shards, func(t rdf.IDTriple) bool {
-				if !newer.HasID(t) {
-					deletedByShard[w] = append(deletedByShard[w], t)
-				}
-				return true
-			})
-		}(w)
-	}
-	wg.Wait()
-	added := flattenShards(addedByShard)
-	deleted := flattenShards(deletedByShard)
-	rdf.SortIDTriples(added)
-	rdf.SortIDTriples(deleted)
-	d := &Delta{
-		dict:       dict,
-		addedIDs:   added,
-		deletedIDs: deleted,
-		Added:      decodeIDs(dict, added),
-		Deleted:    decodeIDs(dict, deleted),
-	}
-	rdf.SortTriples(d.Added)
-	rdf.SortTriples(d.Deleted)
-	return d
-}
-
-// collectIDDiff returns the sorted added and deleted ID-triple lists between
-// two graphs sharing a Dict.
-func collectIDDiff(older, newer *rdf.Graph) (added, deleted []rdf.IDTriple) {
-	added = make([]rdf.IDTriple, 0, deltaCap(newer.Len()))
-	deleted = make([]rdf.IDTriple, 0, deltaCap(older.Len()))
-	newer.ForEachID(func(t rdf.IDTriple) bool {
-		if !older.HasID(t) {
-			added = append(added, t)
-		}
+// sortedIDs returns g's ID-triples in the ascending (S, P, O) order
+// ForEachID yields.
+func sortedIDs(g *rdf.Graph) []rdf.IDTriple {
+	out := make([]rdf.IDTriple, 0, g.Len())
+	g.ForEachID(func(t rdf.IDTriple) bool {
+		out = append(out, t)
 		return true
 	})
-	older.ForEachID(func(t rdf.IDTriple) bool {
-		if !newer.HasID(t) {
-			deleted = append(deleted, t)
-		}
-		return true
-	})
-	rdf.SortIDTriples(added)
-	rdf.SortIDTriples(deleted)
-	return added, deleted
+	return out
 }
 
 // DiffSortedIDs computes the ID-level delta between two sorted,
 // duplicate-free ID-triple slices by a single linear merge, returning the
-// (sorted) added and deleted lists. The binary store diffs consecutive
-// encoded snapshots this way without probing either graph's index.
+// (sorted) added and deleted lists. Compute diffs two shared-dict graphs
+// this way, and the binary store diffs consecutive encoded snapshots.
 func DiffSortedIDs(older, newer []rdf.IDTriple) (added, deleted []rdf.IDTriple) {
 	i, j := 0, 0
 	for i < len(older) && j < len(newer) {
@@ -169,30 +102,6 @@ func DiffSortedIDs(older, newer []rdf.IDTriple) (added, deleted []rdf.IDTriple) 
 	deleted = append(deleted, older[i:]...)
 	added = append(added, newer[j:]...)
 	return added, deleted
-}
-
-// deltaCap guesses the accumulator capacity for a delta over a graph of n
-// triples: real version pairs change a small fraction of the dataset, so a
-// 1/8 reservation absorbs typical deltas in one allocation without
-// committing O(n) memory up front.
-func deltaCap(n int) int {
-	c := n / 8
-	if c < 16 {
-		c = 16
-	}
-	return c
-}
-
-func flattenShards(shards [][]rdf.IDTriple) []rdf.IDTriple {
-	n := 0
-	for _, s := range shards {
-		n += len(s)
-	}
-	out := make([]rdf.IDTriple, 0, n)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
 }
 
 func decodeIDs(dict *rdf.Dict, ids []rdf.IDTriple) []rdf.Triple {

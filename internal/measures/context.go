@@ -24,15 +24,20 @@ type Context struct {
 
 // NewContext computes all derived structures for the version pair.
 func NewContext(older, newer *rdf.Version) *Context {
-	o, n := Analyze(older.Graph), Analyze(newer.Graph)
-	d := delta.ComputeVersions(older, newer)
+	return NewContextFromAnalyses(Analyze(older.Graph), Analyze(newer.Graph), delta.ComputeVersions(older, newer))
+}
+
+// NewContextFromAnalyses builds the pair context from the two versions'
+// analyses and the delta between them. A walk over a version chain reuses
+// each version's analysis for both pairs it belongs to.
+func NewContextFromAnalyses(older, newer *VersionAnalysis, d *delta.Delta) *Context {
 	return &Context{
-		Older:   o,
-		Newer:   n,
+		Older:   older,
+		Newer:   newer,
 		Delta:   d,
 		Attr:    delta.Attribute(d),
-		classes: align(o.classes, n.classes),
-		props:   align(o.props, n.props),
+		classes: align(older.classes, newer.classes),
+		props:   align(older.props, newer.props),
 	}
 }
 

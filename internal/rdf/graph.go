@@ -1,13 +1,17 @@
 package rdf
 
-// Graph is an in-memory triple store indexed on all three positions
-// (SPO, POS, OSP). The tri-index makes every single-bound pattern a direct
-// map lookup, which the measure layer depends on: delta attribution looks up
-// by subject and by object, schema extraction by predicate.
+import "slices"
+
+// Graph is an in-memory triple store indexed on all three positions. Each
+// index is a run: the graph's triples in one permutation (SPO, POS, OSP),
+// kept sorted. Every pattern's bound positions are a prefix of one of the
+// three orders, so a match is a binary search followed by a sequential
+// read, which the measure layer depends on: delta attribution looks up by
+// subject and by object, schema extraction by predicate.
 //
 // Internally the graph is dictionary-encoded: every Term is interned to a
-// dense uint32 TermID by a Dict and the tri-index is keyed on IDs, so index
-// probes hash one machine word instead of a struct of three strings. The
+// dense uint32 TermID by a Dict and the runs hold ID-triples, so a probe
+// compares machine words instead of a struct of three strings. The
 // Term-based methods translate once at the boundary of each call. Graphs
 // created with NewGraphWithDict (and every Clone) share a Dict, which keeps
 // IDs stable across versions of a dataset and enables the ID-level fast
@@ -18,141 +22,157 @@ package rdf
 // concurrent mutation; concurrent readers are safe once mutation stops, even
 // across graphs sharing a Dict (read methods never intern).
 type Graph struct {
-	dict *Dict
-	spo  index
-	pos  index
-	osp  index
-	n    int
+	dict          *Dict
+	spo, pos, osp run
+	n             int
 }
 
-// index is a two-level map whose leaves are ID lists: first key -> second
-// key -> the third-position IDs. Leaves are slices, not sets: a typical
-// (first, second) pair has a handful of entries, so a compact slice beats a
-// map on both memory and allocation count. Only the SPO index keeps its
-// leaves sorted (it is the one that answers membership); POS and OSP are
-// fed blind appends because SPO has already decided uniqueness.
-type index map[TermID]map[TermID][]TermID
-
-type idSet map[TermID]struct{}
-
-// addSorted inserts c into the sorted leaf for (a, b), reporting whether it
-// was absent. Membership is a binary search, so even pathological fan-out
-// stays O(log n) per probe.
-func (ix index) addSorted(a, b, c TermID) bool {
-	m, ok := ix[a]
-	if !ok {
-		m = make(map[TermID][]TermID, 2)
-		ix[a] = m
-	}
-	s := m[b]
-	i := searchIDs(s, c)
-	if i < len(s) && s[i] == c {
-		return false
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = c
-	m[b] = s
-	return true
+// run is one index: the graph's triples in one permutation, sorted, held
+// as a sequence of chunks. An element stores the permuted positions in its
+// IDTriple fields, so IDTriple.Compare is the index's own order: the SPO
+// run stores {S, P, O}, POS stores {P, O, S} and OSP stores {O, S, P}.
+// Chunks are non-empty and hold at most chunkCap elements, so Add and
+// Remove shift at most one chunk after an O(log n) search, while a bulk
+// load or a Clone lays a whole run out in one arena.
+type run struct {
+	chunks [][]IDTriple
 }
 
-// appendBlind appends c to the leaf for (a, b) without a membership check;
-// the caller guarantees uniqueness (Graph.Add consults SPO first).
-func (ix index) appendBlind(a, b, c TermID) {
-	m, ok := ix[a]
-	if !ok {
-		m = make(map[TermID][]TermID, 2)
-		ix[a] = m
+const (
+	// chunkCap bounds a chunk's length: inserting into a full chunk splits
+	// it in half first.
+	chunkCap = 512
+	// chunkFill is how many elements layout puts in each chunk. The other
+	// chunkCap-chunkFill slots of its arena span absorb inserts, so a delta
+	// replayed onto a fresh clone rarely allocates.
+	chunkFill = 384
+)
+
+// layout returns a run of n elements laid out in one arena, chunkFill to a
+// chunk (the last chunk takes the rest), together with the arena. The
+// caller stores the element at sorted position i in arena[slot(i)].
+func layout(n int) (run, []IDTriple) {
+	if n == 0 {
+		return run{}, nil
 	}
-	m[b] = append(m[b], c)
+	k := (n + chunkFill - 1) / chunkFill
+	last := n - (k-1)*chunkFill
+	arena := make([]IDTriple, (k-1)*chunkCap+last+chunkCap-chunkFill)
+	chunks := make([][]IDTriple, k)
+	for i := range chunks {
+		lo, m := i*chunkCap, chunkFill
+		if i == k-1 {
+			m = last
+		}
+		// The capacity ends where the next chunk begins, so an append to
+		// one chunk never overwrites its neighbor.
+		chunks[i] = arena[lo : lo+m : lo+m+chunkCap-chunkFill]
+	}
+	return run{chunks}, arena
 }
 
-// removeSorted deletes c from the sorted leaf for (a, b), reporting whether
-// it was present, and prunes emptied levels.
-func (ix index) removeSorted(a, b, c TermID) bool {
-	m, ok := ix[a]
-	if !ok {
-		return false
-	}
-	s := m[b]
-	i := searchIDs(s, c)
-	if i >= len(s) || s[i] != c {
-		return false
-	}
-	s = append(s[:i], s[i+1:]...)
-	ix.put(a, b, m, s)
-	return true
-}
+// slot is the arena index layout gives the element at sorted position i.
+func slot(i int) int { return i/chunkFill*chunkCap + i%chunkFill }
 
-// removeScan deletes c from the unsorted leaf for (a, b) by linear scan and
-// swap-delete, pruning emptied levels. The caller guarantees presence.
-func (ix index) removeScan(a, b, c TermID) {
-	m, ok := ix[a]
-	if !ok {
-		return
-	}
-	s := m[b]
-	for i, x := range s {
-		if x == c {
-			s[i] = s[len(s)-1]
-			s = s[:len(s)-1]
-			ix.put(a, b, m, s)
-			return
+// clone lays the run's n elements out afresh, which also compacts the
+// chunks that inserts split and removals drained.
+func (r *run) clone(n int) run {
+	out, arena := layout(n)
+	i := 0
+	for _, c := range r.chunks {
+		for _, k := range c {
+			arena[slot(i)] = k
+			i++
 		}
 	}
+	return out
 }
 
-// put writes a leaf back, pruning empty leaves and empty second levels so
-// top-level key enumeration (Predicates, Mentions, Subjects) stays exact.
-func (ix index) put(a, b TermID, m map[TermID][]TermID, s []TermID) {
-	if len(s) == 0 {
-		delete(m, b)
-		if len(m) == 0 {
-			delete(ix, a)
-		}
-		return
-	}
-	m[b] = s
-}
-
-// searchIDs returns the insertion point for c in the sorted slice s.
-func searchIDs(s []TermID, c TermID) int {
-	lo, hi := 0, len(s)
+// seek returns the chunk and offset of the first element >= k, or
+// (len(r.chunks), 0) when every element is smaller.
+func (r *run) seek(k IDTriple) (int, int) {
+	lo, hi := 0, len(r.chunks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < c {
+		if c := r.chunks[mid]; c[len(c)-1].Compare(k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	if lo == len(r.chunks) {
+		return lo, 0
+	}
+	j, _ := slices.BinarySearchFunc(r.chunks[lo], k, IDTriple.Compare)
+	return lo, j
 }
 
-// clone deep-copies the index. All leaf slices of the copy share one arena
-// allocation, carved up with full (three-index) slice expressions so a later
-// append to any leaf reallocates instead of clobbering its neighbor; this
-// turns O(#leaves) allocations into one, which makes Clone — the backbone of
-// synthetic evolution and delta replay — cheap.
-func (ix index) clone() index {
-	total := 0
-	for _, m := range ix {
-		for _, s := range m {
-			total += len(s)
+func (r *run) has(k IDTriple) bool {
+	ci, j := r.seek(k)
+	return ci < len(r.chunks) && r.chunks[ci][j] == k
+}
+
+// leads reports whether some element's first field is id.
+func (r *run) leads(id TermID) bool {
+	ci, j := r.seek(IDTriple{S: id})
+	return ci < len(r.chunks) && r.chunks[ci][j].S == id
+}
+
+// insert adds k, reporting whether it was absent.
+func (r *run) insert(k IDTriple) bool {
+	ci, j := r.seek(k)
+	switch {
+	case len(r.chunks) == 0:
+		r.chunks = append(r.chunks, nil)
+	case ci == len(r.chunks):
+		// k sorts after every element: it goes at the end of the last chunk.
+		ci--
+		j = len(r.chunks[ci])
+	case r.chunks[ci][j] == k:
+		return false
+	}
+	if c := r.chunks[ci]; len(c) == chunkCap {
+		half := chunkCap / 2
+		right := make([]IDTriple, chunkCap-half, chunkCap)
+		copy(right, c[half:])
+		r.chunks[ci] = c[:half]
+		r.chunks = slices.Insert(r.chunks, ci+1, right)
+		if j > half {
+			ci, j = ci+1, j-half
 		}
 	}
-	arena := make([]TermID, 0, total)
-	out := make(index, len(ix))
-	for a, m := range ix {
-		cm := make(map[TermID][]TermID, len(m))
-		for b, s := range m {
-			start := len(arena)
-			arena = append(arena, s...)
-			cm[b] = arena[start:len(arena):len(arena)]
-		}
-		out[a] = cm
+	c := append(r.chunks[ci], IDTriple{})
+	copy(c[j+1:], c[j:])
+	c[j] = k
+	r.chunks[ci] = c
+	return true
+}
+
+// remove deletes k, reporting whether it was present. A drained chunk is
+// dropped.
+func (r *run) remove(k IDTriple) bool {
+	ci, j := r.seek(k)
+	if ci == len(r.chunks) || r.chunks[ci][j] != k {
+		return false
 	}
-	return out
+	if c := r.chunks[ci]; len(c) > 1 {
+		r.chunks[ci] = append(c[:j], c[j+1:]...)
+	} else {
+		r.chunks = slices.Delete(r.chunks, ci, ci+1)
+	}
+	return true
+}
+
+// ascend streams, in order, the elements whose first n fields (0, 1 or 2)
+// equal lo's, stopping early if fn returns false.
+func (r *run) ascend(lo IDTriple, n int, fn func(IDTriple) bool) {
+	for ci, j := r.seek(lo); ci < len(r.chunks); ci, j = ci+1, 0 {
+		for _, k := range r.chunks[ci][j:] {
+			if n > 0 && k.S != lo.S || n > 1 && k.P != lo.P || !fn(k) {
+				return
+			}
+		}
+	}
 }
 
 // NewGraph returns an empty graph with its own private dictionary.
@@ -165,12 +185,59 @@ func NewGraph() *Graph {
 // are stable across versions; NewVersionStore-based pipelines get this for
 // free because Clone shares the dictionary.
 func NewGraphWithDict(d *Dict) *Graph {
-	return &Graph{
-		dict: d,
-		spo:  make(index),
-		pos:  make(index),
-		osp:  make(index),
+	return &Graph{dict: d}
+}
+
+// NewGraphFromSortedIDs returns a graph holding ts and sharing d, built by
+// sequential passes instead of inserts: ts is copied as the SPO run, a
+// stable counting pass by object turns that order into OSP, and a second
+// one by predicate turns OSP into POS. The IDs must have been minted by d
+// and ts must be strictly ascending in (S, P, O) order, the order ForEachID
+// yields and the binary store writes; anything else panics. ts is not
+// retained.
+func NewGraphFromSortedIDs(d *Dict, ts []IDTriple) *Graph {
+	var maxID TermID
+	for i, t := range ts {
+		if i > 0 && ts[i-1].Compare(t) >= 0 {
+			panic("rdf: NewGraphFromSortedIDs: triples not strictly ascending")
+		}
+		maxID = max(maxID, t.P, t.O)
 	}
+	g := &Graph{dict: d, n: len(ts)}
+	var arena []IDTriple
+	g.spo, arena = layout(len(ts))
+	for i, t := range ts {
+		arena[slot(i)] = t
+	}
+	// at[id] is the sorted position of the next triple whose key is id;
+	// count resets it for a new key.
+	at := make([]int, maxID+2)
+	count := func(key func(IDTriple) TermID) {
+		clear(at)
+		for _, t := range ts {
+			at[key(t)+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+	}
+	// Each object's triples keep their (S, P) order: OSP.
+	count(func(t IDTriple) TermID { return t.O })
+	g.osp, arena = layout(len(ts))
+	for _, t := range ts {
+		arena[slot(at[t.O])] = IDTriple{t.O, t.S, t.P}
+		at[t.O]++
+	}
+	// Each predicate's triples keep their OSP (O, S) order: POS.
+	count(func(t IDTriple) TermID { return t.P })
+	g.pos, arena = layout(len(ts))
+	for _, c := range g.osp.chunks {
+		for _, k := range c {
+			arena[slot(at[k.O])] = IDTriple{k.O, k.S, k.P}
+			at[k.O]++
+		}
+	}
+	return g
 }
 
 // Dict returns the graph's term dictionary. Two graphs with the same Dict
@@ -178,28 +245,10 @@ func NewGraphWithDict(d *Dict) *Graph {
 func (g *Graph) Dict() *Dict { return g.dict }
 
 // Grow hints that the graph will hold at least n triples, presizing the
-// dictionary and (for an empty graph) the index maps. It is a pure
-// optimization for bulk ingestion; growing an already-populated graph only
-// grows the dictionary.
+// dictionary for bulk ingestion. The runs need no presizing: they grow a
+// chunk at a time.
 func (g *Graph) Grow(n int) {
 	g.dict.Grow(n) // upper bound: every triple could mint new terms
-	g.GrowIndex(n)
-}
-
-// GrowIndex presizes only the (empty) graph's index maps, leaving the
-// dictionary alone. It is the right hint for ingestion that never interns —
-// the binary store's snapshot decoder feeds pre-encoded IDs into a shared,
-// already-populated Dict, where Grow's map rebuild would be pure waste.
-func (g *Graph) GrowIndex(n int) {
-	if g.n == 0 && n > 0 {
-		// Subjects dominate the top level; predicates are few. Size the
-		// top-level maps to the likely distinct-subject count (~n/4 for
-		// typical KB shapes) to avoid repeated rehashing.
-		est := n/4 + 1
-		g.spo = make(index, est)
-		g.pos = make(index, 64)
-		g.osp = make(index, est)
-	}
 }
 
 // Len returns the number of triples in the graph.
@@ -207,16 +256,7 @@ func (g *Graph) Len() int { return g.n }
 
 // Add inserts the triple and reports whether it was not already present.
 func (g *Graph) Add(t Triple) bool {
-	s := g.dict.Intern(t.S)
-	p := g.dict.Intern(t.P)
-	o := g.dict.Intern(t.O)
-	if !g.spo.addSorted(s, p, o) {
-		return false
-	}
-	g.pos.appendBlind(p, o, s)
-	g.osp.appendBlind(o, s, p)
-	g.n++
-	return true
+	return g.AddID(IDTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)})
 }
 
 // AddAll inserts every triple in ts and returns the number actually added.
@@ -235,35 +275,23 @@ func (g *Graph) AddAll(ts []Triple) int {
 // IDs would decode to garbage later, so callers decoding untrusted input
 // (the binary store) validate IDs against Dict.Len() first.
 func (g *Graph) AddID(t IDTriple) bool {
-	if !g.spo.addSorted(t.S, t.P, t.O) {
+	if !g.spo.insert(t) {
 		return false
 	}
-	g.pos.appendBlind(t.P, t.O, t.S)
-	g.osp.appendBlind(t.O, t.S, t.P)
+	g.pos.insert(IDTriple{t.P, t.O, t.S})
+	g.osp.insert(IDTriple{t.O, t.S, t.P})
 	g.n++
 	return true
-}
-
-// AddIDUnchecked appends the ID-encoded triple without a membership probe.
-// The caller guarantees the triple is absent and that consecutive unchecked
-// adds arrive in ascending (S, P, O) order, which keeps SPO leaves sorted by
-// construction — the contract of the binary store's snapshot decoder, whose
-// runs are sorted and duplicate-free on disk.
-func (g *Graph) AddIDUnchecked(t IDTriple) {
-	g.spo.appendBlind(t.S, t.P, t.O)
-	g.pos.appendBlind(t.P, t.O, t.S)
-	g.osp.appendBlind(t.O, t.S, t.P)
-	g.n++
 }
 
 // RemoveID deletes the ID-encoded triple and reports whether it was present.
 // Like AddID, the IDs must come from this graph's Dict.
 func (g *Graph) RemoveID(t IDTriple) bool {
-	if !g.spo.removeSorted(t.S, t.P, t.O) {
+	if !g.spo.remove(t) {
 		return false
 	}
-	g.pos.removeScan(t.P, t.O, t.S)
-	g.osp.removeScan(t.O, t.S, t.P)
+	g.pos.remove(IDTriple{t.P, t.O, t.S})
+	g.osp.remove(IDTriple{t.O, t.S, t.P})
 	g.n--
 	return true
 }
@@ -282,15 +310,7 @@ func (g *Graph) Has(t Triple) bool {
 
 // HasID reports whether the ID-encoded triple is present. The IDs must come
 // from this graph's Dict.
-func (g *Graph) HasID(t IDTriple) bool {
-	if m, ok := g.spo[t.S]; ok {
-		if s, ok := m[t.P]; ok {
-			i := searchIDs(s, t.O)
-			return i < len(s) && s[i] == t.O
-		}
-	}
-	return false
-}
+func (g *Graph) HasID(t IDTriple) bool { return g.spo.has(t) }
 
 // decode materializes an ID-triple back into Term space.
 func (g *Graph) decode(s, p, o TermID) Triple {
@@ -359,9 +379,10 @@ func (g *Graph) lookupPattern(s, p, o Term) (IDTriple, bool) {
 
 // ForEachMatchID streams every ID-triple matching the encoded pattern to
 // fn, stopping early if fn returns false. AnyID is the wildcard; bound IDs
-// must come from this graph's Dict. It reads the index that binds the most
-// positions, so a bound predicate scans POS and never touches a subject the
-// predicate does not use. Match order is unspecified.
+// must come from this graph's Dict. It reads the run whose order has the
+// bound positions as a prefix, so a bound predicate scans POS and never
+// touches a subject the predicate does not use. Matches arrive in that
+// run's order; with no position bound that is ascending (S, P, O).
 func (g *Graph) ForEachMatchID(s, p, o TermID, fn func(IDTriple) bool) {
 	sb, pb, ob := s != AnyID, p != AnyID, o != AnyID
 	switch {
@@ -370,57 +391,27 @@ func (g *Graph) ForEachMatchID(s, p, o TermID, fn func(IDTriple) bool) {
 			fn(IDTriple{s, p, o})
 		}
 	case sb && pb:
-		for _, obj := range g.spo[s][p] {
-			if !fn(IDTriple{s, p, obj}) {
-				return
-			}
-		}
+		g.spo.ascend(IDTriple{S: s, P: p}, 2, fn)
 	case sb && ob:
-		for _, pred := range g.osp[o][s] {
-			if !fn(IDTriple{s, pred, o}) {
-				return
-			}
-		}
+		g.osp.ascend(IDTriple{S: o, P: s}, 2, func(k IDTriple) bool {
+			return fn(IDTriple{s, k.O, o})
+		})
 	case pb && ob:
-		for _, sub := range g.pos[p][o] {
-			if !fn(IDTriple{sub, p, o}) {
-				return
-			}
-		}
+		g.pos.ascend(IDTriple{S: p, P: o}, 2, func(k IDTriple) bool {
+			return fn(IDTriple{k.O, p, o})
+		})
 	case sb:
-		for pred, objs := range g.spo[s] {
-			for _, obj := range objs {
-				if !fn(IDTriple{s, pred, obj}) {
-					return
-				}
-			}
-		}
+		g.spo.ascend(IDTriple{S: s}, 1, fn)
 	case pb:
-		for obj, subs := range g.pos[p] {
-			for _, sub := range subs {
-				if !fn(IDTriple{sub, p, obj}) {
-					return
-				}
-			}
-		}
+		g.pos.ascend(IDTriple{S: p}, 1, func(k IDTriple) bool {
+			return fn(IDTriple{k.O, p, k.P})
+		})
 	case ob:
-		for sub, preds := range g.osp[o] {
-			for _, pred := range preds {
-				if !fn(IDTriple{sub, pred, o}) {
-					return
-				}
-			}
-		}
+		g.osp.ascend(IDTriple{S: o}, 1, func(k IDTriple) bool {
+			return fn(IDTriple{k.P, k.O, o})
+		})
 	default:
-		for sub, preds := range g.spo {
-			for pred, objs := range preds {
-				for _, obj := range objs {
-					if !fn(IDTriple{sub, pred, obj}) {
-						return
-					}
-				}
-			}
-		}
+		g.spo.ascend(IDTriple{}, 0, fn)
 	}
 }
 
@@ -430,30 +421,13 @@ func (g *Graph) ForEach(fn func(Triple) bool) {
 	g.ForEachMatch(Term{}, Term{}, Term{}, fn)
 }
 
-// ForEachID streams every triple in dictionary-encoded form, stopping early
-// if fn returns false. Combined with HasID on a graph sharing the same Dict
-// it supports set difference without decoding a single string.
+// ForEachID streams every triple in dictionary-encoded form in ascending
+// (S, P, O) order, stopping early if fn returns false. The order is a
+// contract: two graphs sharing a Dict diff by one merge of their ForEachID
+// streams (delta.Compute), and the binary store writes the stream as a
+// snapshot run without sorting it.
 func (g *Graph) ForEachID(fn func(IDTriple) bool) {
 	g.ForEachMatchID(AnyID, AnyID, AnyID, fn)
-}
-
-// ForEachIDShard streams the ID-triples whose subject falls in the given
-// shard (subject ID mod shards). Shards partition the graph, so running one
-// goroutine per shard visits every triple exactly once; the delta engine
-// uses this to parallelize version diffs.
-func (g *Graph) ForEachIDShard(shard, shards int, fn func(IDTriple) bool) {
-	for sub, preds := range g.spo {
-		if int(sub)%shards != shard {
-			continue
-		}
-		for pred, objs := range preds {
-			for _, obj := range objs {
-				if !fn(IDTriple{sub, pred, obj}) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // Triples returns every triple in the graph in unspecified order.
@@ -467,9 +441,9 @@ func (g *Graph) Triples() []Triple {
 }
 
 // Subjects returns the distinct subjects of triples matching (?, p, o).
-// Every case except the p-bound/o-wildcard union reads a level of the
-// tri-index whose entries are distinct by construction, so no dedup set is
-// needed on those paths.
+// Only the p-bound/o-wildcard case needs to deduplicate: everywhere else
+// the subject is the field right after the bound prefix of the run read,
+// so equal subjects are adjacent.
 func (g *Graph) Subjects(p, o Term) []Term {
 	pid, ok := g.dict.Lookup(p)
 	if !ok {
@@ -481,33 +455,23 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	}
 	switch {
 	case p.IsWildcard() && o.IsWildcard():
-		out := make([]Term, 0, len(g.spo))
-		for sub := range g.spo {
-			out = append(out, g.dict.terms[sub])
-		}
-		return out
+		return g.keys(&g.spo, IDTriple{}, 0)
 	case p.IsWildcard():
-		m := g.osp[oid]
-		out := make([]Term, 0, len(m))
-		for sub := range m {
-			out = append(out, g.dict.terms[sub])
-		}
-		return out
+		return g.keys(&g.osp, IDTriple{S: oid}, 1)
 	case o.IsWildcard():
-		set := make(idSet)
-		for _, subs := range g.pos[pid] {
-			for _, sub := range subs {
-				set[sub] = struct{}{}
-			}
-		}
-		return g.setToTerms(set)
+		var ids []TermID
+		g.pos.ascend(IDTriple{S: pid}, 1, func(k IDTriple) bool {
+			ids = append(ids, k.O)
+			return true
+		})
+		return g.distinctTerms(ids)
 	default:
-		return g.idsToTerms(g.pos[pid][oid])
+		return g.thirds(&g.pos, IDTriple{S: pid, P: oid})
 	}
 }
 
 // Objects returns the distinct objects of triples matching (s, p, ?). As
-// with Subjects, only the s-bound/p-wildcard union needs a dedup set.
+// with Subjects, only the s-bound/p-wildcard case needs to deduplicate.
 func (g *Graph) Objects(s, p Term) []Term {
 	sid, ok := g.dict.Lookup(s)
 	if !ok {
@@ -519,50 +483,36 @@ func (g *Graph) Objects(s, p Term) []Term {
 	}
 	switch {
 	case s.IsWildcard() && p.IsWildcard():
-		out := make([]Term, 0, len(g.osp))
-		for obj := range g.osp {
-			out = append(out, g.dict.terms[obj])
-		}
-		return out
+		return g.keys(&g.osp, IDTriple{}, 0)
 	case s.IsWildcard():
-		m := g.pos[pid]
-		out := make([]Term, 0, len(m))
-		for obj := range m {
-			out = append(out, g.dict.terms[obj])
-		}
-		return out
+		return g.keys(&g.pos, IDTriple{S: pid}, 1)
 	case p.IsWildcard():
-		set := make(idSet)
-		for _, objs := range g.spo[sid] {
-			for _, obj := range objs {
-				set[obj] = struct{}{}
-			}
-		}
-		return g.setToTerms(set)
+		var ids []TermID
+		g.spo.ascend(IDTriple{S: sid}, 1, func(k IDTriple) bool {
+			ids = append(ids, k.O)
+			return true
+		})
+		return g.distinctTerms(ids)
 	default:
-		return g.idsToTerms(g.spo[sid][pid])
+		return g.thirds(&g.spo, IDTriple{S: sid, P: pid})
 	}
 }
 
 // Predicates returns the distinct predicates appearing in the graph.
 func (g *Graph) Predicates() []Term {
-	out := make([]Term, 0, len(g.pos))
-	for p := range g.pos {
-		out = append(out, g.dict.terms[p])
-	}
-	return out
+	return g.keys(&g.pos, IDTriple{}, 0)
 }
 
 // Clone returns a deep, independent copy of the graph. The copy shares the
-// dictionary (which is append-only), so cloning copies only the integer
-// indexes — no term is re-hashed — and the clone can be diffed against the
-// original on the ID fast path.
+// dictionary (which is append-only), so cloning copies only the three runs,
+// each in one sequential pass into one arena, and the clone can be diffed
+// against the original on the ID fast path.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		dict: g.dict,
-		spo:  g.spo.clone(),
-		pos:  g.pos.clone(),
-		osp:  g.osp.clone(),
+		spo:  g.spo.clone(g.n),
+		pos:  g.pos.clone(g.n),
+		osp:  g.osp.clone(g.n),
 		n:    g.n,
 	}
 }
@@ -570,34 +520,46 @@ func (g *Graph) Clone() *Graph {
 // Mentions reports whether term x occurs in any position of any triple.
 func (g *Graph) Mentions(x Term) bool {
 	id, ok := g.dict.Lookup(x)
-	if !ok {
-		return false
-	}
-	if _, ok := g.spo[id]; ok {
-		return true
-	}
-	if _, ok := g.pos[id]; ok {
-		return true
-	}
-	_, ok = g.osp[id]
-	return ok
+	return ok && (g.spo.leads(id) || g.pos.leads(id) || g.osp.leads(id))
 }
 
-func (g *Graph) setToTerms(s idSet) []Term {
-	out := make([]Term, 0, len(s))
-	for id := range s {
-		out = append(out, g.dict.terms[id])
-	}
+// keys decodes the distinct values of the field that follows lo's first n
+// fields (n is 0 or 1), over r's elements sharing that prefix. The run
+// orders that field within the prefix, so equal values are adjacent. The
+// result is never nil.
+func (g *Graph) keys(r *run, lo IDTriple, n int) []Term {
+	out := []Term{}
+	var last TermID
+	r.ascend(lo, n, func(k IDTriple) bool {
+		v := k.S
+		if n == 1 {
+			v = k.P
+		}
+		if v != last {
+			out = append(out, g.dict.terms[v])
+			last = v
+		}
+		return true
+	})
 	return out
 }
 
-// idsToTerms decodes an ID list whose entries are already distinct. An
-// empty list returns nil (callers of Subjects/Objects treat nil and empty
-// alike; pre-interning these paths returned a non-nil empty slice).
-func (g *Graph) idsToTerms(ids []TermID) []Term {
-	if len(ids) == 0 {
-		return nil
-	}
+// thirds decodes the third field of r's elements whose first two fields
+// equal lo's; they are distinct by construction. No match returns nil.
+func (g *Graph) thirds(r *run, lo IDTriple) []Term {
+	var out []Term
+	r.ascend(lo, 2, func(k IDTriple) bool {
+		out = append(out, g.dict.terms[k.O])
+		return true
+	})
+	return out
+}
+
+// distinctTerms decodes the distinct IDs of ids, which it sorts in place.
+// The result is never nil.
+func (g *Graph) distinctTerms(ids []TermID) []Term {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	out := make([]Term, len(ids))
 	for i, id := range ids {
 		out[i] = g.dict.terms[id]

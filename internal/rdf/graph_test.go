@@ -46,9 +46,9 @@ func TestGraphRemoveCleansIndexes(t *testing.T) {
 	tr := mkTriple(1)
 	g.Add(tr)
 	g.Remove(tr)
-	if len(g.spo) != 0 || len(g.pos) != 0 || len(g.osp) != 0 {
-		t.Fatalf("indexes must be empty after removing sole triple: spo=%d pos=%d osp=%d",
-			len(g.spo), len(g.pos), len(g.osp))
+	if len(g.spo.chunks) != 0 || len(g.pos.chunks) != 0 || len(g.osp.chunks) != 0 {
+		t.Fatalf("runs must have no chunks after removing sole triple: spo=%d pos=%d osp=%d",
+			len(g.spo.chunks), len(g.pos.chunks), len(g.osp.chunks))
 	}
 }
 

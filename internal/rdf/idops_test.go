@@ -1,6 +1,9 @@
 package rdf
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // idTriples builds a small shared-dict graph and returns it with the encoded
 // forms of its triples.
@@ -52,26 +55,63 @@ func TestAddIDRemoveID(t *testing.T) {
 	}
 }
 
-func TestAddIDUncheckedSortedRun(t *testing.T) {
+func TestNewGraphFromSortedIDs(t *testing.T) {
 	src, ids := idGraph(t)
 	SortIDTriples(ids)
-	g := NewGraphWithDict(src.Dict())
-	for _, id := range ids {
-		g.AddIDUnchecked(id)
-	}
+	g := NewGraphFromSortedIDs(src.Dict(), ids)
 	if g.Len() != src.Len() {
-		t.Fatalf("unchecked ingest: len = %d, want %d", g.Len(), src.Len())
+		t.Fatalf("bulk load: len = %d, want %d", g.Len(), src.Len())
 	}
 	for _, id := range ids {
 		if !g.HasID(id) {
-			t.Fatalf("unchecked ingest lost triple %v", id)
+			t.Fatalf("bulk load lost triple %v", id)
 		}
 	}
-	// SPO leaves must have stayed sorted so membership (binary search) works
-	// for later checked adds too.
+	// The runs must be sorted so membership (binary search) works for later
+	// checked adds too.
 	if g.AddID(ids[0]) {
-		t.Fatal("AddID after unchecked ingest must see existing triples")
+		t.Fatal("AddID after bulk load must see existing triples")
 	}
+
+	// A run spanning several chunks loads into the same graph that inserts
+	// build: every pattern matches the same triples in the same order.
+	big := NewGraph()
+	for i := 0; i < 3*chunkCap; i++ {
+		big.Add(mkTriple(i))
+	}
+	var run []IDTriple
+	big.ForEachID(func(t IDTriple) bool { run = append(run, t); return true })
+	loaded := NewGraphFromSortedIDs(big.Dict(), run)
+	if len(loaded.spo.chunks) < 2 {
+		t.Fatalf("bulk load of %d triples made %d chunk(s), want several", len(run), len(loaded.spo.chunks))
+	}
+	for _, k := range run[:40] {
+		for _, pat := range []IDTriple{
+			k, {k.S, k.P, AnyID}, {k.S, AnyID, k.O}, {AnyID, k.P, k.O},
+			{k.S, AnyID, AnyID}, {AnyID, k.P, AnyID}, {AnyID, AnyID, k.O}, {},
+		} {
+			if want, got := matchIDs(big, pat), matchIDs(loaded, pat); !slices.Equal(got, want) {
+				t.Fatalf("pattern %v: bulk load matches %v, inserts %v", pat, got, want)
+			}
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unsorted input must panic")
+		}
+	}()
+	NewGraphFromSortedIDs(src.Dict(), []IDTriple{ids[1], ids[0]})
+}
+
+// matchIDs collects ForEachMatchID's stream for one encoded pattern.
+func matchIDs(g *Graph, pat IDTriple) []IDTriple {
+	var out []IDTriple
+	g.ForEachMatchID(pat.S, pat.P, pat.O, func(t IDTriple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }
 
 func TestForEachTermOrder(t *testing.T) {

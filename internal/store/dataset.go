@@ -405,21 +405,19 @@ func (ds *Dataset) loadSnapshot(i int) (*rdf.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := rdf.NewGraphWithDict(ds.dict)
-	// Presize only the index: the decoder never interns (the shared dict is
-	// already complete), and the hint is manifest data, so bound it by the
-	// payload size lest a corrupted triple count force a huge allocation.
-	g.GrowIndex(min(e.Triples, len(payload)))
-	// Decoded runs are sorted and duplicate-free (the decoder enforces
-	// strict ordering), so the unchecked bulk ingest is safe.
-	n, err := decodeSnapshot(e.File, payload, ds.dict.Len(), g.AddIDUnchecked)
+	// The capacity is manifest data, so bound it by the payload size lest a
+	// corrupted triple count force a huge allocation.
+	ts := make([]rdf.IDTriple, 0, min(e.Triples, len(payload)))
+	n, err := decodeSnapshot(e.File, payload, ds.dict.Len(), func(t rdf.IDTriple) { ts = append(ts, t) })
 	if err != nil {
 		return nil, err
 	}
 	if n != e.Triples {
 		return nil, fmt.Errorf("store: segment %s: %d triples, manifest says %d", e.File, n, e.Triples)
 	}
-	return g, nil
+	// The decoder enforces strict (S, P, O) order, so the decoded run is
+	// the graph's SPO run as it stands.
+	return rdf.NewGraphFromSortedIDs(ds.dict, ts), nil
 }
 
 // applyDelta replays entry i's delta segment onto g in place. Deletions are

@@ -262,8 +262,9 @@ func writeManifest(fsys vfs.FS, dir string, man *Manifest, durable bool) error {
 
 // encodeGraph returns g's triples as a sorted ID-triple slice encoded
 // against dict. A graph already sharing dict encodes without touching a
-// term; a foreign-dict graph has its terms interned into dict (append-only,
-// so existing IDs are undisturbed).
+// term, and ForEachID yields it sorted; a foreign-dict graph has its terms
+// interned into dict (append-only, so existing IDs are undisturbed) and is
+// sorted in its new IDs.
 func encodeGraph(dict *rdf.Dict, g *rdf.Graph) []rdf.IDTriple {
 	out := make([]rdf.IDTriple, 0, g.Len())
 	if g.Dict() == dict {
@@ -271,14 +272,14 @@ func encodeGraph(dict *rdf.Dict, g *rdf.Graph) []rdf.IDTriple {
 			out = append(out, t)
 			return true
 		})
-	} else {
-		g.ForEach(func(t rdf.Triple) bool {
-			out = append(out, rdf.IDTriple{
-				S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O),
-			})
-			return true
-		})
+		return out
 	}
+	g.ForEach(func(t rdf.Triple) bool {
+		out = append(out, rdf.IDTriple{
+			S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O),
+		})
+		return true
+	})
 	rdf.SortIDTriples(out)
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 
+	"evorec/internal/delta"
 	"evorec/internal/measures"
 	"evorec/internal/rdf"
 )
@@ -194,9 +195,13 @@ func Analyze(vs *rdf.VersionStore, m measures.Measure) (*Analysis, error) {
 	}
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
 	step := 0
-	var failed error
+	// Each inner version is the newer side of one pair and the older side
+	// of the next: analyze it once.
+	prev := measures.Analyze(vs.At(0).Graph)
 	vs.Pairs(func(older, newer *rdf.Version) bool {
-		ctx := measures.NewContext(older, newer)
+		next := measures.Analyze(newer.Graph)
+		ctx := measures.NewContextFromAnalyses(prev, next, delta.ComputeVersions(older, newer))
+		prev = next
 		scores := m.Compute(ctx)
 		a.PairIDs = append(a.PairIDs, older.ID+"->"+newer.ID)
 		for t, v := range scores {
@@ -220,9 +225,6 @@ func Analyze(vs *rdf.VersionStore, m measures.Measure) (*Analysis, error) {
 		}
 		return true
 	})
-	if failed != nil {
-		return nil, failed
-	}
 	return a, nil
 }
 
