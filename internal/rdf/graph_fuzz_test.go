@@ -59,7 +59,7 @@ func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 255, 0, 6, 5, 0, 0, 200, 0, 13, 0, 100, 0, 255, 1, 13, 1, 2, 3})
 	// Bulk load a multi-chunk graph, then insert into its chunks until
 	// they split, and remove a strided block.
-	f.Add([]byte{4, 0, 0, 255, 1, 7, 4, 0, 0, 255, 2, 4, 1, 0, 255, 0, 5, 0, 0, 255, 4, 14, 0, 3, 3})
+	f.Add([]byte{4, 0, 0, 255, 1, 7, 4, 0, 0, 255, 2, 4, 1, 0, 255, 0, 5, 0, 0, 255, 4, 6, 0, 3, 3})
 	// Interleaved strided blocks on a clone and its original.
 	f.Add([]byte{4, 0, 0, 200, 6, 6, 12, 0, 7, 200, 5, 4, 0, 9, 200, 3, 13, 0, 0, 100, 0, 5, 0, 0, 255, 1, 2, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -124,10 +124,13 @@ func FuzzGraphOps(f *testing.F) {
 					}
 				}
 			case 6:
+				// The op's side is cloned onto the other side.
 				other := sides[1-op>>3&1]
 				other.g, other.model = g.Clone(), maps.Clone(model)
+				checkAgainstModel(t, other)
 			case 7:
 				side.g = NewGraphFromSortedIDs(d, side.sorted())
+				checkAgainstModel(t, side)
 			}
 			if side.g.Len() != len(side.model) {
 				t.Fatalf("after op %d: Len = %d, model has %d", op&7, side.g.Len(), len(side.model))
