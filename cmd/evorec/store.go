@@ -189,6 +189,9 @@ func cmdStorePack(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: evorec store pack [-policy p] -out <dir> <v1.nt> [more versions...]")
 	}
+	if *every < 1 {
+		return fmt.Errorf("-every must be >= 1, got %d", *every)
+	}
 	var pol evorec.StorePolicy
 	switch *policy {
 	case "full":

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +43,17 @@ func TestCmdStorePackAndInspect(t *testing.T) {
 	}
 	if err := cmdStore([]string{"pack", "-policy", "bogus", "-out", out, v1}); err == nil {
 		t.Fatal("bad policy must fail")
+	}
+	// A snapshot period below 1 is refused, not packed with the default.
+	for _, every := range []string{"0", "-2"} {
+		bad := filepath.Join(dir, "every"+every)
+		err := cmdStore([]string{"pack", "-policy", "hybrid", "-every", every, "-out", bad, v1, v2})
+		if err == nil || !strings.Contains(err.Error(), "must be >= 1") {
+			t.Fatalf("pack -every %s = %v, want a range error", every, err)
+		}
+		if _, err := os.Stat(bad); err == nil {
+			t.Fatalf("refused pack -every %s created %s", every, bad)
+		}
 	}
 }
 

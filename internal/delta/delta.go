@@ -12,10 +12,7 @@ import "evorec/internal/rdf"
 
 // Delta is the low-level delta between an older and a newer version: the
 // triples added and the triples deleted. Both slices are sorted for
-// deterministic processing. Treat a computed Delta as immutable: Apply
-// keeps a dictionary-encoded mirror of the change lists for its fast path,
-// and rewriting Added/Deleted in place (rather than filtering, which the
-// fast path detects by length) would desynchronize the two views.
+// deterministic processing.
 type Delta struct {
 	// OlderID and NewerID name the versions the delta spans, when known.
 	OlderID, NewerID string
@@ -23,31 +20,21 @@ type Delta struct {
 	Added []rdf.Triple
 	// Deleted holds δ−: triples present in older but not newer.
 	Deleted []rdf.Triple
-
-	// dict plus the encoded change lists form the ID fast path for Apply:
-	// when the target graph shares dict, the replay runs as integer index
-	// operations without re-interning a single term. Compute fills them on
-	// its shared-dict path.
-	dict       *rdf.Dict
-	addedIDs   []rdf.IDTriple
-	deletedIDs []rdf.IDTriple
 }
 
 // Compute returns the low-level delta between the two graphs.
 //
 // When the graphs share a term dictionary (which all versions of one dataset
 // do — Clone and the synthetic generators preserve sharing), the set
-// difference is one linear merge of the two graphs' ascending ForEachID
-// streams (DiffSortedIDs), and only the triples actually in the delta are
-// decoded back to terms. Otherwise it falls back to a term-level scan.
+// difference is one linear merge of the two graphs' sorted ID-triple
+// chunks, read in place (DiffSortedIDs), and only the triples actually in
+// the delta are decoded back to terms. Otherwise it falls back to a
+// term-level scan.
 func Compute(older, newer *rdf.Graph) *Delta {
 	d := &Delta{}
 	if older.Dict() == newer.Dict() {
 		dict := older.Dict()
-		added, deleted := DiffSortedIDs(sortedIDs(older), sortedIDs(newer))
-		d.dict = dict
-		d.addedIDs = added
-		d.deletedIDs = deleted
+		added, deleted := DiffSortedIDs(older.SortedIDChunks(), newer.SortedIDChunks())
 		d.Added = decodeIDs(dict, added)
 		d.Deleted = decodeIDs(dict, deleted)
 	} else {
@@ -69,38 +56,45 @@ func Compute(older, newer *rdf.Graph) *Delta {
 	return d
 }
 
-// sortedIDs returns g's ID-triples in the ascending (S, P, O) order
-// ForEachID yields.
-func sortedIDs(g *rdf.Graph) []rdf.IDTriple {
-	out := make([]rdf.IDTriple, 0, g.Len())
-	g.ForEachID(func(t rdf.IDTriple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
 // DiffSortedIDs computes the ID-level delta between two sorted,
-// duplicate-free ID-triple slices by a single linear merge, returning the
-// (sorted) added and deleted lists. Compute diffs two shared-dict graphs
-// this way, and the binary store diffs consecutive encoded snapshots.
-func DiffSortedIDs(older, newer []rdf.IDTriple) (added, deleted []rdf.IDTriple) {
-	i, j := 0, 0
-	for i < len(older) && j < len(newer) {
-		switch c := older[i].Compare(newer[j]); {
+// duplicate-free runs of ID-triples by a single linear merge, returning the
+// (sorted) added and deleted lists. A run is a list of chunks read in
+// order, so a graph's chunked run (rdf.Graph.SortedIDChunks) merges in
+// place and a plain slice is a run of one chunk. Compute diffs two
+// shared-dict graphs this way, and the binary store diffs consecutive
+// encoded versions.
+func DiffSortedIDs(older, newer [][]rdf.IDTriple) (added, deleted []rdf.IDTriple) {
+	// o and n are the unread rest of each run's current chunk.
+	var o, n []rdf.IDTriple
+	for {
+		for len(o) == 0 && len(older) > 0 {
+			o, older = older[0], older[1:]
+		}
+		for len(n) == 0 && len(newer) > 0 {
+			n, newer = newer[0], newer[1:]
+		}
+		if len(o) == 0 || len(n) == 0 {
+			break
+		}
+		switch c := o[0].Compare(n[0]); {
 		case c < 0:
-			deleted = append(deleted, older[i])
-			i++
+			deleted = append(deleted, o[0])
+			o = o[1:]
 		case c > 0:
-			added = append(added, newer[j])
-			j++
+			added = append(added, n[0])
+			n = n[1:]
 		default:
-			i++
-			j++
+			o, n = o[1:], n[1:]
 		}
 	}
-	deleted = append(deleted, older[i:]...)
-	added = append(added, newer[j:]...)
+	deleted = append(deleted, o...)
+	for _, c := range older {
+		deleted = append(deleted, c...)
+	}
+	added = append(added, n...)
+	for _, c := range newer {
+		added = append(added, c...)
+	}
 	return added, deleted
 }
 
@@ -131,29 +125,7 @@ func (d *Delta) IsEmpty() bool { return d.Size() == 0 }
 // Apply replays the delta onto g (deletions first, then additions),
 // returning the number of triples actually removed and added. Applying the
 // delta of (A, B) to a clone of A yields a graph equal to B.
-//
-// When the delta carries encoded change lists for g's own Dict (a delta from
-// Compute over shared-dict graphs), the replay runs entirely on integer
-// index operations; otherwise each triple is re-interned through the
-// term-level path. The fast path is skipped when the
-// exported Added/Deleted slices no longer match the encoded lists in length
-// (a caller filtered them after Compute), so mutation falls back to the
-// term-level replay instead of silently applying stale changes.
 func (d *Delta) Apply(g *rdf.Graph) (removed, added int) {
-	if d.dict != nil && d.dict == g.Dict() &&
-		len(d.addedIDs) == len(d.Added) && len(d.deletedIDs) == len(d.Deleted) {
-		for _, t := range d.deletedIDs {
-			if g.RemoveID(t) {
-				removed++
-			}
-		}
-		for _, t := range d.addedIDs {
-			if g.AddID(t) {
-				added++
-			}
-		}
-		return removed, added
-	}
 	for _, t := range d.Deleted {
 		if g.Remove(t) {
 			removed++

@@ -22,117 +22,56 @@ func sharedPair() (older, newer *rdf.Graph, added, deleted rdf.Triple) {
 	return older, newer, added, deleted
 }
 
-func TestApplyIDFastPath(t *testing.T) {
-	older, newer, _, _ := sharedPair()
-	d := Compute(older, newer)
-	if d.dict == nil {
-		t.Fatal("Compute over shared-dict graphs must fill the ID fast path")
-	}
-	rebuilt := older.Clone()
-	removed, added := d.Apply(rebuilt)
-	if removed != 1 || added != 1 {
-		t.Fatalf("Apply counts = (%d, %d), want (1, 1)", removed, added)
-	}
-	if !Compute(rebuilt, newer).IsEmpty() {
-		t.Fatal("ID-path Apply did not reconstruct newer")
-	}
-	// Applying the same delta again is a no-op: the deletion is already
-	// gone and the addition already present.
-	if r, a := d.Apply(rebuilt); r != 0 || a != 0 {
-		t.Fatalf("re-Apply counts = (%d, %d), want (0, 0)", r, a)
-	}
-}
-
-func TestApplyAfterFilterFallsBack(t *testing.T) {
-	// Filtering the exported change lists after Compute must not leave the
-	// stale encoded mirror in charge: Apply detects the length mismatch and
-	// replays the (filtered) term-level lists instead.
-	older, newer, addedT, _ := sharedPair()
-	d := Compute(older, newer)
-	d.Deleted = nil // caller keeps only the additions
-	rebuilt := older.Clone()
-	removed, added := d.Apply(rebuilt)
-	if removed != 0 || added != 1 {
-		t.Fatalf("filtered Apply counts = (%d, %d), want (0, 1)", removed, added)
-	}
-	if !rebuilt.Has(addedT) {
-		t.Fatal("filtered Apply must still add the kept triple")
-	}
-	if rebuilt.Len() != older.Len()+1 {
-		t.Fatalf("filtered Apply len = %d, want %d (no deletions)", rebuilt.Len(), older.Len()+1)
-	}
-}
-
-func TestApplyInvertIDPath(t *testing.T) {
-	older, newer, _, _ := sharedPair()
-	back := newer.Clone()
-	Compute(newer, older).Apply(back)
-	if !Compute(back, older).IsEmpty() {
-		t.Fatal("inverted ID-path Apply did not reconstruct older")
-	}
-}
-
-func TestApplyForeignDictFallsBack(t *testing.T) {
-	older, newer, _, _ := sharedPair()
-	d := Compute(older, newer)
-	// A target with its own dictionary must take the term-level path and
-	// still land on the same graph.
-	foreign := rdf.NewGraph()
-	older.ForEach(func(tr rdf.Triple) bool { foreign.Add(tr); return true })
-	d.Apply(foreign)
-	if !Compute(foreign, newer).IsEmpty() {
-		t.Fatal("term-path Apply did not reconstruct newer")
-	}
-}
-
 func TestComputeIDs(t *testing.T) {
-	older, newer, _, _ := sharedPair()
+	older, newer, addedT, deletedT := sharedPair()
+	// Shared-dict graphs diff on IDs and decode only the delta's triples.
 	d := Compute(older, newer)
-	// Shared-dict graphs diff on IDs: the encoded lists mirror the decoded
-	// ones.
-	if d.dict != older.Dict() || len(d.addedIDs) != 1 || len(d.deletedIDs) != 1 {
-		t.Fatalf("ID lists = (%d, %d) over dict %p", len(d.addedIDs), len(d.deletedIDs), d.dict)
+	if len(d.Added) != 1 || d.Added[0] != addedT || len(d.Deleted) != 1 || d.Deleted[0] != deletedT {
+		t.Fatalf("shared-dict delta = +%v -%v, want +[%v] -[%v]", d.Added, d.Deleted, addedT, deletedT)
 	}
-	if dec := older.Dict().TermOf(d.addedIDs[0].S); dec != d.Added[0].S {
-		t.Fatalf("decoded added subject = %v, want %v", dec, d.Added[0].S)
-	}
-	// A foreign-dict pair takes the term-level scan and has no ID lists.
-	if f := Compute(older, rdf.NewGraph()); f.dict != nil || f.deletedIDs != nil {
-		t.Fatal("foreign-dict Compute must not produce ID lists")
-	}
+	// A foreign-dict pair takes the term-level scan to the same delta.
+	sameDelta(t, Compute(older, reintern(newer)), d)
 }
 
 func TestDiffSortedIDs(t *testing.T) {
 	it := func(s, p, o rdf.TermID) rdf.IDTriple { return rdf.IDTriple{S: s, P: p, O: o} }
 	older := []rdf.IDTriple{it(1, 1, 1), it(1, 1, 3), it(2, 1, 1), it(5, 1, 1)}
 	newer := []rdf.IDTriple{it(1, 1, 1), it(1, 1, 2), it(2, 1, 1), it(6, 1, 1)}
-	added, deleted := DiffSortedIDs(older, newer)
 	wantAdded := []rdf.IDTriple{it(1, 1, 2), it(6, 1, 1)}
 	wantDeleted := []rdf.IDTriple{it(1, 1, 3), it(5, 1, 1)}
-	if len(added) != len(wantAdded) || len(deleted) != len(wantDeleted) {
-		t.Fatalf("diff sizes = (%d, %d), want (2, 2)", len(added), len(deleted))
+	// The same runs as one chunk each, and split at every boundary with
+	// empty chunks around the splits: the merge reads through them all.
+	split := func(ts []rdf.IDTriple, at int) [][]rdf.IDTriple {
+		return [][]rdf.IDTriple{nil, ts[:at], {}, ts[at:], nil}
 	}
-	for i := range wantAdded {
-		if added[i] != wantAdded[i] {
-			t.Fatalf("added[%d] = %v, want %v", i, added[i], wantAdded[i])
+	for ao := 0; ao <= len(older); ao++ {
+		for an := 0; an <= len(newer); an++ {
+			added, deleted := DiffSortedIDs(split(older, ao), split(newer, an))
+			if !slices.Equal(added, wantAdded) || !slices.Equal(deleted, wantDeleted) {
+				t.Fatalf("split at (%d, %d): diff = (%v, %v), want (%v, %v)",
+					ao, an, added, deleted, wantAdded, wantDeleted)
+			}
 		}
 	}
-	for i := range wantDeleted {
-		if deleted[i] != wantDeleted[i] {
-			t.Fatalf("deleted[%d] = %v, want %v", i, deleted[i], wantDeleted[i])
-		}
+	added, deleted := DiffSortedIDs([][]rdf.IDTriple{older}, [][]rdf.IDTriple{newer})
+	if !slices.Equal(added, wantAdded) || !slices.Equal(deleted, wantDeleted) {
+		t.Fatalf("one chunk each: diff = (%v, %v)", added, deleted)
 	}
-	// Agreement with the graph-level diff on a real pair.
-	og, ng, _, _ := sharedPair()
+	if a, d := DiffSortedIDs(nil, [][]rdf.IDTriple{newer}); !slices.Equal(a, newer) || d != nil {
+		t.Fatalf("diff from an empty run = (%v, %v), want everything added", a, d)
+	}
+	// A graph's own chunks merge to what the flat ForEachID slices do, on a
+	// pair many chunks long.
+	og, ng := buildVersionPair(6000, 9)
 	var oIDs, nIDs []rdf.IDTriple
 	og.ForEachID(func(tr rdf.IDTriple) bool { oIDs = append(oIDs, tr); return true })
 	ng.ForEachID(func(tr rdf.IDTriple) bool { nIDs = append(nIDs, tr); return true })
-	rdf.SortIDTriples(oIDs)
-	rdf.SortIDTriples(nIDs)
-	a2, d2 := DiffSortedIDs(oIDs, nIDs)
-	d := Compute(og, ng)
-	if !slices.Equal(a2, d.addedIDs) || !slices.Equal(d2, d.deletedIDs) {
-		t.Fatalf("DiffSortedIDs disagrees with Compute: (%v, %v) vs (%v, %v)",
-			a2, d2, d.addedIDs, d.deletedIDs)
+	if len(og.SortedIDChunks()) < 2 {
+		t.Fatalf("pair has %d chunks, want several", len(og.SortedIDChunks()))
+	}
+	a1, d1 := DiffSortedIDs([][]rdf.IDTriple{oIDs}, [][]rdf.IDTriple{nIDs})
+	a2, d2 := DiffSortedIDs(og.SortedIDChunks(), ng.SortedIDChunks())
+	if len(a1) == 0 || len(d1) == 0 || !slices.Equal(a1, a2) || !slices.Equal(d1, d2) {
+		t.Fatalf("chunk merge (+%d -%d) disagrees with flat merge (+%d -%d)", len(a2), len(d2), len(a1), len(d1))
 	}
 }

@@ -70,60 +70,60 @@ type logPart struct {
 func (rec *record) appendTo(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(rec.pairs)))
 	for _, p := range rec.pairs {
-		buf = appendString(buf, p[0])
-		buf = appendString(buf, p[1])
+		buf = store.AppendString(buf, p[0])
+		buf = store.AppendString(buf, p[1])
 	}
-	buf = appendBytes(buf, appendSubscribers(nil, rec.upserts))
+	buf = store.AppendBytes(buf, appendSubscribers(nil, rec.upserts))
 	buf = binary.AppendUvarint(buf, uint64(len(rec.removals)))
 	for _, id := range rec.removals {
-		buf = appendString(buf, id)
+		buf = store.AppendString(buf, id)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rec.logs)))
 	for _, lp := range rec.logs {
-		buf = appendBytes(buf, appendFeedLog(nil, lp))
+		buf = store.AppendBytes(buf, appendFeedLog(nil, lp))
 	}
 	return buf
 }
 
 func decodeRecord(name string, payload []byte) (*record, error) {
-	r := &payloadReader{name: name, b: payload}
+	r := store.NewReader(name, payload)
 	rec := &record{}
-	n, err := r.count("pair")
+	n, err := r.Count("pair")
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
 		var p [2]string
-		if p[0], err = r.str("older"); err != nil {
+		if p[0], err = r.Str("older"); err != nil {
 			return nil, err
 		}
-		if p[1], err = r.str("newer"); err != nil {
+		if p[1], err = r.Str("newer"); err != nil {
 			return nil, err
 		}
 		rec.pairs = append(rec.pairs, p)
 	}
-	subs, err := r.bytes("subscribers")
+	subs, err := r.Bytes("subscribers")
 	if err != nil {
 		return nil, err
 	}
 	if rec.upserts, err = decodeSubscribers(name, subs); err != nil {
 		return nil, err
 	}
-	if n, err = r.count("removal"); err != nil {
+	if n, err = r.Count("removal"); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		id, err := r.str("removal")
+		id, err := r.Str("removal")
 		if err != nil {
 			return nil, err
 		}
 		rec.removals = append(rec.removals, id)
 	}
-	if n, err = r.count("log part"); err != nil {
+	if n, err = r.Count("log part"); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		part, err := r.bytes("log part")
+		part, err := r.Bytes("log part")
 		if err != nil {
 			return nil, err
 		}
@@ -133,8 +133,8 @@ func decodeRecord(name string, payload []byte) (*record, error) {
 		}
 		rec.logs = append(rec.logs, lp)
 	}
-	if r.remaining() != 0 {
-		return nil, r.errf("%d trailing bytes after the record", r.remaining())
+	if r.Remaining() != 0 {
+		return nil, r.Errf("%d trailing bytes after the record", r.Remaining())
 	}
 	return rec, nil
 }
@@ -198,13 +198,13 @@ func (f *Feed) load(data []byte) error {
 		return fmt.Errorf("feed: %s: %w", journalName, err)
 	}
 	for _, fr := range frames {
-		name := fmt.Sprintf("%s record at offset %d", journalName, fr.Off)
+		name := fmt.Sprintf("feed: %s record at offset %d", journalName, fr.Off)
 		rec, err := decodeRecord(name, fr.Payload)
 		if err != nil {
 			return err
 		}
 		if err := f.applyLocked(rec); err != nil {
-			return fmt.Errorf("feed: %s: %w", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil

@@ -430,6 +430,12 @@ func (g *Graph) ForEachID(fn func(IDTriple) bool) {
 	g.ForEachMatchID(AnyID, AnyID, AnyID, fn)
 }
 
+// SortedIDChunks returns the triples ForEachID yields, in the same
+// ascending (S, P, O) order, as the consecutive sorted chunks the graph
+// holds them in, without copying. The chunks alias the graph: do not
+// modify them, and do not use them across a mutation.
+func (g *Graph) SortedIDChunks() [][]IDTriple { return g.spo.chunks }
+
 // Triples returns every triple in the graph in unspecified order.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, 0, g.n)

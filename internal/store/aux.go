@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -10,10 +11,10 @@ import (
 // envelope the version chain's segments (kinds 1-3) and write-ahead log
 // (kind 6) use, so every durable byte in an evorec data directory is framed
 // and checksummed the same way. Kinds 4 and 5 framed the feed's
-// retired per-user segments and are not reused. The framing helpers below
-// are exported for exactly that reuse — the payload codecs stay with their
-// owning packages to keep layering intact (store knows triples, not
-// subscribers).
+// retired per-user segments and are not reused. The framing helpers below,
+// and the primitive codec in format.go (Reader, AppendString, AppendTerm,
+// ...), are exported for exactly that reuse; the feed's record layouts stay
+// with the feed (store knows triples, not subscribers).
 const KindFeed byte = 7
 
 // AppendFrame appends payload to buf in the full segment envelope (header,
@@ -42,41 +43,54 @@ type Frame struct {
 // frames before it).
 func ReadFrames(data []byte, kind byte) (frames []Frame, end int, err error) {
 	for end < len(data) {
-		payload, next, ok := nextFrame(data, end, kind)
-		if !ok {
+		payload, n, ferr := checkFrame(data[end:], kind)
+		if ferr != nil {
 			for i := end + 1; i < len(data); i++ {
-				if _, _, ok := nextFrame(data, i, kind); ok {
+				if _, _, ferr := checkFrame(data[i:], kind); ferr == nil {
 					return frames, end, fmt.Errorf("corrupt frame at offset %d (a valid frame follows at offset %d)", end, i)
 				}
 			}
 			return frames, end, nil
 		}
 		frames = append(frames, Frame{Off: end, Payload: payload})
-		end = next
+		end += n
 	}
 	return frames, end, nil
 }
 
-// nextFrame validates the frame of the given kind starting at off and
-// returns its payload and the next frame's offset. ok is false when the
-// bytes at off do not hold one whole valid frame.
-func nextFrame(data []byte, off int, kind byte) (payload []byte, next int, ok bool) {
-	rest := data[off:]
-	if len(rest) < segHeaderLen+segTrailerLen {
-		return nil, 0, false
+// Frame check failures. They are values, not formatted per call, because
+// ReadFrames probes every offset past a bad frame.
+var (
+	errFrameHeader   = errors.New("truncated header")
+	errFrameMagic    = errors.New("bad magic")
+	errFrameLength   = errors.New("length prefix does not match file size")
+	errFrameChecksum = errors.New("checksum mismatch")
+)
+
+// checkFrame is the one check of a frame's magic, kind, length and
+// checksum: ReadFrames runs it at each offset of a log, decodeSegment on a
+// whole segment file. It validates the frame of the given kind at the start
+// of data, which may run on past it, and returns its payload and framed
+// length; the error names the first check that fails.
+func checkFrame(data []byte, kind byte) (payload []byte, n int, err error) {
+	if len(data) < segHeaderLen+segTrailerLen {
+		return nil, 0, errFrameHeader
 	}
-	if string(rest[:4]) != segMagic || rest[4] != kind {
-		return nil, 0, false
+	if string(data[:4]) != segMagic {
+		return nil, 0, errFrameMagic
 	}
-	n := int(binary.LittleEndian.Uint32(rest[5:9]))
-	if len(rest)-segHeaderLen-segTrailerLen < n {
-		return nil, 0, false
+	if data[4] != kind {
+		return nil, 0, fmt.Errorf("kind = %d, want %d", data[4], kind)
 	}
-	payload = rest[segHeaderLen : segHeaderLen+n]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[segHeaderLen+n:]) {
-		return nil, 0, false
+	size := int(binary.LittleEndian.Uint32(data[5:9]))
+	if size > len(data)-segHeaderLen-segTrailerLen {
+		return nil, 0, errFrameLength
 	}
-	return payload, off + segHeaderLen + n + segTrailerLen, true
+	payload = data[segHeaderLen : segHeaderLen+size]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[segHeaderLen+size:]) {
+		return nil, 0, errFrameChecksum
+	}
+	return payload, segHeaderLen + size + segTrailerLen, nil
 }
 
 // ValidSegmentFileName reports whether name is a plain file name that

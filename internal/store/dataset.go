@@ -62,9 +62,10 @@ func Open(dir string) (*Dataset, error) { return OpenFS(vfs.OS{}, dir) }
 
 // OpenFS opens the store at dir on the given filesystem and replays the
 // WAL by planWAL, the rule VerifyFS reports: commits acknowledged before a
-// crash but never checkpointed are re-applied (segments rewritten,
-// dictionary re-interned, manifest rebuilt) and the store checkpointed, so
-// the handle starts from a durable, WAL-empty state. A WAL that Verify
+// crash but never checkpointed are planned (dictionary re-interned, entries
+// rebuilt), applied through the append's apply step (segments rewritten,
+// entries registered), and the store checkpointed, so the handle starts
+// from a durable, WAL-empty state. A WAL that Verify
 // would report a problem in — corruption, an orphaned record — is refused,
 // and wal.log is left as it is.
 func OpenFS(fsys vfs.FS, dir string) (*Dataset, error) {
@@ -116,15 +117,10 @@ func OpenFS(fsys vfs.FS, dir string) (*Dataset, error) {
 		return nil, fmt.Errorf("store: %s refused, %s left as it is: %s",
 			dir, walFileName, strings.Join(plan.Problems, "; "))
 	}
-	for _, r := range replay {
-		path := joinPath(dir, r.entry.File)
-		if _, err := writeSegment(fsys, path, r.rec.segKind, r.rec.payload, false); err != nil {
+	if len(replay) > 0 {
+		if _, err := ds.apply(replay); err != nil {
 			return nil, err
 		}
-		ds.metrics.segBytes.Add(float64(r.entry.Bytes))
-		ds.pending[path] = true
-		ds.idx[r.rec.id] = len(ds.man.Entries)
-		ds.man.Entries = append(ds.man.Entries, r.entry)
 	}
 	// Everything in the dictionary is now durable (the dict segment is only
 	// ever written with full fsync discipline) or logged in a replayed
@@ -207,7 +203,7 @@ func (ds *Dataset) checkpoint() error {
 	man.Entries = append([]Entry(nil), ds.man.Entries...)
 	man.Terms = ds.dict.Len() - 1
 	man.Dict.Bytes = dictBytes
-	if err := writeManifest(ds.fsys, ds.dir, &man, true); err != nil {
+	if err := writeManifest(ds.fsys, ds.dir, &man); err != nil {
 		return err
 	}
 	ds.man = &man

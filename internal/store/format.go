@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"evorec/internal/rdf"
@@ -62,18 +61,14 @@ const (
 // Sorted unique input guarantees every gap is non-negative and dO > 0, so a
 // zero dO (or any ID outside the dictionary) marks corruption.
 
-func segmentError(file, msg string) error {
-	return fmt.Errorf("store: segment %s: %s", file, msg)
-}
-
 // writeSegment frames payload and writes it to path, returning the file
 // size. The write goes through a temp file plus rename, so a crash
 // mid-write can never leave a torn segment under the final name — the
 // checkpoint rewrites the live dictionary segment in place and relies on
-// this. With
-// durable set the temp file is fsynced before the rename and the directory
-// after it; without it the caller owes a later SyncPath+SyncDir (the
-// WAL-checkpoint pattern) before the bytes may be relied on across a crash.
+// this. With durable set the temp file is fsynced before the rename and
+// the directory after it; without it (apply) the caller owes a later
+// SyncPath+SyncDir (the checkpoint) before the bytes may be relied on
+// across a crash.
 func writeSegment(fsys vfs.FS, path string, kind byte, payload []byte, durable bool) (int64, error) {
 	if uint64(len(payload)) > math.MaxUint32 {
 		return 0, fmt.Errorf("store: segment payload %d bytes exceeds the 4 GiB format limit", len(payload))
@@ -96,96 +91,126 @@ func readSegment(fsys vfs.FS, dir, file string, wantKind byte) ([]byte, error) {
 }
 
 // decodeSegment validates the framing of a whole segment file held in
-// memory and returns its payload.
+// memory and returns its payload: one frame, checked by checkFrame, that
+// fills the file exactly.
 func decodeSegment(file string, data []byte, wantKind byte) ([]byte, error) {
-	if len(data) < segHeaderLen+segTrailerLen {
-		return nil, segmentError(file, "truncated header")
+	payload, n, err := checkFrame(data, wantKind)
+	if err == nil && n != len(data) {
+		err = errFrameLength
 	}
-	if string(data[:4]) != segMagic {
-		return nil, segmentError(file, "bad magic")
-	}
-	kind := data[4]
-	if kind != wantKind {
-		return nil, segmentError(file, fmt.Sprintf("kind = %d, want %d", kind, wantKind))
-	}
-	n := binary.LittleEndian.Uint32(data[5:9])
-	if int(n) != len(data)-segHeaderLen-segTrailerLen {
-		return nil, segmentError(file, "length prefix does not match file size")
-	}
-	payload := data[segHeaderLen : segHeaderLen+n]
-	want := binary.LittleEndian.Uint32(data[segHeaderLen+n:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, segmentError(file, "checksum mismatch")
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: %v", file, err)
 	}
 	return payload, nil
 }
 
-// byteReader walks a payload with bounds-checked primitive reads. Every
-// method errors (never panics) on truncated input, which is what makes the
-// decode paths safe to point at arbitrary bytes.
-type byteReader struct {
-	file string
+// Reader walks a payload with bounds-checked primitive reads. Every method
+// errors (never panics) on truncated input, which is what makes the decode
+// paths safe to point at arbitrary bytes. It is the one payload reader for
+// every durable byte: the store's segments and WAL records, and the feed
+// journal's records (internal/feed).
+type Reader struct {
+	name string
 	b    []byte
 	off  int
 }
 
-func (r *byteReader) remaining() int { return len(r.b) - r.off }
+// NewReader returns a Reader over b whose errors start with name.
+func NewReader(name string, b []byte) *Reader { return &Reader{name: name, b: b} }
 
-func (r *byteReader) errf(format string, args ...any) error {
-	return segmentError(r.file, fmt.Sprintf(format, args...))
+// segmentReader is the Reader of a segment or WAL payload.
+func segmentReader(file string, b []byte) *Reader { return NewReader("store: segment "+file, b) }
+
+// Remaining returns the number of unread bytes.
+func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
+// Errf returns an error prefixed with the reader's name.
+func (r *Reader) Errf(format string, args ...any) error {
+	return fmt.Errorf("%s: %s", r.name, fmt.Sprintf(format, args...))
 }
 
-func (r *byteReader) byte() (byte, error) {
+// byte reads one byte.
+func (r *Reader) byte() (byte, error) {
 	if r.off >= len(r.b) {
-		return 0, r.errf("truncated at offset %d", r.off)
+		return 0, r.Errf("truncated at offset %d", r.off)
 	}
 	c := r.b[r.off]
 	r.off++
 	return c, nil
 }
 
-func (r *byteReader) uvarint() (uint64, error) {
+// Uvarint reads one unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.errf("bad uvarint at offset %d", r.off)
+		return 0, r.Errf("bad uvarint at offset %d", r.off)
 	}
 	r.off += n
 	return v, nil
 }
 
-// count reads a uvarint element count and sanity-bounds it: every counted
+// Count reads a uvarint element count and sanity-bounds it: every counted
 // element occupies at least one payload byte, so any count exceeding the
 // remaining bytes is corrupt. This caps decoder allocations at the input
 // size no matter what the bytes claim.
-func (r *byteReader) count(what string) (int, error) {
-	v, err := r.uvarint()
+func (r *Reader) Count(what string) (int, error) {
+	v, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(r.remaining()) {
-		return 0, r.errf("%s count %d exceeds payload size", what, v)
+	if v > uint64(r.Remaining()) {
+		return 0, r.Errf("%s count %d exceeds payload size", what, v)
 	}
 	return int(v), nil
 }
 
-func (r *byteReader) stringField(what string) (string, error) {
-	n, err := r.count(what)
+// Bytes reads a uvarint-length-prefixed byte string, aliasing the payload.
+func (r *Reader) Bytes(what string) ([]byte, error) {
+	n, err := r.Count(what)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return s, nil
+	return b, nil
 }
 
-func appendString(buf []byte, s string) []byte {
+// Str reads a uvarint-length-prefixed string.
+func (r *Reader) Str(what string) (string, error) {
+	b, err := r.Bytes(what)
+	return string(b), err
+}
+
+// Float64 reads 8 little-endian bytes as float64 bits.
+func (r *Reader) Float64() (float64, error) {
+	if r.Remaining() < 8 {
+		return 0, r.Errf("truncated float at offset %d", r.off)
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	r.off += 8
+	return v, nil
+}
+
+// AppendString appends s uvarint-length-prefixed, as Str reads it.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// appendDictEntry serializes one dictionary term in the tagged entry
-// format shared by the dict segment and WAL-record dict tails.
-func appendDictEntry(buf []byte, t rdf.Term) []byte {
+// AppendBytes appends b uvarint-length-prefixed, as Bytes reads it.
+func AppendBytes(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
+}
+
+// AppendFloat64 appends v's bits little-endian, as Float64 reads them.
+func AppendFloat64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// AppendTerm appends one term in the tagged entry format of the dict
+// segment, WAL-record dict tails and the feed's subscriber interests.
+func AppendTerm(buf []byte, t rdf.Term) []byte {
 	tag := byte(t.Kind)
 	if t.Datatype != "" {
 		tag |= tagDatatype
@@ -194,41 +219,40 @@ func appendDictEntry(buf []byte, t rdf.Term) []byte {
 		tag |= tagLang
 	}
 	buf = append(buf, tag)
-	buf = appendString(buf, t.Value)
+	buf = AppendString(buf, t.Value)
 	if t.Datatype != "" {
-		buf = appendString(buf, t.Datatype)
+		buf = AppendString(buf, t.Datatype)
 	}
 	if t.Lang != "" {
-		buf = appendString(buf, t.Lang)
+		buf = AppendString(buf, t.Lang)
 	}
 	return buf
 }
 
-// decodeDictEntry reads one tagged dictionary entry. i labels errors with
-// the entry's position.
-func (r *byteReader) decodeDictEntry(i int) (rdf.Term, error) {
+// Term reads one term written by AppendTerm.
+func (r *Reader) Term() (rdf.Term, error) {
 	tag, err := r.byte()
 	if err != nil {
 		return rdf.Term{}, err
 	}
 	kind := rdf.Kind(tag & tagKindMask)
 	if tag&^byte(tagValidBits) != 0 || kind == rdf.Any || kind > rdf.Literal {
-		return rdf.Term{}, r.errf("term %d: invalid tag 0x%02x", i+1, tag)
+		return rdf.Term{}, r.Errf("invalid term tag 0x%02x", tag)
 	}
 	if kind != rdf.Literal && tag&(tagDatatype|tagLang) != 0 {
-		return rdf.Term{}, r.errf("term %d: datatype/lang flags on non-literal", i+1)
+		return rdf.Term{}, r.Errf("datatype/lang flags on non-literal term")
 	}
 	t := rdf.Term{Kind: kind}
-	if t.Value, err = r.stringField("value"); err != nil {
+	if t.Value, err = r.Str("term value"); err != nil {
 		return rdf.Term{}, err
 	}
 	if tag&tagDatatype != 0 {
-		if t.Datatype, err = r.stringField("datatype"); err != nil {
+		if t.Datatype, err = r.Str("term datatype"); err != nil {
 			return rdf.Term{}, err
 		}
 	}
 	if tag&tagLang != 0 {
-		if t.Lang, err = r.stringField("lang"); err != nil {
+		if t.Lang, err = r.Str("term lang"); err != nil {
 			return rdf.Term{}, err
 		}
 	}
@@ -239,7 +263,7 @@ func (r *byteReader) decodeDictEntry(i int) (rdf.Term, error) {
 func appendDict(buf []byte, d *rdf.Dict) []byte {
 	buf = binary.AppendUvarint(buf, uint64(d.Len()-1))
 	d.ForEachTerm(func(_ rdf.TermID, t rdf.Term) bool {
-		buf = appendDictEntry(buf, t)
+		buf = AppendTerm(buf, t)
 		return true
 	})
 	return buf
@@ -248,24 +272,24 @@ func appendDict(buf []byte, d *rdf.Dict) []byte {
 // decodeDict rebuilds a Dict from a dict-segment payload. The decoded dict
 // assigns exactly the IDs the writer saw, verified entry by entry.
 func decodeDict(file string, payload []byte) (*rdf.Dict, error) {
-	r := &byteReader{file: file, b: payload}
-	n, err := r.count("term")
+	r := segmentReader(file, payload)
+	n, err := r.Count("term")
 	if err != nil {
 		return nil, err
 	}
 	dict := rdf.NewDict()
 	dict.Grow(n)
 	for i := 0; i < n; i++ {
-		t, err := r.decodeDictEntry(i)
+		t, err := r.Term()
 		if err != nil {
 			return nil, err
 		}
 		if got := dict.Intern(t); got != rdf.TermID(i+1) {
-			return nil, r.errf("term %d: duplicate or wildcard entry", i+1)
+			return nil, r.Errf("term %d: duplicate or wildcard entry", i+1)
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, r.errf("%d trailing bytes after dictionary", r.remaining())
+	if r.Remaining() != 0 {
+		return nil, r.Errf("%d trailing bytes after dictionary", r.Remaining())
 	}
 	return dict, nil
 }
@@ -295,13 +319,13 @@ func appendRun(buf []byte, ts []rdf.IDTriple) []byte {
 
 // id reads one uvarint and validates it as a TermID strictly below dictLen
 // (and never the reserved wildcard 0 when nonzero is required).
-func (r *byteReader) id(dictLen uint64) (rdf.TermID, error) {
-	v, err := r.uvarint()
+func (r *Reader) id(dictLen uint64) (rdf.TermID, error) {
+	v, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
 	if v == 0 || v >= dictLen {
-		return 0, r.errf("term ID %d outside dictionary (size %d)", v, dictLen)
+		return 0, r.Errf("term ID %d outside dictionary (size %d)", v, dictLen)
 	}
 	return rdf.TermID(v), nil
 }
@@ -310,10 +334,10 @@ func (r *byteReader) id(dictLen uint64) (rdf.TermID, error) {
 // (S, P, O) order. Every ID is validated against dictLen and the ordering
 // invariant is enforced, so corrupted runs error instead of producing
 // out-of-range or duplicate triples.
-func (r *byteReader) run(n int, dictLen uint64, fn func(rdf.IDTriple)) error {
+func (r *Reader) run(n int, dictLen uint64, fn func(rdf.IDTriple)) error {
 	var prev rdf.IDTriple
 	for i := 0; i < n; i++ {
-		dS, err := r.uvarint()
+		dS, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
@@ -323,11 +347,11 @@ func (r *byteReader) run(n int, dictLen uint64, fn func(rdf.IDTriple)) error {
 			// Gap values are bounded before adding so the uint64 sums below
 			// cannot wrap and sneak past the dictionary bound.
 			if dS > math.MaxUint32 {
-				return r.errf("subject gap %d overflows TermID", dS)
+				return r.Errf("subject gap %d overflows TermID", dS)
 			}
 			s := uint64(prev.S) + dS
 			if s >= dictLen {
-				return r.errf("subject ID %d outside dictionary (size %d)", s, dictLen)
+				return r.Errf("subject ID %d outside dictionary (size %d)", s, dictLen)
 			}
 			t.S = rdf.TermID(s)
 			if t.P, err = r.id(dictLen); err != nil {
@@ -338,20 +362,20 @@ func (r *byteReader) run(n int, dictLen uint64, fn func(rdf.IDTriple)) error {
 			}
 		default:
 			if prev.S == 0 {
-				return r.errf("run starts with zero subject gap")
+				return r.Errf("run starts with zero subject gap")
 			}
 			t.S = prev.S
-			dP, err := r.uvarint()
+			dP, err := r.Uvarint()
 			if err != nil {
 				return err
 			}
 			if dP != 0 {
 				if dP > math.MaxUint32 {
-					return r.errf("predicate gap %d overflows TermID", dP)
+					return r.Errf("predicate gap %d overflows TermID", dP)
 				}
 				p := uint64(prev.P) + dP
 				if p >= dictLen {
-					return r.errf("predicate ID %d outside dictionary (size %d)", p, dictLen)
+					return r.Errf("predicate ID %d outside dictionary (size %d)", p, dictLen)
 				}
 				t.P = rdf.TermID(p)
 				if t.O, err = r.id(dictLen); err != nil {
@@ -359,19 +383,19 @@ func (r *byteReader) run(n int, dictLen uint64, fn func(rdf.IDTriple)) error {
 				}
 			} else {
 				t.P = prev.P
-				dO, err := r.uvarint()
+				dO, err := r.Uvarint()
 				if err != nil {
 					return err
 				}
 				if dO == 0 {
-					return r.errf("duplicate triple in run")
+					return r.Errf("duplicate triple in run")
 				}
 				if dO > math.MaxUint32 {
-					return r.errf("object gap %d overflows TermID", dO)
+					return r.Errf("object gap %d overflows TermID", dO)
 				}
 				o := uint64(prev.O) + dO
 				if o >= dictLen {
-					return r.errf("object ID %d outside dictionary (size %d)", o, dictLen)
+					return r.Errf("object ID %d outside dictionary (size %d)", o, dictLen)
 				}
 				t.O = rdf.TermID(o)
 			}
@@ -391,16 +415,16 @@ func appendSnapshot(buf []byte, ts []rdf.IDTriple) []byte {
 // decodeSnapshot streams a snapshot payload's triples to fn, returning the
 // triple count.
 func decodeSnapshot(file string, payload []byte, dictLen int, fn func(rdf.IDTriple)) (int, error) {
-	r := &byteReader{file: file, b: payload}
-	n, err := r.count("triple")
+	r := segmentReader(file, payload)
+	n, err := r.Count("triple")
 	if err != nil {
 		return 0, err
 	}
 	if err := r.run(n, uint64(dictLen), fn); err != nil {
 		return 0, err
 	}
-	if r.remaining() != 0 {
-		return 0, r.errf("%d trailing bytes after snapshot", r.remaining())
+	if r.Remaining() != 0 {
+		return 0, r.Errf("%d trailing bytes after snapshot", r.Remaining())
 	}
 	return n, nil
 }
@@ -416,21 +440,21 @@ func appendDelta(buf []byte, added, deleted []rdf.IDTriple) []byte {
 // decodeDelta streams a delta payload's added and deleted triples,
 // returning both counts.
 func decodeDelta(file string, payload []byte, dictLen int, onAdded, onDeleted func(rdf.IDTriple)) (added, deleted int, err error) {
-	r := &byteReader{file: file, b: payload}
-	if added, err = r.count("added"); err != nil {
+	r := segmentReader(file, payload)
+	if added, err = r.Count("added"); err != nil {
 		return 0, 0, err
 	}
 	if err = r.run(added, uint64(dictLen), onAdded); err != nil {
 		return 0, 0, err
 	}
-	if deleted, err = r.count("deleted"); err != nil {
+	if deleted, err = r.Count("deleted"); err != nil {
 		return 0, 0, err
 	}
 	if err = r.run(deleted, uint64(dictLen), onDeleted); err != nil {
 		return 0, 0, err
 	}
-	if r.remaining() != 0 {
-		return 0, 0, r.errf("%d trailing bytes after delta", r.remaining())
+	if r.Remaining() != 0 {
+		return 0, 0, r.Errf("%d trailing bytes after delta", r.Remaining())
 	}
 	return added, deleted, nil
 }

@@ -18,12 +18,12 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
 
-	"evorec/internal/delta"
 	"evorec/internal/rdf"
 	"evorec/internal/store/vfs"
 )
@@ -85,7 +85,8 @@ func ParsePolicy(name string) (Policy, error) {
 type Options struct {
 	// Policy selects the snapshot/delta mix.
 	Policy Policy
-	// SnapshotEvery is the snapshot period for Hybrid (default 4).
+	// SnapshotEvery is the snapshot period for Hybrid (default 4 when 0 or
+	// less).
 	SnapshotEvery int
 }
 
@@ -156,16 +157,15 @@ func Save(dir string, vs *rdf.VersionStore, opt Options) (*Manifest, error) {
 
 // SaveFS writes the version store to dir under the given policy and returns
 // the manifest. The directory is created if missing; existing store files
-// are overwritten.
+// are overwritten and wal.log is left empty.
 //
-// All versions are encoded against one dictionary — the first graph's when
-// the chain shares it (the normal case: Clone and Open preserve sharing),
-// with foreign-dict graphs re-interned into it transparently. The
-// dictionary segment is written last so late-interned terms are included.
-//
-// Durability follows the checkpoint pattern: segments land via plain atomic
-// renames, then every segment is fsynced, the directory synced once, and
-// only then is the manifest — the commit point — written durably. A crash
+// Save writes a version the way an append does, less the WAL: a fresh
+// handle over the first graph's dictionary encodes the whole chain (the
+// policy is checked before anything is written), applies it, and
+// checkpoints. Foreign-dict graphs are re-interned into that dictionary,
+// and the dictionary segment is written at the checkpoint, so late-interned
+// terms are included. The checkpoint fsyncs every segment and the
+// directory before the manifest, the commit point, lands durably: a crash
 // anywhere before the manifest rename leaves no manifest (or the previous
 // store) rather than one referencing unsynced segments.
 func SaveFS(fsys vfs.FS, dir string, vs *rdf.VersionStore, opt Options) (*Manifest, error) {
@@ -174,87 +174,50 @@ func SaveFS(fsys vfs.FS, dir string, vs *rdf.VersionStore, opt Options) (*Manife
 	}
 	every := opt.SnapshotEvery
 	if every <= 0 {
-		every = 4
+		every = defaultSnapshotEvery
+	}
+	ds := &Dataset{
+		dir:  dir,
+		fsys: fsys,
+		man: &Manifest{Format: FormatV1, Policy: opt.Policy.String(), SnapshotEvery: every,
+			Dict: Segment{File: dictFileName}},
+		dict:    vs.At(0).Graph.Dict(),
+		idx:     make(map[string]int),
+		lru:     lruCache{cap: DefaultCacheCap},
+		wal:     &wal{fsys: fsys, dir: dir},
+		pending: make(map[string]bool),
+	}
+	versions := make([]*rdf.Version, vs.Len())
+	for i := range versions {
+		versions[i] = vs.At(i)
+	}
+	batch, err := ds.encode(context.Background(), versions)
+	if err != nil {
+		return nil, err
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	dict := vs.At(0).Graph.Dict()
-	man := &Manifest{Format: FormatV1, Policy: opt.Policy.String(), SnapshotEvery: every}
-	ids := vs.IDs()
-	var prev []rdf.IDTriple
-	var buf []byte
-	for i, id := range ids {
-		if !validFileName(id + ".x") {
-			return nil, fmt.Errorf("store: version ID %q cannot name a segment file", id)
-		}
-		v, _ := vs.Get(id)
-		cur := encodeGraph(dict, v.Graph)
-		snapshot := i == 0 || opt.Policy == FullSnapshots ||
-			(opt.Policy == Hybrid && i%every == 0)
-		buf = buf[:0]
-		e := Entry{ID: id}
-		if snapshot {
-			e.Kind = kindNameSnapshot
-			e.File = id + ".snap"
-			e.Triples = len(cur)
-			buf = appendSnapshot(buf, cur)
-		} else {
-			added, deleted := delta.DiffSortedIDs(prev, cur)
-			e.Kind = kindNameDelta
-			e.File = id + ".delta"
-			e.Added = len(added)
-			e.Deleted = len(deleted)
-			buf = appendDelta(buf, added, deleted)
-		}
-		kind := kindSnapshot
-		if !snapshot {
-			kind = kindDelta
-		}
-		size, err := writeSegment(fsys, joinPath(dir, e.File), kind, buf, false)
-		if err != nil {
-			return nil, err
-		}
-		e.Bytes = size
-		man.Entries = append(man.Entries, e)
-		prev = cur
-	}
-	dictBytes, err := writeSegment(fsys, joinPath(dir, dictFileName), kindDict, appendDict(nil, dict), false)
-	if err != nil {
+	if _, err := ds.apply(batch); err != nil {
 		return nil, err
 	}
-	man.Terms = dict.Len() - 1
-	man.Dict = Segment{File: dictFileName, Bytes: dictBytes}
-	// Make every segment durable before the manifest points at it.
-	for _, e := range man.Entries {
-		if err := fsys.SyncPath(joinPath(dir, e.File)); err != nil {
-			return nil, fmt.Errorf("store: syncing segment %s: %w", e.File, err)
-		}
-	}
-	if err := fsys.SyncPath(joinPath(dir, dictFileName)); err != nil {
-		return nil, fmt.Errorf("store: syncing dictionary segment: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return nil, fmt.Errorf("store: syncing store directory: %w", err)
-	}
-	if err := writeManifest(fsys, dir, man, true); err != nil {
+	if err := ds.Close(); err != nil {
 		return nil, err
 	}
-	return man, nil
+	return ds.man, nil
 }
 
-// writeManifest serializes the manifest as dir/manifest.json. It is the
-// commit point of both Save and the append-path checkpoint: segments are made
-// durable first, so a failure before the manifest lands leaves the previous
-// manifest (or no store) intact, never a manifest referencing missing
-// segments. With durable set, the write carries the full fsync discipline
-// (temp sync, rename, directory sync).
-func writeManifest(fsys vfs.FS, dir string, man *Manifest, durable bool) error {
+// writeManifest durably writes the manifest as dir/manifest.json (temp
+// file, fsync, rename, directory fsync). It is the commit point of the
+// checkpoint: segments are made durable first, so a failure before the
+// manifest lands leaves the previous manifest (or no store) intact, never a
+// manifest referencing missing segments.
+func writeManifest(fsys vfs.FS, dir string, man *Manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	if err := vfs.WriteFileAtomic(fsys, joinPath(dir, manifestName), data, durable); err != nil {
+	if err := vfs.WriteFileAtomic(fsys, joinPath(dir, manifestName), data, true); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)
 	}
 	return nil

@@ -370,6 +370,16 @@ func TestStoreEmpty(t *testing.T) {
 	if _, err := store.Save(t.TempDir(), rdf.NewVersionStore(), store.Options{}); err == nil {
 		t.Fatal("saving an empty version store must error")
 	}
+	// An out-of-range policy is refused before anything is written, by the
+	// check an append of the stored chain would fail.
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := store.Save(dir, testChain(t, 1), store.Options{Policy: 9}); err == nil ||
+		!strings.Contains(err.Error(), "unknown policy") {
+		t.Fatalf("Save with policy 9 = %v, want an unknown-policy error", err)
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Fatal("a refused Save created the store directory")
+	}
 	if _, err := store.Open(t.TempDir()); err == nil {
 		t.Fatal("opening a directory without a manifest must error")
 	}
@@ -639,6 +649,104 @@ func TestStoreAppend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSaveMatchesAppend holds Save to the append path: saving a chain, and
+// saving its first version then appending the rest as one batch and
+// closing, leave the same files byte for byte under every policy. The
+// chain ends in a version with a dictionary of its own and new terms, so
+// both paths re-intern. Save leaves wal.log empty, also over a directory
+// whose WAL holds records.
+func TestSaveMatchesAppend(t *testing.T) {
+	for _, pol := range []store.Policy{store.FullSnapshots, store.DeltaChain, store.Hybrid} {
+		t.Run(pol.String(), func(t *testing.T) {
+			vs := testChain(t, 5)
+			foreign := rdf.NewGraph()
+			vs.Latest().Graph.ForEach(func(tr rdf.Triple) bool { foreign.Add(tr); return true })
+			foreign.Add(rdf.T(rdf.ResourceIRI("saved-subject"), rdf.RDFSLabel, rdf.NewLiteral("foreign")))
+			if err := vs.Add(&rdf.Version{ID: "v-foreign", Graph: foreign}); err != nil {
+				t.Fatal(err)
+			}
+			opt := store.Options{Policy: pol, SnapshotEvery: 2}
+			saved := t.TempDir()
+			if _, err := store.Save(saved, vs, opt); err != nil {
+				t.Fatal(err)
+			}
+			appended := t.TempDir()
+			first := rdf.NewVersionStore()
+			if err := first.Add(vs.At(0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Save(appended, first, opt); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := store.Open(appended)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rest []*rdf.Version
+			for i := 1; i < vs.Len(); i++ {
+				rest = append(rest, vs.At(i))
+			}
+			if _, err := ds.AppendBatchCtx(context.Background(), rest); err != nil {
+				t.Fatal(err)
+			}
+			logged, err := os.ReadFile(filepath.Join(appended, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want, got := dirFiles(t, saved), dirFiles(t, appended)
+			if len(want) != vs.Len()+3 || len(got) != len(want) {
+				t.Fatalf("Save left %d files, Save+append %d; want %d each (segments, dict.seg, manifest.json, wal.log)",
+					len(want), len(got), vs.Len()+3)
+			}
+			for name, data := range want {
+				if string(got[name]) != string(data) {
+					t.Errorf("%s differs between Save and Save+append", name)
+				}
+			}
+			if len(want["wal.log"]) != 0 {
+				t.Errorf("Save left a %d-byte wal.log, want an empty one", len(want["wal.log"]))
+			}
+			// Save truncates a WAL it finds: the records an unclosed writer
+			// left behind must not replay onto the chain saved over them.
+			stale := t.TempDir()
+			if err := os.WriteFile(filepath.Join(stale, "wal.log"), logged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Save(stale, first, opt); err != nil {
+				t.Fatal(err)
+			}
+			back, err := store.Open(stale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != 1 {
+				t.Fatalf("reopened after Save over a logged WAL: %d versions, want 1", back.Len())
+			}
+		})
+	}
+}
+
+// dirFiles reads every file in dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
 }
 
 // TestStoreOpenToleratesSupersetDict simulates the append crash window:

@@ -191,14 +191,12 @@ func inspect(fsys vfs.FS, dir string, man *Manifest) *Info {
 	}
 	info.Segments = append(info.Segments, check(man.Dict.File, "dict", "", kindDict))
 	for _, e := range man.Entries {
-		var si SegmentInfo
+		si := check(e.File, e.Kind, e.ID, e.segKind())
 		if e.Kind == kindNameSnapshot {
 			info.Snapshots++
-			si = check(e.File, e.Kind, e.ID, kindSnapshot)
 			si.Triples = e.Triples
 		} else {
 			info.Deltas++
-			si = check(e.File, e.Kind, e.ID, kindDelta)
 			si.Added, si.Deleted = e.Added, e.Deleted
 		}
 		info.Segments = append(info.Segments, si)
@@ -206,14 +204,7 @@ func inspect(fsys vfs.FS, dir string, man *Manifest) *Info {
 	return info
 }
 
-// replayRec is one record the WAL plan redoes: the decoded record and the
-// manifest entry it becomes.
-type replayRec struct {
-	rec   *walRecord
-	entry Entry
-}
-
-// planWAL is the one replay rule. OpenFS applies the records it returns and
+// planWAL is the one replay rule. OpenFS applies the versions it returns and
 // refuses the store on any problem in the plan; VerifyFS reports the same
 // plan read-only. It walks the WAL's frames against the manifest chain:
 //   - a record whose version the chain already holds is applied;
@@ -229,14 +220,14 @@ type replayRec struct {
 // payload does not fit are problems that end the walk. dict is extended in
 // place; a nil dict (the dictionary segment itself did not decode, already
 // a problem) skips the dictionary and payload checks.
-func planWAL(data []byte, man *Manifest, dict *rdf.Dict) (plan *RecoverPlan, replay []replayRec) {
+func planWAL(data []byte, man *Manifest, dict *rdf.Dict) (plan *RecoverPlan, replay []staged) {
 	plan = &RecoverPlan{WALBytes: int64(len(data))}
 	chain := make(map[string]bool, len(man.Entries))
 	for _, e := range man.Entries {
 		chain[e.ID] = true
 		plan.Tail = e.ID
 	}
-	problem := func(format string, args ...any) (*RecoverPlan, []replayRec) {
+	problem := func(format string, args ...any) (*RecoverPlan, []staged) {
 		plan.Problems = append(plan.Problems, fmt.Sprintf(format, args...))
 		return plan, replay
 	}
@@ -281,7 +272,7 @@ func planWAL(data []byte, man *Manifest, dict *rdf.Dict) (plan *RecoverPlan, rep
 					return problem("record %q: %v", rec.id, err)
 				}
 			}
-			replay = append(replay, replayRec{rec: rec, entry: e})
+			replay = append(replay, staged{entry: e, payload: rec.payload})
 			chain[rec.id] = true
 			plan.Apply = append(plan.Apply, rec.id)
 			plan.Tail = rec.id
@@ -305,13 +296,11 @@ func (rec *walRecord) replayInto(dict *rdf.Dict) (Entry, error) {
 			return Entry{}, fmt.Errorf("dictionary tail term %d interned as ID %d, want %d", j, got, want)
 		}
 	}
-	e := Entry{ID: rec.id, Bytes: int64(segHeaderLen + len(rec.payload) + segTrailerLen)}
+	e := newEntry(rec.id, rec.segKind, rec.payload)
 	var err error
 	if rec.segKind == kindSnapshot {
-		e.Kind, e.File = kindNameSnapshot, rec.id+".snap"
 		e.Triples, err = decodeSnapshot(e.File, rec.payload, dict.Len(), func(rdf.IDTriple) {})
 	} else {
-		e.Kind, e.File = kindNameDelta, rec.id+".delta"
 		e.Added, e.Deleted, err = decodeDelta(e.File, rec.payload, dict.Len(),
 			func(rdf.IDTriple) {}, func(rdf.IDTriple) {})
 	}

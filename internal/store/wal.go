@@ -77,16 +77,15 @@ type walRecord struct {
 func appendWALRecord(buf []byte, rec *walRecord) ([]byte, error) {
 	p := make([]byte, 0, 64+len(rec.payload))
 	p = binary.AppendUvarint(p, rec.seq)
-	p = appendString(p, rec.parent)
-	p = appendString(p, rec.id)
+	p = AppendString(p, rec.parent)
+	p = AppendString(p, rec.id)
 	p = append(p, rec.segKind)
 	p = binary.AppendUvarint(p, uint64(rec.dictBase))
 	p = binary.AppendUvarint(p, uint64(len(rec.dictTail)))
 	for _, t := range rec.dictTail {
-		p = appendDictEntry(p, t)
+		p = AppendTerm(p, t)
 	}
-	p = binary.AppendUvarint(p, uint64(len(rec.payload)))
-	p = append(p, rec.payload...)
+	p = AppendBytes(p, rec.payload)
 	if uint64(len(p)) > maxSegmentPayload {
 		return nil, fmt.Errorf("store: WAL record for %q exceeds the 4 GiB frame limit", rec.id)
 	}
@@ -97,49 +96,48 @@ const maxSegmentPayload = 1<<32 - 1
 
 // decodeWALRecord parses one record payload.
 func decodeWALRecord(payload []byte) (*walRecord, error) {
-	r := &byteReader{file: walFileName, b: payload}
+	r := segmentReader(walFileName, payload)
 	rec := &walRecord{}
 	var err error
-	if rec.seq, err = r.uvarint(); err != nil {
+	if rec.seq, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if rec.parent, err = r.stringField("parent"); err != nil {
+	if rec.parent, err = r.Str("parent"); err != nil {
 		return nil, err
 	}
-	if rec.id, err = r.stringField("id"); err != nil {
+	if rec.id, err = r.Str("id"); err != nil {
 		return nil, err
 	}
 	if rec.segKind, err = r.byte(); err != nil {
 		return nil, err
 	}
 	if rec.segKind != kindSnapshot && rec.segKind != kindDelta {
-		return nil, r.errf("record %q: segment kind %d", rec.id, rec.segKind)
+		return nil, r.Errf("record %q: segment kind %d", rec.id, rec.segKind)
 	}
-	base, err := r.uvarint()
+	base, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	rec.dictBase = int(base)
-	tailN, err := r.count("dict tail")
+	tailN, err := r.Count("dict tail")
 	if err != nil {
 		return nil, err
 	}
 	rec.dictTail = make([]rdf.Term, 0, tailN)
 	for i := 0; i < tailN; i++ {
-		t, err := r.decodeDictEntry(rec.dictBase + i)
+		t, err := r.Term()
 		if err != nil {
 			return nil, err
 		}
 		rec.dictTail = append(rec.dictTail, t)
 	}
-	payLen, err := r.count("payload")
+	p, err := r.Bytes("payload")
 	if err != nil {
 		return nil, err
 	}
-	rec.payload = append([]byte(nil), r.b[r.off:r.off+payLen]...)
-	r.off += payLen
-	if r.remaining() != 0 {
-		return nil, r.errf("record %q: %d trailing bytes", rec.id, r.remaining())
+	rec.payload = append([]byte(nil), p...)
+	if r.Remaining() != 0 {
+		return nil, r.Errf("record %q: %d trailing bytes", rec.id, r.Remaining())
 	}
 	return rec, nil
 }

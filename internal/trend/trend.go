@@ -194,35 +194,13 @@ func Analyze(vs *rdf.VersionStore, m measures.Measure) (*Analysis, error) {
 		return nil, fmt.Errorf("trend: need at least 2 versions, have %d", vs.Len())
 	}
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
-	step := 0
 	// Each inner version is the newer side of one pair and the older side
 	// of the next: analyze it once.
 	prev := measures.Analyze(vs.At(0).Graph)
 	vs.Pairs(func(older, newer *rdf.Version) bool {
 		next := measures.Analyze(newer.Graph)
-		ctx := measures.NewContextFromAnalyses(prev, next, delta.ComputeVersions(older, newer))
+		a.add(measures.NewContextFromAnalyses(prev, next, delta.ComputeVersions(older, newer)), m)
 		prev = next
-		scores := m.Compute(ctx)
-		a.PairIDs = append(a.PairIDs, older.ID+"->"+newer.ID)
-		for t, v := range scores {
-			s, ok := a.series[t]
-			if !ok {
-				s = &Series{Term: t, Values: make([]float64, step)}
-				a.series[t] = s
-			}
-			// Backfill zeros if the entity appeared mid-chain.
-			for len(s.Values) < step {
-				s.Values = append(s.Values, 0)
-			}
-			s.Values = append(s.Values, v)
-		}
-		step++
-		// Pad entities missing from this pair.
-		for _, s := range a.series {
-			for len(s.Values) < step {
-				s.Values = append(s.Values, 0)
-			}
-		}
 		return true
 	})
 	return a, nil
@@ -236,27 +214,31 @@ func AnalyzeWithContexts(ctxs []*measures.Context, m measures.Measure) (*Analysi
 		return nil, fmt.Errorf("trend: need at least 1 context")
 	}
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
-	for step, ctx := range ctxs {
-		scores := m.Compute(ctx)
-		a.PairIDs = append(a.PairIDs, ctx.Delta.OlderID+"->"+ctx.Delta.NewerID)
-		for t, v := range scores {
-			s, ok := a.series[t]
-			if !ok {
-				s = &Series{Term: t, Values: make([]float64, step)}
-				a.series[t] = s
-			}
-			for len(s.Values) < step {
-				s.Values = append(s.Values, 0)
-			}
-			s.Values = append(s.Values, v)
-		}
-		for _, s := range a.series {
-			for len(s.Values) < step+1 {
-				s.Values = append(s.Values, 0)
-			}
-		}
+	for _, ctx := range ctxs {
+		a.add(ctx, m)
 	}
 	return a, nil
+}
+
+// add appends one pair's observations: the measure's score for every entity
+// it scores, zero for every tracked entity it does not. An entity first
+// scored mid-chain starts with a zero for every earlier pair.
+func (a *Analysis) add(ctx *measures.Context, m measures.Measure) {
+	step := len(a.PairIDs)
+	a.PairIDs = append(a.PairIDs, ctx.Delta.OlderID+"->"+ctx.Delta.NewerID)
+	for t, v := range m.Compute(ctx) {
+		s, ok := a.series[t]
+		if !ok {
+			s = &Series{Term: t, Values: make([]float64, step)}
+			a.series[t] = s
+		}
+		s.Values = append(s.Values, v)
+	}
+	for _, s := range a.series {
+		if len(s.Values) == step {
+			s.Values = append(s.Values, 0)
+		}
+	}
 }
 
 // Series returns the series for one entity (nil if never scored).
