@@ -196,13 +196,37 @@ func coldHistoryPair(b *testing.B) (*evorec.Version, *evorec.Version) {
 	return &evorec.Version{ID: "v1", Graph: g}, &evorec.Version{ID: "v2", Graph: next}
 }
 
+// ingestChain is a chain of n versions shaped like the bench module's
+// ingest-fanout commits: synth Small with 200 classes, each step 3 ops over
+// instances and links, so the class graph never changes.
+func ingestChain(b *testing.B, n int) *evorec.VersionStore {
+	b.Helper()
+	kb := synth.Small()
+	kb.Classes = 200
+	ev := synth.EvolveConfig{Ops: 3, Locality: 0.8,
+		Weights: synth.OpWeights{AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}}
+	vs, _, err := synth.GenerateVersions(kb, ev, n-1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return vs
+}
+
+// ingestFanoutPair is one step of ingestChain: the pair shape where Brandes
+// dominates an analysis.
+func ingestFanoutPair(b *testing.B) (*evorec.Version, *evorec.Version) {
+	vs := ingestChain(b, 2)
+	return vs.At(0), vs.At(1)
+}
+
 // benchPairs runs fn as one sub-benchmark per measure-layer pair shape: the
-// synth Small pair and the cold-history-shaped pair.
+// synth Small pair, the cold-history-shaped pair and the
+// ingest-fanout-shaped pair.
 func benchPairs(b *testing.B, fn func(b *testing.B, older, newer *evorec.Version)) {
 	for _, pair := range []struct {
 		name string
 		make func(*testing.B) (*evorec.Version, *evorec.Version)
-	}{{"small", benchVersions}, {"cold-history", coldHistoryPair}} {
+	}{{"small", benchVersions}, {"cold-history", coldHistoryPair}, {"ingest-fanout", ingestFanoutPair}} {
 		b.Run(pair.name, func(b *testing.B) {
 			older, newer := pair.make(b)
 			fn(b, older, newer)
@@ -217,7 +241,7 @@ func BenchmarkSemanticAnalyzer(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			measures.Analyze(older.Graph)
+			measures.Analyze(older.Graph, nil)
 		}
 	})
 }
@@ -266,6 +290,38 @@ func BenchmarkAllMeasures(b *testing.B) {
 			recommend.BuildItems(ctx, reg)
 		}
 	})
+}
+
+// BenchmarkConsecutivePairs builds consecutive pairs through
+// Engine.ItemIndex along an ingest-fanout-shaped chain, as commit fan-outs
+// do: each op is one pair whose older side was the last op's newer side.
+// Every 16 pairs the chain ends and a fresh engine, its first pair built
+// off the clock, starts over.
+func BenchmarkConsecutivePairs(b *testing.B) {
+	vs := ingestChain(b, 18)
+	ids := vs.IDs()
+	var eng *evorec.Engine
+	k := len(ids)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if k == len(ids) {
+			b.StopTimer()
+			eng = evorec.NewEngine(evorec.EngineConfig{})
+			if err := eng.IngestAll(vs); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.ItemIndex(ids[0], ids[1]); err != nil {
+				b.Fatal(err)
+			}
+			k = 2
+			b.StartTimer()
+		}
+		if _, err := eng.ItemIndex(ids[k-1], ids[k]); err != nil {
+			b.Fatal(err)
+		}
+		k++
+	}
 }
 
 // BenchmarkRecommendTopK measures the served scoring path: the item index

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"evorec/internal/delta"
 	"evorec/internal/measures"
 	"evorec/internal/profile"
 	"evorec/internal/provenance"
@@ -34,7 +35,9 @@ type Config struct {
 // Engine is the processing model. It caches each version pair's
 // recommendable items and their scoring index, so that repeated
 // recommendations against the same pair are cheap; the measure context the
-// items are evaluated from is built, used and dropped.
+// items are evaluated from is built, used and dropped. Of the analyses a
+// context holds, the engine keeps one: the newer side of the last context
+// it built, which is the older side of the next consecutive pair.
 //
 // Engine is not safe for unsupervised concurrent use: Ingest and Items
 // mutate the cache. It is, however, built to sit behind an external
@@ -52,6 +55,12 @@ type Engine struct {
 	versionRec map[string]string // version ID -> provenance record ID
 	pairs      map[string]*pair  // pair key -> cached items
 	ctxBuilds  int               // contexts actually constructed
+
+	// carry is the newer side's analysis from the last context built, and
+	// carryGraph the version graph it analyzed: a commit's pair build finds
+	// its older side here and analyzes only the new version.
+	carry      *measures.VersionAnalysis
+	carryGraph *rdf.Graph
 }
 
 // pair is one version pair's cached evaluation.
@@ -132,7 +141,10 @@ func pairKey(olderID, newerID string) string { return olderID + "->" + newerID }
 
 // Context builds the analysis context for a version pair. Contexts are not
 // cached: the first build of a pair records its compute_delta provenance,
-// later builds reuse that record.
+// later builds reuse that record. Either side whose graph the engine's
+// carried analysis was built from takes that analysis; a side analyzed
+// afresh is offered the other side's (or the carry) as measures.Analyze's
+// prev. The newer side's analysis becomes the carry.
 func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 	older, ok := e.versions.Get(olderID)
 	if !ok {
@@ -142,7 +154,20 @@ func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown version %q", newerID)
 	}
-	return e.recordContext(olderID, newerID, measures.NewContext(older, newer))
+	oa := e.analyze(older.Graph, e.carry)
+	na := e.analyze(newer.Graph, oa)
+	e.carry, e.carryGraph = na, newer.Graph
+	return e.recordContext(olderID, newerID,
+		measures.NewContextFromAnalyses(oa, na, delta.ComputeVersions(older, newer)))
+}
+
+// analyze returns the carried analysis if it is g's, and otherwise analyzes
+// g with prev offered for reuse.
+func (e *Engine) analyze(g *rdf.Graph, prev *measures.VersionAnalysis) *measures.VersionAnalysis {
+	if g == e.carryGraph {
+		return e.carry
+	}
+	return measures.Analyze(g, prev)
 }
 
 // recordContext counts a freshly built pair context and records the pair's
@@ -247,11 +272,15 @@ func (e *Engine) CachedPairs() []string {
 	return out
 }
 
-// InvalidateVersion drops every cached pair that involves the version and
-// returns how many pairs were dropped. Committing a replacement or repaired
-// version invalidates exactly the derived state that read it — untouched
-// pairs keep their caches.
+// InvalidateVersion drops every cached pair that involves the version, and
+// the carried analysis if it is the version's, and returns how many pairs
+// were dropped. Committing a replacement or repaired version invalidates
+// exactly the derived state that read it — untouched pairs keep their
+// caches.
 func (e *Engine) InvalidateVersion(id string) int {
+	if v, ok := e.versions.Get(id); ok && v.Graph == e.carryGraph {
+		e.carry, e.carryGraph = nil, nil
+	}
 	n := 0
 	for key, p := range e.pairs {
 		if p.olderID == id || p.newerID == id {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"evorec/internal/delta"
 	"evorec/internal/profile"
+	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 	"evorec/internal/schema"
 	"evorec/internal/synth"
@@ -329,6 +331,106 @@ func TestCacheAccessorsAndInvalidation(t *testing.T) {
 	}
 	if got := e.ContextBuilds(); got != 3 {
 		t.Fatalf("rebuild after invalidation: ContextBuilds = %d, want 3", got)
+	}
+}
+
+// instanceChain is a seeded chain shaped like the bench's ingest-fanout:
+// synth Small with 200 classes, evolved in 3-op steps over instances and
+// links that keep the class graph, so a consecutive pair's newer side
+// reuses the older side's Brandes vectors.
+func instanceChain(t *testing.T) *rdf.VersionStore {
+	t.Helper()
+	kb := synth.Small()
+	kb.Classes = 200
+	ev := synth.EvolveConfig{Ops: 3, Locality: 0.8,
+		Weights: synth.OpWeights{AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}}
+	vs, _, err := synth.GenerateVersions(kb, ev, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// chainEngine is a fresh engine with the chain ingested.
+func chainEngine(t *testing.T, vs *rdf.VersionStore) *Engine {
+	t.Helper()
+	e := New(Config{Clock: fixedClock()})
+	if err := e.IngestAll(vs); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestConsecutivePairsMatchFreshEngine builds (v1,v2) and then (v2,v3), as
+// two commits' fan-outs do: the second build takes v2's analysis from the
+// engine's carry. Its items must be bitwise those of a fresh engine that
+// builds (v2,v3) alone.
+func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
+	vs := instanceChain(t)
+	e := chainEngine(t, vs)
+	if _, err := e.Items("v1", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Items("v2", "v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := chainEngine(t, vs).Items("v2", "v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d items, fresh engine has %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.ID() != w.ID() || len(g.Scores) != len(w.Scores) || len(g.Vector) != len(w.Vector) {
+			t.Fatalf("item %d: %s with %d scores, fresh engine %s with %d", i, g.ID(), len(g.Scores), w.ID(), len(w.Scores))
+		}
+		for term, ws := range w.Scores {
+			if math.Float64bits(g.Scores[term]) != math.Float64bits(ws) || math.Float64bits(g.Vector[term]) != math.Float64bits(w.Vector[term]) {
+				t.Fatalf("%s %v: score %v vector %v, fresh engine %v and %v", w.ID(), term, g.Scores[term], g.Vector[term], ws, w.Vector[term])
+			}
+		}
+	}
+	// Invalidating a version drops the carry only if it is that version's.
+	if e.InvalidateVersion("v2"); e.carry == nil {
+		t.Fatal("InvalidateVersion(v2) dropped v3's carried analysis")
+	}
+	if e.InvalidateVersion("v3"); e.carry != nil {
+		t.Fatal("InvalidateVersion(v3) kept v3's carried analysis")
+	}
+}
+
+// TestConsecutiveBuildAllocs gates the allocations of a commit's pair
+// build, (v2,v3) right after (v1,v2): it analyzes v3 alone and takes v3's
+// Brandes vectors from v2's analysis. Measured on this chain with go1.24:
+// 3,001 allocations, against 4,742 when both sides were analyzed in full;
+// the bound leaves 10% headroom.
+func TestConsecutiveBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	vs := instanceChain(t)
+	const runs = 5
+	engines := make([]*Engine, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range engines {
+		engines[i] = chainEngine(t, vs)
+		if _, err := engines[i].ItemIndex("v1", "v2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := engines[next].ItemIndex("v2", "v3"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("allocations per consecutive pair build: %v", got)
+	const bound = 3300
+	if got > bound {
+		t.Fatalf("a consecutive pair build allocates %v, more than %d", got, bound)
 	}
 }
 

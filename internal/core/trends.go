@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"evorec/internal/delta"
 	"evorec/internal/measures"
 	"evorec/internal/provenance"
 	"evorec/internal/trend"
@@ -11,10 +10,11 @@ import (
 
 // TrendAnalysis evaluates the given measure over every consecutive version
 // pair of the engine's chain and returns the per-entity trend analysis
-// ("observe changes trends", paper §I). Each pair's context is built for
-// the call and dropped with it (contexts are not cached), each version is
-// analyzed once for both pairs it belongs to, and the analysis is recorded
-// in provenance.
+// ("observe changes trends", paper §I). Each pair's context comes from
+// Context, is built for the call and dropped with it (contexts are not
+// cached); the engine's carried analysis means each version is analyzed
+// once for both pairs it belongs to. The analysis is recorded in
+// provenance.
 func (e *Engine) TrendAnalysis(measureID string) (*trend.Analysis, error) {
 	m, ok := e.registry.Get(measureID)
 	if !ok {
@@ -26,16 +26,11 @@ func (e *Engine) TrendAnalysis(measureID string) (*trend.Analysis, error) {
 	ids := e.versions.IDs()
 	ctxs := make([]*measures.Context, 0, len(ids)-1)
 	inputRecs := make([]string, 0, len(ids)-1)
-	prev := measures.Analyze(e.versions.At(0).Graph)
 	for i := 1; i < len(ids); i++ {
-		older, newer := e.versions.At(i-1), e.versions.At(i)
-		next := measures.Analyze(newer.Graph)
-		ctx, err := e.recordContext(ids[i-1], ids[i],
-			measures.NewContextFromAnalyses(prev, next, delta.ComputeVersions(older, newer)))
+		ctx, err := e.Context(ids[i-1], ids[i])
 		if err != nil {
 			return nil, err
 		}
-		prev = next
 		ctxs = append(ctxs, ctx)
 		if rec, ok := e.prov.Creator("delta:" + pairKey(ids[i-1], ids[i])); ok {
 			inputRecs = append(inputRecs, rec.ID)

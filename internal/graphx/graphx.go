@@ -62,6 +62,13 @@ func (g *Graph) Nodes() []rdf.Term {
 // slice belongs to the graph; callers must not modify it.
 func (g *Graph) Adjacent(i int) []int { return g.adj[i] }
 
+// Equal reports whether g and h have the same node terms and the same
+// adjacency lists. Every algorithm here reads nothing else, so on equal
+// graphs each returns bitwise-equal scores.
+func (g *Graph) Equal(h *Graph) bool {
+	return slices.Equal(g.nodes, h.nodes) && slices.EqualFunc(g.adj, h.adj, slices.Equal[[]int])
+}
+
 // Degree returns the degree of node t, or 0 if t is not in the graph.
 func (g *Graph) Degree(t rdf.Term) int {
 	i, ok := g.indexOf(t)

@@ -568,3 +568,34 @@ func TestBetweennessMatchesBruteForceProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestGraphEqual(t *testing.T) {
+	nodes := func(ids ...int) []rdf.Term {
+		out := make([]rdf.Term, len(ids))
+		for i, id := range ids {
+			out[i] = node(id)
+		}
+		return out
+	}
+	path := pathGraph(5) // 0-1-2-3-4
+	cases := []struct {
+		name string
+		g    *Graph
+		want bool
+	}{
+		// The same path, its lists unsorted and carrying a duplicate and a
+		// self-loop that normalization drops.
+		{"equal", FromAdjacency(nodes(0, 1, 2, 3, 4), [][]int{{1, 1}, {2, 0, 1}, {3, 1}, {4, 2}, {3}}), true},
+		{"one node term different", FromAdjacency(nodes(0, 1, 2, 3, 9), [][]int{{1}, {0, 2}, {1, 3}, {2, 4}, {3}}), false},
+		{"one adjacency list different", FromAdjacency(nodes(0, 1, 2, 3, 4), [][]int{{1}, {0, 2}, {1, 3, 4}, {2}, {2}}), false},
+		{"different node counts", pathGraph(6), false},
+	}
+	for _, c := range cases {
+		if got := path.Equal(c.g); got != c.want {
+			t.Errorf("%s: path.Equal = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.g.Equal(path); got != c.want {
+			t.Errorf("%s: Equal(path) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

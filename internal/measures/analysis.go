@@ -57,12 +57,24 @@ type edge struct {
 // Analyze builds the analysis of one version graph. Only object links whose
 // subject and object both carry rdf:type assertions of known classes
 // contribute; literal-valued links carry no class-to-class signal.
-func Analyze(g *rdf.Graph) *VersionAnalysis {
+//
+// prev, if not nil, is the analysis of another version, typically the one
+// before g. Betweenness and bridging centrality read the class graph alone,
+// so when g's class graph equals prev's (graphx.Graph.Equal), Analyze
+// reuses prev's two vectors instead of running Brandes again: they are the
+// exact bits Brandes would return. Evolution that touches only instances
+// and links leaves the class graph as it was. A nil prev analyzes from
+// scratch.
+func Analyze(g *rdf.Graph, prev *VersionAnalysis) *VersionAnalysis {
 	sch := schema.Extract(g)
 	cg := sch.ClassGraph()
 	a := &VersionAnalysis{Schema: sch, Struct: cg, classes: cg.Nodes(), props: sch.PropertyTerms()}
 	a.link(g)
 	a.semantic()
+	if prev != nil && cg.Equal(prev.Struct) {
+		a.betweenness, a.bridging = prev.betweenness, prev.bridging
+		return a
+	}
 	bc := cg.Betweenness()
 	a.betweenness = a.classVector(bc)
 	a.bridging = a.classVector(cg.BridgingCentrality(bc))

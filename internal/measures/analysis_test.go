@@ -57,7 +57,7 @@ func edgeOf(a *VersionAnalysis, p, from, to rdf.Term) (edge, bool) {
 }
 
 func TestConnectionCounts(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	wf, kn := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows")
 	if e, _ := edgeOf(a, wf, person, org); e.n != 3 {
@@ -72,7 +72,7 @@ func TestConnectionCounts(t *testing.T) {
 }
 
 func TestRelativeCardinality(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	wf := rdf.SchemaIRI("worksFor")
 	// Person endpoints: 3 (worksFor out) + 2 (knows both ends) = 5.
@@ -90,7 +90,7 @@ func TestRelativeCardinality(t *testing.T) {
 }
 
 func TestInOutCentrality(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	// Org has one incoming edge via one property and no outgoing edge:
 	// Cin = RC * 1 = 3/8, Cout = 0.
@@ -107,7 +107,7 @@ func TestInOutCentrality(t *testing.T) {
 }
 
 func TestLiteralLinksIgnored(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	// name is literal-valued: it must not create any class edge.
 	name := ordinal(a.props, rdf.SchemaIRI("name"))
 	for _, e := range a.edges {
@@ -123,7 +123,7 @@ func TestUntypedEndpointsIgnored(t *testing.T) {
 	g.Add(rdf.T(p, rdf.RDFSDomain, rdf.SchemaIRI("C")))
 	// x untyped, y untyped: no class signal.
 	g.Add(rdf.T(rdf.ResourceIRI("x"), p, rdf.ResourceIRI("y")))
-	if a := Analyze(g); len(a.edges) != 0 {
+	if a := Analyze(g, nil); len(a.edges) != 0 {
 		t.Fatalf("untyped endpoints must not contribute, got %+v", a.edges)
 	}
 }
@@ -138,7 +138,7 @@ func TestMultiTypedEndpoints(t *testing.T) {
 	g.Add(rdf.T(x, rdf.RDFType, c2))
 	g.Add(rdf.T(y, rdf.RDFType, c3))
 	g.Add(rdf.T(x, p, y))
-	a := Analyze(g)
+	a := Analyze(g, nil)
 	// Both (c1,c3) and (c2,c3) edges must exist. y takes part in one link
 	// and its endpoint counts once for C3, as x's does once per type: each
 	// edge's RC is 1/(1+1).
@@ -151,7 +151,7 @@ func TestMultiTypedEndpoints(t *testing.T) {
 }
 
 func TestRelevanceInstanceWeighting(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	person, org := rdf.SchemaIRI("Person"), rdf.SchemaIRI("Org")
 	// Person (3 instances) must outrank Org (1 instance): higher centrality
 	// and higher instance weight.
@@ -196,7 +196,7 @@ func TestRelevanceNeighborContribution(t *testing.T) {
 		src := mk(fmt.Sprintf("hs%d", i), hubSrc)
 		g.Add(rdf.T(src, ph, xh))
 	}
-	an := Analyze(g)
+	an := Analyze(g, nil)
 	if an.Relevance(a1) <= an.Relevance(b1) {
 		t.Fatalf("class next to hub must be more relevant: A1=%g B1=%g",
 			an.Relevance(a1), an.Relevance(b1))
@@ -204,7 +204,7 @@ func TestRelevanceNeighborContribution(t *testing.T) {
 }
 
 func TestPropertyCentrality(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	wf, kn := rdf.SchemaIRI("worksFor"), rdf.SchemaIRI("knows")
 	if propCentralityOf(a, wf) <= propCentralityOf(a, kn) {
 		t.Fatalf("worksFor (3 links) must outrank knows (1 link): %g vs %g",
@@ -216,7 +216,7 @@ func TestPropertyCentrality(t *testing.T) {
 }
 
 func TestAllCentralitiesAllRelevances(t *testing.T) {
-	a := Analyze(semanticFixture())
+	a := Analyze(semanticFixture(), nil)
 	n := a.Schema.NumClasses()
 	if len(a.centrality) != n || len(a.relevance) != n {
 		t.Fatalf("coverage: |C|=%d |R|=%d classes=%d", len(a.centrality), len(a.relevance), n)

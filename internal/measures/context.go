@@ -22,9 +22,12 @@ type Context struct {
 	classes, props alignment
 }
 
-// NewContext computes all derived structures for the version pair.
+// NewContext computes all derived structures for the version pair. The
+// older side's analysis is the newer side's prev, so a pair whose class
+// graph did not change runs Brandes once.
 func NewContext(older, newer *rdf.Version) *Context {
-	return NewContextFromAnalyses(Analyze(older.Graph), Analyze(newer.Graph), delta.ComputeVersions(older, newer))
+	oa := Analyze(older.Graph, nil)
+	return NewContextFromAnalyses(oa, Analyze(newer.Graph, oa), delta.ComputeVersions(older, newer))
 }
 
 // NewContextFromAnalyses builds the pair context from the two versions'

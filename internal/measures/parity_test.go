@@ -56,6 +56,27 @@ func evolvingChain(t *testing.T) *rdf.VersionStore {
 	return vs
 }
 
+// instanceChain is a seeded synth chain evolved as the bench's
+// ingest-fanout commits are: 3-op steps that add and delete instances, add
+// links and relabel, and never touch the class graph.
+func instanceChain(t *testing.T) *rdf.VersionStore {
+	t.Helper()
+	ev := synth.EvolveConfig{Ops: 3, Locality: 0.8,
+		Weights: synth.OpWeights{AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}}
+	vs, _, err := synth.GenerateVersions(synth.Small(), ev, 6, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// reused reports whether the context's newer side took the older side's
+// betweenness and bridging vectors instead of running Brandes.
+func reused(ctx *Context) bool {
+	return len(ctx.Newer.betweenness) > 0 &&
+		&ctx.Newer.betweenness[0] == &ctx.Older.betweenness[0] && &ctx.Newer.bridging[0] == &ctx.Older.bridging[0]
+}
+
 // reparse round-trips a version through N-Triples into a graph with its own
 // dictionary.
 func reparse(t *testing.T, v *rdf.Version) *rdf.Version {
@@ -80,10 +101,42 @@ func TestReferenceParityChain(t *testing.T) {
 		classAdded = classAdded || slices.Contains(ctx.classes.older, -1)
 		classDeleted = classDeleted || slices.Contains(ctx.classes.newer, -1)
 		propAdded = propAdded || slices.Contains(ctx.props.older, -1)
+		if reused(ctx) != ctx.Older.Struct.Equal(ctx.Newer.Struct) {
+			t.Fatalf("%s->%s: reused Brandes vectors %v, class graphs equal %v",
+				older.ID, newer.ID, reused(ctx), ctx.Older.Struct.Equal(ctx.Newer.Struct))
+		}
 	}
 	if !classAdded || !classDeleted || !propAdded {
 		t.Fatalf("chain never exercised alignment: class added %v, class deleted %v, property added %v",
 			classAdded, classDeleted, propAdded)
+	}
+
+	// Instance-only evolution keeps the class graph, so the newer side of a
+	// pair takes the older side's vectors, which must equal the reference's
+	// recomputed ones bit for bit.
+	ivs := instanceChain(t)
+	reuses := 0
+	var ictx *Context
+	for i := 1; i < ivs.Len(); i++ {
+		older, newer := ivs.At(i-1), ivs.At(i)
+		ictx = assertReferenceParity(t, "instance-only "+older.ID+"->"+newer.ID, older, newer)
+		if reused(ictx) {
+			reuses++
+		}
+	}
+	if reuses == 0 {
+		t.Fatal("no pair of the instance-only chain reused its older side's Brandes vectors")
+	}
+	// A class-tree edit, one new subClassOf edge, makes Analyze recompute.
+	far := 1
+	for slices.Contains(ictx.Newer.Struct.Adjacent(0), far) {
+		far++
+	}
+	tip := ivs.At(ivs.Len() - 1)
+	g := tip.Graph.Clone()
+	g.Add(rdf.T(ictx.Newer.classes[far], rdf.RDFSSubClassOf, ictx.Newer.classes[0]))
+	if ctx := assertReferenceParity(t, "class-tree edit", tip, &rdf.Version{ID: "edited", Graph: g}); reused(ctx) {
+		t.Fatal("a class-tree edit reused the older side's Brandes vectors")
 	}
 	first, last := vs.At(0), vs.At(vs.Len()-1)
 	assertReferenceParity(t, "first->last", first, last)

@@ -52,7 +52,10 @@ func seedCrashStore(t testing.TB, fsys vfs.FS, vs *rdf.VersionStore) string {
 // runCrashWorkload drives the scripted session against a (possibly
 // faulting) filesystem. Errors are expected — they are the crash — so the
 // workload records acks and keeps going; once the FaultFS is past its
-// injection point every further operation fails fast.
+// injection point every further operation fails fast. Each commit waits for
+// the group committer to go idle, so its idle checkpoint always runs before
+// the next subscribe and every run issues the same operations in the same
+// order.
 func runCrashWorkload(t testing.TB, fsys vfs.FS, storeDir string, bodies map[string][]byte, workload *crashScript) crashAck {
 	t.Helper()
 	var ack crashAck
@@ -64,6 +67,7 @@ func runCrashWorkload(t testing.TB, fsys vfs.FS, storeDir string, bodies map[str
 	}
 	commit := func(id string) {
 		info, err := d.CommitCtx(context.Background(), id, bytes.NewReader(bodies[id]))
+		service.WaitCommitterIdle(d)
 		if err != nil {
 			return
 		}

@@ -51,7 +51,7 @@ func Summarize(g *rdf.Graph, k int) (*Summary, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("summary: k must be >= 1, got %d", k)
 	}
-	an := measures.Analyze(g)
+	an := measures.Analyze(g, nil)
 	sch, cg := an.Schema, an.Struct
 	if sch.NumClasses() == 0 {
 		return nil, fmt.Errorf("summary: graph has no classes")

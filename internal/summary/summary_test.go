@@ -54,7 +54,7 @@ func TestSummarizeSelectsMostRelevant(t *testing.T) {
 		t.Fatal("noise class must not enter a k=2 summary")
 	}
 	// Verify selection really is the relevance top-2.
-	an := measures.Analyze(g)
+	an := measures.Analyze(g, nil)
 	for _, c := range s.Selected {
 		if an.Relevance(c) < an.Relevance(rdf.SchemaIRI("Noise")) {
 			t.Fatalf("selected %v is less relevant than Noise", c)

@@ -195,10 +195,10 @@ func Analyze(vs *rdf.VersionStore, m measures.Measure) (*Analysis, error) {
 	}
 	a := &Analysis{MeasureID: m.ID(), series: make(map[rdf.Term]*Series)}
 	// Each inner version is the newer side of one pair and the older side
-	// of the next: analyze it once.
-	prev := measures.Analyze(vs.At(0).Graph)
+	// of the next: analyze it once, and offer it to the next analysis.
+	prev := measures.Analyze(vs.At(0).Graph, nil)
 	vs.Pairs(func(older, newer *rdf.Version) bool {
-		next := measures.Analyze(newer.Graph)
+		next := measures.Analyze(newer.Graph, prev)
 		a.add(measures.NewContextFromAnalyses(prev, next, delta.ComputeVersions(older, newer)), m)
 		prev = next
 		return true
