@@ -344,7 +344,7 @@ func instanceChain(t *testing.T) *rdf.VersionStore {
 	kb.Classes = 200
 	ev := synth.EvolveConfig{Ops: 3, Locality: 0.8,
 		Weights: synth.OpWeights{AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}}
-	vs, _, err := synth.GenerateVersions(kb, ev, 2, 7)
+	vs, _, err := synth.GenerateVersions(kb, ev, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +379,17 @@ func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The premise: v3's analysis differs from v2's, so items built from a
+	// stale or misplaced carry would differ.
+	moved := false
+	for _, it := range want {
+		for _, v := range it.Scores {
+			moved = moved || (it.ID() == "relevance_shift" && v != 0)
+		}
+	}
+	if !moved {
+		t.Fatal("v2->v3 shifts no class's relevance; the chain cannot show a wrong carry")
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%d items, fresh engine has %d", len(got), len(want))
 	}
@@ -405,7 +416,7 @@ func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
 // TestConsecutiveBuildAllocs gates the allocations of a commit's pair
 // build, (v2,v3) right after (v1,v2): it analyzes v3 alone and takes v3's
 // Brandes vectors from v2's analysis. Measured on this chain with go1.24:
-// 3,001 allocations, against 4,742 when both sides were analyzed in full;
+// 3,034 allocations, against 4,778 when both sides were analyzed in full;
 // the bound leaves 10% headroom.
 func TestConsecutiveBuildAllocs(t *testing.T) {
 	if raceEnabled {
@@ -428,7 +439,7 @@ func TestConsecutiveBuildAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("allocations per consecutive pair build: %v", got)
-	const bound = 3300
+	const bound = 3340
 	if got > bound {
 		t.Fatalf("a consecutive pair build allocates %v, more than %d", got, bound)
 	}
