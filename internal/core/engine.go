@@ -40,12 +40,13 @@ type Config struct {
 // it built, which is the older side of the next consecutive pair.
 //
 // Engine is not safe for unsupervised concurrent use: Ingest and Items
-// mutate the cache. It is, however, built to sit behind an external
-// reader/writer lock (internal/service does exactly that): once a pair is
-// cached — observable through HasItems — Recommend, RecommendGroup, Notify
-// and RecommendPrivate only read the cache and append to the (internally
-// synchronized) provenance store, so any number of them may run concurrently
-// under a read lock while cache-building calls hold the write lock.
+// mutate the cache, and Context the carried analysis. It is, however,
+// built to sit behind an external reader/writer lock (internal/service
+// does exactly that): once a pair is cached — observable through HasItems
+// — Recommend, RecommendGroup, Notify and RecommendPrivate only read the
+// cache and append to the (internally synchronized) provenance store, so
+// any number of them may run concurrently under a read lock while
+// cache-building calls hold the write lock.
 type Engine struct {
 	registry *measures.Registry
 	agent    string
