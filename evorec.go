@@ -626,9 +626,10 @@ func ReadProfileJSON(r io.Reader) (*Profile, error) { return profile.ReadJSON(r)
 // Concurrent evolution service and HTTP API
 
 // Service is the concurrency-safe multi-dataset registry: each named
-// dataset wraps one engine behind a reader/writer lock with per-pair
-// singleflight, serves recommendations to concurrent clients, and accepts
-// version commits at runtime (see DESIGN.md §7).
+// dataset wraps one engine behind one writer mutex with per-pair
+// singleflight, serves recommendations on built pairs to concurrent
+// clients without a lock, and accepts version commits at runtime (see
+// DESIGN.md §7).
 type Service = service.Service
 
 // ServiceConfig parameterizes a Service.

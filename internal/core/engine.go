@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"evorec/internal/delta"
@@ -39,14 +40,16 @@ type Config struct {
 // context holds, the engine keeps one: the newer side of the last context
 // it built, which is the older side of the next consecutive pair.
 //
-// Engine is not safe for unsupervised concurrent use: Ingest and Items
-// mutate the cache, and Context the carried analysis. It is, however,
-// built to sit behind an external reader/writer lock (internal/service
-// does exactly that): once a pair is cached — observable through HasItems
-// — Recommend, RecommendGroup, Notify and RecommendPrivate only read the
-// cache and append to the (internally synchronized) provenance store, so
-// any number of them may run concurrently under a read lock while
-// cache-building calls hold the write lock.
+// Concurrency: the caller serializes every call that can build — Ingest,
+// Context, TrendAnalysis, UserReport, and any call on a pair not yet
+// cached — since those write the version store, the carried analysis and
+// the pair cache (internal/service holds one mutex for them). A cached pair
+// is immutable and is never dropped, and the pair cache is safe for lookups
+// beside that one builder: once HasItems reports a pair, Recommend,
+// RecommendGroup, RecommendPrivate, Notify, Items, ItemIndex and DeltaSizes
+// on it only read the pair and append to the internally synchronized
+// provenance store, so any number of them may run concurrently with each
+// other and with the builder, without a lock.
 type Engine struct {
 	registry *measures.Registry
 	agent    string
@@ -54,7 +57,7 @@ type Engine struct {
 	prov     *provenance.Store
 
 	versionRec map[string]string // version ID -> provenance record ID
-	pairs      map[string]*pair  // pair key -> cached items
+	pairs      sync.Map          // pair key -> *pair, written once per key
 	ctxBuilds  int               // contexts actually constructed
 
 	// carry is the newer side's analysis from the last context built, and
@@ -64,14 +67,13 @@ type Engine struct {
 	carryGraph *rdf.Graph
 }
 
-// pair is one version pair's cached evaluation.
+// pair is one version pair's cached evaluation, immutable once stored.
 type pair struct {
-	olderID, newerID string
-	items            []recommend.Item
+	items []recommend.Item
 	// idx is the scoring kernel's index over items: built once per pair, so
 	// every later recommend/notify against the pair scores through flat
 	// vectors and postings without mutating anything — the property that
-	// lets the service run them under a read lock.
+	// lets the service run them without a lock.
 	idx            *recommend.ItemIndex
 	added, deleted int    // |δ+| and |δ-|, the low-level delta sizes
 	rec            string // evaluate_measures provenance record ID
@@ -99,7 +101,6 @@ func New(cfg Config) *Engine {
 		versions:   rdf.NewVersionStore(),
 		prov:       prov,
 		versionRec: make(map[string]string),
-		pairs:      make(map[string]*pair),
 	}
 }
 
@@ -188,13 +189,22 @@ func (e *Engine) recordContext(olderID, newerID string, ctx *measures.Context) (
 	return ctx, nil
 }
 
+// lookup returns the pair's cache entry, if it is built.
+func (e *Engine) lookup(olderID, newerID string) (*pair, bool) {
+	p, ok := e.pairs.Load(pairKey(olderID, newerID))
+	if !ok {
+		return nil, false
+	}
+	return p.(*pair), true
+}
+
 // cached returns the pair's cache entry, building it on first use: every
 // registered measure evaluated on a context that is dropped afterwards.
 func (e *Engine) cached(olderID, newerID string) (*pair, error) {
-	key := pairKey(olderID, newerID)
-	if p, ok := e.pairs[key]; ok {
+	if p, ok := e.lookup(olderID, newerID); ok {
 		return p, nil
 	}
+	key := pairKey(olderID, newerID)
 	ctx, err := e.Context(olderID, newerID)
 	if err != nil {
 		return nil, err
@@ -210,10 +220,9 @@ func (e *Engine) cached(olderID, newerID string) (*pair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: recording measure provenance: %w", err)
 	}
-	p := &pair{olderID: olderID, newerID: newerID, items: items,
-		idx:   recommend.NewItemIndex(items),
+	p := &pair{items: items, idx: recommend.NewItemIndex(items),
 		added: len(ctx.Delta.Added), deleted: len(ctx.Delta.Deleted), rec: rec.ID}
-	e.pairs[key] = p
+	e.pairs.Store(key, p)
 	return p, nil
 }
 
@@ -249,12 +258,12 @@ func (e *Engine) DeltaSizes(olderID, newerID string) (added, deleted int, err er
 	return p.added, p.deleted, nil
 }
 
-// HasItems reports whether the pair's items are already cached. When it
-// returns true, the recommendation entry points read the cache without
-// mutating it, which is what lets a service run them concurrently under a
-// read lock.
+// HasItems reports whether the pair's items are already cached. Safe beside
+// the builder; once it returns true it stays true, and the entry points on
+// the pair read it without mutating anything, so a service can run them
+// without a lock.
 func (e *Engine) HasItems(olderID, newerID string) bool {
-	_, ok := e.pairs[pairKey(olderID, newerID)]
+	_, ok := e.lookup(olderID, newerID)
 	return ok
 }
 
@@ -265,31 +274,13 @@ func (e *Engine) ContextBuilds() int { return e.ctxBuilds }
 
 // CachedPairs returns the pair keys with cached items, sorted.
 func (e *Engine) CachedPairs() []string {
-	out := make([]string, 0, len(e.pairs))
-	for key := range e.pairs {
-		out = append(out, key)
-	}
+	var out []string
+	e.pairs.Range(func(key, _ any) bool {
+		out = append(out, key.(string))
+		return true
+	})
 	sort.Strings(out)
 	return out
-}
-
-// InvalidateVersion drops every cached pair that involves the version, and
-// the carried analysis if it is the version's, and returns how many pairs
-// were dropped. Committing a replacement or repaired version invalidates
-// exactly the derived state that read it — untouched pairs keep their
-// caches.
-func (e *Engine) InvalidateVersion(id string) int {
-	if v, ok := e.versions.Get(id); ok && v.Graph == e.carryGraph {
-		e.carry, e.carryGraph = nil, nil
-	}
-	n := 0
-	for key, p := range e.pairs {
-		if p.olderID == id || p.newerID == id {
-			delete(e.pairs, key)
-			n++
-		}
-	}
-	return n
 }
 
 // Strategy selects the single-user recommendation algorithm.

@@ -279,7 +279,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestCacheAccessorsAndInvalidation(t *testing.T) {
+func TestCacheAccessors(t *testing.T) {
 	e, _ := testEngine(t) // v1..v3 ingested
 	if e.HasItems("v1", "v2") || e.ContextBuilds() != 0 || len(e.CachedPairs()) != 0 {
 		t.Fatal("fresh engine must have empty caches")
@@ -314,23 +314,6 @@ func TestCacheAccessorsAndInvalidation(t *testing.T) {
 	if err != nil || added != len(want.Added) || deleted != len(want.Deleted) || e.ContextBuilds() != 2 {
 		t.Fatalf("DeltaSizes = %d, %d, %v after %d builds; want %d, %d after 2",
 			added, deleted, err, e.ContextBuilds(), len(want.Added), len(want.Deleted))
-	}
-	// InvalidateVersion drops exactly the pairs that read the version.
-	if n := e.InvalidateVersion("v2"); n != 2 {
-		t.Fatalf("InvalidateVersion(v2) dropped %d pairs, want 2", n)
-	}
-	if e.HasItems("v1", "v2") || e.HasItems("v2", "v3") || len(e.CachedPairs()) != 0 {
-		t.Fatal("invalidated pairs must be gone")
-	}
-	if n := e.InvalidateVersion("v2"); n != 0 {
-		t.Fatalf("second invalidation dropped %d pairs, want 0", n)
-	}
-	// The next request rebuilds transparently.
-	if _, err := e.Items("v1", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.ContextBuilds(); got != 3 {
-		t.Fatalf("rebuild after invalidation: ContextBuilds = %d, want 3", got)
 	}
 }
 
@@ -403,13 +386,6 @@ func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
 				t.Fatalf("%s %v: score %v vector %v, fresh engine %v and %v", w.ID(), term, g.Scores[term], g.Vector[term], ws, w.Vector[term])
 			}
 		}
-	}
-	// Invalidating a version drops the carry only if it is that version's.
-	if e.InvalidateVersion("v2"); e.carry == nil {
-		t.Fatal("InvalidateVersion(v2) dropped v3's carried analysis")
-	}
-	if e.InvalidateVersion("v3"); e.carry != nil {
-		t.Fatal("InvalidateVersion(v3) kept v3's carried analysis")
 	}
 }
 

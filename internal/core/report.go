@@ -21,7 +21,7 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 		return "", err
 	}
 	// Recommend built the pair, so both versions are ingested.
-	p := e.pairs[pairKey(req.OlderID, req.NewerID)]
+	p, _ := e.lookup(req.OlderID, req.NewerID)
 	older, _ := e.versions.Get(req.OlderID)
 	newer, _ := e.versions.Get(req.NewerID)
 

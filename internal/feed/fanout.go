@@ -9,7 +9,6 @@ import (
 
 	"evorec/internal/core"
 	"evorec/internal/obs"
-	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 )
 
@@ -25,8 +24,8 @@ type Stats struct {
 	// Notified is how many notifications were appended across feed logs.
 	Notified int
 	// Skipped reports that the pair was already fanned out (the ledger
-	// makes fan-out idempotent per pair, so a pair invalidated and rebuilt
-	// never re-notifies).
+	// makes fan-out idempotent per pair, so a pair fanned out again never
+	// re-notifies).
 	Skipped bool
 }
 
@@ -114,17 +113,12 @@ func (f *Feed) FanOutIndexedCtx(ctx context.Context, olderID, newerID string, id
 
 // affectedLocked intersects the index's positively-scored entity terms
 // (precomputed and deduplicated at index build) with the inverted
-// subscriber index and returns the matched subscriber IDs, sorted. Terms no
-// subscriber ever registered an interest in are absent from the feed
-// dictionary and cost one failed lookup.
+// subscriber index and returns the matched subscriber IDs, sorted. A term
+// no subscriber names costs one failed lookup.
 func (f *Feed) affectedLocked(idx *recommend.ItemIndex) []string {
 	set := make(map[string]struct{})
 	for _, t := range idx.EntityTerms() {
-		tid, ok := f.dict.Lookup(t)
-		if !ok || tid == rdf.AnyID {
-			continue
-		}
-		for sub := range f.idx[tid] {
+		for sub := range f.idx[t] {
 			set[sub] = struct{}{}
 		}
 	}

@@ -6,8 +6,8 @@
 // notified about how data evolve" — but a stateless Notify endpoint makes
 // every client re-send its whole profile pool and re-scores all of them per
 // request, O(users × items) every time. The feed inverts that: subscribers
-// register once, their interest terms index into postings lists keyed on
-// dictionary TermIDs, and when a commit produces a new version pair the
+// register once, their interest terms index into postings lists keyed by
+// term, and when a commit produces a new version pair the
 // fan-out intersects the pair's evaluated items' entity terms with the
 // index and scores only the affected subscribers — O(affected), not
 // O(pool). Notifications land in durable per-user feed logs with monotonic
@@ -159,9 +159,8 @@ type Feed struct {
 	metrics   metrics
 
 	mu   sync.RWMutex
-	dict *rdf.Dict                          // feed-private interner of interest terms
-	subs map[string]*profile.Profile        // subscriber ID -> owned profile clone
-	idx  map[rdf.TermID]map[string]struct{} // interest term -> postings
+	subs map[string]*profile.Profile      // subscriber ID -> owned profile clone
+	idx  map[rdf.Term]map[string]struct{} // interest term -> postings
 	logs map[string]*userLog
 	done map[string][2]string // fanned-out (older, newer) pairs: the idempotence ledger
 
@@ -201,9 +200,8 @@ func Open(cfg Config) (*Feed, error) {
 		threshold: cfg.Threshold,
 		k:         cfg.K,
 		metrics:   newMetrics(cfg.Metrics),
-		dict:      rdf.NewDict(),
 		subs:      make(map[string]*profile.Profile),
-		idx:       make(map[rdf.TermID]map[string]struct{}),
+		idx:       make(map[rdf.Term]map[string]struct{}),
 		logs:      make(map[string]*userLog),
 		done:      make(map[string][2]string),
 	}
@@ -307,30 +305,26 @@ func (f *Feed) Unsubscribe(id string) error {
 }
 
 // addPostingsLocked inserts id into the postings list of each of p's
-// interest terms, interning new terms into the feed dictionary.
+// interest terms.
 func (f *Feed) addPostingsLocked(id string, p *profile.Profile) {
 	for t := range p.Interests {
-		tid := f.dict.Intern(t)
-		post := f.idx[tid]
+		post := f.idx[t]
 		if post == nil {
 			post = make(map[string]struct{})
-			f.idx[tid] = post
+			f.idx[t] = post
 		}
 		post[id] = struct{}{}
 	}
 }
 
-// dropPostingsLocked removes id from every postings list of p's interests.
+// dropPostingsLocked removes id from every postings list of p's interests;
+// a term nobody names any more leaves the index.
 func (f *Feed) dropPostingsLocked(id string, p *profile.Profile) {
 	for t := range p.Interests {
-		tid, ok := f.dict.Lookup(t)
-		if !ok {
-			continue
-		}
-		post := f.idx[tid]
+		post := f.idx[t]
 		delete(post, id)
 		if len(post) == 0 {
-			delete(f.idx, tid)
+			delete(f.idx, t)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // construction, user interests are compiled against it lookup-only per
 // call, so serving never mutates the index. An ItemIndex is immutable after
 // construction and safe for concurrent use; per-call scratch comes from a
-// package-level sync.Pool, which the engine's read-locked recommend path
-// and the feed's fan-out workers share for free.
+// package-level sync.Pool, which the engine's lock-free warm recommend
+// path and the feed's fan-out workers share for free.
 type ItemIndex struct {
 	items  []Item
 	ids    []string       // measure IDs, aligned with items

@@ -361,10 +361,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // Version and analysis handlers
 
 // maxCommitBody bounds a commit request's N-Triples body (128 MiB). The
-// body is read fully before the dataset's write lock is taken — Commit
-// parses under the lock (the body interns into the shared dictionary), and
-// a slow client must not be able to stall every reader of the dataset for
-// the duration of its upload.
+// body is read fully before the dataset's mutex is taken — Commit parses
+// under the mutex (the body interns into the shared dictionary), and a slow
+// client must not be able to stall the dataset's other commits, cold
+// builds and delta reads for the duration of its upload.
 const maxCommitBody = 128 << 20
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {

@@ -125,7 +125,7 @@ func (d *Dataset) runCommits() {
 // poisons the store handle AND is reported the moment it happens — a
 // failure-count tick, a WARN line, and the transition into the degraded
 // state that suspends commits while the heal probe works the disk. It
-// holds only this dataset's write lock; readiness is unaffected.
+// holds only this dataset's mu; readiness is unaffected.
 func (d *Dataset) checkpointStore() {
 	if d.sds == nil {
 		return
@@ -145,8 +145,8 @@ func (d *Dataset) checkpointStore() {
 	}
 }
 
-// commitBatch parses, persists and ingests one batch under a single
-// write-lock hold and resolves every request's done channel. Per-request
+// commitBatch parses, persists and ingests one batch under a single hold of
+// mu and resolves every request's done channel. Per-request
 // failures (duplicate ID, parse error, unusable file name) drop only that
 // request; the rest of the batch proceeds.
 func (d *Dataset) commitBatch(batch []*commitReq) {

@@ -111,7 +111,7 @@ func TestServiceCommitBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the committer: hold the dataset write lock so the drain
+	// Wedge the committer: hold the dataset mutex so the drain
 	// goroutine blocks inside commitBatch while the queue refills.
 	d.mu.Lock()
 	release := sync.OnceFunc(d.mu.Unlock)

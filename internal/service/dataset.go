@@ -25,25 +25,27 @@ import (
 // Dataset is the thread-safe facade over one named dataset's engine. The
 // zero value is not usable; Service.Open/Create/Add construct datasets.
 //
-// Locking: mu guards the engine, the backing store handle and the version
-// chain. Requests against an already-built pair proceed under RLock (the
-// engine only reads its caches then — see core.Engine's contract); pair
-// builds, commits and cache resizing take the write lock, with the
-// per-pair flightGroup collapsing concurrent builds of one pair into a
-// single engine call.
+// Locking: mu serializes the writers — commit batches, pair builds, idle
+// checkpoints, the heal probe and Close — and the reads of version graphs or
+// of the version chain (DeltaCtx, Versions, Info, ContextBuilds). A cached
+// pair is immutable and stays cached, so requests against one (recommend,
+// group, private, notify, measures) take no dataset lock at all: they read
+// the pair through the engine's concurrent pair cache (see core.Engine's
+// contract). The per-pair flightGroup collapses concurrent builds of one
+// pair into a single engine call.
 type Dataset struct {
 	name string
 	dir  string
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	eng     *core.Engine
 	sds     *store.Dataset // nil for in-memory datasets
 	flights flightGroup
 
 	// feed is the dataset's subscription subsystem. It carries its own
 	// lock: Subscribe/Unsubscribe/Poll never touch mu, and the commit path
-	// calls FanOutIndexedCtx while holding mu's write lock (the feed lock
-	// nests strictly inside mu, never the reverse, so the order is acyclic).
+	// calls FanOutIndexedCtx while holding mu (the feed lock nests strictly
+	// inside mu, never the reverse, so the order is acyclic).
 	feed *feed.Feed
 
 	// committer coalesces concurrent CommitCtx calls into store batches (one
@@ -150,8 +152,8 @@ func (d *Dataset) Dir() string { return d.dir }
 
 // Versions returns the dataset's version IDs in evolution order.
 func (d *Dataset) Versions() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.sds != nil {
 		return d.sds.IDs()
 	}
@@ -159,7 +161,7 @@ func (d *Dataset) Versions() []string {
 }
 
 // hasVersionLocked reports version existence without materializing; callers
-// hold either lock mode.
+// hold mu.
 func (d *Dataset) hasVersionLocked(id string) bool {
 	if _, ok := d.eng.Versions().Get(id); ok {
 		return true
@@ -171,7 +173,7 @@ func (d *Dataset) hasVersionLocked(id string) bool {
 // from the backing store on first use. Ingested versions stay resident in
 // the engine's version store, so the store LRU bounds reconstruction cost
 // while serving memory grows with the distinct versions actually requested.
-// Callers hold the write lock. When ctx carries a sampled trace, a cold
+// Callers hold mu. When ctx carries a sampled trace, a cold
 // page-in surfaces as a "store.materialize" span.
 func (d *Dataset) ensureVersionLocked(ctx context.Context, id string) error {
 	if _, ok := d.eng.Versions().Get(id); ok {
@@ -192,66 +194,58 @@ func (d *Dataset) ensureVersionLocked(ctx context.Context, id string) error {
 
 func pairKey(olderID, newerID string) string { return olderID + "\x00" + newerID }
 
-// ensureItems guarantees the pair's context and items are cached, electing
-// one builder per pair among concurrent requesters. On return (nil error)
-// the pair was cached at some instant; read paths re-check under their own
-// RLock and retry, so a concurrent invalidation costs a rebuild, never a
-// race.
-// The pair-cached fast path touches no tracing state at all — a warm
-// recommend keeps its pre-tracing allocation profile whether or not the
-// request is sampled. Only the slow path (a build, or a wait on someone
-// else's build) opens spans: "service.pair_build" on the singleflight
-// leader, "service.pair_wait" on followers.
+// ensureItems guarantees the pair's items are cached, electing one builder
+// per pair among concurrent requesters. A cached pair is never dropped, so
+// a nil return means every engine entry point on the pair reads it without
+// building. The pair-cached fast path takes no lock and touches no tracing
+// state at all — a warm recommend keeps its pre-tracing allocation profile
+// whether or not the request is sampled. Only the slow path (a build, or a
+// wait on someone else's build) opens spans: "service.pair_build" on the
+// singleflight leader, "service.pair_wait" on followers.
 func (d *Dataset) ensureItems(ctx context.Context, olderID, newerID string) error {
-	d.mu.RLock()
-	cached := d.eng.HasItems(olderID, newerID)
-	d.mu.RUnlock()
-	if cached {
+	if d.eng.HasItems(olderID, newerID) {
 		d.metrics.pairHits.Inc()
 		return nil
 	}
 	key := pairKey(olderID, newerID)
 	for {
 		fl, leader := d.flights.join(key)
-		if !leader {
-			_, ws := obs.StartSpan(ctx, "service.pair_wait")
-			err := fl.wait()
-			ws.SetAttr("older", olderID)
-			ws.SetAttr("newer", newerID)
-			ws.End()
-			if err != nil {
-				// The leader's shed propagates to every follower as its own
-				// 503, so the shed counter must move once per shed request,
-				// not once per shed build — clients and metrics reconcile 1:1.
-				if errors.Is(err, ErrBuildBusy) {
-					d.metrics.buildShed.Inc()
-				}
+		if leader {
+			// The leader claims a cold-build slot before touching mu: a
+			// saturated gate sheds here (503), so a pile-up of distinct
+			// cold pairs cannot queue every request behind one slow build.
+			if err := d.acquireBuildSlot(); err != nil {
+				d.flights.leave(key, fl, err)
 				return err
 			}
-			d.mu.RLock()
-			cached := d.eng.HasItems(olderID, newerID)
-			d.mu.RUnlock()
-			if cached {
-				return nil
-			}
-			continue // invalidated between the leader's build and now
-		}
-		// The leader claims a cold-build slot before touching the write
-		// lock: a saturated gate sheds here (503), so a pile-up of distinct
-		// cold pairs cannot queue every request behind one slow build.
-		if err := d.acquireBuildSlot(); err != nil {
+			err := d.buildItems(ctx, olderID, newerID)
+			d.releaseBuildSlot()
 			d.flights.leave(key, fl, err)
 			return err
 		}
-		err := d.buildItems(ctx, olderID, newerID)
-		d.releaseBuildSlot()
-		d.flights.leave(key, fl, err)
+		_, ws := obs.StartSpan(ctx, "service.pair_wait")
+		err := fl.wait()
+		ws.SetAttr("older", olderID)
+		ws.SetAttr("newer", newerID)
+		ws.End()
+		// A leader whose own deadline or client ended it built nothing; a
+		// follower whose context is still live joins again, and the next
+		// join elects a new leader.
+		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+			continue
+		}
+		// The leader's shed propagates to every follower as its own 503, so
+		// the shed counter must move once per shed request, not once per
+		// shed build — clients and metrics reconcile 1:1.
+		if errors.Is(err, ErrBuildBusy) {
+			d.metrics.buildShed.Inc()
+		}
 		return err
 	}
 }
 
 // buildItems is the singleflight leader's body: materialize both versions
-// and build the pair under the write lock.
+// and build the pair under mu.
 func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error {
 	ctx, bs := obs.StartSpan(ctx, "service.pair_build")
 	bs.SetAttr("older", olderID)
@@ -262,9 +256,9 @@ func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error
 	if d.eng.HasItems(olderID, newerID) {
 		return nil
 	}
-	// A request whose deadline expired while queueing for the write lock
-	// must not charge its (possibly long) materialization to a client that
-	// already hung up — the next requester re-elects a leader and builds.
+	// A request whose deadline expired while queueing for mu must not
+	// charge its (possibly long) materialization to a client that already
+	// hung up — its followers elect a new leader and build.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -281,24 +275,6 @@ func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error
 	return err
 }
 
-// withItems runs fn under RLock with the pair guaranteed cached for the
-// duration of the call.
-func (d *Dataset) withItems(ctx context.Context, olderID, newerID string, fn func() error) error {
-	for {
-		if err := d.ensureItems(ctx, olderID, newerID); err != nil {
-			return err
-		}
-		d.mu.RLock()
-		if !d.eng.HasItems(olderID, newerID) {
-			d.mu.RUnlock()
-			continue
-		}
-		err := fn()
-		d.mu.RUnlock()
-		return err
-	}
-}
-
 // RecommendCtx produces a recommendation list for one user. The profile is
 // caller-owned: concurrent requests must not share one mutable profile when
 // req.MarkSeen is set (the HTTP layer builds request-scoped profiles). When
@@ -306,48 +282,36 @@ func (d *Dataset) withItems(ctx context.Context, olderID, newerID string, fn fun
 // "service.pair_build" (or "service.pair_wait") child span; the warm path
 // records nothing.
 func (d *Dataset) RecommendCtx(ctx context.Context, u *profile.Profile, req core.Request) ([]recommend.Recommendation, error) {
-	var sel []recommend.Recommendation
-	err := d.withItems(ctx, req.OlderID, req.NewerID, func() error {
-		var err error
-		sel, err = d.eng.Recommend(u, req)
-		return err
-	})
-	return sel, err
+	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
+		return nil, err
+	}
+	return d.eng.Recommend(u, req)
 }
 
 // RecommendPrivateCtx recommends for pool member idx through the anonymized
 // view of the pool (k-anonymity and/or differential privacy).
 func (d *Dataset) RecommendPrivateCtx(ctx context.Context, pool []*profile.Profile, idx int, req core.Request, pol core.PrivacyPolicy) ([]recommend.Recommendation, error) {
-	var sel []recommend.Recommendation
-	err := d.withItems(ctx, req.OlderID, req.NewerID, func() error {
-		var err error
-		sel, err = d.eng.RecommendPrivate(pool, idx, req, pol)
-		return err
-	})
-	return sel, err
+	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
+		return nil, err
+	}
+	return d.eng.RecommendPrivate(pool, idx, req, pol)
 }
 
 // RecommendGroupCtx produces a recommendation list for a group.
 func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req core.GroupRequest) ([]recommend.Recommendation, error) {
-	var sel []recommend.Recommendation
-	err := d.withItems(ctx, req.OlderID, req.NewerID, func() error {
-		var err error
-		sel, err = d.eng.RecommendGroup(g, req)
-		return err
-	})
-	return sel, err
+	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
+		return nil, err
+	}
+	return d.eng.RecommendGroup(g, req)
 }
 
 // NotifyCtx scans the pool after a version pair and emits per-user
 // notifications whose relatedness crosses the threshold.
 func (d *Dataset) NotifyCtx(ctx context.Context, pool []*profile.Profile, olderID, newerID string, threshold float64, k int) ([]core.Notification, error) {
-	var out []core.Notification
-	err := d.withItems(ctx, olderID, newerID, func() error {
-		var err error
-		out, err = d.eng.Notify(pool, olderID, newerID, threshold, k)
-		return err
-	})
-	return out, err
+	if err := d.ensureItems(ctx, olderID, newerID); err != nil {
+		return nil, err
+	}
+	return d.eng.Notify(pool, olderID, newerID, threshold, k)
 }
 
 // DeltaStats summarizes one pair's evolution for the delta endpoint.
@@ -359,24 +323,26 @@ type DeltaStats struct {
 
 // DeltaCtx returns the pair's low-level delta sizes, which the engine's pair
 // cache records, and its rendered high-level changes, detected on the two
-// resident versions.
+// resident versions. It reads version graphs, so it holds mu: a commit may
+// be ingesting a version and interning into the shared dictionary.
 func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*DeltaStats, error) {
-	var out *DeltaStats
-	err := d.withItems(ctx, olderID, newerID, func() error {
-		added, deleted, err := d.eng.DeltaSizes(olderID, newerID)
-		if err != nil {
-			return err
-		}
-		// The pair is cached, so both versions are resident in the engine.
-		older, _ := d.eng.Versions().Get(olderID)
-		newer, _ := d.eng.Versions().Get(newerID)
-		out = &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted}
-		for _, c := range delta.DetectHighLevel(older.Graph, newer.Graph) {
-			out.HighLevel = append(out.HighLevel, c.String())
-		}
-		return nil
-	})
-	return out, err
+	if err := d.ensureItems(ctx, olderID, newerID); err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	added, deleted, err := d.eng.DeltaSizes(olderID, newerID)
+	if err != nil {
+		return nil, err
+	}
+	// The pair is cached, so both versions are resident in the engine.
+	older, _ := d.eng.Versions().Get(olderID)
+	newer, _ := d.eng.Versions().Get(newerID)
+	out := &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted}
+	for _, c := range delta.DetectHighLevel(older.Graph, newer.Graph) {
+		out.HighLevel = append(out.HighLevel, c.String())
+	}
+	return out, nil
 }
 
 // EntityScore is one entity's evolution-intensity value.
@@ -393,34 +359,34 @@ type MeasureEval struct {
 }
 
 // MeasuresCtx returns every registered measure evaluated on the pair, with
-// up to k top entities each (k <= 0 omits entities).
+// up to k top entities each (k <= 0 omits entities). It reads only the
+// pair's items.
 func (d *Dataset) MeasuresCtx(ctx context.Context, olderID, newerID string, k int) ([]MeasureEval, error) {
-	var out []MeasureEval
-	err := d.withItems(ctx, olderID, newerID, func() error {
-		items, err := d.eng.Items(olderID, newerID)
-		if err != nil {
-			return err
+	if err := d.ensureItems(ctx, olderID, newerID); err != nil {
+		return nil, err
+	}
+	items, err := d.eng.Items(olderID, newerID)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MeasureEval, 0, len(items))
+	for _, it := range items {
+		ev := MeasureEval{
+			ID:       it.ID(),
+			Name:     it.Measure.Name(),
+			Category: it.Category().String(),
 		}
-		out = make([]MeasureEval, 0, len(items))
-		for _, it := range items {
-			ev := MeasureEval{
-				ID:       it.ID(),
-				Name:     it.Measure.Name(),
-				Category: it.Category().String(),
-			}
-			if k > 0 {
-				for _, e := range it.Scores.Rank().TopK(k) {
-					if e.Score == 0 {
-						break
-					}
-					ev.Top = append(ev.Top, EntityScore{Entity: e.Term.Local(), Score: e.Score})
+		if k > 0 {
+			for _, e := range it.Scores.Rank().TopK(k) {
+				if e.Score == 0 {
+					break
 				}
+				ev.Top = append(ev.Top, EntityScore{Entity: e.Term.Local(), Score: e.Score})
 			}
-			out = append(out, ev)
 		}
-		return nil
-	})
-	return out, err
+		out = append(out, ev)
+	}
+	return out, nil
 }
 
 // CommitInfo reports what a commit did.
@@ -454,9 +420,7 @@ type CommitInfo struct {
 // it through the binary store's append path when the dataset is
 // disk-backed, and registers it with the engine. Because commits are
 // append-only — duplicate IDs are rejected, never replaced — no cached
-// pair can reference the committed ID, so existing pair caches stay valid
-// untouched; a future replace/repair flow would invalidate selectively via
-// the engine's InvalidateVersion hook.
+// pair can reference the committed ID, and every cached pair stays valid.
 //
 // Concurrent commits coalesce through the dataset's group committer: the
 // call enqueues and blocks until its commit is durable (or failed), and
@@ -464,8 +428,8 @@ type CommitInfo struct {
 // batch behind a single WAL fsync. When the queue is saturated the call
 // fails fast with ErrCommitBusy instead of blocking — the HTTP layer maps
 // that to 503 + Retry-After. Callers should hand in an in-memory reader
-// (the HTTP layer buffers the network body first) so the batch's write-lock
-// hold never spans a slow upload.
+// (the HTTP layer buffers the network body first) so the batch's hold of mu
+// never spans a slow upload.
 //
 // When ctx carries a sampled trace, the time between enqueue and the drain
 // goroutine picking the commit up is recorded as a "commit.queue_wait"
@@ -518,7 +482,7 @@ func (d *Dataset) Close() error {
 // fanOutLocked builds the pair's items and fans them out through the
 // engine's pair-cached scoring index (so the fan-out and every request that
 // follows the commit score through the same compiled structures); callers
-// hold the write lock. A non-nil Stats alongside an error means delivery
+// hold mu. A non-nil Stats alongside an error means delivery
 // happened in memory but persisting a feed file failed. ctx is the
 // originating commit request's: the pair build and the feed's fan-out spans
 // nest under its trace when sampled.
@@ -598,35 +562,13 @@ func (d *Dataset) dictLocked() *rdf.Dict {
 	return rdf.NewDict()
 }
 
-// SetCacheCap resizes the backing store's graph LRU (minimum 1). It errors
-// on in-memory datasets, which hold every version materialized.
-func (d *Dataset) SetCacheCap(n int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sds == nil {
-		return fmt.Errorf("service: dataset %q is in-memory and has no store cache", d.name)
-	}
-	return d.sds.SetCacheCap(n)
-}
-
 // ContextBuilds returns how many measure contexts the dataset's engine
 // actually constructed; under singleflight this equals the number of
 // distinct pairs requested, however many clients raced.
 func (d *Dataset) ContextBuilds() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.ContextBuilds()
-}
-
-// InvalidateVersion drops every cached pair involving the version (a
-// repair/replace hook) and returns how many pairs were dropped. The feed's
-// fan-out ledger is deliberately left intact: a pair rebuilt after
-// invalidation is recognized as already delivered, so subscribers are never
-// re-notified for a pair they have seen.
-func (d *Dataset) InvalidateVersion(id string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.eng.InvalidateVersion(id)
+	return d.eng.ContextBuilds()
 }
 
 // ---------------------------------------------------------------------------
@@ -687,8 +629,8 @@ type Info struct {
 
 // Info returns an inspection snapshot of the dataset.
 func (d *Dataset) Info() Info {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	info := Info{
 		Name:              d.name,
 		Backed:            d.sds != nil,

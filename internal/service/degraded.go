@@ -43,8 +43,8 @@ const (
 )
 
 // enterDegradedLocked transitions the dataset to degraded and starts the
-// supervised heal probe. Callers hold d.mu's write lock (the only places
-// the write path can fail hold it), which also serializes probe restarts.
+// supervised heal probe. Callers hold d.mu (the only places the write path
+// can fail hold it), which also serializes probe restarts.
 // Re-entering while already degraded or healing is a no-op — the standing
 // probe keeps retrying.
 func (d *Dataset) enterDegradedLocked(cause error) {
@@ -101,7 +101,7 @@ func (d *Dataset) healProbe(stop, done chan struct{}) {
 }
 
 // tryHeal runs one probe attempt: healing state, a root span, the store's HealCtx
-// under the write lock, then healthy or back to degraded.
+// under mu, then healthy or back to degraded.
 func (d *Dataset) tryHeal(attempt int) bool {
 	d.state.Store(stateHealing)
 	d.health.moveDatasetState(stateDegraded, stateHealing)
@@ -144,7 +144,7 @@ func (d *Dataset) stopProbe() {
 // DefaultBuildConcurrency bounds concurrent cold pair builds when
 // Config.BuildConcurrency is zero: enough parallelism to warm a working set
 // fast, small enough that a thundering herd of distinct cold pairs sheds
-// load instead of queueing every goroutine behind the write lock.
+// load instead of queueing every goroutine behind the dataset mutex.
 const DefaultBuildConcurrency = 32
 
 // acquireBuildSlot claims a cold-build slot without blocking; a saturated

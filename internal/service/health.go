@@ -11,7 +11,7 @@ import (
 // Liveness (/healthz) stays green through both — the process is up — but
 // /readyz reports 503 so load balancers route around the window instead of
 // queueing behind it. A checkpoint is not a blocker: it holds only its own
-// dataset's write lock, and every other dataset keeps serving.
+// dataset's mutex, and every other dataset keeps serving.
 type blocker int
 
 const (

@@ -1,24 +1,27 @@
 // Package service is the concurrent serving layer over the processing model:
 // a long-lived registry of named datasets, each wrapping one core.Engine
-// behind a reader/writer lock with per-pair singleflight, so that many
-// clients can ask for recommendations against an evolving knowledge base at
-// once — the paper's "millions of users" scenario (ROADMAP north star) —
-// while commits append new versions at runtime.
+// behind one writer mutex with per-pair singleflight, so that many clients
+// can ask for recommendations against an evolving knowledge base at once —
+// the paper's "millions of users" scenario (ROADMAP north star) — while
+// commits append new versions at runtime.
 //
 // The concurrency model per dataset is:
 //
 //   - The expensive step (building a pair's measures.Context and items) runs
-//     under the dataset's write lock, and a per-pair singleflight elects one
+//     under the dataset's mutex, and a per-pair singleflight elects one
 //     goroutine to do it; every concurrent request for the same pair waits
-//     for that one build instead of racing the engine caches.
-//   - Once a pair is cached (core.Engine.HasItems), recommendation,
-//     notification and inspection requests run concurrently under the read
-//     lock: they only read the caches and append to the internally
-//     synchronized provenance store.
-//   - Commits (new versions) and cache-capacity changes take the write lock;
-//     a commit persists through the binary store's append path when the
-//     dataset is disk-backed and invalidates only the pairs that involve the
-//     committed version ID.
+//     for that one build. A follower whose leader gave up on its own
+//     context (deadline or hang-up) joins again and may lead the next build.
+//   - A cached pair (core.Engine.HasItems) is immutable and stays cached, so
+//     recommendation, notification and measure requests on it take no
+//     dataset lock: they read the pair through the engine's concurrent pair
+//     cache and append to the internally synchronized provenance store, and
+//     never wait for a commit.
+//   - Commits (new versions), idle checkpoints and the heal probe hold the
+//     mutex, and so do the reads of version graphs or of the version chain
+//     (the delta endpoint, inspection); a commit persists through the binary
+//     store's append path when the dataset is disk-backed. Commits are
+//     append-only, so no cached pair is ever invalidated.
 //
 // Datasets come in two flavors: disk-backed (opened from an internal/store
 // directory, versions materialize lazily through the store's LRU) and
@@ -103,7 +106,7 @@ type Config struct {
 	CommitQueue int
 	// BuildConcurrency bounds concurrent cold pair builds across the whole
 	// service; beyond it reads needing a build shed with ErrBuildBusy
-	// instead of queueing unboundedly behind the write lock. Zero keeps
+	// instead of queueing unboundedly behind the dataset mutex. Zero keeps
 	// DefaultBuildConcurrency; negative disables the gate.
 	BuildConcurrency int
 	// HealBackoff is the degraded-state probe's initial retry delay; zero

@@ -169,9 +169,11 @@ func TestServiceSingleflightOnePair(t *testing.T) {
 	}
 }
 
-// TestServiceHammerRecommendCommitNotify races recommendations,
-// notifications, inspections and runtime commits against one disk-backed
-// dataset; run under -race this is the service's data-race proof.
+// TestServiceHammerRecommendCommitNotify races every pair-reading entry
+// point, inspections and runtime commits against one disk-backed dataset.
+// The subscribers make each commit fan out, so it builds and publishes a
+// pair while readers run; under -race this is the service's data-race
+// proof.
 func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 	vs := testChain(t, 3) // v1..v4
 	pool := testProfiles(t, vs, 4)
@@ -184,7 +186,17 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, u := range pool {
+		if _, _, err := d.Subscribe(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group, err := profile.NewGroup("g", pool[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := vs.IDs()
+	const commits = 3
 	var wg sync.WaitGroup
 	// Committer: appends fresh versions (cloned tail + one new triple each)
 	// while readers hammer the fixed pairs.
@@ -192,12 +204,17 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		base := vs.Latest().Graph
-		for i := 0; i < 3; i++ {
+		for i := 0; i < commits; i++ {
 			g := base.Clone()
 			g.Add(rdf.T(rdf.ResourceIRI(fmt.Sprintf("live-%d", i)), rdf.RDFSLabel,
 				rdf.NewLiteral("committed mid-flight")))
-			if _, err := d.CommitCtx(context.Background(), fmt.Sprintf("v-live-%d", i), ntBody(t, g)); err != nil {
+			info, err := d.CommitCtx(context.Background(), fmt.Sprintf("v-live-%d", i), ntBody(t, g))
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if info.Feed == nil || info.FeedError != "" {
+				t.Errorf("commit %s did not fan out: %+v", info.ID, info)
 				return
 			}
 			base = g
@@ -207,29 +224,31 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
+			ctx := context.Background()
+			for i := 0; i < 14; i++ {
 				p := (w + i) % (len(ids) - 1)
 				older, newer := ids[p], ids[p+1]
-				switch i % 4 {
+				req := core.Request{OlderID: older, NewerID: newer, K: 3}
+				var err error
+				switch i % 7 {
 				case 0:
-					if _, err := d.RecommendCtx(context.Background(), pool[w%len(pool)], core.Request{
-						OlderID: older, NewerID: newer, K: 3,
-					}); err != nil {
-						t.Error(err)
-						return
-					}
+					_, err = d.RecommendCtx(ctx, pool[w%len(pool)], req)
 				case 1:
-					if _, err := d.NotifyCtx(context.Background(), pool, older, newer, 0.05, 2); err != nil {
-						t.Error(err)
-						return
-					}
+					_, err = d.NotifyCtx(ctx, pool, older, newer, 0.05, 2)
 				case 2:
-					if _, err := d.DeltaCtx(context.Background(), older, newer); err != nil {
-						t.Error(err)
-						return
-					}
+					_, err = d.DeltaCtx(ctx, older, newer)
+				case 3:
+					_, err = d.RecommendGroupCtx(ctx, group, core.GroupRequest{OlderID: older, NewerID: newer, K: 3})
+				case 4:
+					_, err = d.RecommendPrivateCtx(ctx, pool, w%len(pool), req, core.PrivacyPolicy{KAnonymity: 2})
+				case 5:
+					_, err = d.MeasuresCtx(ctx, older, newer, 2)
 				default:
 					d.Info()
+				}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)
@@ -238,17 +257,23 @@ func TestServiceHammerRecommendCommitNotify(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// Only the fixed consecutive pairs were analyzed, each exactly once.
-	if got, max := d.ContextBuilds(), len(ids)-1; got > max {
-		t.Fatalf("hammer built %d contexts, want at most %d", got, max)
+	// The fixed consecutive pairs and the commits' pairs were analyzed,
+	// each exactly once.
+	if got, want := d.ContextBuilds(), len(ids)-1+commits; got != want {
+		t.Fatalf("hammer built %d contexts, want %d", got, want)
 	}
-	// The committed versions landed in the persisted store.
+	// The committed versions landed in the persisted store. Close first:
+	// the drain goroutine's idle checkpoint may still be writing the
+	// directory that store.Open reads and replays into.
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 	back, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != len(ids)+3 {
-		t.Fatalf("store holds %d versions after live commits, want %d", back.Len(), len(ids)+3)
+	if back.Len() != len(ids)+commits {
+		t.Fatalf("store holds %d versions after live commits, want %d", back.Len(), len(ids)+commits)
 	}
 	if _, err := back.GraphCtx(context.Background(), "v-live-2"); err != nil {
 		t.Fatal(err)
@@ -342,23 +367,6 @@ func TestServiceBackedInfo(t *testing.T) {
 	}
 	if info.StoreCacheHits+info.StoreCacheMisses == 0 {
 		t.Fatal("materializing versions must move the store cache counters")
-	}
-	// In-memory datasets have no store LRU to resize.
-	mem, err := svc.Create("mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.SetCacheCap(2); err == nil {
-		t.Fatal("SetCacheCap on an in-memory dataset must error")
-	}
-	if err := d.SetCacheCap(0); err == nil {
-		t.Fatal("SetCacheCap(0) must be rejected")
-	}
-	if err := d.SetCacheCap(6); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Info().StoreCacheCap; got != 6 {
-		t.Fatalf("resized cache cap = %d, want 6", got)
 	}
 }
 

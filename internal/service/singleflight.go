@@ -5,8 +5,9 @@ import "sync"
 // flight is one in-progress pair build. Waiters block on done and read err
 // after it closes.
 type flight struct {
-	done chan struct{}
-	err  error
+	done    chan struct{}
+	err     error
+	waiters int // followers that joined; guarded by flightGroup.mu
 }
 
 func (fl *flight) wait() error {
@@ -30,6 +31,7 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if fl, ok := g.m[key]; ok {
+		fl.waiters++
 		return fl, false
 	}
 	if g.m == nil {
