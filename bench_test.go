@@ -344,6 +344,36 @@ func BenchmarkRecommendTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkRecommendDiverse measures the greedy diversifiers on the same
+// pair and pool as BenchmarkRecommendTopK: one scoring pass per request,
+// distances read from the table the first request builds.
+func BenchmarkRecommendDiverse(b *testing.B) {
+	older, newer := benchVersions(b)
+	ctx := measures.NewContext(older, newer)
+	idx := recommend.NewItemIndex(recommend.BuildItems(ctx, measures.NewRegistry()))
+	sch := schema.Extract(older.Graph)
+	pool, _, err := synth.GenerateProfiles(sch, synth.ProfileConfig{Users: 8, ExtraInterests: 2},
+		rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rank func(u *evorec.Profile) []evorec.Recommendation
+	}{
+		{"mmr", func(u *evorec.Profile) []evorec.Recommendation { return idx.MMR(u, 3, 0.5) }},
+		{"maxmin", func(u *evorec.Profile) []evorec.Recommendation { return idx.MaxMin(u, 3) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.rank(pool[i%len(pool)])
+			}
+		})
+	}
+}
+
 func BenchmarkKAnonymize(b *testing.B) {
 	older, _ := benchVersions(b)
 	sch := schema.Extract(older.Graph)

@@ -239,10 +239,11 @@ func BuildItems(ctx *MeasureContext, reg *MeasureRegistry) []Item {
 // sorted TermID vectors with cached norms behind an inverted term → item
 // postings index, with bounded-heap top-k selection. It is the one home of
 // the point rankings (TopK, NoveltyTopK, SemanticTopK, PopularityTopK,
-// GroupTopK), bit-identical to scoring every item with Relatedness; the
-// engine caches one per version pair, the feed fan-out scores subscribers
-// through it (see DESIGN.md §9), and NewItemIndex builds one over any item
-// slice.
+// GroupTopK) and of the greedy diversifiers (MMR, MaxMin, which read
+// item-to-item distances from a table built on first use), bit-identical
+// to scoring every item with Relatedness and ItemDistance; the engine
+// caches one per version pair, the feed fan-out scores subscribers through
+// it (see DESIGN.md §9), and NewItemIndex builds one over any item slice.
 type ItemIndex = recommend.ItemIndex
 
 // NewItemIndex compiles items into the flat scoring kernel form.
@@ -251,19 +252,9 @@ func NewItemIndex(items []Item) *ItemIndex { return recommend.NewItemIndex(items
 // Relatedness scores how related an item is to a user (§III-a).
 func Relatedness(u *Profile, it Item) float64 { return recommend.Relatedness(u, it) }
 
-// MMR returns a content-diversified top-k (λ mixes relevance vs diversity).
-func MMR(u *Profile, items []Item, k int, lambda float64) []Recommendation {
-	return recommend.MMR(u, items, k, lambda)
-}
-
 // FairGreedyTopK is the fairness-aware group selection (§III-d).
 func FairGreedyTopK(g *Group, items []Item, k int, alpha float64) []Recommendation {
 	return recommend.FairGreedyTopK(g, items, k, alpha)
-}
-
-// MaxMin returns a Max-Min diversified top-k.
-func MaxMin(u *Profile, items []Item, k int) []Recommendation {
-	return recommend.MaxMin(u, items, k)
 }
 
 // IntraListDiversity is the mean pairwise content distance of a selection.

@@ -223,10 +223,10 @@ func TestPublicAPISurface(t *testing.T) {
 	u.SetInterest(focuses[0], 1)
 
 	// Diversity family.
-	if got := evorec.MMR(u, items, 3, 0.5); len(got) != 3 {
+	if got := idx.MMR(u, 3, 0.5); len(got) != 3 {
 		t.Fatalf("MMR = %d items", len(got))
 	}
-	if got := evorec.MaxMin(u, items, 3); len(got) != 3 {
+	if got := idx.MaxMin(u, 3); len(got) != 3 {
 		t.Fatalf("MaxMin = %d items", len(got))
 	}
 	if got := idx.NoveltyTopK(u, 2); len(got) != 2 {

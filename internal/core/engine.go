@@ -339,8 +339,8 @@ type Request struct {
 	K int
 	// Strategy selects the algorithm; zero value is Plain.
 	Strategy Strategy
-	// Lambda is the MMR relevance/diversity mix (only for DiverseMMR);
-	// zero means 0.5.
+	// Lambda is the MMR relevance/diversity mix (only for DiverseMMR), in
+	// [0, 1]; zero means 0.5.
 	Lambda float64
 	// MarkSeen updates the user's history with the recommended measures,
 	// feeding future novelty-aware requests.
@@ -356,6 +356,9 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 	if req.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", req.K)
 	}
+	if req.Strategy == DiverseMMR && !(req.Lambda >= 0 && req.Lambda <= 1) {
+		return nil, fmt.Errorf("core: lambda must be in [0,1], got %g", req.Lambda)
+	}
 	p, err := e.cached(req.OlderID, req.NewerID)
 	if err != nil {
 		return nil, err
@@ -364,15 +367,14 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 	if lambda == 0 {
 		lambda = 0.5
 	}
-	// Point selections run on the flat kernel (bit-identical to the map
-	// path); the greedy diversifiers score item pairs adaptively and stay on
-	// the reference functions.
+	// Every strategy runs on the pair's flat kernel, bit-identical to the
+	// map-scored reference rankers.
 	var sel []recommend.Recommendation
 	switch req.Strategy {
 	case DiverseMMR:
-		sel = recommend.MMR(u, p.items, req.K, lambda)
+		sel = p.idx.MMR(u, req.K, lambda)
 	case DiverseMaxMin:
-		sel = recommend.MaxMin(u, p.items, req.K)
+		sel = p.idx.MaxMin(u, req.K)
 	case NoveltyAware:
 		sel = p.idx.NoveltyTopK(u, req.K)
 	case SemanticDiverse:

@@ -127,6 +127,14 @@ func TestRecommendValidation(t *testing.T) {
 	if _, err := e.Recommend(pool[0], Request{OlderID: "vX", NewerID: "v2", K: 1}); err == nil {
 		t.Fatal("unknown version must fail")
 	}
+	for _, lambda := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := e.Recommend(pool[0], Request{OlderID: "v1", NewerID: "v2", K: 1, Strategy: DiverseMMR, Lambda: lambda}); err == nil {
+			t.Fatalf("MMR lambda=%g must fail", lambda)
+		}
+	}
+	if _, err := e.Recommend(pool[0], Request{OlderID: "v1", NewerID: "v2", K: 1, Strategy: DiverseMMR, Lambda: 1}); err != nil {
+		t.Fatalf("MMR lambda=1: %v", err)
+	}
 }
 
 func TestRecommendMarkSeenFeedsNovelty(t *testing.T) {

@@ -60,12 +60,13 @@ func UserNotifications(u *profile.Profile, items []recommend.Item, olderID, newe
 	return out
 }
 
-// The engine routes every point selection and notification through its
-// cached scoring kernel (recommend.ItemIndex). These tests hold that
-// routing bit-identical to an index freshly built from the same items
-// (whose own parity with the map-scored reference rankers the recommend
-// package asserts), and to the map-scored notification body above —
-// scores, rankings, notification batches and reason strings.
+// The engine routes every single-user strategy, group aggregation and
+// notification through its cached scoring kernel (recommend.ItemIndex).
+// These tests hold that routing bit-identical to an index freshly built
+// from the same items (whose own parity with the map-scored reference
+// rankers the recommend package asserts), and to the map-scored
+// notification body above — scores, rankings, notification batches and
+// reason strings.
 
 func TestEngineRecommendMatchesReference(t *testing.T) {
 	e, pool := testEngine(t)
@@ -80,6 +81,8 @@ func TestEngineRecommendMatchesReference(t *testing.T) {
 			want     []recommend.Recommendation
 		}{
 			{Plain, ix.TopK(u, 3)},
+			{DiverseMMR, ix.MMR(u, 3, 0.5)},
+			{DiverseMaxMin, ix.MaxMin(u, 3)},
 			{NoveltyAware, ix.NoveltyTopK(u, 3)},
 			{SemanticDiverse, ix.SemanticTopK(u, 3)},
 		} {

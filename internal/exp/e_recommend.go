@@ -129,11 +129,11 @@ func E5DiversityTradeoff(p Params) (string, error) {
 	for _, lambda := range []float64{1.0, 0.75, 0.5, 0.25, 0.0} {
 		l := lambda
 		evalSel("mmr λ="+fmtF(l), func(u *profile.Profile) []recommend.Recommendation {
-			return recommend.MMR(u, ds.Items, p.K, l)
+			return ds.Index.MMR(u, p.K, l)
 		})
 	}
 	evalSel("maxmin", func(u *profile.Profile) []recommend.Recommendation {
-		return recommend.MaxMin(u, ds.Items, p.K)
+		return ds.Index.MaxMin(u, p.K)
 	})
 	evalSel("semantic", func(u *profile.Profile) []recommend.Recommendation {
 		return ds.Index.SemanticTopK(u, p.K)

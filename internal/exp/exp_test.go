@@ -129,7 +129,7 @@ func TestE5FrontierShape(t *testing.T) {
 	}
 	meanRel := func(lambda float64) (rel, ild float64) {
 		for _, u := range ds.Pool {
-			sel := recommend.MMR(u, ds.Items, p.K, lambda)
+			sel := ds.Index.MMR(u, p.K, lambda)
 			rel += recommend.MeanRelatedness(u, ds.Items, sel)
 			ild += recommend.IntraListDiversity(ds.Items, sel)
 		}

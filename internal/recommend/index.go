@@ -14,16 +14,20 @@ import (
 // norm, behind an inverted TermID → item-postings index. Scoring a user
 // visits only the items sharing at least one dictionary term with the
 // user's interests — every other item's cosine relatedness is exactly 0,
-// so it is assigned, not computed — and selection runs through the shared
-// bounded heap. All scores are bit-identical to scoring every item through
-// Relatedness (or GroupScore) on the map vectors; the parity suite holds
+// so it is assigned, not computed — and point selection runs through the
+// shared bounded heap. The greedy diversifiers (MMR, MaxMin) take their
+// relatedness from the same scoring pass and their item-to-item distances
+// from an n×n table built on the index's first diversified request. All
+// scores are bit-identical to scoring every item through Relatedness,
+// GroupScore and ItemDistance on the map vectors; the parity suite holds
 // each method to such a reference ranker, kept in this package's tests.
 //
 // The index owns a private dictionary: item entity terms are interned at
 // construction, user interests are compiled against it lookup-only per
-// call, so serving never mutates the index. An ItemIndex is immutable after
-// construction and safe for concurrent use; per-call scratch comes from a
-// package-level sync.Pool, which the engine's lock-free warm recommend
+// call, so serving never mutates the index. An ItemIndex is safe for
+// concurrent use: it is immutable after construction except for the
+// distance table, which a sync.Once publishes. Per-call scratch comes from
+// a package-level sync.Pool, which the engine's lock-free warm recommend
 // path and the feed's fan-out workers share for free.
 type ItemIndex struct {
 	items  []Item
@@ -37,10 +41,18 @@ type ItemIndex struct {
 	// scores them NaN against everyone, so they are always candidates
 	entityTerms []rdf.Term // distinct positively-weighted vector terms, sorted
 	catOrds     [][]int32  // ordinals per measures.Categories() slot, item order
+
+	// dist[i*n+j] is 1 − CosineFlat(flats[i], flats[j]), ItemDistance's
+	// arithmetic with the candidate i as the first operand. It is built on
+	// the first diversified request, not in NewItemIndex: commits and cold
+	// reads build an index per pair and never rank diversely.
+	distOnce sync.Once
+	dist     []float64
 }
 
-// NewItemIndex compiles the items into the flat scoring form. Items must be
-// what BuildItems returns (sorted by measure ID, unique IDs).
+// NewItemIndex compiles the items into the flat scoring form. Item measure
+// IDs must be unique; BuildItems returns them sorted by ID. Every ranking
+// breaks ties by measure ID, so results do not depend on item order.
 func NewItemIndex(items []Item) *ItemIndex {
 	ix := &ItemIndex{
 		items:  items,
@@ -111,10 +123,13 @@ func (ix *ItemIndex) ByID(id string) (Item, bool) {
 func (ix *ItemIndex) EntityTerms() []rdf.Term { return ix.entityTerms }
 
 // kernelScratch is the pooled per-call state of the scoring kernel.
+// visited is all false between calls: users set bits and clear them again
+// before returning the scratch.
 type kernelScratch struct {
 	scores  []float64
 	visited []bool
 	cand    []int32
+	picked  []int32 // ordinals a diversifier has selected, in pick order
 	prods   []float64
 	squares []float64
 	flat    profile.Flat
@@ -263,6 +278,130 @@ func (ix *ItemIndex) SemanticTopK(u *profile.Profile, k int) []Recommendation {
 		}
 	}
 	return out
+}
+
+// distances returns the item-distance table, building it on first use.
+func (ix *ItemIndex) distances() []float64 {
+	ix.distOnce.Do(func() {
+		n := len(ix.flats)
+		dist := make([]float64, n*n)
+		var prods []float64
+		for i := range ix.flats {
+			for j := range ix.flats {
+				dist[i*n+j] = 1 - profile.CosineFlatBuf(&ix.flats[i], &ix.flats[j], &prods)
+			}
+		}
+		ix.dist = dist
+	})
+	return ix.dist
+}
+
+// MMR produces a diversified top-k with Maximal Marginal Relevance
+// (content-based diversity, §III-c(i)): measures are picked greedily by
+//
+//	λ·relatedness(u, i) − (1−λ)·max_{s∈S} sim(i, s)
+//
+// with sim = 1 − ItemDistance, ties to the smaller measure ID. λ=1
+// degenerates to pure relatedness, λ=0 to pure diversification. Each
+// pick's score is the value it was selected under.
+func (ix *ItemIndex) MMR(u *profile.Profile, k int, lambda float64) []Recommendation {
+	n := len(ix.items)
+	k = min(k, n)
+	if k < 1 {
+		return nil
+	}
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	ix.scoreInto(ix.compileUser(u, sc), sc)
+	dist := ix.distances()
+	used, picked := sc.visited, sc.picked[:0]
+	selected := make([]Recommendation, 0, k)
+	for len(selected) < k {
+		best, bestScore := -1, 0.0
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			maxSim := 0.0
+			for _, s := range picked {
+				if sim := 1 - dist[i*n+int(s)]; sim > maxSim {
+					maxSim = sim
+				}
+			}
+			score := lambda*sc.scores[i] - (1-lambda)*maxSim
+			if best < 0 || score > bestScore ||
+				(score == bestScore && ix.ids[i] < ix.ids[best]) {
+				best, bestScore = i, score
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		picked = append(picked, int32(best))
+		selected = append(selected, Recommendation{MeasureID: ix.ids[best], Score: bestScore})
+	}
+	sc.clearPicked(picked)
+	return selected
+}
+
+// MaxMin produces a diversified top-k with the Max-Min heuristic: the first
+// pick is the most related measure, each further pick maximizes the
+// minimum content distance (ItemDistance) to the already selected set,
+// ties to the smaller measure ID. It optimizes set spread rather than the
+// relevance/diversity mix, and serves as the alternative diversifier in
+// the E5 ablation. Further picks are scored by that minimum distance.
+func (ix *ItemIndex) MaxMin(u *profile.Profile, k int) []Recommendation {
+	n := len(ix.items)
+	k = min(k, n)
+	if k < 1 {
+		return nil
+	}
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	ix.scoreInto(ix.compileUser(u, sc), sc)
+	top := ix.selectScores(sc.scores, 1)[0]
+	dist := ix.distances()
+	first := ix.ords[top.MeasureID]
+	used, picked := sc.visited, append(sc.picked[:0], int32(first))
+	used[first] = true
+	selected := make([]Recommendation, 1, k)
+	selected[0] = top
+	for len(selected) < k {
+		best, bestDist := -1, -1.0
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			minDist := 2.0
+			for _, s := range picked {
+				if d := dist[i*n+int(s)]; d < minDist {
+					minDist = d
+				}
+			}
+			if minDist > bestDist ||
+				(minDist == bestDist && best >= 0 && ix.ids[i] < ix.ids[best]) {
+				best, bestDist = i, minDist
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		picked = append(picked, int32(best))
+		selected = append(selected, Recommendation{MeasureID: ix.ids[best], Score: bestDist})
+	}
+	sc.clearPicked(picked)
+	return selected
+}
+
+// clearPicked clears a diversifier's used bits from visited and keeps the
+// picked buffer's storage for the next call.
+func (sc *kernelScratch) clearPicked(picked []int32) {
+	for _, s := range picked {
+		sc.visited[s] = false
+	}
+	sc.picked = picked
 }
 
 // PopularityTopK is the user-independent popularity baseline: measures

@@ -67,8 +67,9 @@ type Recommendation struct {
 }
 
 // relatedTopK returns the k items most related to the user, scored on the
-// map path: Satisfaction, IsCovered and MaxMin rank ad-hoc item slices with
-// it. Served rankings go through ItemIndex.TopK.
+// map path: Satisfaction and IsCovered rank ad-hoc item slices with it, as
+// does the reference MaxMin in this package's tests. Served rankings go
+// through ItemIndex.TopK.
 func relatedTopK(u *profile.Profile, items []Item, k int) []Recommendation {
 	return selectTopK(items, k, func(it Item) float64 { return Relatedness(u, it) })
 }

@@ -13,10 +13,10 @@ import (
 
 // The parity suite holds the flat scoring kernel (ItemIndex) bit-identical
 // to the map-scored reference functions: same scores, same rankings, same
-// explanations, across every TopK variant and aggregation, including the
-// edge cases the candidate shortcut must not change — users and items with
-// zero norms, NaN weights, interests outside the item vocabulary, and
-// wildcard terms.
+// explanations, across every TopK variant, aggregation and diversifier,
+// including the edge cases the candidate shortcut must not change — users
+// and items with zero norms, NaN weights, interests outside the item
+// vocabulary, and wildcard terms.
 
 // parityItems is testItems plus degenerate geometry: an all-zero vector
 // (zero norm), a NaN-weighted vector (NaN norm, scores NaN against
@@ -165,8 +165,45 @@ func TestItemIndexGroupParity(t *testing.T) {
 	}
 }
 
+// TestItemIndexDiversifierParity holds the greedy diversifiers to the map
+// references: relatedness from the kernel's scoring pass, distances from
+// the index's table, the selection loops' arithmetic and tie-breaks as
+// written. Calling MMR and MaxMin back to back on one index also catches a
+// diversifier that returns its pooled scratch with used bits still set.
+func TestItemIndexDiversifierParity(t *testing.T) {
+	items := parityItems()
+	ix := NewItemIndex(items)
+	for _, u := range parityUsers() {
+		for k := 0; k <= len(items)+2; k++ {
+			for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 1} {
+				want := MMR(u, items, k, lambda)
+				got := ix.MMR(u, k, lambda)
+				if !sameRecs(got, want) {
+					t.Fatalf("user %s k=%d λ=%g: flat MMR %v != map %v", u.ID, k, lambda, got, want)
+				}
+			}
+			want := MaxMin(u, items, k)
+			got := ix.MaxMin(u, k)
+			if !sameRecs(got, want) {
+				t.Fatalf("user %s k=%d: flat MaxMin %v != map %v", u.ID, k, got, want)
+			}
+		}
+	}
+	empty := NewItemIndex(nil)
+	u := parityUsers()[0]
+	if got := empty.MMR(u, 3, 0.5); len(got) != 0 {
+		t.Fatalf("MMR over no items = %v", got)
+	}
+	if got := empty.MaxMin(u, 3); len(got) != 0 {
+		t.Fatalf("MaxMin over no items = %v", got)
+	}
+}
+
 // TestItemIndexRandomizedParity fuzzes the kernel against the reference
-// over random vocabularies, weights and overlap shapes.
+// over random vocabularies, weights and overlap shapes. Every third round
+// repeats item vectors and shuffles the items, so equal scores and
+// distances reach the measure-ID tie-breaks: in ID order the first equal
+// score a scan meets already has the smaller ID.
 func TestItemIndexRandomizedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vocab := make([]rdf.Term, 24)
@@ -180,13 +217,20 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 		}
 		return v
 	}
-	for round := 0; round < 50; round++ {
+	for round := 0; round < 60; round++ {
+		ties := round%3 == 0
 		nItems := 1 + rng.Intn(8)
 		items := make([]Item, 0, nItems)
 		for i := 0; i < nItems; i++ {
+			vec := randVec(1 + rng.Intn(6))
+			if ties && i > 0 && rng.Intn(2) == 0 {
+				vec = items[rng.Intn(i)].Vector
+			}
 			items = append(items, mkItem(fmt.Sprintf("m%02d", i),
-				measures.Categories()[rng.Intn(len(measures.Categories()))],
-				randVec(1+rng.Intn(6))))
+				measures.Categories()[rng.Intn(len(measures.Categories()))], vec))
+		}
+		if ties {
+			rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 		}
 		ix := NewItemIndex(items)
 		for ui := 0; ui < 8; ui++ {
@@ -197,6 +241,13 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 			k := 1 + rng.Intn(nItems+1)
 			if want, got := TopK(u, items, k), ix.TopK(u, k); !sameRecs(got, want) {
 				t.Fatalf("round %d user %d k=%d: flat %v != map %v", round, ui, k, got, want)
+			}
+			lambda := float64(rng.Intn(5)) / 4
+			if want, got := MMR(u, items, k, lambda), ix.MMR(u, k, lambda); !sameRecs(got, want) {
+				t.Fatalf("round %d user %d k=%d λ=%g: flat MMR %v != map %v", round, ui, k, lambda, got, want)
+			}
+			if want, got := MaxMin(u, items, k), ix.MaxMin(u, k); !sameRecs(got, want) {
+				t.Fatalf("round %d user %d k=%d: flat MaxMin %v != map %v", round, ui, k, got, want)
 			}
 		}
 	}

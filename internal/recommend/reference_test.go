@@ -6,8 +6,9 @@ import (
 )
 
 // The map-scored reference rankers: each scores every item through
-// Relatedness (or GroupScore) over its map vector. They serve no traffic;
-// the parity suite holds the ItemIndex methods to them bit for bit.
+// Relatedness (or GroupScore, or ItemDistance) over its map vectors. They
+// serve no traffic; the parity suite holds the ItemIndex methods to them
+// bit for bit.
 
 // TopK returns the k measures most related to the user. ItemIndex.TopK
 // produces bit-identical results from flat vectors; selection is shared:
@@ -85,4 +86,95 @@ func PopularityTopK(items []Item, k int) []Recommendation {
 // ItemIndex.GroupTopK is the flat-kernel form.
 func GroupTopK(g *profile.Group, items []Item, k int, agg Aggregation) []Recommendation {
 	return selectTopK(items, k, func(it Item) float64 { return GroupScore(g, it, agg) })
+}
+
+// MMR produces a diversified top-k with Maximal Marginal Relevance
+// (content-based diversity, §III-c(i)): items are picked greedily by
+//
+//	λ·relatedness(u, i) − (1−λ)·max_{s∈S} sim(i, s)
+//
+// recomputing Relatedness and ItemDistance per candidate. ItemIndex.MMR is
+// the flat-kernel form.
+func MMR(u *profile.Profile, items []Item, k int, lambda float64) []Recommendation {
+	if k > len(items) {
+		k = len(items)
+	}
+	selected := make([]Recommendation, 0, k)
+	used := make(map[string]bool, k)
+	for len(selected) < k {
+		bestIdx := -1
+		bestScore := 0.0
+		for i, it := range items {
+			if used[it.ID()] {
+				continue
+			}
+			rel := Relatedness(u, it)
+			maxSim := 0.0
+			for _, s := range selected {
+				sel, _ := itemByID(items, s.MeasureID)
+				if sim := 1 - ItemDistance(it, sel); sim > maxSim {
+					maxSim = sim
+				}
+			}
+			score := lambda*rel - (1-lambda)*maxSim
+			if bestIdx < 0 || score > bestScore ||
+				(score == bestScore && it.ID() < items[bestIdx].ID()) {
+				bestIdx, bestScore = i, score
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		used[items[bestIdx].ID()] = true
+		selected = append(selected, Recommendation{
+			MeasureID: items[bestIdx].ID(),
+			Score:     bestScore,
+		})
+	}
+	return selected
+}
+
+// MaxMin produces a diversified top-k with the Max-Min heuristic: the first
+// pick is the most related item, each further pick maximizes the minimum
+// content distance to the already selected set. ItemIndex.MaxMin is the
+// flat-kernel form.
+func MaxMin(u *profile.Profile, items []Item, k int) []Recommendation {
+	if k > len(items) {
+		k = len(items)
+	}
+	if k == 0 || len(items) == 0 {
+		return nil
+	}
+	top := relatedTopK(u, items, 1)
+	selected := []Recommendation{top[0]}
+	used := map[string]bool{top[0].MeasureID: true}
+	for len(selected) < k {
+		bestIdx := -1
+		bestDist := -1.0
+		for i, it := range items {
+			if used[it.ID()] {
+				continue
+			}
+			minDist := 2.0
+			for _, s := range selected {
+				sel, _ := itemByID(items, s.MeasureID)
+				if d := ItemDistance(it, sel); d < minDist {
+					minDist = d
+				}
+			}
+			if minDist > bestDist ||
+				(minDist == bestDist && bestIdx >= 0 && it.ID() < items[bestIdx].ID()) {
+				bestIdx, bestDist = i, minDist
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		used[items[bestIdx].ID()] = true
+		selected = append(selected, Recommendation{
+			MeasureID: items[bestIdx].ID(),
+			Score:     bestDist,
+		})
+	}
+	return selected
 }

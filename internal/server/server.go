@@ -38,6 +38,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"time"
@@ -233,11 +234,12 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 }
 
 // ---------------------------------------------------------------------------
-// Query-parameter parsing
+// Query-parameter parsing: each handler parses its query string once
+// (r.URL.Query builds a fresh map per call) and hands the values here.
 
 // intParam parses an integer query parameter with a default.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -251,8 +253,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // floatParam parses a finite float query parameter with a default. NaN
 // passes every range check and ±Inf would reach the JSON encoder, so both
 // are refused here.
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
+func floatParam(q url.Values, name string, def float64) (float64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -267,9 +269,9 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 }
 
 // pairParams extracts the older/newer version pair, both required.
-func pairParams(r *http.Request) (older, newer string, err error) {
-	older = r.URL.Query().Get("older")
-	newer = r.URL.Query().Get("newer")
+func pairParams(q url.Values) (older, newer string, err error) {
+	older = q.Get("older")
+	newer = q.Get("newer")
 	if older == "" || newer == "" {
 		return "", "", fmt.Errorf("parameters older and newer are required")
 	}
@@ -421,7 +423,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	older, newer, err := pairParams(r)
+	older, newer, err := pairParams(r.URL.Query())
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -456,12 +458,13 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	older, newer, err := pairParams(r)
+	q := r.URL.Query()
+	older, newer, err := pairParams(q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	k, err := intParam(r, "k", 3)
+	k, err := intParam(q, "k", 3)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -515,13 +518,13 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	older, newer, err := pairParams(r)
+	q := r.URL.Query()
+	older, newer, err := pairParams(q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	q := r.URL.Query()
-	k, err := intParam(r, "k", 3)
+	k, err := intParam(q, "k", 3)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -531,7 +534,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	lambda, err := floatParam(r, "lambda", 0)
+	lambda, err := floatParam(q, "lambda", 0)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -547,7 +550,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	req := core.Request{OlderID: older, NewerID: newer, K: k, Strategy: strat, Lambda: lambda}
 
-	kanon, err := intParam(r, "kanon", 0)
+	kanon, err := intParam(q, "kanon", 0)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -558,7 +561,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("kanon must be 0 (off) or >= 2, got %d", kanon))
 		return
 	}
-	epsilon, err := floatParam(r, "epsilon", 0)
+	epsilon, err := floatParam(q, "epsilon", 0)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -570,7 +573,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var sel []recommend.Recommendation
 	private := kanon >= 2 || epsilon > 0
 	if private {
-		seed, err := intParam(r, "seed", 0)
+		seed, err := intParam(q, "seed", 0)
 		if err != nil {
 			s.writeErr(w, err)
 			return
@@ -609,13 +612,13 @@ func (s *Server) handleRecommendGroup(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	older, newer, err := pairParams(r)
+	q := r.URL.Query()
+	older, newer, err := pairParams(q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	q := r.URL.Query()
-	k, err := intParam(r, "k", 3)
+	k, err := intParam(q, "k", 3)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -625,7 +628,7 @@ func (s *Server) handleRecommendGroup(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	alpha, err := floatParam(r, "alpha", 0.5)
+	alpha, err := floatParam(q, "alpha", 0.5)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -785,7 +788,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	limit, err := intParam(r, "limit", 100)
+	limit, err := intParam(q, "limit", 100)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -829,18 +832,18 @@ func (s *Server) handleNotify(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	older, newer, err := pairParams(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
 	q := r.URL.Query()
-	k, err := intParam(r, "k", 1)
+	older, newer, err := pairParams(q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	threshold, err := floatParam(r, "threshold", 0.1)
+	k, err := intParam(q, "k", 1)
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	threshold, err := floatParam(q, "threshold", 0.1)
 	if err != nil {
 		s.writeErr(w, err)
 		return

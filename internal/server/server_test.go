@@ -280,6 +280,8 @@ func TestServerErrors(t *testing.T) {
 		{"subscribe_nan_weight", "PUT", "/v1/datasets/gallery/subscribers/u", `{"interests":"Painting=NaN"}`, 400, "invalid weight"},
 		{"subscribe_inf_weight", "PUT", "/v1/datasets/gallery/subscribers/u", `{"interests":"Painting=+Inf"}`, 400, "invalid weight"},
 		{"nan_lambda", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&strategy=mmr&lambda=NaN", "", 400, "not a finite number"},
+		{"lambda_above_one", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&strategy=mmr&lambda=1.5", "", 400, "lambda must be in [0,1]"},
+		{"lambda_below_zero", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&strategy=mmr&lambda=-0.1", "", 400, "lambda must be in [0,1]"},
 		{"inf_epsilon", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&epsilon=Inf", "", 400, "not a finite number"},
 		{"group_nan_alpha", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=1&fair=1&alpha=NaN", "", 400, "not a finite number"},
 		{"notify_nan_threshold", "GET", "/v1/datasets/gallery/notify?older=v1&newer=v2&user=a:Painting=1&threshold=NaN", "", 400, "not a finite number"},

@@ -62,3 +62,31 @@ func TestRecommendTracedAllocGuard(t *testing.T) {
 	}
 	t.Logf("warm recommend allocs: baseline=%v traced=%v", baseline, traced)
 }
+
+// TestDiversifiedRecommendAllocGuard holds the greedy diversifiers to the
+// point rankers' allocation profile: once the pair's distance table exists
+// (AllocsPerRun's warm-up call builds it), a warm MMR or Max-Min recommend
+// allocates at most two more times than a warm plain one at the same k.
+func TestDiversifiedRecommendAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race: the race runtime randomly drops sync.Pool puts, and the warm path scores with pooled scratch")
+	}
+	d, u, req := warmDataset(t, service.Config{})
+	allocs := func(strategy core.Strategy, k int) float64 {
+		r := req
+		r.Strategy, r.K = strategy, k
+		return testing.AllocsPerRun(200, func() {
+			if _, err := d.RecommendCtx(context.Background(), u, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, k := range []int{3, 5} {
+		plain := allocs(core.Plain, k)
+		mmr, maxmin := allocs(core.DiverseMMR, k), allocs(core.DiverseMaxMin, k)
+		if mmr > plain+2 || maxmin > plain+2 {
+			t.Fatalf("k=%d: warm recommend allocates mmr=%v maxmin=%v, plain=%v", k, mmr, maxmin, plain)
+		}
+		t.Logf("k=%d warm recommend allocs: plain=%v mmr=%v maxmin=%v", k, plain, mmr, maxmin)
+	}
+}

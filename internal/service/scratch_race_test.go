@@ -13,12 +13,15 @@ import (
 )
 
 // TestRacePooledScratchAcrossEndpoints hammers every kernel-routed endpoint
-// — point recommend (plain/novelty/semantic), group recommend under all
-// aggregations, and notify — from concurrent goroutines sharing one cached
-// pair. The scoring kernel hands out per-call scratch from a sync.Pool;
-// this test (run under -race in CI) asserts that pooled buffers are never
-// shared across concurrent calls and that every concurrent result is
-// bit-identical to the serial reference computed up front.
+// — single-user recommend under every strategy, group recommend under all
+// aggregations, and notify — from concurrent goroutines sharing one pair.
+// The scoring kernel hands out per-call scratch from a sync.Pool and builds
+// the pair's distance table on its first diversified request; this test
+// (run under -race in CI) asserts that pooled buffers are never shared
+// across concurrent calls and that every concurrent result is bit-identical
+// to the serial reference. The references come from a second dataset over
+// the same chain, so the hammered dataset's pair build and table build both
+// happen under concurrency.
 func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	vs := testChain(t, 2) // v1..v3
 	pool := testProfiles(t, vs, 8)
@@ -27,6 +30,11 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := svc.Add("race-ref", testChain(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies := []core.Strategy{core.DiverseMMR, core.DiverseMaxMin, core.Plain, core.NoveltyAware, core.SemanticDiverse}
 
 	req := func(strategy core.Strategy) core.Request {
 		return core.Request{OlderID: "v1", NewerID: "v2", K: 3, Strategy: strategy}
@@ -43,8 +51,8 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	// Serial references, computed before any concurrency.
 	wantRec := make(map[string][]recommend.Recommendation)
 	for _, u := range pool {
-		for _, s := range []core.Strategy{core.Plain, core.NoveltyAware, core.SemanticDiverse} {
-			sel, err := d.RecommendCtx(context.Background(), u.Clone(), req(s))
+		for _, s := range strategies {
+			sel, err := ref.RecommendCtx(context.Background(), u.Clone(), req(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,14 +62,14 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 	wantGroup := make(map[string][]recommend.Recommendation)
 	for _, g := range groups {
 		for _, agg := range []recommend.Aggregation{recommend.Average, recommend.LeastMisery, recommend.MostPleasure} {
-			sel, err := d.RecommendGroupCtx(context.Background(), g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
+			sel, err := ref.RecommendGroupCtx(context.Background(), g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, Aggregation: agg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantGroup[g.ID+"/"+agg.String()] = sel
 		}
 	}
-	wantNotify, err := d.NotifyCtx(context.Background(), pool, "v1", "v2", 0.05, 3)
+	wantNotify, err := ref.NotifyCtx(context.Background(), pool, "v1", "v2", 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,9 @@ func TestRacePooledScratchAcrossEndpoints(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				u := pool[(w+r)%len(pool)]
-				s := []core.Strategy{core.Plain, core.NoveltyAware, core.SemanticDiverse}[r%3]
+				// Workers start on different strategies, so the first round
+				// reaches the table build from several goroutines at once.
+				s := strategies[(w+r)%len(strategies)]
 				sel, err := d.RecommendCtx(context.Background(), u.Clone(), req(s))
 				if err != nil {
 					errc <- err

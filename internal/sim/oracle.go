@@ -397,7 +397,9 @@ func (r *runner) scrapeTraces() {
 	r.traceMaxSeq.Store(resp.MaxSeq)
 }
 
-// scrapeLoop runs the oracle at ScrapeInterval until stopped.
+// scrapeLoop runs the oracle at ScrapeInterval until stopped, then once
+// more: an op stream that finishes within one interval is still checked
+// by a full pass, not only by the final settle scrape.
 func (r *runner) scrapeLoop(stop <-chan struct{}) {
 	var prev *snapshot
 	tick := time.NewTicker(r.cfg.ScrapeInterval)
@@ -405,6 +407,7 @@ func (r *runner) scrapeLoop(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
+			r.scrapeOnce(prev)
 			return
 		case <-tick.C:
 			prev = r.scrapeOnce(prev)
