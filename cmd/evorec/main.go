@@ -197,7 +197,7 @@ func cmdRecommend(args []string) error {
 	profilePath := fs.String("profile", "", "JSON profile file (alternative to -interests)")
 	strategy := fs.String("strategy", "plain", "plain|mmr|maxmin|novelty|semantic")
 	lambda := fs.Float64("lambda", 0.5, "MMR relevance/diversity mix")
-	report := fs.Bool("report", false, "print the transparency report for the recommendation")
+	report := fs.Bool("report", false, "print the transparency report of the top-ranked measure's scores")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -247,10 +247,9 @@ func cmdRecommend(args []string) error {
 		}
 		fmt.Printf("  %d. %-28s %s (score %.3f)\n", rank+1, r.MeasureID, name, r.Score)
 	}
-	if *report {
-		artifact := fmt.Sprintf("rec:%s:%s->%s:%s", user.ID, older.ID, newer.ID, strat)
+	if *report && len(recs) > 0 {
 		fmt.Println()
-		fmt.Print(eng.Provenance().Report(artifact))
+		fmt.Print(eng.Provenance().Report(evorec.ScoresArtifact(recs[0].MeasureID, older.ID, newer.ID)))
 	}
 	return nil
 }

@@ -13,6 +13,31 @@ import (
 	"evorec/internal/exp"
 )
 
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
+}
+
 // genTestVersions writes two version files into dir and returns their paths.
 func genTestVersions(t *testing.T, dir string) (string, string) {
 	t.Helper()
@@ -70,8 +95,15 @@ func TestCmdRecommend(t *testing.T) {
 	if err := cmdRecommend([]string{"-k", "2", "-interests", "C0001=1,C0002=0.4", v1, v2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRecommend([]string{"-interests", "C0001=1", "-strategy", "semantic", "-report", v1, v2}); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error {
+		return cmdRecommend([]string{"-interests", "C0001=1", "-strategy", "semantic", "-report", v1, v2})
+	})
+	// The report is the top-ranked measure's, and its derivation reaches the
+	// ingested versions.
+	for _, want := range []string{"Transparency report for \"scores:", "ingest_version", "compute_delta", "evaluate_measures"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("recommend -report output missing %q:\n%s", want, out)
+		}
 	}
 	if err := cmdRecommend([]string{v1, v2}); err == nil {
 		t.Fatal("empty interests must fail")

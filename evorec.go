@@ -331,6 +331,12 @@ type ProvenanceStore = provenance.Store
 // ProvenanceRecord is one provenance entry.
 type ProvenanceRecord = provenance.Record
 
+// ScoresArtifact names the provenance artifact of a measure's scores on a
+// version pair, whose report is the transparency of recommending it.
+func ScoresArtifact(measureID, olderID, newerID string) string {
+	return core.ScoresArtifact(measureID, olderID, newerID)
+}
+
 // ---------------------------------------------------------------------------
 // Engine (the processing model)
 

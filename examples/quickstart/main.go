@@ -24,8 +24,8 @@ func main() {
 	fmt.Printf("generated %d versions; change bursts at %s and %s\n\n",
 		versions.Len(), focuses[0].Local(), focuses[1].Local())
 
-	// 2. The processing model: ingest versions (provenance is recorded
-	//    automatically for transparency).
+	// 2. The processing model: ingest versions (each ingest, delta and
+	//    measure evaluation is recorded automatically for transparency).
 	eng := evorec.NewEngine(evorec.EngineConfig{})
 	if err := eng.IngestAll(versions); err != nil {
 		log.Fatal(err)
@@ -60,8 +60,8 @@ func main() {
 		}
 	}
 
-	// 5. Transparency (§III-b): every recommendation traces back to the
-	//    ingested versions.
+	// 5. Transparency (§III-b): a recommended measure's scores trace back
+	//    to the ingested versions.
 	fmt.Println()
-	fmt.Print(eng.Provenance().Report("rec:alice:v1->v2:plain"))
+	fmt.Print(eng.Provenance().Report(evorec.ScoresArtifact(recs[0].MeasureID, "v1", "v2")))
 }

@@ -1,8 +1,9 @@
 // Package core implements the paper's processing model end to end: versions
 // of a knowledge base are ingested, consecutive pairs are analyzed into
 // measure evaluations, and the human-aware recommenders of §III rank the
-// measures for users and groups. Every pipeline stage writes a provenance
-// record (§III-b transparency), and the privacy entry points apply the
+// measures for users and groups. Every artifact the engine keeps (version,
+// delta, measure scores, trend) gets one provenance record (§III-b
+// transparency); requests write none. The privacy entry points apply the
 // anonymization machinery of §III-e before any profile reaches the
 // recommender.
 package core
@@ -42,14 +43,14 @@ type Config struct {
 //
 // Concurrency: the caller serializes every call that can build — Ingest,
 // Context, TrendAnalysis, UserReport, and any call on a pair not yet
-// cached — since those write the version store, the carried analysis and
-// the pair cache (internal/service holds one mutex for them). A cached pair
-// is immutable and is never dropped, and the pair cache is safe for lookups
-// beside that one builder: once HasItems reports a pair, Recommend,
-// RecommendGroup, RecommendPrivate, Notify, Items, ItemIndex and DeltaSizes
-// on it only read the pair and append to the internally synchronized
-// provenance store, so any number of them may run concurrently with each
-// other and with the builder, without a lock.
+// cached — since those write the version store, the carried analysis, the
+// pair cache and the provenance log (internal/service holds one mutex for
+// them). A cached pair is immutable and is never dropped, and the pair cache
+// is safe for lookups beside that one builder: once HasItems reports a pair,
+// Recommend, RecommendGroup, RecommendPrivate, Notify, Items, ItemIndex and
+// DeltaSizes on it only read the pair and write nothing shared, so any
+// number of them may run concurrently with each other and with the
+// builder, without a lock.
 type Engine struct {
 	registry *measures.Registry
 	agent    string
@@ -75,8 +76,7 @@ type pair struct {
 	// vectors and postings without mutating anything — the property that
 	// lets the service run them without a lock.
 	idx            *recommend.ItemIndex
-	added, deleted int    // |δ+| and |δ-|, the low-level delta sizes
-	rec            string // evaluate_measures provenance record ID
+	added, deleted int // |δ+| and |δ-|, the low-level delta sizes
 }
 
 // New builds an engine from the config.
@@ -140,6 +140,12 @@ func (e *Engine) IngestAll(vs *rdf.VersionStore) error {
 }
 
 func pairKey(olderID, newerID string) string { return olderID + "->" + newerID }
+
+// ScoresArtifact names the provenance artifact of a measure's scores on a
+// version pair, whose report is the transparency of recommending it.
+func ScoresArtifact(measureID, olderID, newerID string) string {
+	return "scores:" + measureID + ":" + pairKey(olderID, newerID)
+}
 
 // Context builds the analysis context for a version pair. Contexts are not
 // cached: the first build of a pair records its compute_delta provenance,
@@ -213,15 +219,14 @@ func (e *Engine) cached(olderID, newerID string) (*pair, error) {
 	deltaRec, _ := e.prov.Creator("delta:" + key)
 	artifacts := make([]string, 0, len(items))
 	for _, it := range items {
-		artifacts = append(artifacts, fmt.Sprintf("scores:%s:%s", it.ID(), key))
+		artifacts = append(artifacts, ScoresArtifact(it.ID(), olderID, newerID))
 	}
-	rec, err := e.prov.Append("evaluate_measures", e.agent, provenance.Inference,
-		[]string{deltaRec.ID}, artifacts, fmt.Sprintf("%d measures", len(items)))
-	if err != nil {
+	if _, err := e.prov.Append("evaluate_measures", e.agent, provenance.Inference,
+		[]string{deltaRec.ID}, artifacts, fmt.Sprintf("%d measures", len(items))); err != nil {
 		return nil, fmt.Errorf("core: recording measure provenance: %w", err)
 	}
 	p := &pair{items: items, idx: recommend.NewItemIndex(items),
-		added: len(ctx.Delta.Added), deleted: len(ctx.Delta.Deleted), rec: rec.ID}
+		added: len(ctx.Delta.Added), deleted: len(ctx.Delta.Deleted)}
 	e.pairs.Store(key, p)
 	return p, nil
 }
@@ -347,17 +352,25 @@ type Request struct {
 	MarkSeen bool
 }
 
-// Recommend produces a recommendation list for one user and records its
-// provenance.
+// Validate refuses what Recommend refuses before touching a pair: K below
+// 1, or a DiverseMMR lambda outside [0, 1] (NaN included).
+func (r Request) Validate() error {
+	if r.K < 1 {
+		return fmt.Errorf("core: K must be >= 1, got %d", r.K)
+	}
+	if r.Strategy == DiverseMMR && !(r.Lambda >= 0 && r.Lambda <= 1) {
+		return fmt.Errorf("core: lambda must be in [0,1], got %g", r.Lambda)
+	}
+	return nil
+}
+
+// Recommend produces a recommendation list for one user. It writes nothing.
 func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recommendation, error) {
 	if u == nil {
 		return nil, fmt.Errorf("core: profile must not be nil")
 	}
-	if req.K < 1 {
-		return nil, fmt.Errorf("core: K must be >= 1, got %d", req.K)
-	}
-	if req.Strategy == DiverseMMR && !(req.Lambda >= 0 && req.Lambda <= 1) {
-		return nil, fmt.Errorf("core: lambda must be in [0,1], got %g", req.Lambda)
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
 	p, err := e.cached(req.OlderID, req.NewerID)
 	if err != nil {
@@ -387,12 +400,6 @@ func (e *Engine) Recommend(u *profile.Profile, req Request) ([]recommend.Recomme
 			u.MarkSeen(s.MeasureID)
 		}
 	}
-	artifact := fmt.Sprintf("rec:%s:%s:%s", u.ID, pairKey(req.OlderID, req.NewerID), req.Strategy)
-	if _, err := e.prov.Append("recommend", e.agent, provenance.Inference,
-		[]string{p.rec}, []string{artifact},
-		fmt.Sprintf("k=%d measures=%v", req.K, recommend.MeasureIDs(sel))); err != nil {
-		return nil, fmt.Errorf("core: recording recommendation provenance: %w", err)
-	}
 	return sel, nil
 }
 
@@ -412,14 +419,22 @@ type GroupRequest struct {
 	FairAlpha float64
 }
 
-// RecommendGroup produces a recommendation list for a group and records its
-// provenance.
+// Validate refuses a K below 1 before RecommendGroup touches a pair.
+func (r GroupRequest) Validate() error {
+	if r.K < 1 {
+		return fmt.Errorf("core: K must be >= 1, got %d", r.K)
+	}
+	return nil
+}
+
+// RecommendGroup produces a recommendation list for a group. It writes
+// nothing.
 func (e *Engine) RecommendGroup(g *profile.Group, req GroupRequest) ([]recommend.Recommendation, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: group must not be nil")
 	}
-	if req.K < 1 {
-		return nil, fmt.Errorf("core: K must be >= 1, got %d", req.K)
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
 	p, err := e.cached(req.OlderID, req.NewerID)
 	if err != nil {
@@ -430,16 +445,6 @@ func (e *Engine) RecommendGroup(g *profile.Group, req GroupRequest) ([]recommend
 		sel = recommend.FairGreedyTopK(g, p.items, req.K, req.FairAlpha)
 	} else {
 		sel = p.idx.GroupTopK(g, req.K, req.Aggregation)
-	}
-	mode := req.Aggregation.String()
-	if req.FairGreedy {
-		mode = fmt.Sprintf("fair_greedy(α=%.2f)", req.FairAlpha)
-	}
-	artifact := fmt.Sprintf("grouprec:%s:%s:%s", g.ID, pairKey(req.OlderID, req.NewerID), mode)
-	if _, err := e.prov.Append("recommend_group", e.agent, provenance.Inference,
-		[]string{p.rec}, []string{artifact},
-		fmt.Sprintf("k=%d members=%d measures=%v", req.K, g.Size(), recommend.MeasureIDs(sel))); err != nil {
-		return nil, fmt.Errorf("core: recording group recommendation provenance: %w", err)
 	}
 	return sel, nil
 }
@@ -458,7 +463,7 @@ type PrivacyPolicy struct {
 }
 
 // Anonymize applies the policy to the pool and returns the published
-// profiles (index-aligned), recording the anonymization in provenance.
+// profiles (index-aligned).
 func (e *Engine) Anonymize(pool []*profile.Profile, pol PrivacyPolicy) ([]*profile.Profile, error) {
 	published := pool
 	if pol.KAnonymity >= 2 {
@@ -481,17 +486,12 @@ func (e *Engine) Anonymize(pool []*profile.Profile, pol PrivacyPolicy) ([]*profi
 		}
 		published = noisy
 	}
-	if _, err := e.prov.Append("anonymize_profiles", e.agent, provenance.Inference,
-		nil, []string{fmt.Sprintf("profiles:anonymized:k=%d:eps=%g", pol.KAnonymity, pol.Epsilon)},
-		fmt.Sprintf("%d profiles", len(pool))); err != nil {
-		return nil, fmt.Errorf("core: recording anonymization provenance: %w", err)
-	}
 	return published, nil
 }
 
-// RecommendPrivate recommends for pool member idx using only the anonymized
-// view of the pool, so the recommender never touches the raw profile.
-func (e *Engine) RecommendPrivate(pool []*profile.Profile, idx int, req Request, pol PrivacyPolicy) ([]recommend.Recommendation, error) {
+// Publish returns pool member idx as the policy publishes it, the profile
+// RecommendPrivate ranks, without touching a pair.
+func (e *Engine) Publish(pool []*profile.Profile, idx int, pol PrivacyPolicy) (*profile.Profile, error) {
 	if idx < 0 || idx >= len(pool) {
 		return nil, fmt.Errorf("core: pool index %d out of range", idx)
 	}
@@ -499,5 +499,15 @@ func (e *Engine) RecommendPrivate(pool []*profile.Profile, idx int, req Request,
 	if err != nil {
 		return nil, err
 	}
-	return e.Recommend(published[idx], req)
+	return published[idx], nil
+}
+
+// RecommendPrivate recommends for pool member idx using only the anonymized
+// view of the pool, so the recommender never touches the raw profile.
+func (e *Engine) RecommendPrivate(pool []*profile.Profile, idx int, req Request, pol PrivacyPolicy) ([]recommend.Recommendation, error) {
+	u, err := e.Publish(pool, idx, pol)
+	if err != nil {
+		return nil, err
+	}
+	return e.Recommend(u, req)
 }

@@ -160,22 +160,80 @@ func TestRecommendMarkSeenFeedsNovelty(t *testing.T) {
 	}
 }
 
+// assertScoresLineage checks a recommended measure's transparency: its
+// scores on the pair derive from both version ingests through the pair's
+// delta and measure evaluation, and from nothing else.
+func assertScoresLineage(t *testing.T, e *Engine, measureID, olderID, newerID string) {
+	t.Helper()
+	artifact := ScoresArtifact(measureID, olderID, newerID)
+	var got []string
+	for _, r := range e.Provenance().Lineage(artifact) {
+		got = append(got, r.Activity)
+	}
+	want := []string{"ingest_version", "ingest_version", "compute_delta", "evaluate_measures"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("lineage of %s = %v, want %v", artifact, got, want)
+	}
+	report := e.Provenance().Report(artifact)
+	for _, w := range want {
+		if !strings.Contains(report, w) {
+			t.Fatalf("transparency report missing %q:\n%s", w, report)
+		}
+	}
+}
+
+// assertNoRecord runs a request on a built pair and fails if it appended
+// to the provenance log.
+func assertNoRecord(t *testing.T, e *Engine, what string, request func() error) {
+	t.Helper()
+	before := e.Provenance().Len()
+	if err := request(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := e.Provenance().Len(); got != before {
+		t.Fatalf("%s on a cached pair: provenance records %d -> %d", what, before, got)
+	}
+}
+
 func TestRecommendProvenanceChain(t *testing.T) {
 	e, pool := testEngine(t)
 	u := pool[2]
-	if _, err := e.Recommend(u, Request{OlderID: "v2", NewerID: "v3", K: 2}); err != nil {
+	sel, err := e.Recommend(u, Request{OlderID: "v2", NewerID: "v3", K: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	artifact := "rec:" + u.ID + ":v2->v3:plain"
-	lineage := e.Provenance().Lineage(artifact)
-	if len(lineage) < 4 { // ingest v2, ingest v3, delta, measures, recommend
-		t.Fatalf("lineage too short: %d records", len(lineage))
+	for _, r := range sel {
+		assertScoresLineage(t, e, r.MeasureID, "v2", "v3")
 	}
-	report := e.Provenance().Report(artifact)
-	for _, want := range []string{"ingest_version", "compute_delta", "evaluate_measures", "recommend"} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("transparency report missing %q:\n%s", want, report)
-		}
+	g, err := profile.NewGroup("team", pool[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{OlderID: "v2", NewerID: "v3", K: 2}
+	for _, c := range []struct {
+		what    string
+		request func() error
+	}{
+		{"recommend", func() error { _, err := e.Recommend(u, req); return err }},
+		{"mmr", func() error {
+			_, err := e.Recommend(u, Request{OlderID: "v2", NewerID: "v3", K: 2, Strategy: DiverseMMR})
+			return err
+		}},
+		{"group", func() error {
+			_, err := e.RecommendGroup(g, GroupRequest{OlderID: "v2", NewerID: "v3", K: 2})
+			return err
+		}},
+		{"fair group", func() error {
+			_, err := e.RecommendGroup(g, GroupRequest{OlderID: "v2", NewerID: "v3", K: 2, FairGreedy: true, FairAlpha: 0.5})
+			return err
+		}},
+		{"private", func() error {
+			_, err := e.RecommendPrivate(pool, 0, req, PrivacyPolicy{KAnonymity: 4, Epsilon: 1, Seed: 3})
+			return err
+		}},
+		{"notify", func() error { _, err := e.Notify(pool, "v2", "v3", 0.05, 2); return err }},
+	} {
+		assertNoRecord(t, e, c.what, c.request)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"evorec/internal/profile"
-	"evorec/internal/provenance"
 	"evorec/internal/recommend"
 )
 
@@ -50,17 +49,25 @@ func UserNotificationsIndexed(u *profile.Profile, idx *recommend.ItemIndex, olde
 	return out
 }
 
-// Notify scans the pool after a version pair and emits, per user, the top
-// measures whose relatedness crosses the threshold — at most k per user.
-// Users whose interests are untouched by the evolution stay silent; the
-// emission is recorded in provenance. Notifications are ordered by user,
-// then descending relatedness.
-func (e *Engine) Notify(pool []*profile.Profile, olderID, newerID string, threshold float64, k int) ([]Notification, error) {
+// ValidateNotify refuses what Notify refuses before touching a pair: a
+// threshold outside [0, 1], or k below 1.
+func ValidateNotify(threshold float64, k int) error {
 	if threshold < 0 || threshold > 1 {
-		return nil, fmt.Errorf("core: threshold must be in [0,1], got %g", threshold)
+		return fmt.Errorf("core: threshold must be in [0,1], got %g", threshold)
 	}
 	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
+		return fmt.Errorf("core: k must be >= 1, got %d", k)
+	}
+	return nil
+}
+
+// Notify scans the pool after a version pair and emits, per user, the top
+// measures whose relatedness crosses the threshold — at most k per user.
+// Users whose interests are untouched by the evolution stay silent.
+// Notifications are ordered by user, then descending relatedness.
+func (e *Engine) Notify(pool []*profile.Profile, olderID, newerID string, threshold float64, k int) ([]Notification, error) {
+	if err := ValidateNotify(threshold, k); err != nil {
+		return nil, err
 	}
 	p, err := e.cached(olderID, newerID)
 	if err != nil {
@@ -76,11 +83,5 @@ func (e *Engine) Notify(pool []*profile.Profile, olderID, newerID string, thresh
 		}
 		return out[i].Relatedness > out[j].Relatedness
 	})
-	if _, err := e.prov.Append("notify", e.agent, provenance.Inference,
-		[]string{p.rec},
-		[]string{fmt.Sprintf("notifications:%s", pairKey(olderID, newerID))},
-		fmt.Sprintf("%d notifications over %d users (threshold %.2f)", len(out), len(pool), threshold)); err != nil {
-		return nil, fmt.Errorf("core: recording notification provenance: %w", err)
-	}
 	return out, nil
 }

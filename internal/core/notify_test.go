@@ -37,10 +37,13 @@ func TestNotifyEmitsForInterestedUsers(t *testing.T) {
 			t.Fatal("per-user notifications must be descending by relatedness")
 		}
 	}
-	// Provenance recorded.
-	if _, ok := e.Provenance().Creator("notifications:v1->v2"); !ok {
-		t.Fatal("notify must record provenance")
-	}
+	// A notified measure's scores carry the provenance; notifying again on
+	// the built pair records nothing.
+	assertScoresLineage(t, e, ns[0].MeasureID, "v1", "v2")
+	assertNoRecord(t, e, "notify", func() error {
+		_, err := e.Notify(pool, "v1", "v2", 0.05, 2)
+		return err
+	})
 }
 
 func TestNotifySilenceForUnrelatedUser(t *testing.T) {

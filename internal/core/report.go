@@ -13,8 +13,8 @@ import (
 // high-level overview of how the knowledge base evolved between two
 // versions — the overall delta volume, the high-level changes touching the
 // user's interests, the recommended measures with per-measure explanations,
-// and what each recommended measure highlights. The recommendation itself
-// goes through Recommend, so it is provenance-tracked like any other.
+// and what each recommended measure highlights. Each measure's derivation
+// is the transparency report of its ScoresArtifact.
 func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 	sel, err := e.Recommend(u, req)
 	if err != nil {

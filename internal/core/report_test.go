@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"evorec/internal/recommend"
 )
 
 func TestUserReportContents(t *testing.T) {
@@ -32,12 +34,20 @@ func TestUserReportContents(t *testing.T) {
 func TestUserReportRecordsProvenance(t *testing.T) {
 	e, pool := testEngine(t)
 	u := pool[1]
-	if _, err := e.UserReport(u, Request{OlderID: "v1", NewerID: "v2", K: 1}); err != nil {
+	req := Request{OlderID: "v1", NewerID: "v2", K: 1}
+	if _, err := e.UserReport(u, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.Provenance().Creator("rec:" + u.ID + ":v1->v2:plain"); !ok {
-		t.Fatal("user report must leave the recommendation's provenance trail")
-	}
+	var sel []recommend.Recommendation
+	assertNoRecord(t, e, "user report", func() error {
+		if _, err := e.UserReport(u, req); err != nil {
+			return err
+		}
+		var err error
+		sel, err = e.Recommend(u, req)
+		return err
+	})
+	assertScoresLineage(t, e, sel[0].MeasureID, "v1", "v2")
 }
 
 func TestUserReportErrors(t *testing.T) {

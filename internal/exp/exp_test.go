@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -296,6 +297,19 @@ func TestE11TrendCensus(t *testing.T) {
 	}
 	if a.Len() == 0 {
 		t.Fatal("nothing tracked")
+	}
+}
+
+// TestE10CoverageTotal checks that every user's recommended measures trace
+// to both version ingests through their scores' lineage.
+func TestE10CoverageTotal(t *testing.T) {
+	out, err := E10ProvenanceOverhead(TestScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`recs tracing to both ingests\s+(\d+)/(\d+)`).FindStringSubmatch(out)
+	if m == nil || m[1] != m[2] || m[1] == "0" {
+		t.Fatalf("E10 coverage must be total:\n%s", out)
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // Records carry one of the paper's three trust sources (observation,
 // inference, belief adoption) and form a DAG through their input references;
-// Lineage walks it. The core engine writes one record per pipeline stage
-// (ingest, delta, measure evaluation, recommendation), which makes every
-// recommendation reproducible from its transparency report.
+// Lineage walks it. The core engine writes one record per artifact it keeps
+// (version, delta, measure scores, trend); a recommendation is reproducible
+// from its measures' transparency reports.
 package provenance
 
 import (
@@ -70,10 +70,9 @@ type Record struct {
 
 // Store is an append-only provenance log with artifact and lineage indexes.
 // The zero value is not ready; use NewStore. Store is safe for concurrent
-// use: every recommendation the service layer runs in parallel appends its
-// record here, so the log carries its own lock rather than leaning on the
-// callers' discipline. Records handed out are shared — treat them as
-// immutable.
+// use: the engine appends from its one serialized builder while inspection
+// and library callers read, so the log carries its own lock. Records handed
+// out are shared — treat them as immutable.
 type Store struct {
 	mu        sync.RWMutex
 	records   []*Record

@@ -92,9 +92,9 @@ func TestLineageWalksDAG(t *testing.T) {
 	v2, _ := s.Append("ingest", "sys", Observation, nil, []string{"version:v2"}, "")
 	d, _ := s.Append("delta", "sys", Inference, []string{v1.ID, v2.ID}, []string{"delta:v1:v2"}, "")
 	m, _ := s.Append("measure", "sys", Inference, []string{d.ID}, []string{"scores:change_count"}, "")
-	rec, _ := s.Append("recommend", "sys", Inference, []string{m.ID}, []string{"rec:u1"}, "")
+	rec, _ := s.Append("report", "sys", Inference, []string{m.ID}, []string{"report:u1"}, "")
 
-	lin := s.Lineage("rec:u1")
+	lin := s.Lineage("report:u1")
 	if len(lin) != 5 {
 		t.Fatalf("lineage size = %d, want 5", len(lin))
 	}

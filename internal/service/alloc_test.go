@@ -63,6 +63,24 @@ func TestRecommendTracedAllocGuard(t *testing.T) {
 	t.Logf("warm recommend allocs: baseline=%v traced=%v", baseline, traced)
 }
 
+// TestWarmRecommendAllocBound holds a warm plain recommend to the one
+// allocation it needs, its result slice (plus one of headroom): serving a
+// cached pair writes nothing shared.
+func TestWarmRecommendAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race: the race runtime randomly drops sync.Pool puts, and the warm path scores with pooled scratch")
+	}
+	d, u, req := warmDataset(t, service.Config{})
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := d.RecommendCtx(context.Background(), u, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2 {
+		t.Fatalf("warm recommend allocates %v times, want at most 2", got)
+	}
+}
+
 // TestDiversifiedRecommendAllocGuard holds the greedy diversifiers to the
 // point rankers' allocation profile: once the pair's distance table exists
 // (AllocsPerRun's warm-up call builds it), a warm MMR or Max-Min recommend

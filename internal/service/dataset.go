@@ -277,11 +277,14 @@ func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error
 
 // RecommendCtx produces a recommendation list for one user. The profile is
 // caller-owned: concurrent requests must not share one mutable profile when
-// req.MarkSeen is set (the HTTP layer builds request-scoped profiles). When
-// ctx carries a sampled trace and the pair is cold, the build surfaces as a
-// "service.pair_build" (or "service.pair_wait") child span; the warm path
-// records nothing.
+// req.MarkSeen is set (the HTTP layer builds request-scoped profiles). A
+// refused request builds nothing. When ctx carries a sampled trace and the
+// pair is cold, the build surfaces as a "service.pair_build" (or
+// "service.pair_wait") child span; the warm path records nothing.
 func (d *Dataset) RecommendCtx(ctx context.Context, u *profile.Profile, req core.Request) ([]recommend.Recommendation, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
 	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
 		return nil, err
 	}
@@ -291,14 +294,18 @@ func (d *Dataset) RecommendCtx(ctx context.Context, u *profile.Profile, req core
 // RecommendPrivateCtx recommends for pool member idx through the anonymized
 // view of the pool (k-anonymity and/or differential privacy).
 func (d *Dataset) RecommendPrivateCtx(ctx context.Context, pool []*profile.Profile, idx int, req core.Request, pol core.PrivacyPolicy) ([]recommend.Recommendation, error) {
-	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
+	u, err := d.eng.Publish(pool, idx, pol)
+	if err != nil {
 		return nil, err
 	}
-	return d.eng.RecommendPrivate(pool, idx, req, pol)
+	return d.RecommendCtx(ctx, u, req)
 }
 
 // RecommendGroupCtx produces a recommendation list for a group.
 func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req core.GroupRequest) ([]recommend.Recommendation, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
 	if err := d.ensureItems(ctx, req.OlderID, req.NewerID); err != nil {
 		return nil, err
 	}
@@ -308,6 +315,9 @@ func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req c
 // NotifyCtx scans the pool after a version pair and emits per-user
 // notifications whose relatedness crosses the threshold.
 func (d *Dataset) NotifyCtx(ctx context.Context, pool []*profile.Profile, olderID, newerID string, threshold float64, k int) ([]core.Notification, error) {
+	if err := core.ValidateNotify(threshold, k); err != nil {
+		return nil, err
+	}
 	if err := d.ensureItems(ctx, olderID, newerID); err != nil {
 		return nil, err
 	}
@@ -619,7 +629,8 @@ type Info struct {
 	// CachedPairs lists the pair keys currently cached.
 	ContextBuilds int
 	CachedPairs   []string
-	// ProvenanceRecords counts the provenance log's entries.
+	// ProvenanceRecords counts the provenance log's entries: one per version
+	// ingested and two per pair built; requests add none.
 	ProvenanceRecords int
 	// Subscribers counts registered feed subscribers; FeedPairs counts the
 	// version pairs fanned out to them.

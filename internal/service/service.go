@@ -15,8 +15,7 @@
 //   - A cached pair (core.Engine.HasItems) is immutable and stays cached, so
 //     recommendation, notification and measure requests on it take no
 //     dataset lock: they read the pair through the engine's concurrent pair
-//     cache and append to the internally synchronized provenance store, and
-//     never wait for a commit.
+//     cache, write nothing shared, and never wait for a commit.
 //   - Commits (new versions), idle checkpoints and the heal probe hold the
 //     mutex, and so do the reads of version graphs or of the version chain
 //     (the delta endpoint, inspection); a commit persists through the binary

@@ -130,11 +130,13 @@ type feedResp struct {
 }
 
 type infoResp struct {
-	Name        string   `json:"name"`
-	Backed      bool     `json:"backed"`
-	Versions    []string `json:"versions"`
-	Subscribers int      `json:"subscribers"`
-	FeedPairs   int      `json:"feed_pairs"`
+	Name              string   `json:"name"`
+	Backed            bool     `json:"backed"`
+	Versions          []string `json:"versions"`
+	CachedPairs       []string `json:"cached_pairs"`
+	ProvenanceRecords int      `json:"provenance_records"`
+	Subscribers       int      `json:"subscribers"`
+	FeedPairs         int      `json:"feed_pairs"`
 }
 
 // ---------------------------------------------------------------------------
@@ -685,6 +687,11 @@ func (r *runner) execInspect(d *dsState) {
 	defer d.mu.Unlock()
 	r.expect(resp.Name == d.name && resp.Backed == d.backed, "shape",
 		"inspect %s: name=%q backed=%v", d.name, resp.Name, resp.Backed)
+	// Reads leave no record, whatever the commits did: one per version, two
+	// per built pair.
+	r.expect(resp.ProvenanceRecords <= len(resp.Versions)+2*len(resp.CachedPairs), "inspect",
+		"inspect %s: %d provenance records for %d versions and %d cached pairs",
+		d.name, resp.ProvenanceRecords, len(resp.Versions), len(resp.CachedPairs))
 	if d.commitsFail > 0 || len(d.pendVer) > 0 {
 		return // indeterminate commits: the chain is only comparable loosely
 	}
