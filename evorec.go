@@ -13,7 +13,8 @@
 //   - the human-aware recommenders: relatedness, content/novelty/semantic
 //     diversity, group fairness, and anonymity (k-anonymity and differential
 //     privacy),
-//   - provenance-backed transparency for every recommendation,
+//   - provenance-backed transparency: every recommendation traces through
+//     its measures' scores (ScoresArtifact) to the ingested versions,
 //   - a synthetic evolving-KB generator standing in for DBpedia snapshots.
 //
 // The Engine type ties the layers into the paper's processing model:
