@@ -9,6 +9,7 @@ import (
 
 	"evorec/internal/core"
 	"evorec/internal/profile"
+	"evorec/internal/rdf"
 	"evorec/internal/service"
 )
 
@@ -19,10 +20,7 @@ import (
 func TestRefusedRequestsBuildNothing(t *testing.T) {
 	vs := testChain(t, 3)
 	pool := testProfiles(t, vs, 3)
-	d, err := service.New(service.Config{}).Add("kb", vs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := memDataset(t, vs)
 	g, err := profile.NewGroup("g", pool)
 	if err != nil {
 		t.Fatal(err)
@@ -77,10 +75,7 @@ func TestWarmReadsRetainNothing(t *testing.T) {
 	const n = 20000
 	vs := testChain(t, 2)
 	pool := testProfiles(t, vs, 4)
-	d, err := service.New(service.Config{}).Add("kb", vs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := memDataset(t, vs)
 	g, err := profile.NewGroup("g", pool)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +111,29 @@ func TestWarmReadsRetainNothing(t *testing.T) {
 		t.Fatalf("%d warm requests moved provenance records %d -> %d", n, records, got)
 	}
 	if raceEnabled {
-		return // the race runtime's shadow memory makes heap sizes meaningless
+		return // heap figures are gated in normal builds only, like the allocation guards
 	}
 	if grew := int64(after) - int64(before); grew >= 1<<20 {
 		t.Fatalf("%d warm requests retained %d bytes of heap", n, grew)
 	}
 	t.Logf("heap retained over %d warm requests: %d -> %d bytes", n, before, after)
+}
+
+// memDataset registers the chain as an in-memory dataset of a service that
+// closes with the test.
+func memDataset(t *testing.T, vs *rdf.VersionStore) *service.Dataset {
+	t.Helper()
+	svc := service.New(service.Config{})
+	t.Cleanup(func() {
+		if err := svc.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	d, err := svc.Add("kb", vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // retainedHeap returns the live heap after two collections, which also
