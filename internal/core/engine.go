@@ -41,16 +41,21 @@ type Config struct {
 // context holds, the engine keeps one: the newer side of the last context
 // it built, which is the older side of the next consecutive pair.
 //
+// A version keeps its graph from Ingest until Release drops it; the ID and
+// the ingest record stay, and Attach hands a graph back before the version
+// is read again. A caller that can re-read graphs (internal/service over a
+// store) thereby holds only the ones its current work needs.
+//
 // Concurrency: the caller serializes every call that can build — Ingest,
-// Context, TrendAnalysis, UserReport, and any call on a pair not yet
-// cached — since those write the version store, the carried analysis, the
-// pair cache and the provenance log (internal/service holds one mutex for
-// them). A cached pair is immutable and is never dropped, and the pair cache
-// is safe for lookups beside that one builder: once HasItems reports a pair,
-// Recommend, RecommendGroup, RecommendPrivate, Notify, Items, ItemIndex and
-// DeltaSizes on it only read the pair and write nothing shared, so any
-// number of them may run concurrently with each other and with the
-// builder, without a lock.
+// Release, Attach, Context, TrendAnalysis, UserReport, and any call on a
+// pair not yet cached — since those write the version store, the carried
+// analysis, the pair cache and the provenance log (internal/service holds
+// one mutex for them). A cached pair is immutable and is never dropped, and
+// the pair cache is safe for lookups beside that one builder: once HasItems
+// reports a pair, Recommend, RecommendGroup, RecommendPrivate, Notify,
+// Items, ItemIndex and DeltaSizes on it only read the pair and write nothing
+// shared, so any number of them may run concurrently with each other and
+// with the builder, without a lock.
 type Engine struct {
 	registry *measures.Registry
 	agent    string
@@ -62,10 +67,11 @@ type Engine struct {
 	ctxBuilds  int               // contexts actually constructed
 
 	// carry is the newer side's analysis from the last context built, and
-	// carryGraph the version graph it analyzed: a commit's pair build finds
-	// its older side here and analyzes only the new version.
-	carry      *measures.VersionAnalysis
-	carryGraph *rdf.Graph
+	// carryID the version it analyzed: a commit's pair build finds its older
+	// side here and analyzes only the new version, whether or not that
+	// version's graph was released and re-attached in between.
+	carry   *measures.VersionAnalysis
+	carryID string
 }
 
 // pair is one version pair's cached evaluation, immutable once stored.
@@ -114,8 +120,13 @@ func (e *Engine) Versions() *rdf.VersionStore { return e.versions }
 func (e *Engine) Provenance() *provenance.Store { return e.prov }
 
 // Ingest registers a version and records its provenance as an observation.
+// The engine registers its own copy of v, so Release never touches v.
 func (e *Engine) Ingest(v *rdf.Version) error {
-	if err := e.versions.Add(v); err != nil {
+	if v == nil {
+		return fmt.Errorf("core: version must not be nil")
+	}
+	own := *v
+	if err := e.versions.Add(&own); err != nil {
 		return err
 	}
 	rec, err := e.prov.Append("ingest_version", e.agent, provenance.Observation,
@@ -147,35 +158,90 @@ func ScoresArtifact(measureID, olderID, newerID string) string {
 	return "scores:" + measureID + ":" + pairKey(olderID, newerID)
 }
 
+// Release drops the graph the engine holds for version id, keeping the
+// version's ID and its ingest record. The version reads again once Attach
+// gives it a graph; until then Context on it returns an error. Releasing an
+// unknown or already released version does nothing. The carried analysis
+// keeps the graph it was built from.
+func (e *Engine) Release(id string) {
+	if v, ok := e.versions.Get(id); ok {
+		v.Graph = nil
+	}
+}
+
+// Attach gives version id the graph g, which must hold the contents the
+// version was ingested with (a graph re-read from where the caller keeps
+// it). It writes no provenance record.
+func (e *Engine) Attach(id string, g *rdf.Graph) error {
+	v, ok := e.versions.Get(id)
+	if !ok {
+		return fmt.Errorf("core: unknown version %q", id)
+	}
+	if g == nil {
+		return fmt.Errorf("core: version %q must have a graph", id)
+	}
+	v.Graph = g
+	return nil
+}
+
+// ResidentGraphs counts the distinct version graphs the engine holds: those
+// of versions not released, and the one the carried analysis was built
+// from, counted once.
+func (e *Engine) ResidentGraphs() int {
+	seen := make(map[*rdf.Graph]bool)
+	for _, id := range e.versions.IDs() {
+		if v, _ := e.versions.Get(id); v.Graph != nil {
+			seen[v.Graph] = true
+		}
+	}
+	if e.carry != nil {
+		seen[e.carry.Schema.Graph()] = true
+	}
+	return len(seen)
+}
+
+// version returns the ingested version id with its graph attached.
+func (e *Engine) version(id string) (*rdf.Version, error) {
+	v, ok := e.versions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown version %q", id)
+	}
+	if v.Graph == nil {
+		return nil, fmt.Errorf("core: version %q is released", id)
+	}
+	return v, nil
+}
+
 // Context builds the analysis context for a version pair. Contexts are not
 // cached: the first build of a pair records its compute_delta provenance,
-// later builds reuse that record. Either side whose graph the engine's
-// carried analysis was built from takes that analysis; a side analyzed
-// afresh is offered the other side's (or the carry) as measures.Analyze's
-// prev. The newer side's analysis becomes the carry.
+// later builds reuse that record. Either side that is the version the
+// engine's carried analysis was built from takes that analysis; a side
+// analyzed afresh is offered the other side's (or the carry) as
+// measures.Analyze's prev. The newer side's analysis becomes the carry.
+// Both versions must hold their graphs.
 func (e *Engine) Context(olderID, newerID string) (*measures.Context, error) {
-	older, ok := e.versions.Get(olderID)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown version %q", olderID)
+	older, err := e.version(olderID)
+	if err != nil {
+		return nil, err
 	}
-	newer, ok := e.versions.Get(newerID)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown version %q", newerID)
+	newer, err := e.version(newerID)
+	if err != nil {
+		return nil, err
 	}
-	oa := e.analyze(older.Graph, e.carry)
-	na := e.analyze(newer.Graph, oa)
-	e.carry, e.carryGraph = na, newer.Graph
+	oa := e.analyze(older, e.carry)
+	na := e.analyze(newer, oa)
+	e.carry, e.carryID = na, newerID
 	return e.recordContext(olderID, newerID,
 		measures.NewContextFromAnalyses(oa, na, delta.ComputeVersions(older, newer)))
 }
 
-// analyze returns the carried analysis if it is g's, and otherwise analyzes
-// g with prev offered for reuse.
-func (e *Engine) analyze(g *rdf.Graph, prev *measures.VersionAnalysis) *measures.VersionAnalysis {
-	if g == e.carryGraph {
+// analyze returns the carried analysis if it is v's, and otherwise analyzes
+// v's graph with prev offered for reuse.
+func (e *Engine) analyze(v *rdf.Version, prev *measures.VersionAnalysis) *measures.VersionAnalysis {
+	if v.ID == e.carryID {
 		return e.carry
 	}
-	return measures.Analyze(g, prev)
+	return measures.Analyze(v.Graph, prev)
 }
 
 // recordContext counts a freshly built pair context and records the pair's

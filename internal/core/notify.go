@@ -50,9 +50,9 @@ func UserNotificationsIndexed(u *profile.Profile, idx *recommend.ItemIndex, olde
 }
 
 // ValidateNotify refuses what Notify refuses before touching a pair: a
-// threshold outside [0, 1], or k below 1.
+// threshold outside [0, 1] (NaN included), or k below 1.
 func ValidateNotify(threshold float64, k int) error {
-	if threshold < 0 || threshold > 1 {
+	if !(threshold >= 0 && threshold <= 1) {
 		return fmt.Errorf("core: threshold must be in [0,1], got %g", threshold)
 	}
 	if k < 1 {

@@ -22,8 +22,14 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 	}
 	// Recommend built the pair, so both versions are ingested.
 	p, _ := e.lookup(req.OlderID, req.NewerID)
-	older, _ := e.versions.Get(req.OlderID)
-	newer, _ := e.versions.Get(req.NewerID)
+	older, err := e.version(req.OlderID)
+	if err != nil {
+		return "", err
+	}
+	newer, err := e.version(req.NewerID)
+	if err != nil {
+		return "", err
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Evolution digest for %s (%s -> %s)\n", u.ID, req.OlderID, req.NewerID)

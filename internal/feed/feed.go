@@ -183,7 +183,7 @@ func Open(cfg Config) (*Feed, error) {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = DefaultThreshold
 	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
+	if !(cfg.Threshold >= 0 && cfg.Threshold <= 1) {
 		return nil, fmt.Errorf("feed: threshold must be in [0,1], got %g", cfg.Threshold)
 	}
 	if cfg.K <= 0 {

@@ -597,6 +597,21 @@ func TestSubscribeRejectsBadWeights(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesBadThreshold: a threshold outside [0, 1] is refused when
+// the feed opens, NaN included (zero means the default).
+func TestOpenRefusesBadThreshold(t *testing.T) {
+	for _, th := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := feed.Open(feed.Config{Threshold: th}); err == nil {
+			t.Errorf("threshold %g accepted", th)
+		}
+	}
+	for _, th := range []float64{0, 0.5, 1} {
+		if _, err := feed.Open(feed.Config{Threshold: th}); err != nil {
+			t.Errorf("threshold %g refused: %v", th, err)
+		}
+	}
+}
+
 // TestSubscribePersistFailureRollsBack: when the journal cannot be
 // appended to, Subscribe/Unsubscribe report the error AND leave the
 // in-memory registry exactly as it was — no phantom subscribers receiving

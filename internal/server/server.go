@@ -298,6 +298,7 @@ type infoJSON struct {
 	StoreCacheMisses  int      `json:"store_cache_misses"`
 	ContextBuilds     int      `json:"context_builds"`
 	CachedPairs       []string `json:"cached_pairs"`
+	ResidentGraphs    int      `json:"resident_graphs"`
 	ProvenanceRecords int      `json:"provenance_records"`
 	Subscribers       int      `json:"subscribers"`
 	FeedPairs         int      `json:"feed_pairs"`
@@ -317,6 +318,7 @@ func toInfoJSON(info service.Info) infoJSON {
 		StoreCacheMisses:  info.StoreCacheMisses,
 		ContextBuilds:     info.ContextBuilds,
 		CachedPairs:       info.CachedPairs,
+		ResidentGraphs:    info.ResidentGraphs,
 		ProvenanceRecords: info.ProvenanceRecords,
 		Subscribers:       info.Subscribers,
 		FeedPairs:         info.FeedPairs,

@@ -243,22 +243,20 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 		}
 	}
 	for _, s := range ok {
+		res := commitResult{info: s.info}
 		if err := d.eng.Ingest(s.v); err != nil {
 			// The version is already durable; report the serving-side failure
 			// but keep the chain position — later versions still apply over it.
-			s.req.done <- commitResult{err: err}
-			prev = s.v.ID
-			continue
-		}
-		// Commit-triggered fan-out: evaluate the new consecutive pair once
-		// (which also pre-warms the pair cache for the requests that follow
-		// a commit) and deliver it to the standing subscribers through the
-		// inverted index. With no subscribers the pair build is skipped
-		// entirely, so subscriber-free commits cost what they always did.
-		// The version is durable at this point, so fan-out failures are
-		// reported in FeedError, never as a commit failure — a client must
-		// not see "bad request" for a version that landed.
-		if prev != "" && d.feed.Len() > 0 {
+			res = commitResult{err: err}
+		} else if prev != "" && d.feed.Len() > 0 {
+			// Commit-triggered fan-out: evaluate the new consecutive pair once
+			// (which also pre-warms the pair cache for the requests that
+			// follow a commit) and deliver it to the standing subscribers
+			// through the inverted index. With no subscribers the pair build
+			// is skipped entirely, so subscriber-free commits cost what they
+			// always did. The version is durable at this point, so fan-out
+			// failures are reported in FeedError, never as a commit failure —
+			// a client must not see "bad request" for a version that landed.
 			rctx := s.req.reqCtx()
 			st, ferr := d.fanOutLocked(rctx, prev, s.v.ID)
 			if ferr != nil {
@@ -267,9 +265,13 @@ func (d *Dataset) commitBatch(batch []*commitReq) {
 			s.info.Feed = st
 			d.logFanOut(rctx, s.v.ID, st, ferr)
 		}
+		// The older side's work is done; the newer side stays attached for
+		// the next commit's fan-out, and the last one is released below.
+		d.releaseLocked(prev)
 		prev = s.v.ID
-		s.req.done <- commitResult{info: s.info}
+		s.req.done <- res
 	}
+	d.releaseLocked(prev)
 }
 
 // close shuts the committer down: no new commits are admitted, the drain

@@ -169,14 +169,17 @@ func (d *Dataset) hasVersionLocked(id string) bool {
 	return d.sds != nil && d.sds.Has(id)
 }
 
-// ensureVersionLocked makes the version visible to the engine, paging it in
-// from the backing store on first use. Ingested versions stay resident in
-// the engine's version store, so the store LRU bounds reconstruction cost
-// while serving memory grows with the distinct versions actually requested.
-// Callers hold mu. When ctx carries a sampled trace, a cold
-// page-in surfaces as a "store.materialize" span.
+// ensureVersionLocked gives the engine the version's graph, paging it in
+// from the backing store when the engine does not hold it: the first page-in
+// ingests the version, later ones re-attach the graph to it. A backed
+// dataset's engine keeps a graph only for the work that paged it in (see
+// releaseLocked), so the store's LRU is the only graph cache and bounds
+// both reconstruction cost and resident graphs. Callers hold mu. When ctx
+// carries a sampled trace, a cold page-in surfaces as a "store.materialize"
+// span.
 func (d *Dataset) ensureVersionLocked(ctx context.Context, id string) error {
-	if _, ok := d.eng.Versions().Get(id); ok {
+	v, ingested := d.eng.Versions().Get(id)
+	if ingested && v.Graph != nil {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -189,7 +192,24 @@ func (d *Dataset) ensureVersionLocked(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
+	if ingested {
+		return d.eng.Attach(id, g)
+	}
 	return d.eng.Ingest(&rdf.Version{ID: id, Graph: g})
+}
+
+// releaseLocked has a backed dataset's engine drop the versions' graphs once
+// the pair build, fan-out or delta read that needed them is done; the
+// versions keep their IDs and ingest records, and ensureVersionLocked pages
+// them in again. In-memory datasets have nowhere to re-read a graph from and
+// keep every one. Callers hold mu.
+func (d *Dataset) releaseLocked(ids ...string) {
+	if d.sds == nil {
+		return
+	}
+	for _, id := range ids {
+		d.eng.Release(id)
+	}
 }
 
 func pairKey(olderID, newerID string) string { return olderID + "\x00" + newerID }
@@ -262,6 +282,7 @@ func (d *Dataset) buildItems(ctx context.Context, olderID, newerID string) error
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	defer d.releaseLocked(olderID, newerID)
 	if err := d.ensureVersionLocked(ctx, olderID); err != nil {
 		return err
 	}
@@ -333,7 +354,8 @@ type DeltaStats struct {
 
 // DeltaCtx returns the pair's low-level delta sizes, which the engine's pair
 // cache records, and its rendered high-level changes, detected on the two
-// resident versions. It reads version graphs, so it holds mu: a commit may
+// versions' graphs, paged in for the call (through the store's LRU when the
+// dataset is backed). It reads version graphs, so it holds mu: a commit may
 // be ingesting a version and interning into the shared dictionary.
 func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*DeltaStats, error) {
 	if err := d.ensureItems(ctx, olderID, newerID); err != nil {
@@ -345,7 +367,13 @@ func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*Delta
 	if err != nil {
 		return nil, err
 	}
-	// The pair is cached, so both versions are resident in the engine.
+	defer d.releaseLocked(olderID, newerID)
+	if err := d.ensureVersionLocked(ctx, olderID); err != nil {
+		return nil, err
+	}
+	if err := d.ensureVersionLocked(ctx, newerID); err != nil {
+		return nil, err
+	}
 	older, _ := d.eng.Versions().Get(olderID)
 	newer, _ := d.eng.Versions().Get(newerID)
 	out := &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted}
@@ -629,6 +657,10 @@ type Info struct {
 	// CachedPairs lists the pair keys currently cached.
 	ContextBuilds int
 	CachedPairs   []string
+	// ResidentGraphs counts the distinct version graphs the engine holds,
+	// the carried analysis's counted once: every version's for in-memory
+	// datasets, at most the carry's for backed ones between calls.
+	ResidentGraphs int
 	// ProvenanceRecords counts the provenance log's entries: one per version
 	// ingested and two per pair built; requests add none.
 	ProvenanceRecords int
@@ -648,6 +680,7 @@ func (d *Dataset) Info() Info {
 		Dir:               d.dir,
 		ContextBuilds:     d.eng.ContextBuilds(),
 		CachedPairs:       d.eng.CachedPairs(),
+		ResidentGraphs:    d.eng.ResidentGraphs(),
 		ProvenanceRecords: d.eng.Provenance().Len(),
 		Subscribers:       d.feed.Len(),
 		FeedPairs:         d.feed.Pairs(),

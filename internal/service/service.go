@@ -23,9 +23,10 @@
 //     append-only, so no cached pair is ever invalidated.
 //
 // Datasets come in two flavors: disk-backed (opened from an internal/store
-// directory, versions materialize lazily through the store's LRU) and
+// directory, versions materialize lazily through the store's LRU, and the
+// engine releases each graph once the call that paged it in is done) and
 // in-memory (registered from a version store or created empty and fed
-// entirely through Commit).
+// entirely through Commit, every graph kept).
 package service
 
 import (

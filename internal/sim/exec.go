@@ -134,6 +134,7 @@ type infoResp struct {
 	Backed            bool     `json:"backed"`
 	Versions          []string `json:"versions"`
 	CachedPairs       []string `json:"cached_pairs"`
+	ResidentGraphs    int      `json:"resident_graphs"`
 	ProvenanceRecords int      `json:"provenance_records"`
 	Subscribers       int      `json:"subscribers"`
 	FeedPairs         int      `json:"feed_pairs"`
@@ -692,6 +693,11 @@ func (r *runner) execInspect(d *dsState) {
 	r.expect(resp.ProvenanceRecords <= len(resp.Versions)+2*len(resp.CachedPairs), "inspect",
 		"inspect %s: %d provenance records for %d versions and %d cached pairs",
 		d.name, resp.ProvenanceRecords, len(resp.Versions), len(resp.CachedPairs))
+	// A backed dataset's engine keeps no version graph between calls beyond
+	// the one its carried analysis was built from; the store's LRU is the
+	// only graph cache.
+	r.expect(!d.backed || resp.ResidentGraphs <= 1, "inspect",
+		"inspect %s: %d resident version graphs, want at most 1", d.name, resp.ResidentGraphs)
 	if d.commitsFail > 0 || len(d.pendVer) > 0 {
 		return // indeterminate commits: the chain is only comparable loosely
 	}
