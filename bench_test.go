@@ -559,7 +559,7 @@ func BenchmarkFeedFanout(b *testing.B) {
 	var hot evorec.Term
 	hotW := 0.0
 	for _, it := range items {
-		for tm, w := range it.Vector {
+		for tm, w := range it.Scores {
 			if w > hotW {
 				hot, hotW = tm, w
 			}

@@ -215,7 +215,8 @@ func ParseUserSpec(spec string) (*Profile, error) { return profile.ParseUserSpec
 // ---------------------------------------------------------------------------
 // Recommendation
 
-// Item is one recommendable measure evaluated on a version pair.
+// Item is one recommendable measure evaluated on a version pair: the
+// measure and its raw Scores, which ItemIndex compiles in normalized form.
 type Item = recommend.Item
 
 // Recommendation is one ranked measure.
@@ -236,62 +237,23 @@ func BuildItems(ctx *MeasureContext, reg *MeasureRegistry) []Item {
 	return recommend.BuildItems(ctx, reg)
 }
 
-// ItemIndex is the ID-native scoring kernel over one pair's items: flat
-// sorted TermID vectors with cached norms behind an inverted term → item
-// postings index, with bounded-heap top-k selection. It is the one home of
+// ItemIndex is the ID-native scoring kernel over one pair's items, and the
+// one way to score them: flat sorted TermID vectors compiled from each
+// item's max-normalized Scores, with cached norms, behind an inverted term
+// → item postings index, with bounded-heap top-k selection. Its methods are
 // the point rankings (TopK, NoveltyTopK, SemanticTopK, PopularityTopK,
-// GroupTopK) and of the greedy diversifiers (MMR, MaxMin, which read
-// item-to-item distances from a table built on first use), bit-identical
-// to scoring every item with Relatedness and ItemDistance; the engine
+// GroupTopK), the greedy selectors (MMR, MaxMin, which read item-to-item
+// distances from a table built on first use, and the fairness-aware
+// FairGreedyTopK), the explanations (Explain, ExplainText), and the
+// evaluation metrics (Satisfaction, GroupSatisfactions, MinSatisfaction,
+// MeanSatisfaction, EnvySpread, IsCovered, Proportionality,
+// MeanRelatedness, IntraListDiversity, CategoryCoverage). The engine
 // caches one per version pair, the feed fan-out scores subscribers through
 // it (see DESIGN.md §9), and NewItemIndex builds one over any item slice.
 type ItemIndex = recommend.ItemIndex
 
 // NewItemIndex compiles items into the flat scoring kernel form.
 func NewItemIndex(items []Item) *ItemIndex { return recommend.NewItemIndex(items) }
-
-// Relatedness scores how related an item is to a user (§III-a).
-func Relatedness(u *Profile, it Item) float64 { return recommend.Relatedness(u, it) }
-
-// FairGreedyTopK is the fairness-aware group selection (§III-d).
-func FairGreedyTopK(g *Group, items []Item, k int, alpha float64) []Recommendation {
-	return recommend.FairGreedyTopK(g, items, k, alpha)
-}
-
-// IntraListDiversity is the mean pairwise content distance of a selection.
-func IntraListDiversity(items []Item, sel []Recommendation) float64 {
-	return recommend.IntraListDiversity(items, sel)
-}
-
-// CategoryCoverage is the fraction of measure categories in a selection.
-func CategoryCoverage(items []Item, sel []Recommendation) float64 {
-	return recommend.CategoryCoverage(items, sel)
-}
-
-// MeanRelatedness is the mean relatedness of a selection to a user.
-func MeanRelatedness(u *Profile, items []Item, sel []Recommendation) float64 {
-	return recommend.MeanRelatedness(u, items, sel)
-}
-
-// Satisfaction is a member's normalized satisfaction with a selection.
-func Satisfaction(u *Profile, items []Item, sel []Recommendation) float64 {
-	return recommend.Satisfaction(u, items, sel)
-}
-
-// GroupSatisfactions returns every member's satisfaction, in member order.
-func GroupSatisfactions(g *Group, items []Item, sel []Recommendation) []float64 {
-	return recommend.GroupSatisfactions(g, items, sel)
-}
-
-// MinSatisfaction is the satisfaction of the least-satisfied group member.
-func MinSatisfaction(g *Group, items []Item, sel []Recommendation) float64 {
-	return recommend.MinSatisfaction(g, items, sel)
-}
-
-// MeanSatisfaction is the mean member satisfaction with a selection.
-func MeanSatisfaction(g *Group, items []Item, sel []Recommendation) float64 {
-	return recommend.MeanSatisfaction(g, items, sel)
-}
 
 // JainIndex is Jain's fairness index over member satisfactions.
 func JainIndex(sats []float64) float64 { return recommend.JainIndex(sats) }
@@ -522,19 +484,9 @@ func ExtendedMeasures() []Measure { return measures.ExtendedSet() }
 // NewExtendedMeasureRegistry returns a registry with ExtendedMeasures.
 func NewExtendedMeasureRegistry() *MeasureRegistry { return measures.NewExtendedRegistry() }
 
-// Contribution is one entity's share of a relatedness score.
+// Contribution is one entity's share of a relatedness score, as
+// ItemIndex.Explain returns it.
 type Contribution = recommend.Contribution
-
-// Explain decomposes why an item is related to a user into its top-n
-// contributing entities.
-func Explain(u *Profile, it Item, n int) []Contribution {
-	return recommend.Explain(u, it, n)
-}
-
-// ExplainText renders an explanation as one human-readable sentence.
-func ExplainText(u *Profile, it Item, n int) string {
-	return recommend.ExplainText(u, it, n)
-}
 
 // ---------------------------------------------------------------------------
 // Query
@@ -567,25 +519,13 @@ func Const(t Term) QueryAtom { return query.C(t) }
 func RunQuery(g *Graph, q *Query) (*QueryResult, error) { return query.Run(g, q) }
 
 // ---------------------------------------------------------------------------
-// Feedback learning and richer fairness diagnostics
+// Feedback learning
 
 // Learner updates interest profiles from accept/reject feedback.
 type Learner = recommend.Learner
 
 // NewLearner returns a feedback learner with the given rate in (0,1].
 func NewLearner(rate float64) (*Learner, error) { return recommend.NewLearner(rate) }
-
-// Proportionality is the fraction of group members with at least m of
-// their personal top-delta measures in the selection.
-func Proportionality(g *Group, items []Item, sel []Recommendation, m, delta int) float64 {
-	return recommend.Proportionality(g, items, sel, m, delta)
-}
-
-// EnvySpread is the satisfaction gap between the best- and worst-served
-// group members (0 = envy-free).
-func EnvySpread(g *Group, items []Item, sel []Recommendation) float64 {
-	return recommend.EnvySpread(g, items, sel)
-}
 
 // ---------------------------------------------------------------------------
 // Schema summarization

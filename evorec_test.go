@@ -109,14 +109,15 @@ func TestPublicAPIGroupAndPrivacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := evorec.FairGreedyTopK(g, items, 3, 0.8)
-	if evorec.MinSatisfaction(g, items, sel) < 0 {
+	idx := evorec.NewItemIndex(items)
+	sel := idx.FairGreedyTopK(g, 3, 0.8)
+	if idx.MinSatisfaction(g, sel) < 0 {
 		t.Fatal("min satisfaction out of range")
 	}
-	if p := evorec.Proportionality(g, items, sel, 1, 3); p < 0 || p > 1 {
+	if p := idx.Proportionality(g, sel, 1, 3); p < 0 || p > 1 {
 		t.Fatalf("proportionality = %g", p)
 	}
-	if e := evorec.EnvySpread(g, items, sel); e < 0 {
+	if e := idx.EnvySpread(g, sel); e < 0 {
 		t.Fatalf("envy spread = %g", e)
 	}
 
@@ -192,19 +193,21 @@ func TestPublicAPIFeedbackLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := evorec.NewItemIndex(items)
-	it, ok := idx.ByID(idx.TopK(u, 1)[0].MeasureID)
+	top := idx.TopK(u, 1)[0]
+	it, ok := idx.ByID(top.MeasureID)
 	if !ok {
 		t.Fatal("top measure missing from the index")
 	}
-	before := evorec.Relatedness(u, it)
+	sel := []evorec.Recommendation{top}
+	before := idx.MeanRelatedness(u, sel)
 	l.Accept(u, it)
-	if evorec.Relatedness(u, it) < before {
+	if idx.MeanRelatedness(u, sel) < before {
 		t.Fatal("accept must not lower relatedness")
 	}
-	if evorec.ExplainText(u, it, 2) == "" {
+	if idx.ExplainText(u, it.ID(), 2) == "" {
 		t.Fatal("explanation must render")
 	}
-	if len(evorec.Explain(u, it, 3)) == 0 {
+	if len(idx.Explain(u, it.ID(), 3)) == 0 {
 		t.Fatal("explanation must have contributions")
 	}
 }
@@ -233,13 +236,13 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Fatalf("NoveltyTopK = %d items", len(got))
 	}
 	sel := idx.SemanticTopK(u, 3)
-	if cov := evorec.CategoryCoverage(items, sel); cov <= 0 {
+	if cov := idx.CategoryCoverage(sel); cov <= 0 {
 		t.Fatalf("coverage = %g", cov)
 	}
-	if ild := evorec.IntraListDiversity(items, sel); ild < 0 {
+	if ild := idx.IntraListDiversity(sel); ild < 0 {
 		t.Fatalf("ILD = %g", ild)
 	}
-	if mr := evorec.MeanRelatedness(u, items, sel); mr < 0 {
+	if mr := idx.MeanRelatedness(u, sel); mr < 0 {
 		t.Fatalf("mean relatedness = %g", mr)
 	}
 
@@ -249,14 +252,14 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	gsel := idx.GroupTopK(grp, 2, evorec.LeastMisery)
-	sats := evorec.GroupSatisfactions(grp, items, gsel)
+	sats := idx.GroupSatisfactions(grp, gsel)
 	if len(sats) != 2 {
 		t.Fatalf("sats = %v", sats)
 	}
-	if evorec.MeanSatisfaction(grp, items, gsel) < 0 || evorec.JainIndex(sats) <= 0 {
+	if idx.MeanSatisfaction(grp, gsel) < 0 || evorec.JainIndex(sats) <= 0 {
 		t.Fatal("group metrics out of range")
 	}
-	if s := evorec.Satisfaction(u, items, gsel); s < 0 || s > 1+1e-9 {
+	if s := idx.Satisfaction(u, gsel); s < 0 || s > 1+1e-9 {
 		t.Fatalf("satisfaction = %g", s)
 	}
 
@@ -291,11 +294,7 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 
 	// Explanations.
-	it, ok := idx.ByID(idx.TopK(u, 1)[0].MeasureID)
-	if !ok {
-		t.Fatal("top measure missing from the index")
-	}
-	if evorec.ExplainText(u, it, 1) == "" {
+	if idx.ExplainText(u, idx.TopK(u, 1)[0].MeasureID, 1) == "" {
 		t.Fatal("ExplainText empty")
 	}
 

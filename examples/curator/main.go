@@ -68,10 +68,10 @@ func main() {
 	plain := idx.TopK(curator, 3)
 	diverse := idx.SemanticTopK(curator, 3)
 	fmt.Printf("\nplain top-3 for the curator:    %v (category coverage %.2f)\n",
-		evorec.MeasureIDs(plain), evorec.CategoryCoverage(items, plain))
+		evorec.MeasureIDs(plain), idx.CategoryCoverage(plain))
 	fmt.Printf("semantically diverse top-3:     %v (category coverage %.2f)\n",
-		evorec.MeasureIDs(diverse), evorec.CategoryCoverage(items, diverse))
+		evorec.MeasureIDs(diverse), idx.CategoryCoverage(diverse))
 	fmt.Printf("relatedness cost of diversity:  %.3f -> %.3f\n",
-		evorec.MeanRelatedness(curator, items, plain),
-		evorec.MeanRelatedness(curator, items, diverse))
+		idx.MeanRelatedness(curator, plain),
+		idx.MeanRelatedness(curator, diverse))
 }

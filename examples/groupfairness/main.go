@@ -41,25 +41,25 @@ func main() {
 	}
 	fmt.Printf("team of %d curators with divergent interests\n\n", team.Size())
 
+	const k = 3
+	idx := evorec.NewItemIndex(items)
 	show := func(label string, sel []evorec.Recommendation) {
-		sats := evorec.GroupSatisfactions(team, items, sel)
+		sats := idx.GroupSatisfactions(team, sel)
 		fmt.Printf("%-28s %v\n", label, evorec.MeasureIDs(sel))
 		fmt.Printf("  member satisfaction:")
 		for i, s := range sats {
 			fmt.Printf("  %s=%.2f", team.Members[i].ID, s)
 		}
 		fmt.Printf("\n  min=%.3f  mean=%.3f  jain=%.3f\n\n",
-			evorec.MinSatisfaction(team, items, sel),
-			evorec.MeanSatisfaction(team, items, sel),
+			idx.MinSatisfaction(team, sel),
+			idx.MeanSatisfaction(team, sel),
 			evorec.JainIndex(sats))
 	}
 
-	const k = 3
-	idx := evorec.NewItemIndex(items)
 	show("average aggregation:", idx.GroupTopK(team, k, evorec.Average))
 	show("least-misery aggregation:", idx.GroupTopK(team, k, evorec.LeastMisery))
 	show("most-pleasure aggregation:", idx.GroupTopK(team, k, evorec.MostPleasure))
-	show("fair greedy (α=0.8):", evorec.FairGreedyTopK(team, items, k, 0.8))
+	show("fair greedy (α=0.8):", idx.FairGreedyTopK(team, k, 0.8))
 
 	fmt.Println("the fair selections trade a little mean satisfaction for a higher")
 	fmt.Println("minimum — no team member is left without a related measure (§III-d).")

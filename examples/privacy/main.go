@@ -37,16 +37,16 @@ func main() {
 	// Ground truth: what each user would ideally be recommended, computed
 	// from the raw (sensitive) profiles.
 	const k = 3
+	idx := evorec.NewItemIndex(items)
 	groundTruth := make([]map[string]float64, len(pool))
 	for i, u := range pool {
 		gt := make(map[string]float64, len(items))
-		for _, it := range items {
-			gt[it.ID()] = evorec.Relatedness(u, it)
+		for _, r := range idx.TopK(u, len(items)) {
+			gt[r.MeasureID] = r.Score
 		}
 		groundTruth[i] = gt
 	}
 
-	idx := evorec.NewItemIndex(items)
 	evaluate := func(label string, published []*evorec.Profile) {
 		risk := evorec.ReidentificationRisk(pool, published)
 		ndcg := 0.0

@@ -76,11 +76,11 @@ type Engine struct {
 
 // pair is one version pair's cached evaluation, immutable once stored.
 type pair struct {
-	items []recommend.Item
-	// idx is the scoring kernel's index over items: built once per pair, so
-	// every later recommend/notify against the pair scores through flat
-	// vectors and postings without mutating anything — the property that
-	// lets the service run them without a lock.
+	// idx is the scoring kernel's index over the pair's items, which it
+	// holds: built once per pair, so every later recommend/notify against
+	// the pair scores through flat vectors and postings without mutating
+	// anything — the property that lets the service run them without a
+	// lock.
 	idx            *recommend.ItemIndex
 	added, deleted int // |δ+| and |δ-|, the low-level delta sizes
 }
@@ -291,7 +291,7 @@ func (e *Engine) cached(olderID, newerID string) (*pair, error) {
 		[]string{deltaRec.ID}, artifacts, fmt.Sprintf("%d measures", len(items))); err != nil {
 		return nil, fmt.Errorf("core: recording measure provenance: %w", err)
 	}
-	p := &pair{items: items, idx: recommend.NewItemIndex(items),
+	p := &pair{idx: recommend.NewItemIndex(items),
 		added: len(ctx.Delta.Added), deleted: len(ctx.Delta.Deleted)}
 	e.pairs.Store(key, p)
 	return p, nil
@@ -304,7 +304,7 @@ func (e *Engine) Items(olderID, newerID string) ([]recommend.Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.items, nil
+	return p.idx.Items(), nil
 }
 
 // ItemIndex returns (building and caching the pair on first use) the
@@ -481,14 +481,31 @@ type GroupRequest struct {
 	// balance FairAlpha (§III-d) instead of plain aggregation ranking.
 	FairGreedy bool
 	// FairAlpha balances group utility against the least-satisfied member
-	// in FairGreedy mode.
+	// in FairGreedy mode, in [0, 1].
 	FairAlpha float64
 }
 
-// Validate refuses a K below 1 before RecommendGroup touches a pair.
+// Validate refuses what RecommendGroup refuses of the request before
+// touching a pair: K below 1, or a FairGreedy alpha outside [0, 1] (NaN
+// included).
 func (r GroupRequest) Validate() error {
 	if r.K < 1 {
 		return fmt.Errorf("core: K must be >= 1, got %d", r.K)
+	}
+	if r.FairGreedy && !(r.FairAlpha >= 0 && r.FairAlpha <= 1) {
+		return fmt.Errorf("core: alpha must be in [0,1], got %g", r.FairAlpha)
+	}
+	return nil
+}
+
+// ValidateGroup refuses what RecommendGroup refuses of the group before
+// touching a pair: a nil group, or one without members.
+func ValidateGroup(g *profile.Group) error {
+	if g == nil {
+		return fmt.Errorf("core: group must not be nil")
+	}
+	if g.Size() == 0 {
+		return fmt.Errorf("core: group %q has no members", g.ID)
 	}
 	return nil
 }
@@ -496,8 +513,8 @@ func (r GroupRequest) Validate() error {
 // RecommendGroup produces a recommendation list for a group. It writes
 // nothing.
 func (e *Engine) RecommendGroup(g *profile.Group, req GroupRequest) ([]recommend.Recommendation, error) {
-	if g == nil {
-		return nil, fmt.Errorf("core: group must not be nil")
+	if err := ValidateGroup(g); err != nil {
+		return nil, err
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -506,13 +523,10 @@ func (e *Engine) RecommendGroup(g *profile.Group, req GroupRequest) ([]recommend
 	if err != nil {
 		return nil, err
 	}
-	var sel []recommend.Recommendation
 	if req.FairGreedy {
-		sel = recommend.FairGreedyTopK(g, p.items, req.K, req.FairAlpha)
-	} else {
-		sel = p.idx.GroupTopK(g, req.K, req.Aggregation)
+		return p.idx.FairGreedyTopK(g, req.K, req.FairAlpha), nil
 	}
-	return sel, nil
+	return p.idx.GroupTopK(g, req.K, req.Aggregation), nil
 }
 
 // PrivacyPolicy selects the anonymization applied to a profile pool before

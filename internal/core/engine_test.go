@@ -285,6 +285,27 @@ func TestRecommendGroupModes(t *testing.T) {
 	if _, err := e.RecommendGroup(g, GroupRequest{OlderID: "v1", NewerID: "v2", K: 0}); err == nil {
 		t.Fatal("K=0 must fail")
 	}
+	empty := &profile.Group{ID: "nobody"}
+	for _, c := range []struct {
+		name, want string
+		g          *profile.Group
+		req        GroupRequest
+	}{
+		{"empty group average", "has no members", empty, GroupRequest{K: 3}},
+		{"empty group fair greedy", "has no members", empty, GroupRequest{K: 3, FairGreedy: true, FairAlpha: 0.5}},
+		{"alpha=5", "alpha must be in [0,1]", g, GroupRequest{K: 3, FairGreedy: true, FairAlpha: 5}},
+		{"alpha=-2", "alpha must be in [0,1]", g, GroupRequest{K: 3, FairGreedy: true, FairAlpha: -2}},
+		{"alpha=NaN", "alpha must be in [0,1]", g, GroupRequest{K: 3, FairGreedy: true, FairAlpha: math.NaN()}},
+	} {
+		c.req.OlderID, c.req.NewerID = "v1", "v2"
+		if _, err := e.RecommendGroup(c.g, c.req); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// Alpha bounds only fair-greedy selection.
+	if _, err := e.RecommendGroup(g, GroupRequest{OlderID: "v1", NewerID: "v2", K: 3, FairAlpha: 5}); err != nil {
+		t.Fatalf("alpha outside [0,1] refused for plain aggregation: %v", err)
+	}
 }
 
 func TestAnonymizePolicies(t *testing.T) {
@@ -483,12 +504,12 @@ func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
 		}
 		for i := range want {
 			g, w := got[i], want[i]
-			if g.ID() != w.ID() || len(g.Scores) != len(w.Scores) || len(g.Vector) != len(w.Vector) {
+			if g.ID() != w.ID() || len(g.Scores) != len(w.Scores) {
 				t.Fatalf("item %d: %s with %d scores, fresh engine %s with %d", i, g.ID(), len(g.Scores), w.ID(), len(w.Scores))
 			}
 			for term, ws := range w.Scores {
-				if math.Float64bits(g.Scores[term]) != math.Float64bits(ws) || math.Float64bits(g.Vector[term]) != math.Float64bits(w.Vector[term]) {
-					t.Fatalf("%s %v: score %v vector %v, fresh engine %v and %v", w.ID(), term, g.Scores[term], g.Vector[term], ws, w.Vector[term])
+				if math.Float64bits(g.Scores[term]) != math.Float64bits(ws) {
+					t.Fatalf("%s %v: score %v, fresh engine %v", w.ID(), term, g.Scores[term], ws)
 				}
 			}
 		}

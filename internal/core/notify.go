@@ -29,11 +29,12 @@ type Notification struct {
 
 // UserNotificationsIndexed emits one user's notifications for a version
 // pair: the user's top-k measures whose relatedness crosses the threshold,
-// in descending relatedness order. It runs on the flat kernel: one interest
-// compile, candidate-only scoring through the pair's item index, and flat
-// explanations only for the measures actually emitted. The parity suite
-// holds its output, reasons included, bit-identical to the map-scored
-// reference over the same items.
+// in descending relatedness order. It runs on the flat kernel
+// (ItemIndex.NotifyEach): one interest compile, candidate-only scoring
+// through the pair's item index, and flat explanations only for the
+// measures actually emitted. The recommend parity suite holds that body,
+// reasons included, bit-identical to the map-scored reference over the
+// same items.
 func UserNotificationsIndexed(u *profile.Profile, idx *recommend.ItemIndex, olderID, newerID string, threshold float64, k int) []Notification {
 	var out []Notification
 	idx.NotifyEach(u, threshold, k, func(measureID string, score float64, reason string) {

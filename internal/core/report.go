@@ -6,7 +6,6 @@ import (
 
 	"evorec/internal/delta"
 	"evorec/internal/profile"
-	"evorec/internal/recommend"
 )
 
 // UserReport renders the paper's end product for one human: a personalized,
@@ -63,7 +62,7 @@ func (e *Engine) UserReport(u *profile.Profile, req Request) (string, error) {
 			continue
 		}
 		fmt.Fprintf(&b, "    %d. %s — %s\n", rank+1, it.Measure.Name(), it.Measure.Description())
-		fmt.Fprintf(&b, "       why: %s\n", recommend.ExplainText(u, it, 2))
+		fmt.Fprintf(&b, "       why: %s\n", p.idx.ExplainText(u, r.MeasureID, 2))
 		top := it.Scores.Rank().TopK(3)
 		var parts []string
 		for _, entry := range top {

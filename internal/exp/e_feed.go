@@ -30,10 +30,11 @@ func E12FeedLocality(p Params) (string, error) {
 	olderID, newerID := ds.lastPairIDs()
 
 	// Hot terms: entities the pair's items score positively, hottest
-	// first, so subscribers land on entities with real signal.
+	// first by summed normalized score, so subscribers land on entities
+	// with real signal.
 	weight := make(map[rdf.Term]float64)
 	for _, it := range ds.Items {
-		for t, w := range it.Vector {
+		for t, w := range it.Scores.Normalize() {
 			if w > 0 {
 				weight[t] += w
 			}

@@ -20,9 +20,9 @@ func groupStats(ds *Dataset, kind synth.GroupKind, size, k int, seed int64,
 			return 0, 0, 0, gerr
 		}
 		sel := pick(g)
-		minSat += recommend.MinSatisfaction(g, ds.Items, sel)
-		meanSat += recommend.MeanSatisfaction(g, ds.Items, sel)
-		jain += recommend.JainIndex(recommend.GroupSatisfactions(g, ds.Items, sel))
+		minSat += ds.Index.MinSatisfaction(g, sel)
+		meanSat += ds.Index.MeanSatisfaction(g, sel)
+		jain += recommend.JainIndex(ds.Index.GroupSatisfactions(g, sel))
 	}
 	return minSat / rounds, meanSat / rounds, jain / rounds, nil
 }
@@ -72,7 +72,7 @@ func E7FairReranking(p Params) (string, error) {
 		a := alpha
 		minS, meanS, jain, err := groupStats(ds, synth.AntagonisticGroup, 4, p.K, p.Seed+23,
 			func(g *profile.Group) []recommend.Recommendation {
-				return recommend.FairGreedyTopK(g, ds.Items, p.K, a)
+				return ds.Index.FairGreedyTopK(g, p.K, a)
 			})
 		if err != nil {
 			return "", err

@@ -27,7 +27,7 @@ func E8AnonymityUtility(p Params) (string, error) {
 		risk := recommend.ReidentificationRisk(ds.Pool, published)
 		var ndcg float64
 		for i, u := range ds.Pool {
-			gt := groundTruth(u, ds.Items)
+			gt := groundTruth(u, ds.Index)
 			ranked := recommend.MeasureIDs(ds.Index.TopK(published[i], len(ds.Items)))
 			ndcg += recommend.NDCGAtK(ranked, gt, p.K)
 		}

@@ -33,10 +33,10 @@ func partialProfile(p *profile.Profile) *profile.Profile {
 
 // groundTruth computes the graded relevance of every item for a user: the
 // relatedness under the user's full profile.
-func groundTruth(u *profile.Profile, items []recommend.Item) map[string]float64 {
-	out := make(map[string]float64, len(items))
-	for _, it := range items {
-		out[it.ID()] = recommend.Relatedness(u, it)
+func groundTruth(u *profile.Profile, ix *recommend.ItemIndex) map[string]float64 {
+	out := make(map[string]float64, ix.Len())
+	for _, r := range ix.TopK(u, ix.Len()) {
+		out[r.MeasureID] = r.Score
 	}
 	return out
 }
@@ -78,7 +78,7 @@ func E4RelatednessQuality(p Params) (string, error) {
 	var ndcgRel, ndcgRand, ndcgPop float64
 	var pRel, pRand, pPop float64
 	for _, u := range ds.Pool {
-		gt := groundTruth(u, ds.Items)
+		gt := groundTruth(u, ds.Index)
 		relSet := relevantSet(gt, p.K)
 		partial := partialProfile(u)
 
@@ -119,9 +119,9 @@ func E5DiversityTradeoff(p Params) (string, error) {
 		var rel, ild, cov float64
 		for _, u := range ds.Pool {
 			sel := pick(u)
-			rel += recommend.MeanRelatedness(u, ds.Items, sel)
-			ild += recommend.IntraListDiversity(ds.Items, sel)
-			cov += recommend.CategoryCoverage(ds.Items, sel)
+			rel += ds.Index.MeanRelatedness(u, sel)
+			ild += ds.Index.IntraListDiversity(sel)
+			cov += ds.Index.CategoryCoverage(sel)
 		}
 		n := float64(len(ds.Pool))
 		t.rowf("%s\t%.3f\t%.3f\t%.3f", name, rel/n, ild/n, cov/n)

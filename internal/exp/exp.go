@@ -78,7 +78,8 @@ type Dataset struct {
 	Ctx *measures.Context
 	// Items are the evaluated measures of the final pair.
 	Items []recommend.Item
-	// Index is the scoring kernel over Items; point rankings go through it.
+	// Index is the scoring kernel over Items; every ranking, selection and
+	// evaluation metric goes through it.
 	Index *recommend.ItemIndex
 	// Pool is the synthetic user population (profiles over the first
 	// version's schema).

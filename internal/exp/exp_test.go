@@ -108,7 +108,7 @@ func TestE4PersonalizationBeatsBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(p.Seed + 7))
 	var ndcgRel, ndcgRand, ndcgPop float64
 	for _, u := range ds.Pool {
-		gt := groundTruth(u, ds.Items)
+		gt := groundTruth(u, ds.Index)
 		partial := partialProfile(u)
 		ndcgRel += recommend.NDCGAtK(recommend.MeasureIDs(ds.Index.TopK(partial, len(ds.Items))), gt, p.K)
 		ndcgRand += recommend.NDCGAtK(recommend.MeasureIDs(recommend.RandomTopK(ds.Items, len(ds.Items), rng)), gt, p.K)
@@ -131,8 +131,8 @@ func TestE5FrontierShape(t *testing.T) {
 	meanRel := func(lambda float64) (rel, ild float64) {
 		for _, u := range ds.Pool {
 			sel := ds.Index.MMR(u, p.K, lambda)
-			rel += recommend.MeanRelatedness(u, ds.Items, sel)
-			ild += recommend.IntraListDiversity(ds.Items, sel)
+			rel += ds.Index.MeanRelatedness(u, sel)
+			ild += ds.Index.IntraListDiversity(sel)
 		}
 		n := float64(len(ds.Pool))
 		return rel / n, ild / n
@@ -163,8 +163,8 @@ func TestE7AlphaRaisesMinSat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel := recommend.FairGreedyTopK(g, ds.Items, p.K, alpha)
-			total += recommend.MinSatisfaction(g, ds.Items, sel)
+			sel := ds.Index.FairGreedyTopK(g, p.K, alpha)
+			total += ds.Index.MinSatisfaction(g, sel)
 		}
 		return total / 5
 	}

@@ -164,12 +164,13 @@ func TestFanOutLocality(t *testing.T) {
 	}
 }
 
-// hottestTerm returns the entity with the largest cumulative item weight.
+// hottestTerm returns the entity with the largest cumulative normalized
+// item score.
 func hottestTerm(t testing.TB, items []recommend.Item) rdf.Term {
 	t.Helper()
 	weight := make(map[rdf.Term]float64)
 	for _, it := range items {
-		for tm, wgt := range it.Vector {
+		for tm, wgt := range it.Scores.Normalize() {
 			weight[tm] += wgt
 		}
 	}

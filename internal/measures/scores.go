@@ -69,15 +69,22 @@ func (r Ranking) PositionOf(t rdf.Term) int {
 	return -1
 }
 
-// Normalize rescales the scores into [0, 1] by dividing by the maximum.
-// All-zero (or empty) score sets are returned unchanged.
-func (s Scores) Normalize() Scores {
+// Max returns the largest score, or 0 when no score is positive: the
+// divisor Normalize scales by.
+func (s Scores) Max() float64 {
 	max := 0.0
 	for _, v := range s {
 		if v > max {
 			max = v
 		}
 	}
+	return max
+}
+
+// Normalize rescales the scores into [0, 1] by dividing by the maximum.
+// All-zero (or empty) score sets are returned unchanged.
+func (s Scores) Normalize() Scores {
+	max := s.Max()
 	if max == 0 {
 		return s
 	}

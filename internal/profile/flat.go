@@ -43,6 +43,14 @@ type Flat struct {
 // request-path compile is safe against a dictionary shared with concurrent
 // readers. squares, when non-nil, is scratch for the norm summands.
 func (f *Flat) Compile(v map[rdf.Term]float64, d *rdf.Dict, intern bool, squares *[]float64) {
+	f.CompileScaled(v, 0, d, intern, squares)
+}
+
+// CompileScaled is Compile over v's weights divided by div, each weight
+// computed as w/div; a div of 0 leaves the weights as they are. With div =
+// measures.Scores.Max it compiles exactly the vector Scores.Normalize
+// returns, without building that map.
+func (f *Flat) CompileScaled(v map[rdf.Term]float64, div float64, d *rdf.Dict, intern bool, squares *[]float64) {
 	entries := f.Entries[:0]
 	var sq []float64
 	if squares != nil {
@@ -51,6 +59,9 @@ func (f *Flat) Compile(v map[rdf.Term]float64, d *rdf.Dict, intern bool, squares
 		sq = make([]float64, 0, len(v))
 	}
 	for t, w := range v {
+		if div != 0 {
+			w /= div
+		}
 		sq = append(sq, w*w)
 		var id rdf.TermID
 		var ok bool

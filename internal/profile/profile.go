@@ -113,12 +113,6 @@ func (p *Profile) Normalize() {
 	}
 }
 
-// Cosine returns the cosine similarity between the profile's interests and
-// an arbitrary entity-score vector. Either vector being zero yields 0.
-func (p *Profile) Cosine(scores map[rdf.Term]float64) float64 {
-	return CosineVectors(p.Interests, scores)
-}
-
 // CosineVectors computes the cosine similarity of two sparse vectors. The
 // summands are accumulated in ascending order, so the score is a function
 // of the vectors alone: map iteration order varies per run, and naive

@@ -98,17 +98,17 @@ func TestCosine(t *testing.T) {
 	p.SetInterest(term("A"), 1)
 	p.SetInterest(term("B"), 1)
 	same := map[rdf.Term]float64{term("A"): 2, term("B"): 2}
-	if got := p.Cosine(same); math.Abs(got-1) > 1e-12 {
+	if got := CosineVectors(p.Interests, same); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("aligned cosine = %g, want 1", got)
 	}
 	orth := map[rdf.Term]float64{term("C"): 5}
-	if got := p.Cosine(orth); got != 0 {
+	if got := CosineVectors(p.Interests, orth); got != 0 {
 		t.Fatalf("orthogonal cosine = %g, want 0", got)
 	}
-	if got := p.Cosine(nil); got != 0 {
+	if got := CosineVectors(p.Interests, nil); got != 0 {
 		t.Fatalf("nil cosine = %g, want 0", got)
 	}
-	if got := New("z").Cosine(same); got != 0 {
+	if got := CosineVectors(New("z").Interests, same); got != 0 {
 		t.Fatalf("zero-profile cosine = %g, want 0", got)
 	}
 }

@@ -5,32 +5,26 @@ import (
 	"evorec/internal/profile"
 )
 
-// ItemDistance is the content distance between two items: 1 − cosine of
-// their normalized entity-score vectors. Items that highlight the same
-// entities are close; items reading orthogonal signals are distant.
-func ItemDistance(a, b Item) float64 {
-	return 1 - profile.CosineVectors(a.Vector, b.Vector)
-}
-
 // IntraListDiversity is the mean pairwise content distance of a selection;
 // the standard set-level diversity metric reported in E5. Selections with
-// fewer than two items have diversity 0.
-func IntraListDiversity(items []Item, sel []Recommendation) float64 {
+// fewer than two held measures have diversity 0.
+func (ix *ItemIndex) IntraListDiversity(sel []Recommendation) float64 {
 	if len(sel) < 2 {
 		return 0
 	}
+	n, dist := len(ix.items), ix.distances()
 	sum, pairs := 0.0, 0
 	for i := 0; i < len(sel); i++ {
-		a, okA := itemByID(items, sel[i].MeasureID)
+		a, okA := ix.ords[sel[i].MeasureID]
 		if !okA {
 			continue
 		}
 		for j := i + 1; j < len(sel); j++ {
-			b, okB := itemByID(items, sel[j].MeasureID)
+			b, okB := ix.ords[sel[j].MeasureID]
 			if !okB {
 				continue
 			}
-			sum += ItemDistance(a, b)
+			sum += dist[a*n+b]
 			pairs++
 		}
 	}
@@ -42,15 +36,15 @@ func IntraListDiversity(items []Item, sel []Recommendation) float64 {
 
 // CategoryCoverage is the fraction of measure categories represented in the
 // selection, the semantic-diversity metric reported in E5.
-func CategoryCoverage(items []Item, sel []Recommendation) float64 {
+func (ix *ItemIndex) CategoryCoverage(sel []Recommendation) float64 {
 	total := len(measures.Categories())
 	if total == 0 || len(sel) == 0 {
 		return 0
 	}
 	seen := make(map[measures.Category]bool)
 	for _, s := range sel {
-		if it, ok := itemByID(items, s.MeasureID); ok {
-			seen[it.Category()] = true
+		if i, ok := ix.ords[s.MeasureID]; ok {
+			seen[ix.items[i].Category()] = true
 		}
 	}
 	return float64(len(seen)) / float64(total)
@@ -58,14 +52,17 @@ func CategoryCoverage(items []Item, sel []Recommendation) float64 {
 
 // MeanRelatedness is the mean relatedness of a selection to a user, the
 // relevance side of the diversity trade-off curve in E5.
-func MeanRelatedness(u *profile.Profile, items []Item, sel []Recommendation) float64 {
+func (ix *ItemIndex) MeanRelatedness(u *profile.Profile, sel []Recommendation) float64 {
 	if len(sel) == 0 {
 		return 0
 	}
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	ix.scoreInto(ix.compileUser(u, sc), sc)
 	sum := 0.0
 	for _, s := range sel {
-		if it, ok := itemByID(items, s.MeasureID); ok {
-			sum += Relatedness(u, it)
+		if i, ok := ix.ords[s.MeasureID]; ok {
+			sum += sc.scores[i]
 		}
 	}
 	return sum / float64(len(sel))

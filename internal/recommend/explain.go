@@ -23,35 +23,57 @@ type Contribution struct {
 	Product float64
 }
 
-// Explain decomposes why an item is related to a user: the top-n entities
-// by contribution to the relatedness dot product, descending, ties broken
-// by term order. It complements the provenance layer: provenance says how a
-// recommendation was computed, Explain says why this measure for this user.
-// Selection is the shared bounded heap, so only n contributions are ever
-// materialized however many terms overlap.
-func Explain(u *profile.Profile, it Item, n int) []Contribution {
-	h := newBounded(n, betterContribution)
-	for t, w := range u.Interests {
-		s, ok := it.Vector[t]
-		if !ok || s == 0 || w == 0 {
-			continue
-		}
-		h.offer(Contribution{Term: t, UserWeight: w, ItemScore: s, Product: w * s})
+// Explain decomposes why the measure is related to the user: the top-n
+// entities by contribution to the relatedness dot product, descending, ties
+// broken by term order. It complements the provenance layer: provenance
+// says how a measure's scores were computed, Explain says why this measure
+// for this user. It is one sorted merge of the user's compiled interests
+// with the item's flat vector, selecting through the shared bounded heap,
+// so only n contributions are ever materialized however many terms
+// overlap. A measure the index does not hold has no contributions.
+func (ix *ItemIndex) Explain(u *profile.Profile, measureID string, n int) []Contribution {
+	ord, ok := ix.ords[measureID]
+	if !ok {
+		return nil
 	}
-	return h.take()
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	h := newBounded(n, betterContribution)
+	return ix.explain(ix.compileUser(u, sc), ord, &h)
 }
 
 // ExplainText renders an explanation as one human-readable paragraph, e.g.
 //
 //	relevance_shift matches your interests through Person (interest 1.00 ×
 //	change intensity 0.85) and Organization (0.50 × 0.40).
-func ExplainText(u *profile.Profile, it Item, n int) string {
-	return explainText(it.ID(), Explain(u, it, n))
+func (ix *ItemIndex) ExplainText(u *profile.Profile, measureID string, n int) string {
+	return explainText(measureID, ix.Explain(u, measureID, n))
 }
 
-// explainText is the shared renderer behind ExplainText and the flat
-// kernel's notification reasons; both must emit byte-identical strings for
-// the notification parity suite. It renders through one strings.Builder —
+// explain offers h every entity both fu and item ord weigh nonzero, merging
+// the two flat vectors and decoding a term only for the entities offered,
+// and returns h's selection.
+func (ix *ItemIndex) explain(fu *profile.Flat, ord int, h *bounded[Contribution]) []Contribution {
+	ae, be := fu.Entries, ix.flats[ord].Entries
+	for i, j := 0, 0; i < len(ae) && j < len(be); {
+		switch {
+		case ae[i].ID < be[j].ID:
+			i++
+		case ae[i].ID > be[j].ID:
+			j++
+		default:
+			if w, s := ae[i].W, be[j].W; w != 0 && s != 0 {
+				h.offer(Contribution{Term: ix.dict.TermOf(ae[i].ID), UserWeight: w, ItemScore: s, Product: w * s})
+			}
+			i++
+			j++
+		}
+	}
+	return h.take()
+}
+
+// explainText is the renderer behind ExplainText and the notification
+// reasons NotifyEach emits. It renders through one strings.Builder —
 // notifications produce one reason per emitted measure, so the fmt/join
 // garbage of the obvious implementation was a measurable slice of fan-out.
 func explainText(itemID string, cs []Contribution) string {

@@ -27,10 +27,10 @@ func NewLearner(rate float64) (*Learner, error) {
 
 // Accept records positive feedback: the user engaged with the measure, so
 // interest grows on every entity the measure highlights, proportional to
-// the highlight strength. The measure is also marked seen (feeding
-// novelty-aware diversity).
+// the highlight strength (the entity's normalized score). The measure is
+// also marked seen (feeding novelty-aware diversity).
 func (l *Learner) Accept(u *profile.Profile, it Item) {
-	for t, score := range it.Vector {
+	for t, score := range it.Scores.Normalize() {
 		if score <= 0 {
 			continue
 		}
@@ -44,7 +44,7 @@ func (l *Learner) Accept(u *profile.Profile, it Item) {
 // rejected topics eventually leave the profile. The measure is marked seen.
 func (l *Learner) Reject(u *profile.Profile, it Item) {
 	const floor = 1e-6
-	for t, score := range it.Vector {
+	for t, score := range it.Scores.Normalize() {
 		if score <= 0 {
 			continue
 		}

@@ -49,52 +49,33 @@ func ParseAggregation(name string) (Aggregation, error) {
 	return 0, fmt.Errorf("unknown aggregation %q (want average|least_misery|most_pleasure)", name)
 }
 
-// GroupScore aggregates the members' relatedness for one item.
-func GroupScore(g *profile.Group, it Item, agg Aggregation) float64 {
-	switch agg {
-	case LeastMisery:
-		min := 0.0
-		for i, m := range g.Members {
-			r := Relatedness(m, it)
-			if i == 0 || r < min {
-				min = r
-			}
-		}
-		return min
-	case MostPleasure:
-		max := 0.0
-		for _, m := range g.Members {
-			if r := Relatedness(m, it); r > max {
-				max = r
-			}
-		}
-		return max
-	default: // Average
-		sum := 0.0
-		for _, m := range g.Members {
-			sum += Relatedness(m, it)
-		}
-		return sum / float64(g.Size())
-	}
-}
-
 // Satisfaction is the normalized satisfaction of one member with a
-// selection: the member's total relatedness over the selected items divided
-// by the total relatedness of the member's personal ideal selection of the
-// same size. It is 1 when the group selection is as good as the personal
-// one, and 1 by convention when the member has no interests at all.
-func Satisfaction(u *profile.Profile, items []Item, sel []Recommendation) float64 {
+// selection: the member's total relatedness over the selected measures
+// divided by the total relatedness of the member's personal ideal selection
+// of the same size. It is 1 when the group selection is as good as the
+// personal one, and 1 by convention when the member has no interests at
+// all. Measures the index does not hold add nothing.
+func (ix *ItemIndex) Satisfaction(u *profile.Profile, sel []Recommendation) float64 {
 	if len(sel) == 0 {
 		return 0
 	}
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	ix.scoreInto(ix.compileUser(u, sc), sc)
+	return ix.satisfaction(sc.scores, sel)
+}
+
+// satisfaction is Satisfaction over the member's relatedness to every item,
+// for a non-empty selection; the ideal is the heap's top len(sel).
+func (ix *ItemIndex) satisfaction(scores []float64, sel []Recommendation) float64 {
 	got := 0.0
 	for _, s := range sel {
-		if it, ok := itemByID(items, s.MeasureID); ok {
-			got += Relatedness(u, it)
+		if i, ok := ix.ords[s.MeasureID]; ok {
+			got += scores[i]
 		}
 	}
 	ideal := 0.0
-	for _, r := range relatedTopK(u, items, len(sel)) {
+	for _, r := range ix.selectScores(scores, len(sel)) {
 		ideal += r.Score
 	}
 	if ideal == 0 {
@@ -105,10 +86,10 @@ func Satisfaction(u *profile.Profile, items []Item, sel []Recommendation) float6
 
 // GroupSatisfactions returns every member's satisfaction with the selection,
 // in member order.
-func GroupSatisfactions(g *profile.Group, items []Item, sel []Recommendation) []float64 {
+func (ix *ItemIndex) GroupSatisfactions(g *profile.Group, sel []Recommendation) []float64 {
 	out := make([]float64, g.Size())
 	for i, m := range g.Members {
-		out[i] = Satisfaction(m, items, sel)
+		out[i] = ix.Satisfaction(m, sel)
 	}
 	return out
 }
@@ -117,8 +98,8 @@ func GroupSatisfactions(g *profile.Group, items []Item, sel []Recommendation) []
 // of the least-satisfied group member. A selection with high mean but low
 // minimum is exactly the "package not fair to u" situation the paper warns
 // about.
-func MinSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float64 {
-	sats := GroupSatisfactions(g, items, sel)
+func (ix *ItemIndex) MinSatisfaction(g *profile.Group, sel []Recommendation) float64 {
+	sats := ix.GroupSatisfactions(g, sel)
 	min := sats[0]
 	for _, s := range sats[1:] {
 		if s < min {
@@ -129,8 +110,8 @@ func MinSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float
 }
 
 // MeanSatisfaction is the utilitarian counterpart of MinSatisfaction.
-func MeanSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float64 {
-	sats := GroupSatisfactions(g, items, sel)
+func (ix *ItemIndex) MeanSatisfaction(g *profile.Group, sel []Recommendation) float64 {
+	sats := ix.GroupSatisfactions(g, sel)
 	sum := 0.0
 	for _, s := range sats {
 		sum += s
@@ -156,53 +137,72 @@ func JainIndex(sats []float64) float64 {
 	return sum * sum / (float64(len(sats)) * sumSq)
 }
 
-// FairGreedyTopK builds the selection item by item, each step picking the
-// item that maximizes
+// FairGreedyTopK builds the selection measure by measure, each step
+// picking the one that maximizes
 //
 //	(1−α)·groupAverageRelatedness + α·relatednessToLeastSatisfiedMember
 //
-// where the least-satisfied member is recomputed after every pick. α=0 is
-// the plain utilitarian greedy; α=1 always serves the currently
-// worst-off member (the egalitarian extreme). This is the fairness-aware
-// re-ranking evaluated in E7.
-func FairGreedyTopK(g *profile.Group, items []Item, k int, alpha float64) []Recommendation {
-	if k > len(items) {
-		k = len(items)
+// where the least-satisfied member is recomputed after every pick, ties to
+// the smaller measure ID. α=0 is the plain utilitarian greedy; α=1 always
+// serves the currently worst-off member (the egalitarian extreme). This is
+// the fairness-aware re-ranking evaluated in E7. Each member is scored once
+// through the candidate kernel, and each step's satisfactions read those
+// scores. An empty group selects nothing.
+func (ix *ItemIndex) FairGreedyTopK(g *profile.Group, k int, alpha float64) []Recommendation {
+	n, m := len(ix.items), g.Size()
+	k = min(k, n)
+	if k < 1 || m == 0 {
+		return nil
 	}
-	var sel []Recommendation
-	used := make(map[string]bool, k)
-	for len(sel) < k {
-		// Identify the member least satisfied by the current selection.
-		worst := g.Members[0]
-		if len(sel) > 0 {
-			sats := GroupSatisfactions(g, items, sel)
-			wi := 0
-			for i, s := range sats {
-				if s < sats[wi] {
-					wi = i
+	sc := ix.getScratch()
+	defer putScratch(sc)
+	rel := make([]float64, m*n) // rel[mi*n+i]: member mi's relatedness to item i
+	for mi, u := range g.Members {
+		ix.scoreInto(ix.compileUser(u, sc), sc)
+		copy(rel[mi*n:], sc.scores)
+	}
+	avg := make([]float64, n) // the Average aggregation's group score
+	for i := range avg {
+		sum := 0.0
+		for mi := 0; mi < m; mi++ {
+			sum += rel[mi*n+i]
+		}
+		avg[i] = sum / float64(m)
+	}
+	used, picked := sc.visited, sc.picked[:0]
+	selected := make([]Recommendation, 0, k)
+	worst := 0
+	for len(selected) < k {
+		if len(selected) > 0 {
+			// The member least satisfied by the current selection.
+			worst = 0
+			worstSat := ix.satisfaction(rel[:n], selected)
+			for mi := 1; mi < m; mi++ {
+				if s := ix.satisfaction(rel[mi*n:(mi+1)*n], selected); s < worstSat {
+					worst, worstSat = mi, s
 				}
 			}
-			worst = g.Members[wi]
 		}
-		bestIdx := -1
-		bestScore := 0.0
-		for i, it := range items {
-			if used[it.ID()] {
+		best, bestScore := -1, 0.0
+		for i := 0; i < n; i++ {
+			if used[i] {
 				continue
 			}
-			score := (1-alpha)*GroupScore(g, it, Average) + alpha*Relatedness(worst, it)
-			if bestIdx < 0 || score > bestScore ||
-				(score == bestScore && it.ID() < items[bestIdx].ID()) {
-				bestIdx, bestScore = i, score
+			score := (1-alpha)*avg[i] + alpha*rel[worst*n+i]
+			if best < 0 || score > bestScore ||
+				(score == bestScore && ix.ids[i] < ix.ids[best]) {
+				best, bestScore = i, score
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		used[items[bestIdx].ID()] = true
-		sel = append(sel, Recommendation{MeasureID: items[bestIdx].ID(), Score: bestScore})
+		used[best] = true
+		picked = append(picked, int32(best))
+		selected = append(selected, Recommendation{MeasureID: ix.ids[best], Score: bestScore})
 	}
-	return sel
+	sc.clearPicked(picked)
+	return selected
 }
 
 // SortedMeasureIDs extracts the measure IDs of a selection in sorted order,

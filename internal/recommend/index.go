@@ -9,18 +9,20 @@ import (
 	"evorec/internal/rdf"
 )
 
-// ItemIndex is the ID-native scoring kernel over one version pair's items:
-// every item vector compiled to a flat sorted TermID form with a cached
+// ItemIndex is the ID-native scoring kernel over one version pair's items,
+// and the only code in this package that scores them: every item's
+// max-normalized scores compiled to a flat sorted TermID form with a cached
 // norm, behind an inverted TermID → item-postings index. Scoring a user
 // visits only the items sharing at least one dictionary term with the
 // user's interests — every other item's cosine relatedness is exactly 0,
 // so it is assigned, not computed — and point selection runs through the
-// shared bounded heap. The greedy diversifiers (MMR, MaxMin) take their
-// relatedness from the same scoring pass and their item-to-item distances
-// from an n×n table built on the index's first diversified request. All
-// scores are bit-identical to scoring every item through Relatedness,
-// GroupScore and ItemDistance on the map vectors; the parity suite holds
-// each method to such a reference ranker, kept in this package's tests.
+// shared bounded heap. The greedy selectors (MMR, MaxMin, FairGreedyTopK),
+// the evaluation metrics and the explanations take their relatedness from
+// the same scoring pass, their item-to-item distances from an n×n table
+// built on the index's first diversified request, and their contributions
+// from one flat merge. All of it is bit-identical to scoring the items'
+// Term-keyed normalized vectors through cosines on maps; the parity suite
+// holds each method to such a reference, kept in this package's tests.
 //
 // The index owns a private dictionary: item entity terms are interned at
 // construction, user interests are compiled against it lookup-only per
@@ -42,17 +44,19 @@ type ItemIndex struct {
 	entityTerms []rdf.Term // distinct positively-weighted vector terms, sorted
 	catOrds     [][]int32  // ordinals per measures.Categories() slot, item order
 
-	// dist[i*n+j] is 1 − CosineFlat(flats[i], flats[j]), ItemDistance's
-	// arithmetic with the candidate i as the first operand. It is built on
+	// dist[i*n+j] is 1 − CosineFlat(flats[i], flats[j]), the content
+	// distance with the candidate i as the first operand. It is built on
 	// the first diversified request, not in NewItemIndex: commits and cold
 	// reads build an index per pair and never rank diversely.
 	distOnce sync.Once
 	dist     []float64
 }
 
-// NewItemIndex compiles the items into the flat scoring form. Item measure
-// IDs must be unique; BuildItems returns them sorted by ID. Every ranking
-// breaks ties by measure ID, so results do not depend on item order.
+// NewItemIndex compiles the items into the flat scoring form: each item's
+// Scores divided by their maximum (Scores.Normalize's arithmetic, the
+// scores left as they are when no score is positive). Item measure IDs must
+// be unique; BuildItems returns them sorted by ID. Every ranking breaks ties
+// by measure ID, so results do not depend on item order.
 func NewItemIndex(items []Item) *ItemIndex {
 	ix := &ItemIndex{
 		items:  items,
@@ -69,7 +73,7 @@ func NewItemIndex(items []Item) *ItemIndex {
 		ix.ids[i] = it.ID()
 		ix.ords[it.ID()] = i
 		f := &ix.flats[i]
-		f.Compile(it.Vector, ix.dict, true, &squares)
+		f.CompileScaled(it.Scores, it.Scores.Max(), ix.dict, true, &squares)
 		for _, e := range f.Entries {
 			ix.post[e.ID] = append(ix.post[e.ID], int32(i))
 			if e.W > 0 {
@@ -134,6 +138,7 @@ type kernelScratch struct {
 	squares []float64
 	flat    profile.Flat
 	group   []profile.Flat
+	reason  []Contribution // a notification reason's one contribution
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -280,7 +285,10 @@ func (ix *ItemIndex) SemanticTopK(u *profile.Profile, k int) []Recommendation {
 	return out
 }
 
-// distances returns the item-distance table, building it on first use.
+// distances returns the item-distance table, building it on first use. The
+// content distance of two items is 1 − the cosine of their normalized
+// score vectors: items that highlight the same entities are close, items
+// reading orthogonal signals are distant.
 func (ix *ItemIndex) distances() []float64 {
 	ix.distOnce.Do(func() {
 		n := len(ix.flats)
@@ -301,7 +309,7 @@ func (ix *ItemIndex) distances() []float64 {
 //
 //	λ·relatedness(u, i) − (1−λ)·max_{s∈S} sim(i, s)
 //
-// with sim = 1 − ItemDistance, ties to the smaller measure ID. λ=1
+// with sim = 1 − content distance, ties to the smaller measure ID. λ=1
 // degenerates to pure relatedness, λ=0 to pure diversification. Each
 // pick's score is the value it was selected under.
 func (ix *ItemIndex) MMR(u *profile.Profile, k int, lambda float64) []Recommendation {
@@ -347,8 +355,8 @@ func (ix *ItemIndex) MMR(u *profile.Profile, k int, lambda float64) []Recommenda
 
 // MaxMin produces a diversified top-k with the Max-Min heuristic: the first
 // pick is the most related measure, each further pick maximizes the
-// minimum content distance (ItemDistance) to the already selected set,
-// ties to the smaller measure ID. It optimizes set spread rather than the
+// minimum content distance to the already selected set, ties to the
+// smaller measure ID. It optimizes set spread rather than the
 // relevance/diversity mix, and serves as the alternative diversifier in
 // the E5 ablation. Further picks are scored by that minimum distance.
 func (ix *ItemIndex) MaxMin(u *profile.Profile, k int) []Recommendation {
@@ -395,8 +403,8 @@ func (ix *ItemIndex) MaxMin(u *profile.Profile, k int) []Recommendation {
 	return selected
 }
 
-// clearPicked clears a diversifier's used bits from visited and keeps the
-// picked buffer's storage for the next call.
+// clearPicked clears a greedy selector's used bits from visited and keeps
+// the picked buffer's storage for the next call.
 func (sc *kernelScratch) clearPicked(picked []int32) {
 	for _, s := range picked {
 		sc.visited[s] = false
@@ -413,7 +421,7 @@ func (ix *ItemIndex) PopularityTopK(k int) []Recommendation {
 // GroupTopK recommends to a group under an aggregation (§III-d): members
 // are compiled once, candidate items are the union of the members'
 // postings, and each candidate aggregates member cosines in member order,
-// exactly as GroupScore does.
+// as the map reference's group score does.
 func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recommendation {
 	sc := ix.getScratch()
 	defer putScratch(sc)
@@ -464,7 +472,7 @@ func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recom
 }
 
 // groupScoreFlat aggregates the compiled members' relatedness for one item,
-// mirroring GroupScore member for member.
+// member by member in member order.
 func (ix *ItemIndex) groupScoreFlat(sc *kernelScratch, ord int32, agg Aggregation) float64 {
 	it := &ix.flats[ord]
 	switch agg {
@@ -496,12 +504,13 @@ func (ix *ItemIndex) groupScoreFlat(sc *kernelScratch, ord int32, agg Aggregatio
 
 // NotifyEach invokes emit for each of the user's top-k measures whose
 // relatedness crosses the threshold, in descending canonical order, with
-// the ExplainText-identical one-line reason. It is the flat-kernel body of
-// a notification: one interest compile, candidate-only scoring, and flat
-// explanations rendered only for the measures actually emitted. Beyond
-// pooled scratch it allocates only the reasons themselves, so callers
-// (Engine.Notify, the feed fan-out workers) build their notification
-// batches with no intermediate slices.
+// the one-line reason ExplainText(u, measureID, 1) renders. It is the
+// flat-kernel body of a notification: one interest compile,
+// candidate-only scoring, and explanations merged only for the measures
+// actually emitted, into pooled scratch. Beyond that scratch it allocates
+// only the ranking and the reasons themselves, so callers (Engine.Notify,
+// the feed fan-out workers) build their notification batches with no
+// intermediate slices.
 func (ix *ItemIndex) NotifyEach(u *profile.Profile, threshold float64, k int, emit func(measureID string, score float64, reason string)) {
 	sc := ix.getScratch()
 	defer putScratch(sc)
@@ -511,43 +520,8 @@ func (ix *ItemIndex) NotifyEach(u *profile.Profile, threshold float64, k int, em
 		if r.Score < threshold || r.Score == 0 {
 			continue
 		}
-		emit(r.MeasureID, r.Score, ix.explainTextFlat(fu, ix.ords[r.MeasureID], sc))
+		h := bounded[Contribution]{better: betterContribution, xs: sc.reason[:0], k: 1}
+		emit(r.MeasureID, r.Score, explainText(r.MeasureID, ix.explain(fu, ix.ords[r.MeasureID], &h)))
+		sc.reason = h.xs[:0]
 	}
-}
-
-// explainTextFlat renders the ExplainText(u, it, 1)-identical reason from
-// the compiled vectors: the top contribution by product (ties by term
-// order) over the flat merge, decoded back to terms only for the winner.
-func (ix *ItemIndex) explainTextFlat(fu *profile.Flat, ord int, sc *kernelScratch) string {
-	ae, be := fu.Entries, ix.flats[ord].Entries
-	var best Contribution
-	found := false
-	i, j := 0, 0
-	for i < len(ae) && j < len(be) {
-		switch {
-		case ae[i].ID < be[j].ID:
-			i++
-		case ae[i].ID > be[j].ID:
-			j++
-		default:
-			w, s := ae[i].W, be[j].W
-			if w != 0 && s != 0 {
-				c := Contribution{
-					Term:       ix.dict.TermOf(ae[i].ID),
-					UserWeight: w,
-					ItemScore:  s,
-					Product:    w * s,
-				}
-				if !found || betterContribution(c, best) {
-					best, found = c, true
-				}
-			}
-			i++
-			j++
-		}
-	}
-	if !found {
-		return explainText(ix.ids[ord], nil)
-	}
-	return explainText(ix.ids[ord], []Contribution{best})
 }

@@ -139,26 +139,13 @@ func TestItemIndexPopularityParity(t *testing.T) {
 func TestItemIndexGroupParity(t *testing.T) {
 	items := parityItems()
 	ix := NewItemIndex(items)
-	users := parityUsers()
-	groups := [][]*profile.Profile{
-		{users[0]},
-		{users[0], users[1]},
-		{users[0], users[3]},           // member with zero norm
-		{users[1], users[5]},           // member with NaN norm: full-scan fallback
-		{users[2], users[3]},           // nobody overlaps anything
-		{users[0], users[1], users[6]}, // wildcard member
-	}
-	for gi, members := range groups {
-		g, err := profile.NewGroup(fmt.Sprintf("g%d", gi), members)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, g := range parityGroups(t) {
 		for _, agg := range []Aggregation{Average, LeastMisery, MostPleasure} {
 			for k := 1; k <= len(items); k++ {
 				want := GroupTopK(g, items, k, agg)
 				got := ix.GroupTopK(g, k, agg)
 				if !sameRecs(got, want) {
-					t.Fatalf("group %d agg %s k=%d: flat %v != map %v", gi, agg, k, got, want)
+					t.Fatalf("group %s agg %s k=%d: flat %v != map %v", g.ID, agg, k, got, want)
 				}
 			}
 		}
@@ -224,7 +211,7 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 		for i := 0; i < nItems; i++ {
 			vec := randVec(1 + rng.Intn(6))
 			if ties && i > 0 && rng.Intn(2) == 0 {
-				vec = items[rng.Intn(i)].Vector
+				vec = items[rng.Intn(i)].Scores
 			}
 			items = append(items, mkItem(fmt.Sprintf("m%02d", i),
 				measures.Categories()[rng.Intn(len(measures.Categories()))], vec))
@@ -233,11 +220,13 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 			rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 		}
 		ix := NewItemIndex(items)
-		for ui := 0; ui < 8; ui++ {
+		users := make([]*profile.Profile, 8)
+		for ui := range users {
 			u := profile.New(fmt.Sprintf("u%d", ui))
 			for t2, w := range randVec(rng.Intn(6)) {
 				u.Interests[t2] = w
 			}
+			users[ui] = u
 			k := 1 + rng.Intn(nItems+1)
 			if want, got := TopK(u, items, k), ix.TopK(u, k); !sameRecs(got, want) {
 				t.Fatalf("round %d user %d k=%d: flat %v != map %v", round, ui, k, got, want)
@@ -250,6 +239,236 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 				t.Fatalf("round %d user %d k=%d: flat MaxMin %v != map %v", round, ui, k, got, want)
 			}
 		}
+		for gi := 0; gi < 4; gi++ {
+			members := make([]*profile.Profile, 1+rng.Intn(4))
+			for i := range members {
+				members[i] = users[rng.Intn(len(users))]
+			}
+			g := &profile.Group{ID: fmt.Sprintf("g%d", gi), Members: members}
+			k, alpha := 1+rng.Intn(nItems+1), float64(rng.Intn(5))/4
+			if want, got := FairGreedyTopK(g, items, k, alpha), ix.FairGreedyTopK(g, k, alpha); !sameRecs(got, want) {
+				t.Fatalf("round %d group %d k=%d α=%g: flat FairGreedyTopK %v != map %v", round, gi, k, alpha, got, want)
+			}
+		}
+	}
+}
+
+// parityGroups draws groups from parityUsers: single members, plain pairs,
+// a zero-norm member, NaN-norm members (the kernel's full-scan fallback), a
+// group nobody in which overlaps anything, a wildcard member, and a group
+// holding one profile twice.
+func parityGroups(t *testing.T) []*profile.Group {
+	t.Helper()
+	users := parityUsers()
+	var groups []*profile.Group
+	for gi, members := range [][]*profile.Profile{
+		{users[0]},
+		{users[5]},
+		{users[0], users[1]},
+		{users[0], users[3]},
+		{users[1], users[5]},
+		{users[2], users[3]},
+		{users[0], users[1], users[6]},
+		{users[1], users[7], users[4]},
+		{users[1], users[1]},
+	} {
+		g, err := profile.NewGroup(fmt.Sprintf("g%d", gi), members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// TestItemIndexFairGreedyParity holds the flat fair-greedy selection to the
+// map reference: member scores from one kernel pass each, satisfaction
+// ideals from the heap, the selection loop's arithmetic and tie-breaks as
+// written. Back-to-back calls on one index also catch used bits left set
+// in the pooled scratch.
+func TestItemIndexFairGreedyParity(t *testing.T) {
+	items := parityItems()
+	ix := NewItemIndex(items)
+	for _, g := range parityGroups(t) {
+		for _, alpha := range []float64{0, 0.25, 0.5, 0.8, 1} {
+			for k := 0; k <= len(items)+2; k++ {
+				want := FairGreedyTopK(g, items, k, alpha)
+				got := ix.FairGreedyTopK(g, k, alpha)
+				if !sameRecs(got, want) {
+					t.Fatalf("group %s α=%g k=%d: flat %v != map %v", g.ID, alpha, k, got, want)
+				}
+			}
+		}
+	}
+	if got := NewItemIndex(nil).FairGreedyTopK(parityGroups(t)[2], 3, 0.5); len(got) != 0 {
+		t.Fatalf("FairGreedyTopK over no items = %v", got)
+	}
+	if got := ix.FairGreedyTopK(&profile.Group{ID: "empty"}, 3, 0.5); len(got) != 0 {
+		t.Fatalf("FairGreedyTopK for an empty group = %v", got)
+	}
+}
+
+// paritySelections are the selections the metric parity runs over: empty,
+// single, rankings of several sizes in and out of score order, one naming
+// a measure the items do not hold, and one repeating a measure.
+func paritySelections(ix *ItemIndex, u *profile.Profile) [][]Recommendation {
+	sels := [][]Recommendation{nil, {{MeasureID: "countA"}}}
+	for _, k := range []int{2, 3, ix.Len()} {
+		top := ix.TopK(u, k)
+		rev := make([]Recommendation, len(top))
+		for i, r := range top {
+			rev[len(top)-1-i] = r
+		}
+		sels = append(sels, top, rev)
+	}
+	sels = append(sels,
+		[]Recommendation{{MeasureID: "ghost"}, {MeasureID: "semD"}, {MeasureID: "nanvec"}},
+		[]Recommendation{{MeasureID: "structC"}, {MeasureID: "structC"}, {MeasureID: "zerovec"}},
+	)
+	return sels
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestItemIndexMetricParity holds every evaluation metric on the index to
+// its map reference, bitwise.
+func TestItemIndexMetricParity(t *testing.T) {
+	items := parityItems()
+	ix := NewItemIndex(items)
+	for _, u := range parityUsers() {
+		for si, sel := range paritySelections(ix, u) {
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"Satisfaction", ix.Satisfaction(u, sel), Satisfaction(u, items, sel)},
+				{"MeanRelatedness", ix.MeanRelatedness(u, sel), MeanRelatedness(u, items, sel)},
+				{"IntraListDiversity", ix.IntraListDiversity(sel), IntraListDiversity(items, sel)},
+				{"CategoryCoverage", ix.CategoryCoverage(sel), CategoryCoverage(items, sel)},
+			} {
+				if !sameBits(c.got, c.want) {
+					t.Fatalf("user %s selection %d: flat %s %v != map %v", u.ID, si, c.name, c.got, c.want)
+				}
+			}
+			for m := 0; m <= 3; m++ {
+				for delta := 0; delta <= len(items)+1; delta++ {
+					if got, want := ix.IsCovered(u, sel, m, delta), IsCovered(u, items, sel, m, delta); got != want {
+						t.Fatalf("user %s selection %d m=%d δ=%d: flat IsCovered %v != map %v", u.ID, si, m, delta, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, g := range parityGroups(t) {
+		for si, sel := range paritySelections(ix, g.Members[0]) {
+			gotSats, wantSats := ix.GroupSatisfactions(g, sel), GroupSatisfactions(g, items, sel)
+			for i := range wantSats {
+				if !sameBits(gotSats[i], wantSats[i]) {
+					t.Fatalf("group %s selection %d: flat satisfactions %v != map %v", g.ID, si, gotSats, wantSats)
+				}
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"MinSatisfaction", ix.MinSatisfaction(g, sel), MinSatisfaction(g, items, sel)},
+				{"MeanSatisfaction", ix.MeanSatisfaction(g, sel), MeanSatisfaction(g, items, sel)},
+				{"EnvySpread", ix.EnvySpread(g, sel), EnvySpread(g, items, sel)},
+				{"Proportionality", ix.Proportionality(g, sel, 1, 2), Proportionality(g, items, sel, 1, 2)},
+				{"Proportionality m=2", ix.Proportionality(g, sel, 2, 4), Proportionality(g, items, sel, 2, 4)},
+			} {
+				if !sameBits(c.got, c.want) {
+					t.Fatalf("group %s selection %d: flat %s %v != map %v", g.ID, si, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestItemIndexExplainParity holds the flat explanation merge to the map
+// walk over the user's interests: the same contributions in the same
+// order, bitwise, for every n, and the same rendered text.
+func TestItemIndexExplainParity(t *testing.T) {
+	items := parityItems()
+	ix := NewItemIndex(items)
+	users := append(parityUsers(),
+		userWith(map[rdf.Term]float64{term("A"): 1, term("B"): 0.4, term("D"): 0.4, term("E"): 0.1}),
+		userWith(map[rdf.Term]float64{term("A"): 1, term("B"): 1, term("H"): 0.5}))
+	for _, u := range users {
+		for _, it := range items {
+			for n := 0; n <= len(u.Interests)+3; n++ {
+				want := Explain(u, it, n)
+				got := ix.Explain(u, it.ID(), n)
+				if len(got) != len(want) {
+					t.Fatalf("user %s %s n=%d: flat %+v != map %+v", u.ID, it.ID(), n, got, want)
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.Term != w.Term || !sameBits(g.UserWeight, w.UserWeight) ||
+						!sameBits(g.ItemScore, w.ItemScore) || !sameBits(g.Product, w.Product) {
+						t.Fatalf("user %s %s n=%d: contribution %d flat %+v != map %+v", u.ID, it.ID(), n, i, g, w)
+					}
+				}
+				if got, want := ix.ExplainText(u, it.ID(), n), ExplainText(u, it, n); got != want {
+					t.Fatalf("user %s %s n=%d: flat text %q != map %q", u.ID, it.ID(), n, got, want)
+				}
+			}
+		}
+	}
+	if got := ix.Explain(users[0], "ghost", 3); len(got) != 0 {
+		t.Fatalf("Explain of a measure the index does not hold = %v", got)
+	}
+}
+
+// TestNotifyEachParity holds the flat notification body to the map-scored
+// one: the same measures, scores and reasons, in the same order, for every
+// threshold and k.
+func TestNotifyEachParity(t *testing.T) {
+	items := parityItems()
+	ix := NewItemIndex(items)
+	for _, u := range parityUsers() {
+		for _, threshold := range []float64{0, 0.05, 0.5, 1} {
+			for k := 0; k <= len(items)+2; k++ {
+				want := notifyReference(u, items, threshold, k)
+				var got []note
+				ix.NotifyEach(u, threshold, k, func(measureID string, score float64, reason string) {
+					got = append(got, note{measureID, score, reason})
+				})
+				if len(got) != len(want) {
+					t.Fatalf("user %s threshold %g k=%d: flat %+v != map %+v", u.ID, threshold, k, got, want)
+				}
+				for i := range want {
+					if got[i].measureID != want[i].measureID || got[i].reason != want[i].reason ||
+						!sameBits(got[i].score, want[i].score) {
+						t.Fatalf("user %s threshold %g k=%d: note %d flat %+v != map %+v", u.ID, threshold, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNotifyEachAllocs guards a warm notification body: past the pooled
+// scratch it allocates the ranking and the reason strings, and nothing for
+// the contributions a reason is merged from. The bound is the count the
+// single-contribution merge this body used before Explain served it
+// allocated on this call: 7, the ranking plus two per reason, since
+// explainText's size hint is short of these reasons and its builder grows
+// once more.
+func TestNotifyEachAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race: the race runtime randomly drops sync.Pool puts")
+	}
+	ix := NewItemIndex(testItems())
+	u := userWith(map[rdf.Term]float64{term("A"): 1, term("C"): 0.5, term("D"): 0.4})
+	emitted := 0
+	emit := func(string, float64, string) { emitted++ }
+	got := testing.AllocsPerRun(200, func() { ix.NotifyEach(u, 0, 3, emit) })
+	if emitted != 3*201 {
+		t.Fatalf("emitted %d reasons over 201 calls, want 3 per call", emitted)
+	}
+	if got > 7 {
+		t.Fatalf("a warm NotifyEach emitting 3 reasons allocates %v times, want at most 7", got)
 	}
 }
 
@@ -296,7 +515,7 @@ func TestExplainHeapMatchesReference(t *testing.T) {
 		// Reference: all contributions, fully sorted.
 		var all []Contribution
 		for tm, w := range u.Interests {
-			s, ok := it.Vector[tm]
+			s, ok := vector(it)[tm]
 			if !ok || s == 0 || w == 0 {
 				continue
 			}

@@ -13,12 +13,12 @@ import (
 // IsCovered reports whether at least m of the selected measures appear in
 // the user's personal top-delta ranking — the per-user coverage predicate
 // of package-to-group proportionality.
-func IsCovered(u *profile.Profile, items []Item, sel []Recommendation, m, delta int) bool {
+func (ix *ItemIndex) IsCovered(u *profile.Profile, sel []Recommendation, m, delta int) bool {
 	if m <= 0 {
 		return true
 	}
 	top := make(map[string]bool, delta)
-	for _, r := range relatedTopK(u, items, delta) {
+	for _, r := range ix.TopK(u, delta) {
 		// Zero-relatedness entries only pad the ranking; they are not items
 		// the user would recognize as theirs.
 		if r.Score > 0 {
@@ -42,13 +42,13 @@ func IsCovered(u *profile.Profile, items []Item, sel []Recommendation, m, delta 
 // proportionality 1 gives every member at least m personally-relevant
 // measures; the paper's "package not fair to u" pathology shows up as
 // proportionality below 1.
-func Proportionality(g *profile.Group, items []Item, sel []Recommendation, m, delta int) float64 {
+func (ix *ItemIndex) Proportionality(g *profile.Group, sel []Recommendation, m, delta int) float64 {
 	if g.Size() == 0 {
 		return 1
 	}
 	covered := 0
 	for _, u := range g.Members {
-		if IsCovered(u, items, sel, m, delta) {
+		if ix.IsCovered(u, sel, m, delta) {
 			covered++
 		}
 	}
@@ -59,8 +59,8 @@ func Proportionality(g *profile.Group, items []Item, sel []Recommendation, m, de
 // members: 0 means the package serves everyone equally (envy-free in the
 // satisfaction sense), larger values mean some member has grounds to envy
 // another's treatment.
-func EnvySpread(g *profile.Group, items []Item, sel []Recommendation) float64 {
-	sats := GroupSatisfactions(g, items, sel)
+func (ix *ItemIndex) EnvySpread(g *profile.Group, sel []Recommendation) float64 {
+	sats := ix.GroupSatisfactions(g, sel)
 	min, max := sats[0], sats[0]
 	for _, s := range sats[1:] {
 		if s < min {

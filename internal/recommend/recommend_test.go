@@ -25,17 +25,20 @@ func (m stubMeasure) Compute(*measures.Context) measures.Scores {
 
 func term(s string) rdf.Term { return rdf.SchemaIRI(s) }
 
-func mkItem(id string, cat measures.Category, vec map[rdf.Term]float64) Item {
+// mkItem builds an item whose scores are the given map; the index and the
+// reference score its normalized form, the scores divided by their maximum.
+func mkItem(id string, cat measures.Category, scores map[rdf.Term]float64) Item {
 	s := measures.Scores{}
-	for t, v := range vec {
+	for t, v := range scores {
 		s[t] = v
 	}
-	return Item{Measure: stubMeasure{id: id, cat: cat}, Scores: s, Vector: vec}
+	return Item{Measure: stubMeasure{id: id, cat: cat}, Scores: s}
 }
 
 // testItems builds five items with known geometry:
 //
-//	countA, countA2 — near-duplicates highlighting entity A (count category)
+//	countA, countA2 — near-duplicates highlighting entity A (count category;
+//	                  countA2 normalizes to A:1, B:0.5/0.9)
 //	structC         — highlights C (structural)
 //	semD, semF      — highlight D and F (semantic)
 func testItems() []Item {

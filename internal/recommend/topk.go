@@ -124,16 +124,3 @@ func (h *bounded[T]) down(i int) {
 		i = w
 	}
 }
-
-// selectTopK scores every item and returns the k best recommendations in
-// the canonical order — the selection step of the map-scored rankers.
-func selectTopK(items []Item, k int, score func(Item) float64) []Recommendation {
-	if k > len(items) {
-		k = len(items)
-	}
-	h := newBounded(k, betterRec)
-	for _, it := range items {
-		h.offer(Recommendation{MeasureID: it.ID(), Score: score(it)})
-	}
-	return h.take()
-}

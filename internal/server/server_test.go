@@ -284,6 +284,8 @@ func TestServerErrors(t *testing.T) {
 		{"lambda_below_zero", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&strategy=mmr&lambda=-0.1", "", 400, "lambda must be in [0,1]"},
 		{"inf_epsilon", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=1&epsilon=Inf", "", 400, "not a finite number"},
 		{"group_nan_alpha", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=1&fair=1&alpha=NaN", "", 400, "not a finite number"},
+		{"group_alpha_above_one", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=1&fair=1&alpha=1.5", "", 400, "alpha must be in [0,1]"},
+		{"group_alpha_below_zero", "GET", "/v1/datasets/gallery/recommend/group?older=v1&newer=v2&member=a:Painting=1&fair=1&alpha=-2", "", 400, "alpha must be in [0,1]"},
 		{"notify_nan_threshold", "GET", "/v1/datasets/gallery/notify?older=v1&newer=v2&user=a:Painting=1&threshold=NaN", "", 400, "not a finite number"},
 		{"nan_interest_weight", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=NaN", "", 400, "invalid weight"},
 		{"inf_interest_weight", "GET", "/v1/datasets/gallery/recommend?older=v1&newer=v2&interests=Painting=Inf", "", 400, "invalid weight"},

@@ -322,8 +322,12 @@ func (d *Dataset) RecommendPrivateCtx(ctx context.Context, pool []*profile.Profi
 	return d.RecommendCtx(ctx, u, req)
 }
 
-// RecommendGroupCtx produces a recommendation list for a group.
+// RecommendGroupCtx produces a recommendation list for a group. A refused
+// group or request builds nothing.
 func (d *Dataset) RecommendGroupCtx(ctx context.Context, g *profile.Group, req core.GroupRequest) ([]recommend.Recommendation, error) {
+	if err := core.ValidateGroup(g); err != nil {
+		return nil, err
+	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}

@@ -36,6 +36,10 @@ func TestRefusedRequestsBuildNothing(t *testing.T) {
 	private := func(idx int, r core.Request, pol core.PrivacyPolicy) func() error {
 		return func() error { _, err := d.RecommendPrivateCtx(ctx, pool, idx, r, pol); return err }
 	}
+	group := func(g *profile.Group, r core.GroupRequest) func() error {
+		r.OlderID, r.NewerID = "v1", "v2"
+		return func() error { _, err := d.RecommendGroupCtx(ctx, g, r); return err }
+	}
 	notify := func(threshold float64, k int) func() error {
 		return func() error { _, err := d.NotifyCtx(ctx, pool, "v2", "v3", threshold, k); return err }
 	}
@@ -51,10 +55,12 @@ func TestRefusedRequestsBuildNothing(t *testing.T) {
 		{"private k=0", "K must be >= 1", private(0, req(0, core.Plain, 0), core.PrivacyPolicy{KAnonymity: 2})},
 		{"private index", "pool index 3 out of range", private(3, req(3, core.Plain, 0), core.PrivacyPolicy{})},
 		{"kanon>pool", "exceeds pool size", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{KAnonymity: 4})},
-		{"group k=0", "K must be >= 1", func() error {
-			_, err := d.RecommendGroupCtx(ctx, g, core.GroupRequest{OlderID: "v1", NewerID: "v2", K: 0})
-			return err
-		}},
+		{"group k=0", "K must be >= 1", group(g, core.GroupRequest{K: 0})},
+		{"alpha=1.5", "alpha must be in [0,1]", group(g, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: 1.5})},
+		{"alpha=-2", "alpha must be in [0,1]", group(g, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: -2})},
+		{"alpha=NaN", "alpha must be in [0,1]", group(g, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: math.NaN()})},
+		{"empty group average", "has no members", group(&profile.Group{ID: "nobody"}, core.GroupRequest{K: 3})},
+		{"empty group fair greedy", "has no members", group(&profile.Group{ID: "nobody"}, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: 0.5})},
 		{"threshold=2", "threshold must be in [0,1]", notify(2, 3)},
 		{"threshold=-0.1", "threshold must be in [0,1]", notify(-0.1, 3)},
 		{"threshold=NaN", "threshold must be in [0,1]", notify(math.NaN(), 3)},
