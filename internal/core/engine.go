@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -343,9 +344,10 @@ func (e *Engine) HasItems(olderID, newerID string) bool {
 // one pair from many goroutines builds it once.
 func (e *Engine) ContextBuilds() int { return e.ctxBuilds }
 
-// CachedPairs returns the pair keys with cached items, sorted.
+// CachedPairs returns the pair keys with cached items, sorted; empty, not
+// nil, when there are none.
 func (e *Engine) CachedPairs() []string {
-	var out []string
+	out := []string{}
 	e.pairs.Range(func(key, _ any) bool {
 		out = append(out, key.(string))
 		return true
@@ -542,9 +544,25 @@ type PrivacyPolicy struct {
 	Seed int64
 }
 
+// Validate refuses a policy that would publish the raw profiles while
+// claiming privacy: a KAnonymity of 1 or below 0 (1-anonymity anonymizes
+// nothing), or an Epsilon that is negative, NaN or infinite.
+func (pol PrivacyPolicy) Validate() error {
+	if pol.KAnonymity == 1 || pol.KAnonymity < 0 {
+		return fmt.Errorf("core: kanon must be 0 (off) or >= 2, got %d", pol.KAnonymity)
+	}
+	if !(pol.Epsilon >= 0) || math.IsInf(pol.Epsilon, 0) {
+		return fmt.Errorf("core: epsilon must be >= 0, got %g", pol.Epsilon)
+	}
+	return nil
+}
+
 // Anonymize applies the policy to the pool and returns the published
-// profiles (index-aligned).
+// profiles (index-aligned). A policy Validate refuses publishes nothing.
 func (e *Engine) Anonymize(pool []*profile.Profile, pol PrivacyPolicy) ([]*profile.Profile, error) {
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
 	published := pool
 	if pol.KAnonymity >= 2 {
 		anon, _, err := recommend.KAnonymize(pool, pol.KAnonymity)

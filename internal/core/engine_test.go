@@ -359,6 +359,43 @@ func TestRecommendPrivate(t *testing.T) {
 	}
 }
 
+// TestPrivacyPolicyRefusals holds every privacy entry point to one rule: a
+// policy that would rank the raw profile while claiming privacy (1-anonymity,
+// a negative, NaN or infinite epsilon) is refused before any pair is built.
+func TestPrivacyPolicyRefusals(t *testing.T) {
+	e, pool := testEngine(t)
+	req := Request{OlderID: "v1", NewerID: "v2", K: 2}
+	for _, c := range []struct {
+		pol  PrivacyPolicy
+		want string
+	}{
+		{PrivacyPolicy{KAnonymity: 1}, "core: kanon must be 0 (off) or >= 2, got 1"},
+		{PrivacyPolicy{KAnonymity: -3}, "core: kanon must be 0 (off) or >= 2, got -3"},
+		{PrivacyPolicy{Epsilon: -0.5}, "core: epsilon must be >= 0, got -0.5"},
+		{PrivacyPolicy{Epsilon: math.NaN()}, "core: epsilon must be >= 0, got NaN"},
+		{PrivacyPolicy{Epsilon: math.Inf(1)}, "core: epsilon must be >= 0, got +Inf"},
+		{PrivacyPolicy{KAnonymity: 2, Epsilon: math.Inf(-1)}, "core: epsilon must be >= 0, got -Inf"},
+	} {
+		errs := map[string]error{"Validate": c.pol.Validate()}
+		_, errs["Anonymize"] = e.Anonymize(pool, c.pol)
+		_, errs["Publish"] = e.Publish(pool, 0, c.pol)
+		_, errs["RecommendPrivate"] = e.RecommendPrivate(pool, 0, req, c.pol)
+		for name, err := range errs {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s(%+v) = %v, want %q", name, c.pol, err, c.want)
+			}
+		}
+	}
+	if n := e.ContextBuilds(); n != 0 {
+		t.Fatalf("refused policies built %d contexts", n)
+	}
+	for _, pol := range []PrivacyPolicy{{}, {KAnonymity: 2}, {Epsilon: 0.5}, {KAnonymity: 4, Epsilon: 1}} {
+		if err := pol.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", pol, err)
+		}
+	}
+}
+
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{
 		Plain: "plain", DiverseMMR: "mmr", DiverseMaxMin: "maxmin",

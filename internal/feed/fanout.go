@@ -14,19 +14,20 @@ import (
 
 // Stats reports what one fan-out did.
 type Stats struct {
-	// OlderID and NewerID name the version pair.
-	OlderID, NewerID string
+	// OlderID and NewerID name the version pair; a commit's response
+	// names it already, so they stay off the wire.
+	OlderID, NewerID string `json:"-"`
 	// Subscribers is the registry size at fan-out time.
-	Subscribers int
+	Subscribers int `json:"subscribers"`
 	// Affected is how many subscribers the inverted index matched — the
 	// only ones scored.
-	Affected int
+	Affected int `json:"affected"`
 	// Notified is how many notifications were appended across feed logs.
-	Notified int
+	Notified int `json:"notified"`
 	// Skipped reports that the pair was already fanned out (the ledger
 	// makes fan-out idempotent per pair, so a pair fanned out again never
 	// re-notifies).
-	Skipped bool
+	Skipped bool `json:"skipped,omitempty"`
 }
 
 // FanOutIndexedCtx delivers one committed version pair to the standing

@@ -121,11 +121,11 @@ type Entry struct {
 // SubscriberInfo is one registered subscriber, as listed by Subscribers.
 type SubscriberInfo struct {
 	// ID identifies the subscriber.
-	ID string
+	ID string `json:"id"`
 	// Terms is the number of interest terms.
-	Terms int
+	Terms int `json:"terms"`
 	// Interests lists the interest IRIs, sorted.
-	Interests []string
+	Interests []string `json:"interests"`
 }
 
 // userLog is one user's in-memory feed log.

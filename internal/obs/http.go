@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -15,6 +16,17 @@ import (
 // missing one is minted, and the final ID is echoed on the response and
 // attached to the request context and every access-log line.
 const RequestIDHeader = "X-Request-Id"
+
+// WriteJSON sends v as the response: the status, Content-Type
+// application/json and v encoded as JSON indented by two spaces. It is the
+// one JSON writer of the API routes and the ops endpoints.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // the response is already committed
+}
 
 // HTTPMetrics is the per-endpoint instrument set the middleware feeds:
 //

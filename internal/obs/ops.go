@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
@@ -62,10 +61,7 @@ func HealthHandler(info BuildInfo, dynamic func() map[string]any) http.Handler {
 				body[k] = v
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body) //nolint:errcheck // the response is already committed
+		WriteJSON(w, http.StatusOK, body)
 	})
 }
 
@@ -91,11 +87,7 @@ func ReadyHandler(check func() (bool, map[string]any)) http.Handler {
 		for k, v := range detail {
 			body[k] = v
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body) //nolint:errcheck // the response is already committed
+		WriteJSON(w, status, body)
 	})
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -602,10 +601,7 @@ func (t *Tracer) TracesHandler() http.Handler {
 			}
 			out = append(out, tr)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{ //nolint:errcheck // response committed
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"count":   len(out),
 			"max_seq": t.LastSeq(),
 			"traces":  out,

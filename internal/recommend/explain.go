@@ -2,7 +2,6 @@ package recommend
 
 import (
 	"strconv"
-	"strings"
 
 	"evorec/internal/profile"
 	"evorec/internal/rdf"
@@ -73,32 +72,26 @@ func (ix *ItemIndex) explain(fu *profile.Flat, ord int, h *bounded[Contribution]
 }
 
 // explainText is the renderer behind ExplainText and the notification
-// reasons NotifyEach emits. It renders through one strings.Builder —
-// notifications produce one reason per emitted measure, so the fmt/join
-// garbage of the obvious implementation was a measurable slice of fan-out.
+// reasons NotifyEach emits, one reason per emitted measure. It renders into
+// a stack buffer and copies the text out once, so a reason costs one
+// allocation of its own length unless it outgrows the buffer.
 func explainText(itemID string, cs []Contribution) string {
-	var b strings.Builder
 	if len(cs) == 0 {
-		b.Grow(len(itemID) + 48)
-		b.WriteString(itemID)
-		b.WriteString(" does not overlap with this user's interests.")
-		return b.String()
+		return itemID + " does not overlap with this user's interests."
 	}
-	b.Grow(len(itemID) + 64*len(cs))
-	b.WriteString(itemID)
-	b.WriteString(" matches your interests through ")
-	var num [24]byte
+	var buf [512]byte
+	b := append(buf[:0], itemID...)
+	b = append(b, " matches your interests through "...)
 	for i, c := range cs {
 		if i > 0 {
-			b.WriteString(" and ")
+			b = append(b, " and "...)
 		}
-		b.WriteString(c.Term.Local())
-		b.WriteString(" (interest ")
-		b.Write(strconv.AppendFloat(num[:0], c.UserWeight, 'f', 2, 64))
-		b.WriteString(" × change intensity ")
-		b.Write(strconv.AppendFloat(num[:0], c.ItemScore, 'f', 2, 64))
-		b.WriteString(")")
+		b = append(b, c.Term.Local()...)
+		b = append(b, " (interest "...)
+		b = strconv.AppendFloat(b, c.UserWeight, 'f', 2, 64)
+		b = append(b, " × change intensity "...)
+		b = strconv.AppendFloat(b, c.ItemScore, 'f', 2, 64)
+		b = append(b, ')')
 	}
-	b.WriteString(".")
-	return b.String()
+	return string(append(b, '.'))
 }

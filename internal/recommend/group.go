@@ -97,9 +97,13 @@ func (ix *ItemIndex) GroupSatisfactions(g *profile.Group, sel []Recommendation) 
 // MinSatisfaction is the fairness headline number (§III-d): the satisfaction
 // of the least-satisfied group member. A selection with high mean but low
 // minimum is exactly the "package not fair to u" situation the paper warns
-// about.
+// about. An empty group is satisfied (1), as Proportionality and JainIndex
+// have it.
 func (ix *ItemIndex) MinSatisfaction(g *profile.Group, sel []Recommendation) float64 {
 	sats := ix.GroupSatisfactions(g, sel)
+	if len(sats) == 0 {
+		return 1
+	}
 	min := sats[0]
 	for _, s := range sats[1:] {
 		if s < min {
@@ -109,9 +113,13 @@ func (ix *ItemIndex) MinSatisfaction(g *profile.Group, sel []Recommendation) flo
 	return min
 }
 
-// MeanSatisfaction is the utilitarian counterpart of MinSatisfaction.
+// MeanSatisfaction is the utilitarian counterpart of MinSatisfaction; an
+// empty group is satisfied (1).
 func (ix *ItemIndex) MeanSatisfaction(g *profile.Group, sel []Recommendation) float64 {
 	sats := ix.GroupSatisfactions(g, sel)
+	if len(sats) == 0 {
+		return 1
+	}
 	sum := 0.0
 	for _, s := range sats {
 		sum += s

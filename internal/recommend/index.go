@@ -421,8 +421,11 @@ func (ix *ItemIndex) PopularityTopK(k int) []Recommendation {
 // GroupTopK recommends to a group under an aggregation (§III-d): members
 // are compiled once, candidate items are the union of the members'
 // postings, and each candidate aggregates member cosines in member order,
-// as the map reference's group score does.
+// as the map reference's group score does. An empty group selects nothing.
 func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recommendation {
+	if g.Size() == 0 {
+		return nil
+	}
 	sc := ix.getScratch()
 	defer putScratch(sc)
 	if cap(sc.group) < g.Size() {

@@ -58,9 +58,12 @@ func (ix *ItemIndex) Proportionality(g *profile.Group, sel []Recommendation, m, 
 // EnvySpread is the satisfaction gap between the best- and worst-served
 // members: 0 means the package serves everyone equally (envy-free in the
 // satisfaction sense), larger values mean some member has grounds to envy
-// another's treatment.
+// another's treatment. An empty group has no one to envy (0).
 func (ix *ItemIndex) EnvySpread(g *profile.Group, sel []Recommendation) float64 {
 	sats := ix.GroupSatisfactions(g, sel)
+	if len(sats) == 0 {
+		return 0
+	}
 	min, max := sats[0], sats[0]
 	for _, s := range sats[1:] {
 		if s < min {

@@ -161,9 +161,13 @@ func PopularityTopK(items []Item, k int) []Recommendation {
 	return selectTopK(items, k, func(it Item) float64 { return it.Scores.Total() })
 }
 
-// GroupTopK recommends k measures to the group under the given aggregation.
-// ItemIndex.GroupTopK is the flat-kernel form.
+// GroupTopK recommends k measures to the group under the given aggregation;
+// an empty group selects nothing. ItemIndex.GroupTopK is the flat-kernel
+// form.
 func GroupTopK(g *profile.Group, items []Item, k int, agg Aggregation) []Recommendation {
+	if g.Size() == 0 {
+		return nil
+	}
 	return selectTopK(items, k, func(it Item) float64 { return GroupScore(g, it, agg) })
 }
 
@@ -260,9 +264,12 @@ func MaxMin(u *profile.Profile, items []Item, k int) []Recommendation {
 
 // FairGreedyTopK builds the selection item by item, each step picking the
 // item that maximizes (1−α)·GroupScore(Average) + α·Relatedness(worst),
-// recomputing every member's satisfaction after every pick.
-// ItemIndex.FairGreedyTopK is the flat-kernel form.
+// recomputing every member's satisfaction after every pick; an empty group
+// selects nothing. ItemIndex.FairGreedyTopK is the flat-kernel form.
 func FairGreedyTopK(g *profile.Group, items []Item, k int, alpha float64) []Recommendation {
+	if g.Size() == 0 {
+		return nil
+	}
 	if k > len(items) {
 		k = len(items)
 	}
@@ -334,9 +341,13 @@ func GroupSatisfactions(g *profile.Group, items []Item, sel []Recommendation) []
 	return out
 }
 
-// MinSatisfaction is the least-satisfied member's satisfaction.
+// MinSatisfaction is the least-satisfied member's satisfaction; 1 for an
+// empty group.
 func MinSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float64 {
 	sats := GroupSatisfactions(g, items, sel)
+	if len(sats) == 0 {
+		return 1
+	}
 	min := sats[0]
 	for _, s := range sats[1:] {
 		if s < min {
@@ -346,9 +357,12 @@ func MinSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float
 	return min
 }
 
-// MeanSatisfaction is the mean member satisfaction.
+// MeanSatisfaction is the mean member satisfaction; 1 for an empty group.
 func MeanSatisfaction(g *profile.Group, items []Item, sel []Recommendation) float64 {
 	sats := GroupSatisfactions(g, items, sel)
+	if len(sats) == 0 {
+		return 1
+	}
 	sum := 0.0
 	for _, s := range sats {
 		sum += s
@@ -356,9 +370,13 @@ func MeanSatisfaction(g *profile.Group, items []Item, sel []Recommendation) floa
 	return sum / float64(len(sats))
 }
 
-// EnvySpread is the gap between the best- and worst-served members.
+// EnvySpread is the gap between the best- and worst-served members; 0 for
+// an empty group.
 func EnvySpread(g *profile.Group, items []Item, sel []Recommendation) float64 {
 	sats := GroupSatisfactions(g, items, sel)
+	if len(sats) == 0 {
+		return 0
+	}
 	min, max := sats[0], sats[0]
 	for _, s := range sats[1:] {
 		if s < min {

@@ -26,6 +26,16 @@
 // alpha) and notification thresholds (user=... repeated, threshold, k).
 // Profiles are request-scoped: each request parses its own profiles, so
 // concurrent requests never share mutable user state.
+//
+// Every route has one shape. A handler reads its query parameters through
+// one reader (query), calls the service, and returns a status and a body,
+// or an error; route's adapter alone writes the response, through
+// obs.WriteJSON, the JSON writer the ops endpoints share. Bodies are the
+// service's own types where a response carries one as it is
+// (service.Info, service.CommitInfo, service.MeasureEval,
+// feed.SubscriberInfo), so their JSON tags are the wire format; small
+// structs remain where a response adds or reshapes fields. The goldens
+// under testdata lock every body byte for byte, error bodies included.
 package server
 
 import (
@@ -44,6 +54,7 @@ import (
 	"time"
 
 	"evorec/internal/core"
+	"evorec/internal/feed"
 	"evorec/internal/obs"
 	"evorec/internal/profile"
 	"evorec/internal/recommend"
@@ -156,16 +167,30 @@ func New(svc *service.Service, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// route registers a handler under the observability middleware. The route
-// label comes from the registration pattern (bounded cardinality — the
-// mux's path wildcards, never raw request paths). With no metrics and no
-// logger the middleware is a nil receiver and the handler mounts bare.
-// The deadline middleware nests inside the observability wrapper, so panic
-// containment covers it and the 504 is still counted/logged per route.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
+// handler is the one shape of an API route: it reads the request and
+// returns the status and body to send, or an error. It touches the
+// ResponseWriter only to bound a request body.
+type handler func(w http.ResponseWriter, r *http.Request) (status int, body any, err error)
+
+// route registers a handler under the observability middleware, adapted to
+// net/http: the handler's body, or its error's, goes out through
+// obs.WriteJSON. The route label comes from the registration pattern
+// (bounded cardinality — the mux's path wildcards, never raw request
+// paths). With no metrics and no logger the middleware is a nil receiver
+// and the handler mounts bare. The deadline middleware nests inside the
+// observability wrapper, so panic containment covers it and the 504 is
+// still counted/logged per route.
+func (s *Server) route(pattern string, h handler) {
 	label := obs.RouteLabel(pattern)
 	s.labels[label] = true
-	s.mux.Handle(pattern, s.httpm.Wrap(label, s.withDeadline(label, h)))
+	serve := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		status, body, err := h(w, r)
+		if err != nil {
+			status, body = s.errStatus(w, err), errorBody{Error: err.Error()}
+		}
+		obs.WriteJSON(w, status, body)
+	})
+	s.mux.Handle(pattern, s.httpm.Wrap(label, s.withDeadline(label, serve)))
 }
 
 // withDeadline bounds the handler with the route's configured timeout via
@@ -191,22 +216,11 @@ func (s *Server) withDeadline(label string, h http.Handler) http.Handler {
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ---------------------------------------------------------------------------
-// JSON plumbing
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeErr maps service sentinel errors to HTTP statuses; everything else
+// errStatus maps service sentinel errors to HTTP statuses; everything else
 // (malformed input wrapped by the handlers) is a 400. Overload and failure
 // shedding (ErrCommitBusy, ErrDatasetClosed, ErrDegraded, ErrBuildBusy) are
 // 503 with the configured Retry-After, telling well-behaved clients to back
@@ -214,7 +228,7 @@ type errorBody struct {
 // a load-shedding episode shows up as a rate, not just client-side errors.
 // An expired route deadline is 504 — the client's budget ran out, nothing
 // was shed, so it stays out of the rejection counter.
-func (s *Server) writeErr(w http.ResponseWriter, err error) {
+func (s *Server) errStatus(w http.ResponseWriter, err error) int {
 	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, service.ErrUnknownDataset), errors.Is(err, service.ErrUnknownVersion),
@@ -230,52 +244,110 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	return status
 }
 
 // ---------------------------------------------------------------------------
-// Query-parameter parsing: each handler parses its query string once
-// (r.URL.Query builds a fresh map per call) and hands the values here.
+// Query parameters
 
-// intParam parses an integer query parameter with a default.
-func intParam(q url.Values, name string, def int) (int, error) {
+// query reads one request's query string (r.URL.Query parses it into a
+// fresh map per call, so a handler reads through one query). A read returns
+// the parameter's value, or the default it names when the parameter is
+// absent; a malformed value records an error, and only the first one
+// recorded is kept, so a handler checks err once after its reads and
+// reports the first bad parameter in the order it reads them.
+type query struct {
+	url.Values
+	err error
+}
+
+func readQuery(r *http.Request) *query { return &query{Values: r.URL.Query()} }
+
+// fail records err unless an earlier read already failed; nil records
+// nothing.
+func (q *query) fail(err error) {
+	if q.err == nil {
+		q.err = err
+	}
+}
+
+// str returns a string parameter, def when absent or empty.
+func (q *query) str(name, def string) string {
+	if v := q.Get(name); v != "" {
+		return v
+	}
+	return def
+}
+
+// pair returns the older/newer version pair, both required.
+func (q *query) pair() (older, newer string) {
+	older, newer = q.Get("older"), q.Get("newer")
+	if older == "" || newer == "" {
+		q.fail(errors.New("parameters older and newer are required"))
+	}
+	return older, newer
+}
+
+// int returns an integer parameter.
+func (q *query) int(name string, def int) int {
 	v := q.Get(name)
 	if v == "" {
-		return def, nil
+		return def
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", name, v)
+		q.fail(fmt.Errorf("parameter %s=%q is not an integer", name, v))
 	}
-	return n, nil
+	return n
 }
 
-// floatParam parses a finite float query parameter with a default. NaN
-// passes every range check and ±Inf would reach the JSON encoder, so both
-// are refused here.
-func floatParam(q url.Values, name string, def float64) (float64, error) {
+// float returns a finite float parameter. NaN passes every range check and
+// ±Inf would reach the JSON encoder, so both are refused here.
+func (q *query) float(name string, def float64) float64 {
 	v := q.Get(name)
 	if v == "" {
-		return def, nil
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not a number", name, v)
+	switch {
+	case err != nil:
+		q.fail(fmt.Errorf("parameter %s=%q is not a number", name, v))
+	case math.IsNaN(f) || math.IsInf(f, 0):
+		q.fail(fmt.Errorf("parameter %s=%q is not a finite number", name, v))
 	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("parameter %s=%q is not a finite number", name, v)
-	}
-	return f, nil
+	return f
 }
 
-// pairParams extracts the older/newer version pair, both required.
-func pairParams(q url.Values) (older, newer string, err error) {
-	older = q.Get("older")
-	newer = q.Get("newer")
-	if older == "" || newer == "" {
-		return "", "", fmt.Errorf("parameters older and newer are required")
+// cursor returns a feed cursor parameter, 0 when absent.
+func (q *query) cursor(name string) uint64 {
+	v := q.Get(name)
+	if v == "" {
+		return 0
 	}
-	return older, newer, nil
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		q.fail(fmt.Errorf("parameter %s=%q is not a cursor", name, v))
+	}
+	return n
+}
+
+// users parses every value of a repeated id:Class=w,... parameter into a
+// request-scoped profile; required refuses a request with none.
+func (q *query) users(name string, required bool) []*profile.Profile {
+	specs := q.Values[name]
+	if required && len(specs) == 0 {
+		q.fail(fmt.Errorf("at least one %s=id:Class=w parameter is required", name))
+	}
+	out := make([]*profile.Profile, 0, len(specs))
+	for _, spec := range specs {
+		p, err := profile.ParseUserSpec(spec)
+		if err != nil {
+			q.fail(err)
+			return nil
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 func (s *Server) dataset(r *http.Request) (*service.Dataset, error) {
@@ -285,80 +357,26 @@ func (s *Server) dataset(r *http.Request) (*service.Dataset, error) {
 // ---------------------------------------------------------------------------
 // Dataset registry handlers
 
-type infoJSON struct {
-	Name              string   `json:"name"`
-	Backed            bool     `json:"backed"`
-	Dir               string   `json:"dir,omitempty"`
-	Policy            string   `json:"policy,omitempty"`
-	SnapshotEvery     int      `json:"snapshot_every,omitempty"`
-	Versions          []string `json:"versions"`
-	Terms             int      `json:"terms"`
-	StoreCacheCap     int      `json:"store_cache_cap,omitempty"`
-	StoreCacheHits    int      `json:"store_cache_hits"`
-	StoreCacheMisses  int      `json:"store_cache_misses"`
-	ContextBuilds     int      `json:"context_builds"`
-	CachedPairs       []string `json:"cached_pairs"`
-	ResidentGraphs    int      `json:"resident_graphs"`
-	ProvenanceRecords int      `json:"provenance_records"`
-	Subscribers       int      `json:"subscribers"`
-	FeedPairs         int      `json:"feed_pairs"`
+func (s *Server) handleList(http.ResponseWriter, *http.Request) (int, any, error) {
+	return http.StatusOK, struct {
+		Datasets []service.Info `json:"datasets"`
+	}{s.svc.Infos()}, nil
 }
 
-func toInfoJSON(info service.Info) infoJSON {
-	out := infoJSON{
-		Name:              info.Name,
-		Backed:            info.Backed,
-		Dir:               info.Dir,
-		Policy:            info.Policy,
-		SnapshotEvery:     info.SnapshotEvery,
-		Versions:          info.Versions,
-		Terms:             info.Terms,
-		StoreCacheCap:     info.StoreCacheCap,
-		StoreCacheHits:    info.StoreCacheHits,
-		StoreCacheMisses:  info.StoreCacheMisses,
-		ContextBuilds:     info.ContextBuilds,
-		CachedPairs:       info.CachedPairs,
-		ResidentGraphs:    info.ResidentGraphs,
-		ProvenanceRecords: info.ProvenanceRecords,
-		Subscribers:       info.Subscribers,
-		FeedPairs:         info.FeedPairs,
-	}
-	if out.Versions == nil {
-		out.Versions = []string{}
-	}
-	if out.CachedPairs == nil {
-		out.CachedPairs = []string{}
-	}
-	return out
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	infos := s.svc.Infos()
-	out := struct {
-		Datasets []infoJSON `json:"datasets"`
-	}{Datasets: make([]infoJSON, 0, len(infos))}
-	for _, info := range infos {
-		out.Datasets = append(out.Datasets, toInfoJSON(info))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInspect(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, toInfoJSON(d.Info()))
+	return http.StatusOK, d.Info(), nil
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreate(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.svc.Create(r.PathValue("name"))
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusCreated, toInfoJSON(d.Info()))
+	return http.StatusCreated, d.Info(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -371,74 +389,37 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // builds and delta reads for the duration of its upload.
 const maxCommitBody = 128 << 20
 
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCommitBody))
 	if err != nil {
-		s.writeErr(w, fmt.Errorf("reading commit body: %w", err))
-		return
+		return 0, nil, fmt.Errorf("reading commit body: %w", err)
 	}
 	info, err := d.CommitCtx(r.Context(), r.PathValue("id"), bytes.NewReader(body))
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	type feedJSON struct {
-		Subscribers int  `json:"subscribers"`
-		Affected    int  `json:"affected"`
-		Notified    int  `json:"notified"`
-		Skipped     bool `json:"skipped,omitempty"`
-	}
-	out := struct {
-		ID      string    `json:"id"`
-		Triples int       `json:"triples"`
-		Kind    string    `json:"kind"`
-		Feed    *feedJSON `json:"feed,omitempty"`
-		// FeedError reports a fan-out failure for an otherwise durable
-		// commit (the version landed; the feed delivery degraded).
-		FeedError string `json:"feed_error,omitempty"`
-		// RequestID/TraceID attribute the commit (and its fan-out) to the
-		// originating request; absent when untraced, so the pre-tracing
-		// response shape is unchanged.
-		RequestID string `json:"request_id,omitempty"`
-		TraceID   string `json:"trace_id,omitempty"`
-	}{ID: info.ID, Triples: info.Triples, Kind: info.Kind, FeedError: info.FeedError,
-		RequestID: info.RequestID, TraceID: info.TraceID}
-	if info.Feed != nil {
-		out.Feed = &feedJSON{
-			Subscribers: info.Feed.Subscribers,
-			Affected:    info.Feed.Affected,
-			Notified:    info.Feed.Notified,
-			Skipped:     info.Feed.Skipped,
-		}
-	}
-	writeJSON(w, http.StatusCreated, out)
+	return http.StatusCreated, info, nil
 }
 
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDelta(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	older, newer, err := pairParams(r.URL.Query())
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	q := readQuery(r)
+	older, newer := q.pair()
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	stats, err := d.DeltaCtx(r.Context(), older, newer)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	if stats.HighLevel == nil {
-		stats.HighLevel = []string{}
-	}
-	writeJSON(w, http.StatusOK, struct {
+	return http.StatusOK, struct {
 		Older     string   `json:"older"`
 		Newer     string   `json:"newer"`
 		Added     int      `json:"added"`
@@ -446,55 +427,29 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		Size      int      `json:"size"`
 		HighLevel []string `json:"high_level"`
 	}{stats.Older, stats.Newer, stats.Added, stats.Deleted,
-		stats.Added + stats.Deleted, stats.HighLevel})
+		stats.Added + stats.Deleted, stats.HighLevel}, nil
 }
 
-type entityScoreJSON struct {
-	Entity string  `json:"entity"`
-	Score  float64 `json:"score"`
-}
-
-func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMeasures(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	q := r.URL.Query()
-	older, newer, err := pairParams(q)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	k, err := intParam(q, "k", 3)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	q := readQuery(r)
+	older, newer := q.pair()
+	k := q.int("k", 3)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	evals, err := d.MeasuresCtx(r.Context(), older, newer, k)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	type measureJSON struct {
-		ID       string            `json:"id"`
-		Name     string            `json:"name"`
-		Category string            `json:"category"`
-		Top      []entityScoreJSON `json:"top"`
-	}
-	out := struct {
-		Older    string        `json:"older"`
-		Newer    string        `json:"newer"`
-		Measures []measureJSON `json:"measures"`
-	}{Older: older, Newer: newer, Measures: make([]measureJSON, 0, len(evals))}
-	for _, ev := range evals {
-		mj := measureJSON{ID: ev.ID, Name: ev.Name, Category: ev.Category, Top: []entityScoreJSON{}}
-		for _, e := range ev.Top {
-			mj.Top = append(mj.Top, entityScoreJSON{Entity: e.Entity, Score: e.Score})
-		}
-		out.Measures = append(out.Measures, mj)
-	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, struct {
+		Older    string                `json:"older"`
+		Newer    string                `json:"newer"`
+		Measures []service.MeasureEval `json:"measures"`
+	}{older, newer, evals}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -514,182 +469,88 @@ func toRecJSON(sel []recommend.Recommendation) []recJSON {
 	return out
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRecommend(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	q := r.URL.Query()
-	older, newer, err := pairParams(q)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	q := readQuery(r)
+	older, newer := q.pair()
+	req := core.Request{OlderID: older, NewerID: newer, K: q.int("k", 3)}
+	req.Strategy, err = core.ParseStrategy(q.Get("strategy"))
+	q.fail(err)
+	req.Lambda = q.float("lambda", 0)
+	u, err := profile.ParseInterests(q.str("user_id", "anonymous"), q.Get("interests"))
+	q.fail(err)
+	pol := core.PrivacyPolicy{KAnonymity: q.int("kanon", 0), Epsilon: q.float("epsilon", 0)}
+	// core's privacy rule: kanon=1 or a negative epsilon would rank the raw
+	// profile, so they are refused as the engine refuses them.
+	q.fail(pol.Validate())
+	private := pol.KAnonymity >= 2 || pol.Epsilon > 0
+	var pool []*profile.Profile
+	if private {
+		pol.Seed = int64(q.int("seed", 0))
+		pool = append([]*profile.Profile{u}, q.users("pool", false)...)
 	}
-	k, err := intParam(q, "k", 3)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	strat, err := core.ParseStrategy(q.Get("strategy"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	lambda, err := floatParam(q, "lambda", 0)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	userID := q.Get("user_id")
-	if userID == "" {
-		userID = "anonymous"
-	}
-	u, err := profile.ParseInterests(userID, q.Get("interests"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	req := core.Request{OlderID: older, NewerID: newer, K: k, Strategy: strat, Lambda: lambda}
-
-	kanon, err := intParam(q, "kanon", 0)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	// k-anonymity below 2 cannot anonymize anything; accepting kanon=1 would
-	// report "private": true over the raw profile.
-	if kanon == 1 || kanon < 0 {
-		s.writeErr(w, fmt.Errorf("kanon must be 0 (off) or >= 2, got %d", kanon))
-		return
-	}
-	epsilon, err := floatParam(q, "epsilon", 0)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if epsilon < 0 {
-		s.writeErr(w, fmt.Errorf("epsilon must be >= 0, got %g", epsilon))
-		return
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	var sel []recommend.Recommendation
-	private := kanon >= 2 || epsilon > 0
 	if private {
-		seed, err := intParam(q, "seed", 0)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		pool := []*profile.Profile{u}
-		for _, spec := range q["pool"] {
-			p, err := profile.ParseUserSpec(spec)
-			if err != nil {
-				s.writeErr(w, err)
-				return
-			}
-			pool = append(pool, p)
-		}
-		pol := core.PrivacyPolicy{KAnonymity: kanon, Epsilon: epsilon, Seed: int64(seed)}
 		sel, err = d.RecommendPrivateCtx(r.Context(), pool, 0, req, pol)
 	} else {
 		sel, err = d.RecommendCtx(r.Context(), u, req)
 	}
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return http.StatusOK, struct {
 		User            string    `json:"user"`
 		Older           string    `json:"older"`
 		Newer           string    `json:"newer"`
 		Strategy        string    `json:"strategy"`
 		Private         bool      `json:"private,omitempty"`
 		Recommendations []recJSON `json:"recommendations"`
-	}{u.ID, older, newer, strat.String(), private, toRecJSON(sel)})
+	}{u.ID, older, newer, req.Strategy.String(), private, toRecJSON(sel)}, nil
 }
 
-func (s *Server) handleRecommendGroup(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRecommendGroup(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	q := r.URL.Query()
-	older, newer, err := pairParams(q)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	q := readQuery(r)
+	older, newer := q.pair()
+	req := core.GroupRequest{OlderID: older, NewerID: newer, K: q.int("k", 3)}
+	req.Aggregation, err = recommend.ParseAggregation(q.Get("agg"))
+	q.fail(err)
+	req.FairAlpha = q.float("alpha", 0.5)
+	g, err := profile.NewGroup(q.str("group_id", "group"), q.users("member", true))
+	q.fail(err)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
-	k, err := intParam(q, "k", 3)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	agg, err := recommend.ParseAggregation(q.Get("agg"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	alpha, err := floatParam(q, "alpha", 0.5)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	specs := q["member"]
-	if len(specs) == 0 {
-		s.writeErr(w, fmt.Errorf("at least one member=id:Class=w parameter is required"))
-		return
-	}
-	members := make([]*profile.Profile, 0, len(specs))
-	for _, spec := range specs {
-		p, err := profile.ParseUserSpec(spec)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		members = append(members, p)
-	}
-	groupID := q.Get("group_id")
-	if groupID == "" {
-		groupID = "group"
-	}
-	g, err := profile.NewGroup(groupID, members)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	fair := q.Get("fair") == "1" || q.Get("fair") == "true"
-	req := core.GroupRequest{
-		OlderID: older, NewerID: newer, K: k,
-		Aggregation: agg, FairGreedy: fair, FairAlpha: alpha,
-	}
+	req.FairGreedy = q.Get("fair") == "1" || q.Get("fair") == "true"
 	sel, err := d.RecommendGroupCtx(r.Context(), g, req)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	mode := agg.String()
-	if fair {
-		mode = fmt.Sprintf("fair_greedy(α=%.2f)", alpha)
+	mode := req.Aggregation.String()
+	if req.FairGreedy {
+		mode = fmt.Sprintf("fair_greedy(α=%.2f)", req.FairAlpha)
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return http.StatusOK, struct {
 		Group           string    `json:"group"`
 		Members         int       `json:"members"`
 		Older           string    `json:"older"`
 		Newer           string    `json:"newer"`
 		Mode            string    `json:"mode"`
 		Recommendations []recJSON `json:"recommendations"`
-	}{g.ID, g.Size(), older, newer, mode, toRecJSON(sel)})
+	}{g.ID, g.Size(), older, newer, mode, toRecJSON(sel)}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Subscription & feed handlers
-
-type subscriberJSON struct {
-	ID        string   `json:"id"`
-	Terms     int      `json:"terms"`
-	Interests []string `json:"interests"`
-}
 
 // maxSubscribeBody bounds a subscribe request's JSON body (1 MiB — an
 // interest profile, not a dataset).
@@ -698,112 +559,81 @@ const maxSubscribeBody = 1 << 20
 // handleSubscribe registers or updates a subscriber: PUT with a JSON body
 // {"interests": "Class=w,Class=w"} in the grammar the CLI and the
 // recommendation endpoints share. 201 on create, 200 on update.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubscribeBody))
 	if err != nil {
-		s.writeErr(w, fmt.Errorf("reading subscribe body: %w", err))
-		return
+		return 0, nil, fmt.Errorf("reading subscribe body: %w", err)
 	}
 	var req struct {
 		Interests string `json:"interests"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeErr(w, fmt.Errorf("decoding subscribe body: %w", err))
-		return
+		return 0, nil, fmt.Errorf("decoding subscribe body: %w", err)
 	}
 	p, err := profile.ParseInterests(r.PathValue("id"), req.Interests)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	info, created, err := d.Subscribe(p)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	status := http.StatusOK
 	if created {
-		status = http.StatusCreated
+		return http.StatusCreated, info, nil
 	}
-	writeJSON(w, status, subscriberJSON{ID: info.ID, Terms: info.Terms, Interests: info.Interests})
+	return http.StatusOK, info, nil
 }
 
-func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUnsubscribe(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	id := r.PathValue("id")
 	if err := d.Unsubscribe(id); err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, struct {
+	return http.StatusOK, struct {
 		ID      string `json:"id"`
 		Deleted bool   `json:"deleted"`
-	}{id, true})
+	}{id, true}, nil
 }
 
-func (s *Server) handleSubscribers(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubscribers(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	subs := d.Subscribers()
-	out := struct {
-		Subscribers []subscriberJSON `json:"subscribers"`
-	}{Subscribers: make([]subscriberJSON, 0, len(subs))}
-	for _, sub := range subs {
-		interests := sub.Interests
-		if interests == nil {
-			interests = []string{}
-		}
-		out.Subscribers = append(out.Subscribers, subscriberJSON{
-			ID: sub.ID, Terms: sub.Terms, Interests: interests,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, struct {
+		Subscribers []feed.SubscriberInfo `json:"subscribers"`
+	}{d.Subscribers()}, nil
 }
 
 // handleFeed is the poll endpoint: entries with cursor > after (oldest
 // first, up to limit), plus the cursor to ack next time — a client loops
 // `after = next` to drain its log exactly once.
-func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFeed(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	q := r.URL.Query()
-	after := uint64(0)
-	if v := q.Get("after"); v != "" {
-		after, err = strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.writeErr(w, fmt.Errorf("parameter after=%q is not a cursor", v))
-			return
-		}
-	}
-	limit, err := intParam(q, "limit", 100)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	q := readQuery(r)
+	after := q.cursor("after")
+	limit := q.int("limit", 100)
 	if limit < 1 {
-		s.writeErr(w, fmt.Errorf("limit must be >= 1, got %d", limit))
-		return
+		q.fail(fmt.Errorf("limit must be >= 1, got %d", limit))
+	}
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	user := r.PathValue("id")
 	entries, next, err := d.PollFeed(user, after, limit)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	type entryJSON struct {
 		Cursor      uint64  `json:"cursor"`
@@ -825,49 +655,25 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 			Measure: e.Note.MeasureID, Relatedness: e.Note.Relatedness, Reason: e.Note.Reason,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }
 
-func (s *Server) handleNotify(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleNotify(_ http.ResponseWriter, r *http.Request) (int, any, error) {
 	d, err := s.dataset(r)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	q := r.URL.Query()
-	older, newer, err := pairParams(q)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	k, err := intParam(q, "k", 1)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	threshold, err := floatParam(q, "threshold", 0.1)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	specs := q["user"]
-	if len(specs) == 0 {
-		s.writeErr(w, fmt.Errorf("at least one user=id:Class=w parameter is required"))
-		return
-	}
-	pool := make([]*profile.Profile, 0, len(specs))
-	for _, spec := range specs {
-		p, err := profile.ParseUserSpec(spec)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		pool = append(pool, p)
+	q := readQuery(r)
+	older, newer := q.pair()
+	k := q.int("k", 1)
+	threshold := q.float("threshold", 0.1)
+	pool := q.users("user", true)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	notes, err := d.NotifyCtx(r.Context(), pool, older, newer, threshold, k)
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	type noteJSON struct {
 		User        string  `json:"user"`
@@ -880,12 +686,12 @@ func (s *Server) handleNotify(w http.ResponseWriter, r *http.Request) {
 		Newer         string     `json:"newer"`
 		Threshold     float64    `json:"threshold"`
 		Notifications []noteJSON `json:"notifications"`
-	}{Older: older, Newer: newer, Threshold: threshold, Notifications: []noteJSON{}}
+	}{Older: older, Newer: newer, Threshold: threshold, Notifications: make([]noteJSON, 0, len(notes))}
 	for _, n := range notes {
 		out.Notifications = append(out.Notifications, noteJSON{
 			User: n.UserID, Measure: n.MeasureID,
 			Relatedness: n.Relatedness, Reason: n.Reason,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }

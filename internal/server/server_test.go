@@ -245,9 +245,24 @@ func TestServerFeedCursorDrain(t *testing.T) {
 	}
 }
 
-// TestServerErrors checks every error path's status code and JSON shape.
+// TestServerErrors checks every error path's whole response (status,
+// Content-Type and body) byte for byte against its block in
+// testdata/errors.txt, rewritten under -update.
 func TestServerErrors(t *testing.T) {
 	srv := newTestServer(t)
+	golden := filepath.Join("testdata", "errors.txt")
+	want := map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update): %v", err)
+		}
+		// Every body ends in a newline, which the next row's "\n== " takes.
+		for _, block := range strings.Split("\n"+strings.TrimSuffix(string(data), "\n"), "\n== ")[1:] {
+			name, resp, _ := strings.Cut(block, "\n")
+			want[name] = resp + "\n"
+		}
+	}
 	cases := []struct {
 		name       string
 		method     string
@@ -304,6 +319,7 @@ func TestServerErrors(t *testing.T) {
 		{"create_duplicate", "POST", "/v1/datasets/gallery", "", 409, "already registered"},
 		{"method_not_allowed", "DELETE", "/v1/datasets/gallery", "", 405, ""},
 	}
+	var all strings.Builder
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			w := do(t, srv, c.method, c.target, c.body)
@@ -313,7 +329,48 @@ func TestServerErrors(t *testing.T) {
 			if c.wantSubstr != "" && !strings.Contains(w.Body.String(), c.wantSubstr) {
 				t.Fatalf("body %q does not mention %q", w.Body.String(), c.wantSubstr)
 			}
+			resp := fmt.Sprintf("%d %s\n%s", w.Code, w.Header().Get("Content-Type"), w.Body.String())
+			fmt.Fprintf(&all, "== %s\n%s", c.name, resp)
+			if !*update && resp != want[c.name] {
+				t.Errorf("response mismatch:\n got: %s\nwant: %s", resp, want[c.name])
+			}
 		})
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if len(want) != len(cases) {
+		t.Errorf("%s holds %d rows, the table %d", golden, len(want), len(cases))
+	}
+}
+
+// TestServerPrivateRefusals checks that the service's refusal of a private
+// recommendation reaches the client with its status, as a plain one's
+// does, rather than as an empty 200 ranking.
+func TestServerPrivateRefusals(t *testing.T) {
+	srv := newTestServer(t)
+	const private = "/v1/datasets/gallery/recommend?interests=Painting=1&pool=b:Artist=1&"
+	for _, c := range []struct {
+		query      string
+		wantStatus int
+		wantSubstr string
+	}{
+		{"older=v1&newer=v9&kanon=2", 404, "unknown version"},
+		{"older=v1&newer=v2&kanon=2&k=0", 400, "K must be >= 1"},
+		{"older=v1&newer=v2&kanon=3", 400, "exceeds pool size"},
+		{"older=v1&newer=v2&epsilon=1&strategy=mmr&lambda=1.5", 400, "lambda must be in [0,1]"},
+	} {
+		w := do(t, srv, "GET", private+c.query, "")
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if w.Code != c.wantStatus || !strings.Contains(body.Error, c.wantSubstr) {
+			t.Errorf("%s: %d %q, want %d and an error containing %q", c.query, w.Code, body.Error, c.wantStatus, c.wantSubstr)
+		}
 	}
 }
 

@@ -380,7 +380,7 @@ func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*Delta
 	}
 	older, _ := d.eng.Versions().Get(olderID)
 	newer, _ := d.eng.Versions().Get(newerID)
-	out := &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted}
+	out := &DeltaStats{Older: olderID, Newer: newerID, Added: added, Deleted: deleted, HighLevel: []string{}}
 	for _, c := range delta.DetectHighLevel(older.Graph, newer.Graph) {
 		out.HighLevel = append(out.HighLevel, c.String())
 	}
@@ -389,15 +389,17 @@ func (d *Dataset) DeltaCtx(ctx context.Context, olderID, newerID string) (*Delta
 
 // EntityScore is one entity's evolution-intensity value.
 type EntityScore struct {
-	Entity string
-	Score  float64
+	Entity string  `json:"entity"`
+	Score  float64 `json:"score"`
 }
 
 // MeasureEval is one measure's evaluation on a pair: identity plus the
 // top-scored entities.
 type MeasureEval struct {
-	ID, Name, Category string
-	Top                []EntityScore
+	ID       string        `json:"id"`
+	Name     string        `json:"name"`
+	Category string        `json:"category"`
+	Top      []EntityScore `json:"top"`
 }
 
 // MeasuresCtx returns every registered measure evaluated on the pair, with
@@ -417,6 +419,7 @@ func (d *Dataset) MeasuresCtx(ctx context.Context, olderID, newerID string, k in
 			ID:       it.ID(),
 			Name:     it.Measure.Name(),
 			Category: it.Category().String(),
+			Top:      []EntityScore{},
 		}
 		if k > 0 {
 			for _, e := range it.Scores.Rank().TopK(k) {
@@ -434,28 +437,28 @@ func (d *Dataset) MeasuresCtx(ctx context.Context, olderID, newerID string, k in
 // CommitInfo reports what a commit did.
 type CommitInfo struct {
 	// ID is the committed version ID.
-	ID string
+	ID string `json:"id"`
 	// Triples is the committed graph's size.
-	Triples int
+	Triples int `json:"triples"`
 	// Kind is the persisted segment kind ("snapshot" or "delta"), or
 	// "memory" for in-memory datasets.
-	Kind string
+	Kind string `json:"kind"`
 	// Feed reports the commit-triggered fan-out; nil when no fan-out ran
 	// (first version of a chain, no subscribers registered, or the pair
 	// build failed — see FeedError).
-	Feed *feed.Stats
+	Feed *feed.Stats `json:"feed,omitempty"`
 	// FeedError records a fan-out or feed-persistence failure. The commit
 	// itself is durable by the time fan-out runs, so its failure must not
 	// fail the commit: in-memory delivery already happened where possible
 	// and the feed's next journal write compacts the whole state, retrying
 	// persistence; the error is surfaced here for the client instead of
 	// being conflated with a commit failure.
-	FeedError string
+	FeedError string `json:"feed_error,omitempty"`
 	// RequestID and TraceID carry the originating request's identifiers
 	// into the commit result (and from there into fan-out attribution),
 	// empty when the commit arrived without them.
-	RequestID string
-	TraceID   string
+	RequestID string `json:"request_id,omitempty"`
+	TraceID   string `json:"trace_id,omitempty"`
 }
 
 // CommitCtx parses an N-Triples body as the dataset's next version, persists
@@ -642,36 +645,36 @@ func (d *Dataset) Feed() *feed.Feed { return d.feed }
 // Info is a dataset inspection snapshot.
 type Info struct {
 	// Name is the registry name.
-	Name string
+	Name string `json:"name"`
 	// Backed reports disk backing; Dir, Policy and SnapshotEvery describe
 	// it when set.
-	Backed        bool
-	Dir           string
-	Policy        string
-	SnapshotEvery int
+	Backed        bool   `json:"backed"`
+	Dir           string `json:"dir,omitempty"`
+	Policy        string `json:"policy,omitempty"`
+	SnapshotEvery int    `json:"snapshot_every,omitempty"`
 	// Versions lists version IDs in evolution order.
-	Versions []string
+	Versions []string `json:"versions"`
 	// Terms is the shared dictionary's entry count.
-	Terms int
+	Terms int `json:"terms"`
 	// StoreCacheCap/Hits/Misses report the store LRU (backed datasets).
-	StoreCacheCap    int
-	StoreCacheHits   int
-	StoreCacheMisses int
+	StoreCacheCap    int `json:"store_cache_cap,omitempty"`
+	StoreCacheHits   int `json:"store_cache_hits"`
+	StoreCacheMisses int `json:"store_cache_misses"`
 	// ContextBuilds counts measure contexts actually constructed;
 	// CachedPairs lists the pair keys currently cached.
-	ContextBuilds int
-	CachedPairs   []string
+	ContextBuilds int      `json:"context_builds"`
+	CachedPairs   []string `json:"cached_pairs"`
 	// ResidentGraphs counts the distinct version graphs the engine holds,
 	// the carried analysis's counted once: every version's for in-memory
 	// datasets, at most the carry's for backed ones between calls.
-	ResidentGraphs int
+	ResidentGraphs int `json:"resident_graphs"`
 	// ProvenanceRecords counts the provenance log's entries: one per version
 	// ingested and two per pair built; requests add none.
-	ProvenanceRecords int
+	ProvenanceRecords int `json:"provenance_records"`
 	// Subscribers counts registered feed subscribers; FeedPairs counts the
 	// version pairs fanned out to them.
-	Subscribers int
-	FeedPairs   int
+	Subscribers int `json:"subscribers"`
+	FeedPairs   int `json:"feed_pairs"`
 }
 
 // Info returns an inspection snapshot of the dataset.

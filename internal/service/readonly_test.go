@@ -55,6 +55,11 @@ func TestRefusedRequestsBuildNothing(t *testing.T) {
 		{"private k=0", "K must be >= 1", private(0, req(0, core.Plain, 0), core.PrivacyPolicy{KAnonymity: 2})},
 		{"private index", "pool index 3 out of range", private(3, req(3, core.Plain, 0), core.PrivacyPolicy{})},
 		{"kanon>pool", "exceeds pool size", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{KAnonymity: 4})},
+		{"kanon=1", "kanon must be 0 (off) or >= 2", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{KAnonymity: 1})},
+		{"kanon=-1", "kanon must be 0 (off) or >= 2", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{KAnonymity: -1})},
+		{"epsilon=-0.5", "epsilon must be >= 0", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{Epsilon: -0.5})},
+		{"epsilon=NaN", "epsilon must be >= 0", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{Epsilon: math.NaN()})},
+		{"epsilon=Inf", "epsilon must be >= 0", private(0, req(3, core.Plain, 0), core.PrivacyPolicy{Epsilon: math.Inf(1)})},
 		{"group k=0", "K must be >= 1", group(g, core.GroupRequest{K: 0})},
 		{"alpha=1.5", "alpha must be in [0,1]", group(g, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: 1.5})},
 		{"alpha=-2", "alpha must be in [0,1]", group(g, core.GroupRequest{K: 3, FairGreedy: true, FairAlpha: -2})},
