@@ -324,6 +324,30 @@ func BenchmarkConsecutivePairs(b *testing.B) {
 	}
 }
 
+// BenchmarkColdPair builds one cold-history-shaped pair through a fresh
+// engine's ItemIndex, both sides analyzed: the build every read of the
+// bench module's cold-history workload makes. The engine and its ingest
+// are set up off the clock.
+func BenchmarkColdPair(b *testing.B) {
+	older, newer := coldHistoryPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := evorec.NewEngine(evorec.EngineConfig{})
+		if err := eng.Ingest(older); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Ingest(newer); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := eng.ItemIndex(older.ID, newer.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRecommendTopK measures the served scoring path: the item index
 // compiled once per pair (as the engine caches it), each request compiling
 // the user's interests and scoring through flat vectors and postings.
@@ -559,9 +583,9 @@ func BenchmarkFeedFanout(b *testing.B) {
 	var hot evorec.Term
 	hotW := 0.0
 	for _, it := range items {
-		for tm, w := range it.Scores {
-			if w > hotW {
-				hot, hotW = tm, w
+		for i := 0; i < it.Scores.Len(); i++ {
+			if w := it.Scores.Value(i); w > hotW {
+				hot, hotW = it.Scores.Term(i), w
 			}
 		}
 	}

@@ -164,8 +164,16 @@ type StructuralGraph = graphx.Graph
 // Measure quantifies evolution intensity per entity between two versions.
 type Measure = measures.Measure
 
-// Scores maps entities to evolution-intensity values.
+// Scores is one measure's evaluation: an evolution-intensity value for
+// every entity on a sorted term axis that the measure context owns and the
+// pair's items share. Read it with At(term), or walk the axis with Len,
+// Term(i) and Value(i); it cannot be changed. ScoresOf builds one from a
+// map.
 type Scores = measures.Scores
+
+// ScoresOf lays a term-keyed score map over an axis of its own, for items
+// built by hand.
+func ScoresOf(m map[Term]float64) Scores { return measures.ScoresOf(m) }
 
 // MeasureContext carries the derived structures of one version pair.
 type MeasureContext = measures.Context
@@ -238,9 +246,10 @@ func BuildItems(ctx *MeasureContext, reg *MeasureRegistry) []Item {
 }
 
 // ItemIndex is the ID-native scoring kernel over one pair's items, and the
-// one way to score them: flat sorted TermID vectors compiled from each
-// item's max-normalized Scores, with cached norms, behind an inverted term
-// → item postings index, with bounded-heap top-k selection. Its methods are
+// one way to score them: flat vectors compiled from each item's
+// max-normalized Scores over one sorted term space (the union of the items'
+// axes), with cached norms, behind postings from term position to items,
+// with bounded-heap top-k selection. Its methods are
 // the point rankings (TopK, NoveltyTopK, SemanticTopK, PopularityTopK,
 // GroupTopK), the greedy selectors (MMR, MaxMin, which read item-to-item
 // distances from a table built on first use, and the fairness-aware

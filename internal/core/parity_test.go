@@ -137,11 +137,9 @@ func TestNotifyParityDegenerateProfiles(t *testing.T) {
 	outside.Interests[recommendTerm("NoSuchEntityAnywhere")] = 1
 	zero := profile.New("zero")
 	nanu := profile.New("nanu")
-	for tm := range items[0].Scores {
-		zero.Interests[tm] = 0
-		nanu.Interests[tm] = math.NaN()
-		break
-	}
+	tm := items[0].Scores.Term(0)
+	zero.Interests[tm] = 0
+	nanu.Interests[tm] = math.NaN()
 	for _, u := range []*profile.Profile{empty, outside, zero, nanu} {
 		want := UserNotificationsIndexed(u, fresh, "v1", "v2", 0.05, 3)
 		got, err := e.Notify([]*profile.Profile{u}, "v1", "v2", 0.05, 3)

@@ -47,13 +47,13 @@ func E1DeltaStatistics(p Params) (string, error) {
 	// Top-5 most changed classes of the final pair (the paper's headline
 	// use case: "identify the most changed parts").
 	cc := measures.ChangeCount{}.Compute(ds.Ctx)
-	classesOnly := measures.Scores{}
+	classesOnly := make(map[rdf.Term]float64)
 	for _, c := range ds.Ctx.UnionClasses() {
-		classesOnly[c] = cc[c]
+		classesOnly[c] = cc.At(c)
 	}
 	t.row("")
 	t.rowf("top-5 changed classes (%s->%s):", older.ID, newer.ID)
-	for _, e := range classesOnly.Rank().TopK(5) {
+	for _, e := range measures.ScoresOf(classesOnly).Rank().TopK(5) {
 		t.rowf("  %s\t%.0f", e.Term.Local(), e.Score)
 	}
 	return t.String(), nil
@@ -78,10 +78,11 @@ func E3NeighborhoodLocality(p Params) (string, error) {
 		direct := measures.ChangeCount{}.Compute(ctx)
 		nbr := measures.NeighborhoodChangeCount{}.Compute(ctx)
 		classes := ctx.UnionClasses()
-		directClasses := measures.Scores{}
+		directOf := make(map[rdf.Term]float64)
 		for _, c := range classes {
-			directClasses[c] = direct[c]
+			directOf[c] = direct.At(c)
 		}
+		directClasses := measures.ScoresOf(directOf)
 		t.rowf("%.1f\t%.3f\t%.3f\t%d\t%d",
 			loc,
 			measures.PearsonCorrelation(directClasses, nbr, classes),

@@ -34,9 +34,10 @@ func E12FeedLocality(p Params) (string, error) {
 	// with real signal.
 	weight := make(map[rdf.Term]float64)
 	for _, it := range ds.Items {
-		for t, w := range it.Scores.Normalize() {
-			if w > 0 {
-				weight[t] += w
+		n := it.Scores.Normalize()
+		for i := 0; i < n.Len(); i++ {
+			if w := n.Value(i); w > 0 {
+				weight[n.Term(i)] += w
 			}
 		}
 	}

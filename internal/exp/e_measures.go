@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"evorec/internal/measures"
+	"evorec/internal/rdf"
 )
 
 // E2MeasureComplementarity (Table 2 + Figure 1) quantifies the paper's core
@@ -29,10 +30,11 @@ func E2MeasureComplementarity(p Params) (string, error) {
 	}
 	views := make([]mv, 0, len(items))
 	for _, it := range items {
-		s := measures.Scores{}
+		m := make(map[rdf.Term]float64)
 		for _, c := range classes {
-			s[c] = it.Scores[c]
+			m[c] = it.Scores.At(c)
 		}
+		s := measures.ScoresOf(m)
 		views = append(views, mv{id: it.ID(), scores: s, rank: s.Rank()})
 	}
 

@@ -128,7 +128,7 @@ func A1BetweennessSampling(p Params) (string, error) {
 	start := time.Now()
 	exact := sg.Betweenness()
 	exactMs := time.Since(start).Seconds() * 1000
-	exactRank := measures.Scores(exact).Rank()
+	exactRank := measures.ScoresOf(exact).Rank()
 
 	t := newTable("A1 — exact vs pivot-sampled betweenness (classes=" + itoa(cfg.Classes) + ")")
 	t.row("pivots", "time_ms", "speedup", "top10_jaccard_vs_exact")
@@ -142,7 +142,7 @@ func A1BetweennessSampling(p Params) (string, error) {
 		start = time.Now()
 		sampled := sg.BetweennessSampled(k, rng)
 		ms := time.Since(start).Seconds() * 1000
-		jac := measures.TopKJaccard(exactRank, measures.Scores(sampled).Rank(), 10)
+		jac := measures.TopKJaccard(exactRank, measures.ScoresOf(sampled).Rank(), 10)
 		speedup := exactMs / ms
 		t.rowf("%d (%.0f%%)\t%.2f\t%.1fx\t%.2f", k, frac*100, ms, speedup, jac)
 	}

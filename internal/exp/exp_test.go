@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"evorec/internal/measures"
+	"evorec/internal/rdf"
 	"evorec/internal/recommend"
 	"evorec/internal/store"
 	"evorec/internal/summary"
@@ -48,8 +49,8 @@ func TestBuildDatasetDeterministic(t *testing.T) {
 		if it.ID() != b.Items[i].ID() {
 			t.Fatal("item order must be deterministic")
 		}
-		for tm, v := range it.Scores {
-			if b.Items[i].Scores[tm] != v {
+		for j := 0; j < it.Scores.Len(); j++ {
+			if tm := it.Scores.Term(j); b.Items[i].Scores.At(tm) != it.Scores.Value(j) {
 				t.Fatalf("scores differ for %s at %v", it.ID(), tm)
 			}
 		}
@@ -212,11 +213,11 @@ func TestE2MeasuresAreComplementary(t *testing.T) {
 	var n int
 	ranks := make([]measures.Ranking, len(items))
 	for i, it := range items {
-		s := measures.Scores{}
+		s := make(map[rdf.Term]float64)
 		for _, c := range classes {
-			s[c] = it.Scores[c]
+			s[c] = it.Scores.At(c)
 		}
-		ranks[i] = s.Rank()
+		ranks[i] = measures.ScoresOf(s).Rank()
 	}
 	for i := range ranks {
 		for j := i + 1; j < len(ranks); j++ {

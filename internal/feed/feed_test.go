@@ -170,8 +170,9 @@ func hottestTerm(t testing.TB, items []recommend.Item) rdf.Term {
 	t.Helper()
 	weight := make(map[rdf.Term]float64)
 	for _, it := range items {
-		for tm, wgt := range it.Scores.Normalize() {
-			weight[tm] += wgt
+		n := it.Scores.Normalize()
+		for i := 0; i < n.Len(); i++ {
+			weight[n.Term(i)] += n.Value(i)
 		}
 	}
 	var best rdf.Term

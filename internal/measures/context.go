@@ -14,12 +14,17 @@ import (
 // term. Building a Context is the expensive step; evaluating the individual
 // measures on it is cheap, so the engine builds one Context per version
 // pair and evaluates the whole measure set against it.
+//
+// The context owns the pair's three term axes, which every measure scores
+// on: the classes of either version, their properties, and the sorted union
+// of both for a measure that targets ClassesAndProperties.
 type Context struct {
 	Older, Newer *VersionAnalysis
 	Delta        *delta.Delta
 	Attr         *delta.Attribution
 
 	classes, props alignment
+	entities       *Axis // classes ∪ properties
 }
 
 // NewContext computes all derived structures for the version pair. The
@@ -34,7 +39,7 @@ func NewContext(older, newer *rdf.Version) *Context {
 // analyses and the delta between them. A walk over a version chain reuses
 // each version's analysis for both pairs it belongs to.
 func NewContextFromAnalyses(older, newer *VersionAnalysis, d *delta.Delta) *Context {
-	return &Context{
+	c := &Context{
 		Older:   older,
 		Newer:   newer,
 		Delta:   d,
@@ -42,67 +47,58 @@ func NewContextFromAnalyses(older, newer *VersionAnalysis, d *delta.Delta) *Cont
 		classes: align(older.classes, newer.classes),
 		props:   align(older.props, newer.props),
 	}
+	c.entities, _ = MergeAxes([]*Axis{c.classes.axis, c.props.axis})
+	return c
 }
 
 // UnionClasses returns the classes present in either version, sorted.
-func (c *Context) UnionClasses() []rdf.Term { return slices.Clone(c.classes.terms) }
+func (c *Context) UnionClasses() []rdf.Term { return slices.Clone(c.classes.axis.terms) }
 
 // UnionProperties returns the properties present in either version, sorted.
-func (c *Context) UnionProperties() []rdf.Term { return slices.Clone(c.props.terms) }
+func (c *Context) UnionProperties() []rdf.Term { return slices.Clone(c.props.axis.terms) }
 
-// UnionNeighbors returns the paper's two-version neighborhood N_{V1,V2}(n):
-// the union of n's schema neighborhoods in the older and newer versions.
-func (c *Context) UnionNeighbors(n rdf.Term) []rdf.Term {
-	return align(c.Older.Struct.Neighbors(n), c.Newer.Struct.Neighbors(n)).terms
-}
-
-// alignment is the sorted union of two versions' class (or property) terms
-// with each version's ordinal for every term, -1 where the version lacks
-// it. The versions may use different dictionaries, so alignment goes by
-// term, never by ID.
+// alignment is the sorted union of two versions' class (or property) terms,
+// the axis, with each version's ordinal for every term, -1 where the
+// version lacks it, and the inverse, each version ordinal's axis position.
+// The versions may use different dictionaries, so alignment goes by term,
+// never by ID.
 type alignment struct {
-	terms        []rdf.Term
-	older, newer []int32
+	axis                 *Axis
+	older, newer         []int32 // axis position -> version ordinal, or -1
+	fromOlder, fromNewer []int32 // version ordinal -> axis position
 }
 
 // align merges two sorted, duplicate-free term lists.
 func align(a, b []rdf.Term) alignment {
-	n := max(len(a), len(b))
-	al := alignment{terms: make([]rdf.Term, 0, n), older: make([]int32, 0, n), newer: make([]int32, 0, n)}
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var cmp int
-		switch {
-		case i == len(a):
-			cmp = 1
-		case j == len(b):
-			cmp = -1
-		default:
-			cmp = a[i].Compare(b[j])
-		}
-		oi, nj := int32(-1), int32(-1)
-		var t rdf.Term
-		if cmp <= 0 {
-			t, oi = a[i], int32(i)
-			i++
-		}
-		if cmp >= 0 {
-			t, nj = b[j], int32(j)
-			j++
-		}
-		al.terms = append(al.terms, t)
-		al.older = append(al.older, oi)
-		al.newer = append(al.newer, nj)
+	axis, pos := MergeAxes([]*Axis{{terms: a}, {terms: b}})
+	return alignment{
+		axis:      axis,
+		older:     ordinalsAt(pos[0], axis.Len()),
+		newer:     ordinalsAt(pos[1], axis.Len()),
+		fromOlder: pos[0],
+		fromNewer: pos[1],
 	}
-	return al
+}
+
+// ordinalsAt inverts one version's axis positions: the version's ordinal at
+// each of the axis's n positions, -1 where the version lacks the term.
+func ordinalsAt(pos []int32, n int) []int32 {
+	out := make([]int32, n)
+	for k := range out {
+		out[k] = -1
+	}
+	for i, k := range pos {
+		out[k] = int32(i)
+	}
+	return out
 }
 
 // shift scores every aligned term by |newer − older| of a per-version
 // vector indexed by ordinal; a version that lacks the term contributes 0.
 func (al *alignment) shift(older, newer []float64) Scores {
-	out := make(Scores, len(al.terms))
-	for k, t := range al.terms {
-		out[t] = math.Abs(at(newer, al.newer[k]) - at(older, al.older[k]))
+	out := newScores(al.axis)
+	for k := range out.vals {
+		out.vals[k] = math.Abs(at(newer, al.newer[k]) - at(older, al.older[k]))
 	}
 	return out
 }

@@ -112,15 +112,12 @@ func (InstanceChurn) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (InstanceChurn) Compute(ctx *Context) Scores {
-	out := make(Scores, len(ctx.classes.terms))
-	for _, c := range ctx.classes.terms {
-		out[c] = 0
-	}
+	out := newScores(ctx.classes.axis)
 	count := func(ts []rdf.Triple) {
 		for _, t := range ts {
 			if t.P == rdf.RDFType {
-				if _, ok := out[t.O]; ok {
-					out[t.O]++
+				if i, ok := out.axis.Index(t.O); ok {
+					out.vals[i]++
 				}
 			}
 		}
@@ -157,8 +154,8 @@ func (UsageShift) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (UsageShift) Compute(ctx *Context) Scores {
-	out := make(Scores, len(ctx.props.terms))
-	for _, p := range ctx.props.terms {
+	out := newScores(ctx.props.axis)
+	for i, p := range out.axis.terms {
 		var oldUse, newUse int
 		if prop, ok := ctx.Older.Schema.Property(p); ok {
 			oldUse = prop.UsageCount
@@ -166,7 +163,7 @@ func (UsageShift) Compute(ctx *Context) Scores {
 		if prop, ok := ctx.Newer.Schema.Property(p); ok {
 			newUse = prop.UsageCount
 		}
-		out[p] = math.Abs(float64(newUse - oldUse))
+		out.vals[i] = math.Abs(float64(newUse - oldUse))
 	}
 	return out
 }

@@ -43,15 +43,15 @@ func TestPageRankShiftDetectsRewiring(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
 	s := PageRankShift{}.Compute(ctx)
-	if len(s) != len(ctx.UnionClasses()) {
-		t.Fatalf("coverage = %d, want %d", len(s), len(ctx.UnionClasses()))
+	if s.Len() != len(ctx.UnionClasses()) {
+		t.Fatalf("coverage = %d, want %d", s.Len(), len(ctx.UnionClasses()))
 	}
 	total := 0.0
-	for c, v := range s {
-		if v < 0 {
-			t.Fatalf("negative shift for %v", c)
+	for i := 0; i < s.Len(); i++ {
+		if v := s.Value(i); v < 0 {
+			t.Fatalf("negative shift for %v", s.Term(i))
 		}
-		total += v
+		total += s.Value(i)
 	}
 	if total == 0 {
 		t.Fatal("re-parenting must shift some PageRank")
@@ -74,8 +74,8 @@ func TestClusteringShiftOnDensification(t *testing.T) {
 	ctx := NewContext(&rdf.Version{ID: "v1", Graph: g1}, &rdf.Version{ID: "v2", Graph: g2})
 	s := ClusteringShift{}.Compute(ctx)
 	// A's neighborhood went from unconnected to fully connected: shift 1.
-	if s[a] != 1 {
-		t.Fatalf("clustering shift of A = %g, want 1 (scores=%v)", s[a], s)
+	if s.At(a) != 1 {
+		t.Fatalf("clustering shift of A = %g, want 1 (scores=%v)", s.At(a), s.Rank())
 	}
 }
 
@@ -93,13 +93,13 @@ func TestInstanceChurnCountsOnlyTypes(t *testing.T) {
 
 	ctx := NewContext(&rdf.Version{ID: "v1", Graph: g1}, &rdf.Version{ID: "v2", Graph: g2})
 	s := InstanceChurn{}.Compute(ctx)
-	if s[cls] != 3 {
-		t.Fatalf("instance churn = %g, want 3", s[cls])
+	if s.At(cls) != 3 {
+		t.Fatalf("instance churn = %g, want 3", s.At(cls))
 	}
 	direct := ChangeCount{}.Compute(ctx)
-	if direct[cls] <= s[cls] {
+	if direct.At(cls) <= s.At(cls) {
 		t.Fatalf("change_count (%g) must exceed instance_churn (%g) with label noise",
-			direct[cls], s[cls])
+			direct.At(cls), s.At(cls))
 	}
 }
 
@@ -117,8 +117,8 @@ func TestUsageShift(t *testing.T) {
 	}
 	ctx := NewContext(&rdf.Version{ID: "v1", Graph: g1}, &rdf.Version{ID: "v2", Graph: g2})
 	s := UsageShift{}.Compute(ctx)
-	if s[p] != 5 {
-		t.Fatalf("usage shift = %g, want 5", s[p])
+	if s.At(p) != 5 {
+		t.Fatalf("usage shift = %g, want 5", s.At(p))
 	}
 }
 
@@ -127,9 +127,10 @@ func TestExtraMeasuresZeroOnIdenticalVersions(t *testing.T) {
 	v1b := &rdf.Version{ID: "v1b", Graph: v1.Graph.Clone()}
 	ctx := NewContext(v1, v1b)
 	for _, m := range ExtendedSet() {
-		for c, v := range m.Compute(ctx) {
-			if v != 0 {
-				t.Fatalf("%s on identical versions: %s=%g", m.ID(), c.Local(), v)
+		s := m.Compute(ctx)
+		for i := 0; i < s.Len(); i++ {
+			if v := s.Value(i); v != 0 {
+				t.Fatalf("%s on identical versions: %s=%g", m.ID(), s.Term(i).Local(), v)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package measures
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -109,12 +110,9 @@ func (ChangeCount) Category() Category { return CategoryCount }
 
 // Compute implements Measure.
 func (ChangeCount) Compute(ctx *Context) Scores {
-	out := make(Scores, len(ctx.classes.terms)+len(ctx.props.terms))
-	for _, c := range ctx.classes.terms {
-		out[c] = float64(ctx.Attr.Changes(c).Total())
-	}
-	for _, p := range ctx.props.terms {
-		out[p] = float64(ctx.Attr.Changes(p).Total())
+	out := newScores(ctx.entities)
+	for i, t := range ctx.entities.terms {
+		out.vals[i] = float64(ctx.Attr.Changes(t).Total())
 	}
 	return out
 }
@@ -144,11 +142,44 @@ func (NeighborhoodChangeCount) Target() Target { return Classes }
 // Category implements Measure.
 func (NeighborhoodChangeCount) Category() Category { return CategoryCount }
 
-// Compute implements Measure.
+// Compute implements Measure. A class's two-version neighborhood N_{V1,V2}
+// is the union of its class-graph neighbours in either version; each
+// version's adjacency lists ascend by ordinal, and the alignment maps both
+// onto the class axis monotonically, so one merge per class visits every
+// neighbour once.
 func (NeighborhoodChangeCount) Compute(ctx *Context) Scores {
-	out := make(Scores, len(ctx.classes.terms))
-	for _, c := range ctx.classes.terms {
-		out[c] = float64(ctx.Attr.NeighborhoodChanges(ctx.UnionNeighbors(c)))
+	al := &ctx.classes
+	changes := make([]int, al.axis.Len())
+	for k, c := range al.axis.terms {
+		changes[k] = ctx.Attr.Changes(c).Total()
+	}
+	out := newScores(al.axis)
+	for k := range out.vals {
+		var on, nn []int
+		if o := al.older[k]; o >= 0 {
+			on = ctx.Older.Struct.Adjacent(int(o))
+		}
+		if n := al.newer[k]; n >= 0 {
+			nn = ctx.Newer.Struct.Adjacent(int(n))
+		}
+		sum := 0
+		for i, j := 0, 0; i < len(on) || j < len(nn); {
+			var a, b int32 = math.MaxInt32, math.MaxInt32
+			if i < len(on) {
+				a = al.fromOlder[on[i]]
+			}
+			if j < len(nn) {
+				b = al.fromNewer[nn[j]]
+			}
+			if a <= b {
+				i++
+			}
+			if b <= a {
+				j++
+			}
+			sum += changes[min(a, b)]
+		}
+		out.vals[k] = float64(sum)
 	}
 	return out
 }

@@ -70,19 +70,20 @@ func TestNewContextPopulated(t *testing.T) {
 	}
 }
 
-func TestUnionNeighborsCoversBothVersions(t *testing.T) {
+// TestNeighborhoodCoversBothVersions checks N_{V1,V2}(Hot) through the
+// measure: Root is Hot's neighbour in v1 only, Edge in v2 only and Cold in
+// both, so Hot's neighborhood count is their change counts summed, each
+// once.
+func TestNeighborhoodCoversBothVersions(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
-	// Hot's neighborhood: Root (v1 super), Edge (v2 super), Cold (link range).
-	ns := ctx.UnionNeighbors(term("Hot"))
-	want := map[rdf.Term]bool{term("Root"): true, term("Edge"): true, term("Cold"): true}
-	if len(ns) != len(want) {
-		t.Fatalf("UnionNeighbors(Hot) = %v", ns)
+	direct := ChangeCount{}.Compute(ctx)
+	root, edge, cold := direct.At(term("Root")), direct.At(term("Edge")), direct.At(term("Cold"))
+	if root == 0 || edge == 0 {
+		t.Fatalf("Root (%g) and Edge (%g) must change for the check to see them", root, edge)
 	}
-	for _, n := range ns {
-		if !want[n] {
-			t.Fatalf("unexpected neighbor %v", n)
-		}
+	if got := (NeighborhoodChangeCount{}).Compute(ctx).At(term("Hot")); got != root+edge+cold {
+		t.Fatalf("neighborhood count of Hot = %g, want Root %g + Edge %g + Cold %g", got, root, edge, cold)
 	}
 }
 
@@ -90,16 +91,16 @@ func TestChangeCountConcentratesOnHot(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
 	s := ChangeCount{}.Compute(ctx)
-	if s[term("Hot")] <= s[term("Cold")] {
-		t.Fatalf("Hot (%g) must out-change Cold (%g)", s[term("Hot")], s[term("Cold")])
+	if s.At(term("Hot")) <= s.At(term("Cold")) {
+		t.Fatalf("Hot (%g) must out-change Cold (%g)", s.At(term("Hot")), s.At(term("Cold")))
 	}
 	// Fresh appeared: exactly 1 triple mentions it.
-	if s[term("Fresh")] != 1 {
-		t.Fatalf("Fresh change count = %g, want 1", s[term("Fresh")])
+	if s.At(term("Fresh")) != 1 {
+		t.Fatalf("Fresh change count = %g, want 1", s.At(term("Fresh")))
 	}
 	// link property got 5 new usages + score covers property population.
-	if s[term("link")] < 5 {
-		t.Fatalf("link change count = %g, want >= 5", s[term("link")])
+	if s.At(term("link")) < 5 {
+		t.Fatalf("link change count = %g, want >= 5", s.At(term("link")))
 	}
 }
 
@@ -110,13 +111,13 @@ func TestNeighborhoodChangeCountSeesAdjacentBurst(t *testing.T) {
 	// Cold itself changed little, but its neighbor Hot burst: Cold's
 	// neighborhood score must exceed its own direct change count.
 	direct := ChangeCount{}.Compute(ctx)
-	if s[term("Cold")] <= direct[term("Cold")] {
+	if s.At(term("Cold")) <= direct.At(term("Cold")) {
 		t.Fatalf("neighborhood count (%g) must exceed direct count (%g) for Cold",
-			s[term("Cold")], direct[term("Cold")])
+			s.At(term("Cold")), direct.At(term("Cold")))
 	}
 	// Isolated Fresh has no neighbors in either version.
-	if s[term("Fresh")] != 0 {
-		t.Fatalf("Fresh neighborhood count = %g, want 0", s[term("Fresh")])
+	if s.At(term("Fresh")) != 0 {
+		t.Fatalf("Fresh neighborhood count = %g, want 0", s.At(term("Fresh")))
 	}
 }
 
@@ -126,12 +127,12 @@ func TestBetweennessShiftDetectsRewiring(t *testing.T) {
 	s := BetweennessShift{}.Compute(ctx)
 	// Re-parenting Hot under Edge changes Edge's betweenness (it becomes a
 	// path vertex between Hot and Root).
-	if s[term("Edge")] == 0 {
-		t.Fatalf("Edge betweenness shift must be non-zero; scores=%v", s)
+	if s.At(term("Edge")) == 0 {
+		t.Fatalf("Edge betweenness shift must be non-zero; scores=%v", s.Rank())
 	}
 	total := 0.0
-	for _, v := range s {
-		total += v
+	for i := 0; i < s.Len(); i++ {
+		total += s.Value(i)
 	}
 	if total == 0 {
 		t.Fatal("rewiring must shift some betweenness")
@@ -142,13 +143,13 @@ func TestBridgingShiftNonNegativeAndCoversClasses(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
 	s := BridgingShift{}.Compute(ctx)
-	if len(s) != len(ctx.UnionClasses()) {
+	if s.Len() != len(ctx.UnionClasses()) {
 		t.Fatalf("bridging shift must cover all union classes: %d vs %d",
-			len(s), len(ctx.UnionClasses()))
+			s.Len(), len(ctx.UnionClasses()))
 	}
-	for c, v := range s {
-		if v < 0 {
-			t.Fatalf("negative shift for %v", c)
+	for i := 0; i < s.Len(); i++ {
+		if s.Value(i) < 0 {
+			t.Fatalf("negative shift for %v", s.Term(i))
 		}
 	}
 }
@@ -159,11 +160,11 @@ func TestCentralityShiftTracksLinkGrowth(t *testing.T) {
 	s := CentralityShift{}.Compute(ctx)
 	// Hot gained 5 links to a new target class: its link distribution (and
 	// the targets') shifted, while Root saw no instance-level change.
-	if s[term("Hot")] == 0 || s[term("Edge")] == 0 {
-		t.Fatalf("Hot (%g) and Edge (%g) centrality must shift", s[term("Hot")], s[term("Edge")])
+	if s.At(term("Hot")) == 0 || s.At(term("Edge")) == 0 {
+		t.Fatalf("Hot (%g) and Edge (%g) centrality must shift", s.At(term("Hot")), s.At(term("Edge")))
 	}
-	if s[term("Root")] != 0 {
-		t.Fatalf("Root centrality shift = %g, want 0", s[term("Root")])
+	if s.At(term("Root")) != 0 {
+		t.Fatalf("Root centrality shift = %g, want 0", s.At(term("Root")))
 	}
 }
 
@@ -171,12 +172,12 @@ func TestRelevanceShiftCapturesInstanceWeight(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
 	s := RelevanceShift{}.Compute(ctx)
-	if s[term("Hot")] == 0 {
+	if s.At(term("Hot")) == 0 {
 		t.Fatal("Hot relevance must shift after instance growth")
 	}
-	for c, v := range s {
-		if v < 0 {
-			t.Fatalf("negative relevance shift for %v", c)
+	for i := 0; i < s.Len(); i++ {
+		if s.Value(i) < 0 {
+			t.Fatalf("negative relevance shift for %v", s.Term(i))
 		}
 	}
 }
@@ -185,10 +186,10 @@ func TestPropertyCentralityShift(t *testing.T) {
 	v1, v2 := versionPair()
 	ctx := NewContext(v1, v2)
 	s := PropertyCentralityShift{}.Compute(ctx)
-	if s[term("link")] == 0 {
+	if s.At(term("link")) == 0 {
 		t.Fatal("link property centrality must shift")
 	}
-	if len(s) != 1 {
+	if s.Len() != 1 {
 		t.Fatalf("property shift population = %v", s)
 	}
 }
@@ -199,10 +200,10 @@ func TestIdenticalVersionsAllZero(t *testing.T) {
 	ctx := NewContext(v1, v1b)
 	for _, m := range DefaultSet() {
 		s := m.Compute(ctx)
-		for c, v := range s {
-			if v != 0 {
+		for i := 0; i < s.Len(); i++ {
+			if v := s.Value(i); v != 0 {
 				t.Fatalf("measure %s: identical versions must score 0, got %s=%g",
-					m.ID(), c.Local(), v)
+					m.ID(), s.Term(i).Local(), v)
 			}
 		}
 	}
@@ -266,7 +267,7 @@ func TestRegistryEvaluateAll(t *testing.T) {
 		t.Fatalf("EvaluateAll returned %d results, want %d", len(res), r.Len())
 	}
 	for id, s := range res {
-		if len(s) == 0 {
+		if s.Len() == 0 {
 			t.Fatalf("measure %s produced empty scores", id)
 		}
 	}

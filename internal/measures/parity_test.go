@@ -16,14 +16,15 @@ import (
 // bitwise-equal values.
 func assertSameScores(t *testing.T, label string, got, want Scores) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d keys, reference has %d", label, len(got), len(want))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d keys, reference has %d", label, got.Len(), want.Len())
 	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
+	for i := 0; i < want.Len(); i++ {
+		k, w := want.Term(i), want.Value(i)
+		if got.Term(i) != k {
 			t.Fatalf("%s: missing key %v", label, k)
 		}
+		g := got.Value(i)
 		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: %v = %v (bits %x), reference %v (bits %x)",
 				label, k, g, math.Float64bits(g), w, math.Float64bits(w))

@@ -264,11 +264,11 @@ func refUnion(a, b []rdf.Term) []rdf.Term {
 }
 
 func (c *refContext) shift(over []rdf.Term, older, newer func(rdf.Term) float64) Scores {
-	out := make(Scores)
+	out := make(map[rdf.Term]float64)
 	for _, t := range over {
 		out[t] = math.Abs(newer(t) - older(t))
 	}
-	return out
+	return ScoresOf(out)
 }
 
 func lookup(s graphx.Scores) func(rdf.Term) float64 {
@@ -281,18 +281,18 @@ func (c *refContext) scores(id string) Scores {
 	classes := c.unionClasses()
 	switch id {
 	case "change_count":
-		out := make(Scores)
+		out := make(map[rdf.Term]float64)
 		for _, t := range append(classes, c.unionProperties()...) {
 			out[t] = float64(c.attr.Changes(t).Total())
 		}
-		return out
+		return ScoresOf(out)
 	case "neighborhood_change_count":
-		out := make(Scores)
+		out := make(map[rdf.Term]float64)
 		for _, t := range classes {
 			n := refUnion(c.olderSchema.Neighbors(t), c.newerSchema.Neighbors(t))
 			out[t] = float64(c.attr.NeighborhoodChanges(n))
 		}
-		return out
+		return ScoresOf(out)
 	case "betweenness_shift":
 		return c.shift(classes, lookup(c.olderStruct.Betweenness()), lookup(c.newerStruct.Betweenness()))
 	case "bridging_shift":
@@ -312,7 +312,7 @@ func (c *refContext) scores(id string) Scores {
 	case "clustering_shift":
 		return c.shift(classes, lookup(c.olderStruct.ClusteringCoefficient()), lookup(c.newerStruct.ClusteringCoefficient()))
 	case "instance_churn":
-		out := make(Scores)
+		out := make(map[rdf.Term]float64)
 		for _, t := range classes {
 			out[t] = 0
 		}
@@ -323,7 +323,7 @@ func (c *refContext) scores(id string) Scores {
 				}
 			}
 		}
-		return out
+		return ScoresOf(out)
 	case "usage_shift":
 		usage := func(s *schema.Schema) func(rdf.Term) float64 {
 			return func(p rdf.Term) float64 {

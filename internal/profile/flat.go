@@ -8,26 +8,28 @@ import (
 	"evorec/internal/rdf"
 )
 
-// FlatEntry is one dimension of a flat sparse vector: a dictionary-encoded
-// term and its weight.
+// FlatEntry is one dimension of a flat sparse vector: a term's ID in the
+// space the vector was compiled in, and its weight.
 type FlatEntry struct {
-	// ID is the term's dictionary ID.
+	// ID is the term's ID: a dictionary ID, or a position in a sorted term
+	// space.
 	ID rdf.TermID
 	// W is the term's weight.
 	W float64
 }
 
 // Flat is a sparse term vector compiled down to IDs: entries sorted
-// ascending by TermID plus the cached Euclidean norm. It is the form the
+// ascending by ID plus the cached Euclidean norm. It is the form the
 // scoring kernel runs on — dot products become a two-pointer merge over
 // integers instead of hashing full string terms per entry, and the norm is
 // paid once at compile time instead of inside every cosine.
 //
-// A Flat is only meaningful relative to the Dict it was compiled against.
-// The norm covers every weight of the source vector, including terms the
-// dictionary could not resolve (they can never match, but they still scale
-// the cosine); it is computed with the same sorted summation as
-// CosineVectors, so flat cosines are bit-identical to the map path.
+// A Flat is only meaningful relative to the space it was compiled in: a
+// dictionary, or the sorted term space of a scoring index. The norm covers
+// every weight of the source vector, including terms the space could not
+// resolve (they can never match, but they still scale the cosine); it is
+// computed with the same sorted summation as CosineVectors, so flat
+// cosines are bit-identical to the map path whatever IDs the terms get.
 //
 // A compiled Flat is immutable by convention and safe for concurrent reads.
 type Flat struct {
@@ -37,20 +39,12 @@ type Flat struct {
 	Norm float64
 }
 
-// Compile (re)builds f from a sparse term vector against d, reusing f's
-// backing storage. When intern is true unseen terms are added to d (index
-// construction owns its dictionary); when false d is only read, so a
-// request-path compile is safe against a dictionary shared with concurrent
-// readers. squares, when non-nil, is scratch for the norm summands.
-func (f *Flat) Compile(v map[rdf.Term]float64, d *rdf.Dict, intern bool, squares *[]float64) {
-	f.CompileScaled(v, 0, d, intern, squares)
-}
-
-// CompileScaled is Compile over v's weights divided by div, each weight
-// computed as w/div; a div of 0 leaves the weights as they are. With div =
-// measures.Scores.Max it compiles exactly the vector Scores.Normalize
-// returns, without building that map.
-func (f *Flat) CompileScaled(v map[rdf.Term]float64, div float64, d *rdf.Dict, intern bool, squares *[]float64) {
+// Compile (re)builds f from a sparse term vector, reusing f's backing
+// storage. id resolves each term to the ID its entry carries, reporting
+// false for a term the space lacks: a dictionary's Lookup, a closure that
+// interns, or a search of a sorted term space. squares, when non-nil, is
+// scratch for the norm summands.
+func (f *Flat) Compile(v map[rdf.Term]float64, id func(rdf.Term) (rdf.TermID, bool), squares *[]float64) {
 	entries := f.Entries[:0]
 	var sq []float64
 	if squares != nil {
@@ -59,18 +53,8 @@ func (f *Flat) CompileScaled(v map[rdf.Term]float64, div float64, d *rdf.Dict, i
 		sq = make([]float64, 0, len(v))
 	}
 	for t, w := range v {
-		if div != 0 {
-			w /= div
-		}
 		sq = append(sq, w*w)
-		var id rdf.TermID
-		var ok bool
-		if intern {
-			id, ok = d.Intern(t), true
-		} else {
-			id, ok = d.Lookup(t)
-		}
-		if ok {
+		if id, ok := id(t); ok {
 			entries = append(entries, FlatEntry{ID: id, W: w})
 		}
 	}
@@ -92,7 +76,7 @@ func (f *Flat) CompileScaled(v map[rdf.Term]float64, div float64, d *rdf.Dict, i
 }
 
 // CosineFlat computes the cosine similarity of two flat vectors compiled
-// against the same Dict. It is bit-identical to CosineVectors over the
+// in the same space. It is bit-identical to CosineVectors over the
 // source maps: the matched products form the same multiset, are summed in
 // the same sorted order, and the cached norms are the same sorted-sum
 // square roots the map path computes per call.

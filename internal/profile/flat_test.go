@@ -9,6 +9,11 @@ import (
 
 func flatTerm(s string) rdf.Term { return rdf.SchemaIRI(s) }
 
+// interning resolves terms by interning them into d.
+func interning(d *rdf.Dict) func(rdf.Term) (rdf.TermID, bool) {
+	return func(t rdf.Term) (rdf.TermID, bool) { return d.Intern(t), true }
+}
+
 func TestFlatCompileSortsAndCachesNorm(t *testing.T) {
 	d := rdf.NewDict()
 	// Intern in an order different from the interest iteration so sorting
@@ -23,7 +28,7 @@ func TestFlatCompileSortsAndCachesNorm(t *testing.T) {
 		flatTerm("Unresolved"): 4, // not in d: norm-only
 	}
 	var f Flat
-	f.Compile(v, d, false, nil)
+	f.Compile(v, d.Lookup, nil)
 	if len(f.Entries) != 3 {
 		t.Fatalf("entries = %d, want 3 (unresolved term must not be an entry)", len(f.Entries))
 	}
@@ -37,7 +42,7 @@ func TestFlatCompileSortsAndCachesNorm(t *testing.T) {
 		t.Fatalf("norm = %g, want %g (must include the unresolved term)", f.Norm, want)
 	}
 	// Recompile reuses storage and refreshes everything.
-	f.Compile(map[rdf.Term]float64{flatTerm("B"): 5}, d, false, nil)
+	f.Compile(map[rdf.Term]float64{flatTerm("B"): 5}, d.Lookup, nil)
 	if len(f.Entries) != 1 || f.Entries[0].W != 5 || f.Norm != 5 {
 		t.Fatalf("recompile: %+v norm %g", f.Entries, f.Norm)
 	}
@@ -46,7 +51,7 @@ func TestFlatCompileSortsAndCachesNorm(t *testing.T) {
 func TestFlatCompileInternGrowsDict(t *testing.T) {
 	d := rdf.NewDict()
 	var f Flat
-	f.Compile(map[rdf.Term]float64{flatTerm("New"): 1}, d, true, nil)
+	f.Compile(map[rdf.Term]float64{flatTerm("New"): 1}, interning(d), nil)
 	if len(f.Entries) != 1 {
 		t.Fatalf("interning compile must resolve every term: %+v", f.Entries)
 	}
@@ -58,10 +63,10 @@ func TestFlatCompileInternGrowsDict(t *testing.T) {
 func TestCosineFlatZeroAndNaNNorms(t *testing.T) {
 	d := rdf.NewDict()
 	var a, b, zero, nan Flat
-	a.Compile(map[rdf.Term]float64{flatTerm("A"): 1}, d, true, nil)
-	b.Compile(map[rdf.Term]float64{flatTerm("A"): 2, flatTerm("B"): 1}, d, true, nil)
-	zero.Compile(map[rdf.Term]float64{}, d, true, nil)
-	nan.Compile(map[rdf.Term]float64{flatTerm("A"): math.NaN()}, d, true, nil)
+	a.Compile(map[rdf.Term]float64{flatTerm("A"): 1}, interning(d), nil)
+	b.Compile(map[rdf.Term]float64{flatTerm("A"): 2, flatTerm("B"): 1}, interning(d), nil)
+	zero.Compile(map[rdf.Term]float64{}, interning(d), nil)
+	nan.Compile(map[rdf.Term]float64{flatTerm("A"): math.NaN()}, interning(d), nil)
 
 	if got := CosineFlat(&a, &zero); got != 0 {
 		t.Fatalf("cosine against zero-norm = %g, want 0", got)

@@ -36,11 +36,11 @@ func KAnonymize(pool []*profile.Profile, k int) ([]*profile.Profile, [][]int, er
 	// call. The flat vectors cache each norm at compile time and share one
 	// private dictionary, so every pairwise similarity is a two-pointer
 	// merge — bit-identical to CosineVectors over the same interests.
-	dict := rdf.NewDict()
+	intern := interning(rdf.NewDict())
 	flats := make([]profile.Flat, n)
 	var squares, prods []float64
 	for i, p := range pool {
-		flats[i].Compile(p.Interests, dict, true, &squares)
+		flats[i].Compile(p.Interests, intern, &squares)
 	}
 
 	assigned := make([]bool, n)
@@ -174,15 +174,15 @@ func ReidentificationRisk(originals, published []*profile.Profile) float64 {
 	// Both pools compiled once against one dictionary: the attack compares
 	// every published profile with every original, so cached norms turn the
 	// n² inner loop into pure merges (bit-identical to CosineVectors).
-	dict := rdf.NewDict()
+	intern := interning(rdf.NewDict())
 	pubF := make([]profile.Flat, n)
 	origF := make([]profile.Flat, n)
 	var squares, prods []float64
 	for i := range published {
-		pubF[i].Compile(published[i].Interests, dict, true, &squares)
+		pubF[i].Compile(published[i].Interests, intern, &squares)
 	}
 	for j := range originals {
-		origF[j].Compile(originals[j].Interests, dict, true, &squares)
+		origF[j].Compile(originals[j].Interests, intern, &squares)
 	}
 	hits := 0
 	for i := range published {
@@ -208,4 +208,10 @@ func ReidentificationRisk(originals, published []*profile.Profile) float64 {
 		}
 	}
 	return float64(hits) / float64(n)
+}
+
+// interning resolves terms for Flat.Compile by interning them into d, so
+// vectors compiled through it share d's IDs.
+func interning(d *rdf.Dict) func(rdf.Term) (rdf.TermID, bool) {
+	return func(t rdf.Term) (rdf.TermID, bool) { return d.Intern(t), true }
 }

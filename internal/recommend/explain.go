@@ -62,7 +62,7 @@ func (ix *ItemIndex) explain(fu *profile.Flat, ord int, h *bounded[Contribution]
 			j++
 		default:
 			if w, s := ae[i].W, be[j].W; w != 0 && s != 0 {
-				h.offer(Contribution{Term: ix.dict.TermOf(ae[i].ID), UserWeight: w, ItemScore: s, Product: w * s})
+				h.offer(Contribution{Term: ix.space.Term(int(ae[i].ID)), UserWeight: w, ItemScore: s, Product: w * s})
 			}
 			i++
 			j++

@@ -30,7 +30,9 @@ func NewLearner(rate float64) (*Learner, error) {
 // the highlight strength (the entity's normalized score). The measure is
 // also marked seen (feeding novelty-aware diversity).
 func (l *Learner) Accept(u *profile.Profile, it Item) {
-	for t, score := range it.Scores.Normalize() {
+	s := it.Scores.Normalize()
+	for i := 0; i < s.Len(); i++ {
+		t, score := s.Term(i), s.Value(i)
 		if score <= 0 {
 			continue
 		}
@@ -44,7 +46,9 @@ func (l *Learner) Accept(u *profile.Profile, it Item) {
 // rejected topics eventually leave the profile. The measure is marked seen.
 func (l *Learner) Reject(u *profile.Profile, it Item) {
 	const floor = 1e-6
-	for t, score := range it.Scores.Normalize() {
+	s := it.Scores.Normalize()
+	for i := 0; i < s.Len(); i++ {
+		t, score := s.Term(i), s.Value(i)
 		if score <= 0 {
 			continue
 		}

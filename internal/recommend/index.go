@@ -2,6 +2,7 @@ package recommend
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"evorec/internal/measures"
@@ -11,38 +12,45 @@ import (
 
 // ItemIndex is the ID-native scoring kernel over one version pair's items,
 // and the only code in this package that scores them: every item's
-// max-normalized scores compiled to a flat sorted TermID form with a cached
-// norm, behind an inverted TermID → item-postings index. Scoring a user
-// visits only the items sharing at least one dictionary term with the
-// user's interests — every other item's cosine relatedness is exactly 0,
-// so it is assigned, not computed — and point selection runs through the
-// shared bounded heap. The greedy selectors (MMR, MaxMin, FairGreedyTopK),
-// the evaluation metrics and the explanations take their relatedness from
-// the same scoring pass, their item-to-item distances from an n×n table
-// built on the index's first diversified request, and their contributions
-// from one flat merge. All of it is bit-identical to scoring the items'
-// Term-keyed normalized vectors through cosines on maps; the parity suite
-// holds each method to such a reference, kept in this package's tests.
+// max-normalized scores compiled to a flat form over one sorted term space,
+// with a cached norm, behind an inverted postings index from term position
+// to items. Scoring a user visits only the items sharing at least one term
+// with the user's interests — every other item's cosine relatedness is
+// exactly 0, so it is assigned, not computed — and point selection runs
+// through the shared bounded heap. The greedy selectors (MMR, MaxMin,
+// FairGreedyTopK), the evaluation metrics and the explanations take their
+// relatedness from the same scoring pass, their item-to-item distances from
+// an n×n table built on the index's first diversified request, and their
+// contributions from one flat merge. All of it is bit-identical to scoring
+// the items' Term-keyed normalized vectors through cosines on maps; the
+// parity suite holds each method to such a reference, kept in this
+// package's tests.
 //
-// The index owns a private dictionary: item entity terms are interned at
-// construction, user interests are compiled against it lookup-only per
-// call, so serving never mutates the index. An ItemIndex is safe for
-// concurrent use: it is immutable after construction except for the
-// distance table, which a sync.Once publishes. Per-call scratch comes from
-// a package-level sync.Pool, which the engine's lock-free warm recommend
-// path and the feed's fan-out workers share for free.
+// The term space is the sorted union of the axes the items' scores are laid
+// over. A pair's items share their context's three axes, and the union of
+// those is one of them, so the index holds no terms of its own. Item
+// vectors are compiled from axis positions and user interests resolve by
+// binary search in the space, so the index interns nothing, keeps no
+// dictionary, and serving never touches a dataset's shared dictionary. An
+// ItemIndex is safe for concurrent use: it is immutable after construction
+// except for the distance table, which a sync.Once publishes. Per-call
+// scratch comes from a package-level sync.Pool, which the engine's
+// lock-free warm recommend path and the feed's fan-out workers share for
+// free.
 type ItemIndex struct {
 	items  []Item
 	ids    []string       // measure IDs, aligned with items
 	ords   map[string]int // measure ID -> ordinal
-	flats  []profile.Flat // flat item vectors, aligned with items
+	flats  []profile.Flat // flat item vectors over space, aligned with items
 	totals []float64      // deterministic popularity totals, aligned
-	dict   *rdf.Dict
-	post   map[rdf.TermID][]int32
-	nan    []int32 // ordinals with NaN norm: the reference arithmetic
+	space  *measures.Axis // every term an item scores; flat entry IDs are positions in it
+	// post[postStart[t]:postStart[t+1]] lists, ascending, the ordinals of
+	// the items whose flat has an entry for space position t.
+	postStart, post []int32
+	nan             []int32 // ordinals with NaN norm: the reference arithmetic
 	// scores them NaN against everyone, so they are always candidates
-	entityTerms []rdf.Term // distinct positively-weighted vector terms, sorted
-	catOrds     [][]int32  // ordinals per measures.Categories() slot, item order
+	entity  []int32   // space positions some item scores positively, ascending
+	catOrds [][]int32 // ordinals per measures.Categories() slot, item order
 
 	// dist[i*n+j] is 1 − CosineFlat(flats[i], flats[j]), the content
 	// distance with the candidate i as the first operand. It is built on
@@ -64,20 +72,37 @@ func NewItemIndex(items []Item) *ItemIndex {
 		ords:   make(map[string]int, len(items)),
 		flats:  make([]profile.Flat, len(items)),
 		totals: make([]float64, len(items)),
-		dict:   rdf.NewDict(),
-		post:   make(map[rdf.TermID][]int32),
 	}
+	// The distinct axes, in order of first use, and each item's among them.
+	var axes []*measures.Axis
+	axisOf := make([]int, len(items))
+	entries := 0
+	for i, it := range items {
+		a := it.Scores.Axis()
+		k := slices.Index(axes, a)
+		if k < 0 {
+			k = len(axes)
+			axes = append(axes, a)
+		}
+		axisOf[i] = k
+		entries += it.Scores.Len()
+	}
+	var positions [][]int32
+	ix.space, positions = measures.MergeAxes(axes)
+	ix.postStart = make([]int32, ix.space.Len()+1)
+	positive := make([]bool, ix.space.Len())
+	backing := make([]profile.FlatEntry, entries)
 	var squares []float64
-	positive := make(map[rdf.TermID]struct{})
 	for i, it := range items {
 		ix.ids[i] = it.ID()
 		ix.ords[it.ID()] = i
 		f := &ix.flats[i]
-		f.CompileScaled(it.Scores, it.Scores.Max(), ix.dict, true, &squares)
+		f.Entries, backing = backing[:it.Scores.Len():it.Scores.Len()], backing[it.Scores.Len():]
+		squares = compileScores(f, it.Scores, positions[axisOf[i]], squares)
 		for _, e := range f.Entries {
-			ix.post[e.ID] = append(ix.post[e.ID], int32(i))
+			ix.postStart[e.ID+1]++
 			if e.W > 0 {
-				positive[e.ID] = struct{}{}
+				positive[e.ID] = true
 			}
 		}
 		if math.IsNaN(f.Norm) {
@@ -85,11 +110,20 @@ func NewItemIndex(items []Item) *ItemIndex {
 		}
 		ix.totals[i] = it.Scores.Total()
 	}
-	ix.entityTerms = make([]rdf.Term, 0, len(positive))
-	for id := range positive {
-		ix.entityTerms = append(ix.entityTerms, ix.dict.TermOf(id))
+	for t := range positive {
+		ix.postStart[t+1] += ix.postStart[t]
+		if positive[t] {
+			ix.entity = append(ix.entity, int32(t))
+		}
 	}
-	rdf.SortTerms(ix.entityTerms)
+	ix.post = make([]int32, entries)
+	next := slices.Clone(ix.postStart[:ix.space.Len()])
+	for i := range ix.flats {
+		for _, e := range ix.flats[i].Entries {
+			ix.post[next[e.ID]] = int32(i)
+			next[e.ID]++
+		}
+	}
 	cats := measures.Categories()
 	ix.catOrds = make([][]int32, len(cats))
 	for ci, cat := range cats {
@@ -102,15 +136,31 @@ func NewItemIndex(items []Item) *ItemIndex {
 	return ix
 }
 
+// compileScores fills f, whose Entries has one slot per scored entity, with
+// s divided by its maximum (left as it is when no score is positive), each
+// entity at its space position pos[i]. pos ascends, so the entries come out
+// sorted. The norm is the sorted-sum square root Flat.Compile takes;
+// squares is scratch for its summands, returned for reuse.
+func compileScores(f *profile.Flat, s measures.Scores, pos []int32, squares []float64) []float64 {
+	div := s.Max()
+	squares = squares[:0]
+	for i := range f.Entries {
+		w := s.Value(i)
+		if div != 0 {
+			w /= div
+		}
+		squares = append(squares, w*w)
+		f.Entries[i] = profile.FlatEntry{ID: rdf.TermID(pos[i]), W: w}
+	}
+	f.Norm = math.Sqrt(profile.SortedSum(squares))
+	return squares
+}
+
 // Items returns the indexed items (shared, not copied).
 func (ix *ItemIndex) Items() []Item { return ix.items }
 
 // Len returns the number of indexed items.
 func (ix *ItemIndex) Len() int { return len(ix.items) }
-
-// Dict returns the index's private term dictionary. It is read-only after
-// construction; compile user vectors against it without interning.
-func (ix *ItemIndex) Dict() *rdf.Dict { return ix.dict }
 
 // ByID returns the item with the given measure ID — the kernel's
 // replacement for scanning the item slice per ranked measure.
@@ -123,8 +173,14 @@ func (ix *ItemIndex) ByID(id string) (Item, bool) {
 
 // EntityTerms returns the distinct entity terms any item scores positively,
 // sorted. The feed fan-out intersects exactly this set with its subscriber
-// index, so the per-commit term walk is precomputed here once per pair.
-func (ix *ItemIndex) EntityTerms() []rdf.Term { return ix.entityTerms }
+// index; the index keeps their positions, found once per pair.
+func (ix *ItemIndex) EntityTerms() []rdf.Term {
+	out := make([]rdf.Term, len(ix.entity))
+	for i, t := range ix.entity {
+		out[i] = ix.space.Term(int(t))
+	}
+	return out
+}
 
 // kernelScratch is the pooled per-call state of the scoring kernel.
 // visited is all false between calls: users set bits and clear them again
@@ -160,8 +216,21 @@ func putScratch(sc *kernelScratch) { kernelPool.Put(sc) }
 
 // compileUser compiles u's interests into the pooled scratch flat.
 func (ix *ItemIndex) compileUser(u *profile.Profile, sc *kernelScratch) *profile.Flat {
-	sc.flat.Compile(u.Interests, ix.dict, false, &sc.squares)
+	sc.flat.Compile(u.Interests, ix.position, &sc.squares)
 	return &sc.flat
+}
+
+// position resolves an interest term to its position in the term space by
+// binary search; a term no item scores has none.
+func (ix *ItemIndex) position(t rdf.Term) (rdf.TermID, bool) {
+	i, ok := ix.space.Index(t)
+	return rdf.TermID(i), ok
+}
+
+// postings returns the ordinals of the items with an entry at space
+// position t, ascending.
+func (ix *ItemIndex) postings(t rdf.TermID) []int32 {
+	return ix.post[ix.postStart[t]:ix.postStart[t+1]]
 }
 
 // scoreInto fills sc.scores with fu's relatedness to every item: cosines
@@ -194,7 +263,7 @@ func (ix *ItemIndex) scoreInto(fu *profile.Flat, sc *kernelScratch) {
 func (ix *ItemIndex) candidates(fu *profile.Flat, sc *kernelScratch) []int32 {
 	cand := sc.cand[:0]
 	for _, e := range fu.Entries {
-		for _, ord := range ix.post[e.ID] {
+		for _, ord := range ix.postings(e.ID) {
 			if !sc.visited[ord] {
 				sc.visited[ord] = true
 				cand = append(cand, ord)
@@ -434,7 +503,7 @@ func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recom
 	sc.group = sc.group[:g.Size()]
 	anyNaN := false
 	for i, m := range g.Members {
-		sc.group[i].Compile(m.Interests, ix.dict, false, &sc.squares)
+		sc.group[i].Compile(m.Interests, ix.position, &sc.squares)
 		if math.IsNaN(sc.group[i].Norm) {
 			anyNaN = true
 		}
@@ -452,7 +521,7 @@ func (ix *ItemIndex) GroupTopK(g *profile.Group, k int, agg Aggregation) []Recom
 	cand := sc.cand[:0]
 	for mi := range sc.group {
 		for _, e := range sc.group[mi].Entries {
-			for _, ord := range ix.post[e.ID] {
+			for _, ord := range ix.postings(e.ID) {
 				if !sc.visited[ord] {
 					sc.visited[ord] = true
 					cand = append(cand, ord)

@@ -6,19 +6,15 @@
 // package, which records how each recommendation was produced.
 package recommend
 
-import (
-	"sort"
-
-	"evorec/internal/measures"
-)
+import "evorec/internal/measures"
 
 // Item is one recommendable evolution measure together with its evaluation
 // on a concrete version pair. The scores are the item's "content": they say
 // which entities the measure highlights, and relatedness matches their
 // max-normalized form against user interests. That form exists only inside
-// ItemIndex, compiled straight from Scores, which stays the one Term-keyed
-// map an item keeps: the measures endpoint, the user report and the
-// popularity totals read it.
+// ItemIndex, compiled straight from Scores, a vector over one of the
+// pair's term axes that the items of the pair share: the measures
+// endpoint, the user report and the popularity totals read it.
 type Item struct {
 	// Measure is the underlying measure.
 	Measure measures.Measure
@@ -33,14 +29,14 @@ func (it Item) ID() string { return it.Measure.ID() }
 func (it Item) Category() measures.Category { return it.Measure.Category() }
 
 // BuildItems evaluates every measure of the registry on the context and
-// wraps the results as items, sorted by measure ID.
+// wraps the results as items, sorted by measure ID as Registry.All returns
+// the measures.
 func BuildItems(ctx *measures.Context, reg *measures.Registry) []Item {
 	ms := reg.All()
-	out := make([]Item, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, Item{Measure: m, Scores: m.Compute(ctx)})
+	out := make([]Item, len(ms))
+	for i, m := range ms {
+		out[i] = Item{Measure: m, Scores: m.Compute(ctx)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 

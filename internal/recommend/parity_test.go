@@ -211,7 +211,7 @@ func TestItemIndexRandomizedParity(t *testing.T) {
 		for i := 0; i < nItems; i++ {
 			vec := randVec(1 + rng.Intn(6))
 			if ties && i > 0 && rng.Intn(2) == 0 {
-				vec = items[rng.Intn(i)].Scores
+				vec = scoreMap(items[rng.Intn(i)].Scores)
 			}
 			items = append(items, mkItem(fmt.Sprintf("m%02d", i),
 				measures.Categories()[rng.Intn(len(measures.Categories()))], vec))
@@ -568,10 +568,10 @@ func TestCosineFlatParity(t *testing.T) {
 	}
 	for round := 0; round < 500; round++ {
 		a, b := randVec(), randVec()
-		dict := rdf.NewDict()
+		intern := interning(rdf.NewDict())
 		var fa, fb profile.Flat
-		fa.Compile(a, dict, true, nil)
-		fb.Compile(b, dict, true, nil)
+		fa.Compile(a, intern, nil)
+		fb.Compile(b, intern, nil)
 		want := profile.CosineVectors(a, b)
 		got := profile.CosineFlat(&fa, &fb)
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -583,8 +583,8 @@ func TestCosineFlatParity(t *testing.T) {
 		// match b but still scale the norm, so the score must not move.
 		lookupDict := rdf.NewDict()
 		var lb, la profile.Flat
-		lb.Compile(b, lookupDict, true, nil)
-		la.Compile(a, lookupDict, false, nil)
+		lb.Compile(b, interning(lookupDict), nil)
+		la.Compile(a, lookupDict.Lookup, nil)
 		got = profile.CosineFlat(&la, &lb)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("round %d: lookup-only CosineFlat = %v, want %v\na=%v\nb=%v",

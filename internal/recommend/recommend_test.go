@@ -20,7 +20,7 @@ func (m stubMeasure) Description() string         { return "stub" }
 func (m stubMeasure) Target() measures.Target     { return measures.Classes }
 func (m stubMeasure) Category() measures.Category { return m.cat }
 func (m stubMeasure) Compute(*measures.Context) measures.Scores {
-	return nil
+	return measures.Scores{}
 }
 
 func term(s string) rdf.Term { return rdf.SchemaIRI(s) }
@@ -28,11 +28,7 @@ func term(s string) rdf.Term { return rdf.SchemaIRI(s) }
 // mkItem builds an item whose scores are the given map; the index and the
 // reference score its normalized form, the scores divided by their maximum.
 func mkItem(id string, cat measures.Category, scores map[rdf.Term]float64) Item {
-	s := measures.Scores{}
-	for t, v := range scores {
-		s[t] = v
-	}
-	return Item{Measure: stubMeasure{id: id, cat: cat}, Scores: s}
+	return Item{Measure: stubMeasure{id: id, cat: cat}, Scores: measures.ScoresOf(scores)}
 }
 
 // testItems builds five items with known geometry:

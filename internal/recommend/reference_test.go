@@ -17,7 +17,16 @@ import (
 
 // vector is the item's max-normalized score vector, the map form of what
 // NewItemIndex compiles.
-func vector(it Item) map[rdf.Term]float64 { return it.Scores.Normalize() }
+func vector(it Item) map[rdf.Term]float64 { return scoreMap(it.Scores.Normalize()) }
+
+// scoreMap is the Term-keyed map form of s.
+func scoreMap(s measures.Scores) map[rdf.Term]float64 {
+	m := make(map[rdf.Term]float64, s.Len())
+	for i := 0; i < s.Len(); i++ {
+		m[s.Term(i)] = s.Value(i)
+	}
+	return m
+}
 
 // Relatedness scores how related an item is to a user (§III-a): the cosine
 // similarity between the user's interest vector and the item's normalized

@@ -226,13 +226,15 @@ func AnalyzeWithContexts(ctxs []*measures.Context, m measures.Measure) (*Analysi
 func (a *Analysis) add(ctx *measures.Context, m measures.Measure) {
 	step := len(a.PairIDs)
 	a.PairIDs = append(a.PairIDs, ctx.Delta.OlderID+"->"+ctx.Delta.NewerID)
-	for t, v := range m.Compute(ctx) {
+	scores := m.Compute(ctx)
+	for i := 0; i < scores.Len(); i++ {
+		t := scores.Term(i)
 		s, ok := a.series[t]
 		if !ok {
 			s = &Series{Term: t, Values: make([]float64, step)}
 			a.series[t] = s
 		}
-		s.Values = append(s.Values, v)
+		s.Values = append(s.Values, scores.Value(i))
 	}
 	for _, s := range a.series {
 		if len(s.Values) == step {
