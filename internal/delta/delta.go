@@ -199,15 +199,3 @@ func (a *Attribution) Terms() []rdf.Term {
 
 // Len returns the number of distinct terms mentioned by the delta.
 func (a *Attribution) Len() int { return len(a.byTerm) }
-
-// NeighborhoodChanges computes |δN(n)| (§II-b): the total changes over a
-// set of neighborhood classes. The neighborhood itself is supplied by the
-// caller (schema.Neighbors over the union of both versions, see
-// measures.NeighborhoodChangeCount).
-func (a *Attribution) NeighborhoodChanges(neighbors []rdf.Term) int {
-	sum := 0
-	for _, n := range neighbors {
-		sum += a.byTerm[n].Total()
-	}
-	return sum
-}

@@ -206,26 +206,6 @@ func TestAttributionTermsSortedAndLen(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodChanges(t *testing.T) {
-	older, newer := rdf.NewGraph(), rdf.NewGraph()
-	a, b, c := rdf.SchemaIRI("A"), rdf.SchemaIRI("B"), rdf.SchemaIRI("C")
-	p := rdf.SchemaIRI("p")
-	newer.Add(rdf.T(a, p, rdf.NewLiteral("1"))) // 1 change on A
-	newer.Add(rdf.T(b, p, rdf.NewLiteral("2"))) // 1 change on B
-	older.Add(rdf.T(b, p, rdf.NewLiteral("0"))) // 1 more change on B
-	attr := Attribute(Compute(older, newer))
-
-	if got := attr.NeighborhoodChanges([]rdf.Term{a, b}); got != 3 {
-		t.Fatalf("neighborhood changes = %d, want 3", got)
-	}
-	if got := attr.NeighborhoodChanges([]rdf.Term{c}); got != 0 {
-		t.Fatalf("empty neighborhood changes = %d, want 0", got)
-	}
-	if got := attr.NeighborhoodChanges(nil); got != 0 {
-		t.Fatalf("nil neighborhood changes = %d, want 0", got)
-	}
-}
-
 func TestAddedDeletedGraphs(t *testing.T) {
 	older, newer := rdf.NewGraph(), rdf.NewGraph()
 	older.Add(tri(1))

@@ -289,8 +289,11 @@ func (c *refContext) scores(id string) Scores {
 	case "neighborhood_change_count":
 		out := make(map[rdf.Term]float64)
 		for _, t := range classes {
-			n := refUnion(c.olderSchema.Neighbors(t), c.newerSchema.Neighbors(t))
-			out[t] = float64(c.attr.NeighborhoodChanges(n))
+			sum := 0
+			for _, n := range refUnion(c.olderSchema.Neighbors(t), c.newerSchema.Neighbors(t)) {
+				sum += c.attr.Changes(n).Total()
+			}
+			out[t] = float64(sum)
 		}
 		return ScoresOf(out)
 	case "betweenness_shift":
