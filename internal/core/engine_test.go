@@ -557,10 +557,12 @@ func TestConsecutivePairsMatchFreshEngine(t *testing.T) {
 // TestConsecutiveBuildAllocs gates the allocations of a commit's pair
 // build, (v2,v3) right after (v1,v2): it analyzes v3 alone and takes v3's
 // Brandes vectors from v2's analysis. Measured on this chain with go1.24:
-// 1,282 allocations, against 3,002 while measures scored into Term-keyed
-// maps and the index interned them into a dictionary of its own, and 4,778
-// when both sides were analyzed in full; the bound leaves 10% headroom. The carry is found by version, so the
-// bound holds as well when v2's graph was released after (v1,v2) and a
+// 169 allocations, against 1,282 while schema extraction keyed classes and
+// properties by term and the analysis hashed every link's endpoints, 3,002
+// while measures scored into Term-keyed maps and the index interned them
+// into a dictionary of its own, and 4,778 when both sides were analyzed in
+// full; the bound leaves 10% headroom. The carry is found by version, so
+// the bound holds as well when v2's graph was released after (v1,v2) and a
 // freshly materialized copy attached.
 func TestConsecutiveBuildAllocs(t *testing.T) {
 	if raceEnabled {
@@ -587,10 +589,55 @@ func TestConsecutiveBuildAllocs(t *testing.T) {
 			next++
 		})
 		t.Logf("allocations per consecutive pair build (v2 re-attached: %v): %v", copied, got)
-		const bound = 1410
+		const bound = 186
 		if got > bound {
 			t.Fatalf("a consecutive pair build (v2 re-attached: %v) allocates %v, more than %d", copied, got, bound)
 		}
+	}
+}
+
+// coldHistoryPair is a version pair shaped like the bench's cold-history
+// reads: 60 classes, 40 object and 10 literal properties, 1,000 instances,
+// and one 40-op step of instance churn apart that may move the class graph.
+func coldHistoryPair(t *testing.T) *rdf.VersionStore {
+	t.Helper()
+	kb := synth.KBConfig{Classes: 60, Properties: 40, LiteralProps: 10, Instances: 1000, ZipfS: 1.4, LinksPerInstance: 2}
+	ev := synth.EvolveConfig{Ops: 40, Locality: 0.8,
+		Weights: synth.OpWeights{Reparent: 2, RetargetProperty: 2, AddInstances: 15, DeleteInstances: 25, AddLinks: 15, Relabel: 4}}
+	vs, _, err := synth.GenerateVersions(kb, ev, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// TestColdPairBuildAllocs gates the allocations of a cold pair build: a
+// fresh engine builds (v1,v2) of coldHistoryPair, analyzing both sides, as
+// every cold-history read does. Measured with go1.24: 572 allocations,
+// against 1,685 while schema extraction keyed classes and properties by
+// term and the analysis hashed every link's endpoints; the bound leaves
+// 10% headroom.
+func TestColdPairBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	vs := coldHistoryPair(t)
+	const runs = 5
+	engines := make([]*Engine, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range engines {
+		engines[i] = chainEngine(t, vs)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := engines[next].ItemIndex("v1", "v2"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("allocations per cold pair build: %v", got)
+	const bound = 629
+	if got > bound {
+		t.Fatalf("a cold pair build allocates %v, more than %d", got, bound)
 	}
 }
 

@@ -3,6 +3,7 @@ package measures
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"evorec/internal/graphx"
 	"evorec/internal/rdf"
@@ -11,8 +12,9 @@ import (
 
 // VersionAnalysis is everything the measures read about one version: its
 // schema, its class graph, and the per-class and per-property vectors of
-// the §II-c/d importance measures. Analyze builds it in one pass over the
-// graph's dictionary IDs.
+// the §II-c/d importance measures. Analyze builds it from the graph's
+// dictionary IDs: the schema extraction's scans, then one scan per
+// property over the links it bounds.
 //
 // Classes and properties are numbered by ordinals assigned in rdf.Term sort
 // order, and every sum below runs in ordinal order. That is the order a
@@ -81,89 +83,126 @@ func Analyze(g *rdf.Graph, prev *VersionAnalysis) *VersionAnalysis {
 	return a
 }
 
-// link scans the instance typings and then, one bound predicate at a time,
-// the instance links, filling a.edges with their counts and RC.
+// link resolves each instance's classes from the schema's rdf:type scan
+// and then, one bound predicate at a time, counts the instance links
+// between classes, filling a.edges with their counts and RC. It does no
+// hash lookup per link: the classes of an endpoint are one run found
+// through a table indexed by dictionary ID.
 func (a *VersionAnalysis) link(g *rdf.Graph) {
+	n := len(a.classes)
 	dict := g.Dict()
-	typeID, ok := dict.Lookup(rdf.RDFType)
-	if !ok {
-		return
-	}
-	// types holds every (instance, class ordinal) typing, packed as
-	// instance<<32 | class and sorted, so an instance's classes are one
-	// contiguous run in ascending ordinal order; run maps an instance to
-	// the start of its run.
-	var types []uint64
-	for c, t := range a.classes {
-		if id, ok := dict.Lookup(t); ok {
-			g.ForEachMatchID(rdf.AnyID, typeID, id, func(tr rdf.IDTriple) bool {
-				types = append(types, uint64(tr.S)<<32|uint64(c))
-				return true
-			})
+	sc := getLinkScratch(dict.Len(), n)
+	defer putLinkScratch(sc)
+
+	// Typed instance k (at[x] == k+1 for its ID x) has the classes
+	// classOf[start[k]:start[k+1]], in ascending ordinal order. The
+	// N-Triples reader refuses a literal subject, but Graph.Add takes one,
+	// so a hand-built graph can type a literal: literal[k] marks it, and
+	// links to it count nothing.
+	at := sc.at
+	start := append(sc.start, 0)
+	for c := range a.classes {
+		for _, x := range a.Schema.InstanceIDs(c) {
+			if at[x] == 0 {
+				sc.typed = append(sc.typed, x)
+				sc.literal = append(sc.literal, dict.TermOf(x).IsLiteral())
+				start = append(start, 0)
+				at[x] = int32(len(sc.typed))
+			}
+			start[at[x]]++
 		}
 	}
-	slices.Sort(types)
-	run := make(map[rdf.TermID]int32)
-	for i, t := range types {
-		if i == 0 || types[i-1]>>32 != t>>32 {
-			run[rdf.TermID(t>>32)] = int32(i)
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	next := append(sc.next, start[:len(start)-1]...)
+	classOf := slices.Grow(sc.classOf, int(start[len(start)-1]))[:start[len(start)-1]]
+	for c := range a.classes {
+		for _, x := range a.Schema.InstanceIDs(c) {
+			k := at[x] - 1
+			classOf[next[k]] = int32(c)
+			next[k]++
 		}
 	}
-	typesOf := func(x rdf.TermID) []uint64 {
-		i, ok := run[x]
-		if !ok {
-			return nil
-		}
-		j := i + 1
-		for int(j) < len(types) && types[j]>>32 == uint64(x) {
-			j++
-		}
-		return types[i:j]
-	}
+	sc.start, sc.next, sc.classOf = start[:0], next[:0], classOf[:0]
 
 	// total counts, per class, the link endpoints its instances take part
-	// in; pairs collects one property's (from, to) class pairs, packed.
-	total := make([]int, len(a.classes))
-	var pairs []uint64
+	// in; cells counts one property's links per (from, to) class pair,
+	// and touched lists the cells it set.
+	total := make([]int, n)
+	cells := sc.cells
 	for p, pt := range a.props {
 		pid, ok := dict.Lookup(pt)
 		if !ok || !pt.IsIRI() {
 			continue
 		}
-		pairs = pairs[:0]
 		g.ForEachMatchID(rdf.AnyID, pid, rdf.AnyID, func(t rdf.IDTriple) bool {
-			if dict.TermOf(t.O).IsLiteral() {
+			i, j := at[t.S], at[t.O]
+			if i == 0 || j == 0 || sc.literal[j-1] {
 				return true
 			}
-			from, to := typesOf(t.S), typesOf(t.O)
-			if len(from) == 0 || len(to) == 0 {
-				return true
-			}
+			from, to := classOf[start[i-1]:start[i]], classOf[start[j-1]:start[j]]
 			for _, f := range from {
+				row := int(f) * n
 				for _, c := range to {
-					pairs = append(pairs, uint64(uint32(f))<<32|uint64(uint32(c)))
+					if cells[row+int(c)] == 0 {
+						sc.touched = append(sc.touched, row+int(c))
+					}
+					cells[row+int(c)]++
 				}
-				total[uint32(f)]++
+				total[f]++
 			}
 			for _, c := range to {
-				total[uint32(c)]++
+				total[c]++
 			}
 			return true
 		})
-		slices.Sort(pairs)
-		for i := 0; i < len(pairs); {
-			j := i + 1
-			for j < len(pairs) && pairs[j] == pairs[i] {
-				j++
-			}
-			a.edges = append(a.edges, edge{p: int32(p), from: int32(pairs[i] >> 32), to: int32(uint32(pairs[i])), n: j - i})
-			i = j
+		slices.Sort(sc.touched)
+		for _, cell := range sc.touched {
+			a.edges = append(a.edges, edge{p: int32(p), from: int32(cell / n), to: int32(cell % n), n: int(cells[cell])})
+			cells[cell] = 0
 		}
+		sc.touched = sc.touched[:0]
 	}
 	for k := range a.edges {
 		e := &a.edges[k]
 		e.rc = float64(e.n) / float64(total[e.from]+total[e.to])
 	}
+}
+
+// linkScratch is link's pooled working memory. at, indexed by dictionary
+// ID, and cells, n×n for n classes, are zero between analyses: link clears
+// exactly the entries it set.
+type linkScratch struct {
+	at                   []int32      // dictionary ID -> 1 + typed instance, or 0
+	typed                []rdf.TermID // the IDs whose at entry is set
+	literal              []bool       // by typed instance: is it a literal
+	start, next, classOf []int32      // the typed instances' class runs
+	cells                []int32      // one property's links per (from, to)
+	touched              []int        // the cells set for the current property
+}
+
+var linkPool = sync.Pool{New: func() any { return new(linkScratch) }}
+
+func getLinkScratch(terms, classes int) *linkScratch {
+	sc := linkPool.Get().(*linkScratch)
+	if len(sc.at) < terms {
+		// A dataset's dictionary only grows: leave room for the terms
+		// its next versions add.
+		sc.at = make([]int32, terms+terms/4)
+	}
+	if len(sc.cells) < classes*classes {
+		sc.cells = make([]int32, classes*classes)
+	}
+	return sc
+}
+
+func putLinkScratch(sc *linkScratch) {
+	for _, x := range sc.typed {
+		sc.at[x] = 0
+	}
+	sc.typed, sc.literal = sc.typed[:0], sc.literal[:0]
+	linkPool.Put(sc)
 }
 
 // semantic fills centrality, relevance and property centrality from the

@@ -117,6 +117,26 @@ func TestLiteralLinksIgnored(t *testing.T) {
 	}
 }
 
+// TestTypedLiteralObjectIgnored types a literal, which only a hand-built
+// graph can do: a link to it counts nothing, while its own link as a
+// subject counts as the reference analyzer counts it.
+func TestTypedLiteralObjectIgnored(t *testing.T) {
+	g := rdf.NewGraph()
+	c, p := rdf.SchemaIRI("C"), rdf.SchemaIRI("p")
+	x, lit := rdf.ResourceIRI("x"), rdf.NewLiteral("typed")
+	g.Add(rdf.T(p, rdf.RDFSDomain, c))
+	g.Add(rdf.T(x, rdf.RDFType, c))
+	g.Add(rdf.T(lit, rdf.RDFType, c))
+	g.Add(rdf.T(x, p, lit))
+	g.Add(rdf.T(lit, p, x))
+	a := Analyze(g, nil)
+	ref := newRefAnalyzer(g, a.Schema)
+	want := ref.conn[refEdgeKey{P: p, From: c, To: c}]
+	if e, ok := edgeOf(a, p, c, c); !ok || e.n != 1 || e.n != want || len(a.edges) != 1 {
+		t.Fatalf("edges %+v, want only (p, C, C) with 1 link (reference %d)", a.edges, want)
+	}
+}
+
 func TestUntypedEndpointsIgnored(t *testing.T) {
 	g := rdf.NewGraph()
 	p := rdf.SchemaIRI("link")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"evorec/internal/rdf"
@@ -211,6 +212,42 @@ func TestScoresIgnoreDictionaryIDs(t *testing.T) {
 		ctx := NewContext(o, n)
 		for _, m := range ExtendedSet() {
 			assertSameScores(t, fmt.Sprintf("unrelated=%d %s", unrelated, m.ID()), m.Compute(ctx), m.Compute(base))
+		}
+	}
+}
+
+// TestAnalyzeConcurrent analyzes the versions of two datasets, whose
+// dictionaries differ in size, from several goroutines at once: the pooled
+// scratch of schema extraction and link counting must leave every analysis
+// as a serial run builds it.
+func TestAnalyzeConcurrent(t *testing.T) {
+	older, newer := coldHistoryPair(t)
+	graphs := []*rdf.Graph{older.Graph, newer.Graph}
+	vs := evolvingChain(t)
+	for i := 0; i < vs.Len(); i++ {
+		graphs = append(graphs, vs.At(i).Graph)
+	}
+	want := make([]*VersionAnalysis, len(graphs))
+	for i, g := range graphs {
+		want[i] = Analyze(g, nil)
+	}
+	got := make([]*VersionAnalysis, 4*len(graphs))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got[k] = Analyze(graphs[k%len(graphs)], nil)
+		}(k)
+	}
+	wg.Wait()
+	for k, a := range got {
+		w := want[k%len(graphs)]
+		if !slices.Equal(a.classes, w.classes) || !slices.Equal(a.props, w.props) || !slices.Equal(a.edges, w.edges) ||
+			!slices.Equal(a.centrality, w.centrality) || !slices.Equal(a.relevance, w.relevance) ||
+			!slices.Equal(a.propCentrality, w.propCentrality) ||
+			!slices.Equal(a.betweenness, w.betweenness) || !slices.Equal(a.bridging, w.bridging) {
+			t.Fatalf("analysis %d of graph %d differs from the serial one", k, k%len(graphs))
 		}
 	}
 }
