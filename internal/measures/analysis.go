@@ -87,29 +87,29 @@ func Analyze(g *rdf.Graph, prev *VersionAnalysis) *VersionAnalysis {
 // and then, one bound predicate at a time, counts the instance links
 // between classes, filling a.edges with their counts and RC. It does no
 // hash lookup per link: the classes of an endpoint are one run found
-// through a table indexed by dictionary ID.
+// through an rdf.IDIndex. Its working memory grows with the classes and
+// the links, never with their product.
 func (a *VersionAnalysis) link(g *rdf.Graph) {
 	n := len(a.classes)
 	dict := g.Dict()
-	sc := getLinkScratch(dict.Len(), n)
-	defer putLinkScratch(sc)
+	typed := rdf.NewIDIndex(dict)
+	defer typed.Release()
+	sc := getLinkScratch(n)
 
-	// Typed instance k (at[x] == k+1 for its ID x) has the classes
+	// Typed instance k (typed.Find(x) == k for its ID x) has the classes
 	// classOf[start[k]:start[k+1]], in ascending ordinal order. The
 	// N-Triples reader refuses a literal subject, but Graph.Add takes one,
 	// so a hand-built graph can type a literal: literal[k] marks it, and
 	// links to it count nothing.
-	at := sc.at
 	start := append(sc.start, 0)
 	for c := range a.classes {
 		for _, x := range a.Schema.InstanceIDs(c) {
-			if at[x] == 0 {
-				sc.typed = append(sc.typed, x)
+			k, added := typed.Add(x)
+			if added {
 				sc.literal = append(sc.literal, dict.TermOf(x).IsLiteral())
 				start = append(start, 0)
-				at[x] = int32(len(sc.typed))
 			}
-			start[at[x]]++
+			start[k+1]++
 		}
 	}
 	for k := 1; k < len(start); k++ {
@@ -119,36 +119,34 @@ func (a *VersionAnalysis) link(g *rdf.Graph) {
 	classOf := slices.Grow(sc.classOf, int(start[len(start)-1]))[:start[len(start)-1]]
 	for c := range a.classes {
 		for _, x := range a.Schema.InstanceIDs(c) {
-			k := at[x] - 1
+			k := typed.Find(x)
 			classOf[next[k]] = int32(c)
 			next[k]++
 		}
 	}
-	sc.start, sc.next, sc.classOf = start[:0], next[:0], classOf[:0]
 
 	// total counts, per class, the link endpoints its instances take part
-	// in; cells counts one property's links per (from, to) class pair,
-	// and touched lists the cells it set.
+	// in. For one property, pairs lists the class pair of every link, and
+	// size counts the pairs of each from class the links meet (froms).
 	total := make([]int, n)
-	cells := sc.cells
 	for p, pt := range a.props {
 		pid, ok := dict.Lookup(pt)
 		if !ok || !pt.IsIRI() {
 			continue
 		}
 		g.ForEachMatchID(rdf.AnyID, pid, rdf.AnyID, func(t rdf.IDTriple) bool {
-			i, j := at[t.S], at[t.O]
-			if i == 0 || j == 0 || sc.literal[j-1] {
+			i, j := typed.Find(t.S), typed.Find(t.O)
+			if i < 0 || j < 0 || sc.literal[j] {
 				return true
 			}
-			from, to := classOf[start[i-1]:start[i]], classOf[start[j-1]:start[j]]
+			from, to := classOf[start[i]:start[i+1]], classOf[start[j]:start[j+1]]
 			for _, f := range from {
-				row := int(f) * n
+				if sc.size[f] == 0 {
+					sc.froms = append(sc.froms, f)
+				}
+				sc.size[f] += int32(len(to))
 				for _, c := range to {
-					if cells[row+int(c)] == 0 {
-						sc.touched = append(sc.touched, row+int(c))
-					}
-					cells[row+int(c)]++
+					sc.pairs = append(sc.pairs, classPair{f, c})
 				}
 				total[f]++
 			}
@@ -157,52 +155,76 @@ func (a *VersionAnalysis) link(g *rdf.Graph) {
 			}
 			return true
 		})
-		slices.Sort(sc.touched)
-		for _, cell := range sc.touched {
-			a.edges = append(a.edges, edge{p: int32(p), from: int32(cell / n), to: int32(cell % n), n: int(cells[cell])})
-			cells[cell] = 0
-		}
-		sc.touched = sc.touched[:0]
+		a.countPairs(int32(p), sc)
 	}
 	for k := range a.edges {
 		e := &a.edges[k]
 		e.rc = float64(e.n) / float64(total[e.from]+total[e.to])
 	}
+	sc.start, sc.next, sc.classOf, sc.literal = start[:0], next[:0], classOf[:0], sc.literal[:0]
+	linkPool.Put(sc)
 }
 
-// linkScratch is link's pooled working memory. at, indexed by dictionary
-// ID, and cells, n×n for n classes, are zero between analyses: link clears
-// exactly the entries it set.
+// countPairs appends property p's edges from the class pairs in sc, in
+// (from, to) order, and leaves sc's per-property state empty. A counting
+// pass groups the pairs' to classes by from class; row then counts one
+// group, and touched lists the to classes it set.
+func (a *VersionAnalysis) countPairs(p int32, sc *linkScratch) {
+	// size[f] becomes the start of f's group and, once the to classes
+	// are placed, its end.
+	slices.Sort(sc.froms)
+	begin := int32(0)
+	for _, f := range sc.froms {
+		begin, sc.size[f] = begin+sc.size[f], begin
+	}
+	tos := slices.Grow(sc.tos, len(sc.pairs))[:len(sc.pairs)]
+	for _, pr := range sc.pairs {
+		tos[sc.size[pr.from]] = pr.to
+		sc.size[pr.from]++
+	}
+	begin = 0
+	for _, f := range sc.froms {
+		for _, c := range tos[begin:sc.size[f]] {
+			if sc.row[c] == 0 {
+				sc.touched = append(sc.touched, c)
+			}
+			sc.row[c]++
+		}
+		slices.Sort(sc.touched)
+		for _, c := range sc.touched {
+			a.edges = append(a.edges, edge{p: p, from: f, to: c, n: int(sc.row[c])})
+			sc.row[c] = 0
+		}
+		begin, sc.size[f], sc.touched = sc.size[f], 0, sc.touched[:0]
+	}
+	sc.froms, sc.pairs, sc.tos = sc.froms[:0], sc.pairs[:0], tos[:0]
+}
+
+// classPair is the (from, to) class pair of one link.
+type classPair struct{ from, to int32 }
+
+// linkScratch is link's pooled working memory. size and row hold one
+// entry per class and are zero between uses: link clears exactly the
+// entries it set.
 type linkScratch struct {
-	at                   []int32      // dictionary ID -> 1 + typed instance, or 0
-	typed                []rdf.TermID // the IDs whose at entry is set
-	literal              []bool       // by typed instance: is it a literal
-	start, next, classOf []int32      // the typed instances' class runs
-	cells                []int32      // one property's links per (from, to)
-	touched              []int        // the cells set for the current property
+	literal              []bool  // by typed instance: is it a literal
+	start, next, classOf []int32 // the typed instances' class runs
+	// One property's links: their class pairs, the from classes among
+	// them, and their to classes grouped by from class.
+	pairs      []classPair
+	froms, tos []int32
+	size, row  []int32 // by class
+	touched    []int32 // the to classes row counts
 }
 
 var linkPool = sync.Pool{New: func() any { return new(linkScratch) }}
 
-func getLinkScratch(terms, classes int) *linkScratch {
+func getLinkScratch(classes int) *linkScratch {
 	sc := linkPool.Get().(*linkScratch)
-	if len(sc.at) < terms {
-		// A dataset's dictionary only grows: leave room for the terms
-		// its next versions add.
-		sc.at = make([]int32, terms+terms/4)
-	}
-	if len(sc.cells) < classes*classes {
-		sc.cells = make([]int32, classes*classes)
+	if len(sc.size) < classes {
+		sc.size, sc.row = make([]int32, classes), make([]int32, classes)
 	}
 	return sc
-}
-
-func putLinkScratch(sc *linkScratch) {
-	for _, x := range sc.typed {
-		sc.at[x] = 0
-	}
-	sc.typed, sc.literal = sc.typed[:0], sc.literal[:0]
-	linkPool.Put(sc)
 }
 
 // semantic fills centrality, relevance and property centrality from the

@@ -3,9 +3,11 @@ package measures
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"evorec/internal/rdf"
+	"evorec/internal/schema"
 )
 
 // semanticFixture: Person --worksFor--> Org (3 links), Person --knows-->
@@ -248,5 +250,42 @@ func TestAllCentralitiesAllRelevances(t *testing.T) {
 		if a.Relevance(c) != a.relevance[i] {
 			t.Fatalf("Relevance(%v) disagrees with the relevance vector", c)
 		}
+	}
+}
+
+// TestAnalyzeMemoryLinearInClasses analyzes a version that declares tens
+// of thousands of classes, about the size of a large ontology, but has
+// few links: what the analysis allocates must grow with the classes and
+// links, not with the class pairs a count table could hold.
+func TestAnalyzeMemoryLinearInClasses(t *testing.T) {
+	const classes, instances = 40000, 500
+	g := rdf.NewGraph()
+	cls := func(i int) rdf.Term { return rdf.SchemaIRI(fmt.Sprintf("C%05d", i%classes)) }
+	for i := 0; i < classes; i++ {
+		g.Add(rdf.T(cls(i), rdf.RDFType, rdf.RDFSClass))
+	}
+	p := rdf.SchemaIRI("p")
+	g.Add(rdf.T(p, rdf.RDFSDomain, cls(0)))
+	g.Add(rdf.T(p, rdf.RDFSRange, cls(1)))
+	inst := func(i int) rdf.Term { return rdf.ResourceIRI(fmt.Sprintf("x%d", i%instances)) }
+	for i := 0; i < instances; i++ {
+		g.Add(rdf.T(inst(i), rdf.RDFType, cls(i*197)))
+		g.Add(rdf.T(inst(i), p, inst(i+1)))
+		g.Add(rdf.T(inst(i), p, inst(i+7)))
+	}
+	// prev carries an equal class graph, so Brandes, whose time grows with
+	// the square of the classes (its memory does not), is not run.
+	prev := &VersionAnalysis{Struct: schema.Extract(g).ClassGraph()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := Analyze(g, prev)
+	runtime.ReadMemStats(&after)
+	if len(a.edges) == 0 {
+		t.Fatal("no class-level edge counted")
+	}
+	perClass := float64(after.TotalAlloc-before.TotalAlloc) / classes
+	t.Logf("%.0f bytes allocated a class", perClass)
+	if perClass > 4096 {
+		t.Fatalf("analysis allocates %.0f bytes a class, more than 4 KiB", perClass)
 	}
 }

@@ -181,14 +181,12 @@ func Extract(g *rdf.Graph) *Schema {
 func pack(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // extraction is Extract's working state. Every distinct dictionary ID a scan
-// meets becomes one entry of seen, decoded once; slot maps an ID to 1 + its
-// entry's index. All of it is pooled scratch: the schema copies out what it
+// meets becomes one entry of seen, decoded once; ids numbers the IDs by
+// their entries. All of it is pooled scratch: the schema copies out what it
 // keeps.
 type extraction struct {
 	dict *rdf.Dict
-	// slot has at least dict.Len() entries and is zero between extractions,
-	// because release clears exactly the slots of seen's IDs.
-	slot []int32
+	ids  *rdf.IDIndex
 	seen []seenTerm
 	// The rdf:type scan: objects[k]'s subjects are
 	// subjects[runs[k]:runs[k+1]].
@@ -203,7 +201,6 @@ type extraction struct {
 
 // seenTerm is one distinct term an extraction met.
 type seenTerm struct {
-	id          rdf.TermID
 	term        rdf.Term
 	class, prop bool
 	instances   int   // rdf:type statements with the term as a class object
@@ -216,31 +213,23 @@ var extractionPool = sync.Pool{New: func() any { return new(extraction) }}
 
 func newExtraction(dict *rdf.Dict) *extraction {
 	x := extractionPool.Get().(*extraction)
-	x.dict = dict
-	if n := dict.Len(); len(x.slot) < n {
-		// A dataset's dictionary only grows: leave room for the terms
-		// its next versions add.
-		x.slot = make([]int32, n+n/4)
-	}
+	x.dict, x.ids = dict, rdf.NewIDIndex(dict)
 	return x
 }
 
 // index returns id's entry in seen, decoding the term on first sight.
 func (x *extraction) index(id rdf.TermID) int32 {
-	if k := x.slot[id]; k != 0 {
-		return k - 1
+	k, added := x.ids.Add(id)
+	if added {
+		x.seen = append(x.seen, seenTerm{term: x.dict.TermOf(id)})
 	}
-	x.seen = append(x.seen, seenTerm{id: id, term: x.dict.TermOf(id)})
-	x.slot[id] = int32(len(x.seen))
-	return int32(len(x.seen) - 1)
+	return k
 }
 
 func (x *extraction) release() {
-	for _, t := range x.seen {
-		x.slot[t.id] = 0
-	}
+	x.ids.Release()
 	clear(x.seen) // drop the decoded terms' strings
-	x.dict, x.seen = nil, x.seen[:0]
+	x.dict, x.ids, x.seen = nil, nil, x.seen[:0]
 	x.objects, x.subjects, x.runs = x.objects[:0], x.subjects[:0], x.runs[:0]
 	x.sub, x.dom, x.rng, x.psup = x.sub[:0], x.dom[:0], x.rng[:0], x.psup[:0]
 	x.supers, x.edges = x.supers[:0], x.edges[:0]
